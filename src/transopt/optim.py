@@ -85,12 +85,9 @@ class FeasibleBox:
         return float(np.max(self.hi - self.lo))
 
     def contains(self, theta: np.ndarray, tol: float = 0.0) -> bool:
-        ok = True
-        if self.lo is not None:
-            ok = ok and bool(np.all(theta >= self.lo - tol))
-        if self.hi is not None:
-            ok = ok and bool(np.all(theta <= self.hi + tol))
-        return ok
+        if self.lo is not None and not (theta >= self.lo - tol).all():
+            return False
+        return self.hi is None or bool((theta <= self.hi + tol).all())
 
     def project(self, y: np.ndarray, metric=None) -> np.ndarray:
         return project_box(y, self, metric)

@@ -26,10 +26,13 @@ class OnlineProblem:
     ``theta_star`` is None for problems without a meaningful fixed
     comparator (the MLP); regret is then not defined.
     ``grad_bound`` is the declared sup-norm gradient bound over the box,
-    infinity when unknown.
+    infinity when unknown.  ``n_train`` is the training-set size of the
+    minibatch problems, from which an epoch count derives the horizon;
+    None for problems without a dataset.
     """
 
     name = "online"
+    n_train: Optional[int] = None
 
     def __init__(self, dim: int, box: FeasibleBox,
                  theta_star: Optional[np.ndarray], grad_bound: float):
@@ -160,14 +163,19 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 class _MinibatchMixin:
-    """Deterministic minibatch selection by step index, reshuffled per epoch."""
+    """Deterministic minibatch selection by step index, reshuffled per epoch.
+
+    Only the current epoch's permutation is kept; an earlier epoch asked
+    for again is recomputed, since the order is a pure function of
+    (seed, epoch).
+    """
 
     def _init_batching(self, n: int, batch_size: int, seed: int):
         if batch_size < 1 or batch_size > n:
             raise DomainError(
                 f"batch_size must lie in [1, {n}], got {batch_size}"
             )
-        self._n = n
+        self.n_train = n
         self._batch_size = batch_size
         self._order_seed = seed
         self._orders: dict = {}
@@ -178,7 +186,8 @@ class _MinibatchMixin:
             raise DomainError(f"step index starts at 1, got {t}")
         epoch, slot = divmod(t - 1, self.batches_per_epoch)
         if epoch not in self._orders:
-            self._orders[epoch] = _epoch_order(self._order_seed, epoch, self._n)
+            self._orders = {epoch: _epoch_order(self._order_seed, epoch,
+                                                self.n_train)}
         start = slot * self._batch_size
         return self._orders[epoch][start:start + self._batch_size]
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import ExperimentConfig, config_hash, serialize_config
 from .diagnostics import (ConditionReport, LrHistogram, check_c2,
-                          estimate_zeta, eta_bound_check, sqrt_t_regret_series)
+                          estimate_zeta, eta_bound_check, row_blocks,
+                          sqrt_t_regret_series)
 from .errors import ComparisonError, ConfigError, DomainError
 from .optim import (Adam, Amsgrad, ClippedTransition, DstAdam, FeasibleBox,
                     MomentumSgd, StepConfig)
@@ -129,7 +130,7 @@ class RunRecord:
     horizon: int
     losses: np.ndarray
     ledger: Optional[RegretLedger]
-    rate_rows: List[np.ndarray]
+    rate_rows: np.ndarray  # (T, d): row t-1 is the eta-hat of step t
     grads: np.ndarray
     report: ConditionReport
     final_theta: np.ndarray
@@ -166,7 +167,7 @@ class RunRecord:
 def _make_condition_report(problem: OnlineProblem,
                            schedule: Optional[TransitionSchedule],
                            horizon: int, grads: np.ndarray,
-                           rate_rows: List[np.ndarray],
+                           rate_rows: np.ndarray,
                            iterates_feasible: bool) -> ConditionReport:
     report = ConditionReport()
     report.c2_violations = check_c2(rate_rows)
@@ -176,15 +177,13 @@ def _make_condition_report(problem: OnlineProblem,
     if problem.box.is_bounded:
         report.diameter_ok = iterates_feasible
     if schedule is not None:
-        report.zeta_min = estimate_zeta(grads, schedule.beta2_at)
+        report.zeta_min = estimate_zeta(grads, schedule.beta2)
         rho_sup = schedule.rho_sup()
         report.rho_bounded = bool(
-            all(schedule.rho_at(t) <= rho_sup + 1e-15
-                for t in range(1, horizon + 1)))
+            np.all(schedule.rho_values(horizon) <= rho_sup + 1e-15))
         report.r_ordered = schedule.r_l <= schedule.r_u
         report.beta1_bounded = bool(
-            all(schedule.beta1_at(t) <= schedule.beta1 + 1e-15
-                for t in range(1, horizon + 1)))
+            np.all(schedule.beta1_values(horizon) <= schedule.beta1 + 1e-15))
         if 0.0 < rho_sup < 1.0:
             report.eta_inverse_bounded = eta_bound_check(
                 rate_rows, schedule.r_l, rho_sup)
@@ -197,7 +196,7 @@ def run_experiment(cfg: ExperimentConfig,
     """Execute one config; returns the record and (optionally) writes CSVs."""
     started = time.perf_counter()
     problem = build_problem(cfg)
-    horizon = resolve_horizon(cfg, getattr(problem, "_n", None))
+    horizon = resolve_horizon(cfg, problem.n_train)
     optimizer = build_optimizer(cfg, problem.dim, horizon, problem.box)
     schedule = optimizer.schedule if isinstance(optimizer, DstAdam) else None
 
@@ -206,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig,
     hist = LrHistogram()
     losses = np.empty(horizon)
     grads = np.empty((horizon, problem.dim))
-    rate_rows: List[np.ndarray] = []
+    rate_rows = np.empty((horizon, problem.dim))
     iterates_feasible = True
 
     for t in range(1, horizon + 1):
@@ -217,9 +216,14 @@ def run_experiment(cfg: ExperimentConfig,
         if ledger is not None:
             ledger.update(t, loss, problem.star_loss_at(t))
         g = problem.grad_at(t, theta)
+        finite = np.isfinite(g)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise DomainError(f"non-finite gradient at step {t}, "
+                              f"coordinate {i}; run aborted")
         grads[t - 1] = g
         theta = optimizer.step(theta, g)
-        rate_rows.append(optimizer.rate_raw())
+        rate_rows[t - 1] = optimizer.rate_raw()
         if t % cfg.stride == 0 or t == 1 or t == horizon:
             hist.record(t, optimizer.effective_lr())
         if not problem.box.contains(theta, tol=1e-12):
@@ -257,6 +261,22 @@ def run_directory(cfg: ExperimentConfig, out_root: Optional[str] = None) -> Path
     return Path(root) / f"{stem}-{config_hash(cfg)}"
 
 
+def _write_csv(path: Path, header: Sequence[str], line: str, n_rows: int,
+               width: int, columns) -> None:
+    """Write a header, then n_rows rows streamed in blocks.
+
+    ``columns(lo, hi)`` returns the columns of rows lo..hi-1 as 1-D
+    arrays, and ``width`` is the element count of one row of the arrays
+    it reads.  ``line`` %-formats one row and ends in the csv module's
+    CRLF terminator.
+    """
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerow(header)
+        for lo, hi in row_blocks(n_rows, width):
+            cells = np.column_stack(columns(lo, hi)).ravel().tolist()
+            f.write(line * (hi - lo) % tuple(cells))
+
+
 def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
     cfg = record.config
     run_dir = run_directory(cfg, out_root)
@@ -264,39 +284,45 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
 
     (run_dir / "config.yaml").write_text(serialize_config(cfg))
 
-    stride_ts = _sampled_steps(record.horizon, cfg.stride)
-    with open(run_dir / "loss.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "loss"])
-        for t in stride_ts:
-            writer.writerow([t, _fmt(record.losses[t - 1])])
+    ts = _sampled_steps(record.horizon, cfg.stride)
+    n = len(ts)
+    series = record.ledger.series if record.ledger is not None else None
 
-    with open(run_dir / "regret.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "regret", "avg_regret", "regret_over_sqrt_t"])
-        if record.ledger is not None:
-            series = dict(record.ledger.series)
-            for t in stride_ts:
-                r = series[t]
-                writer.writerow([t, _fmt(r), _fmt(r / t),
-                                 _fmt(r / math.sqrt(t))])
+    def regrets(lo, hi):
+        # the ledger holds one entry per step, so step t sits at t - 1
+        return np.array([series[t - 1][1] for t in ts[lo:hi].tolist()])
+
+    def loss_columns(lo, hi):
+        return ts[lo:hi], record.losses[ts[lo:hi] - 1]
+
+    def regret_columns(lo, hi):
+        t = ts[lo:hi].astype(np.float64)
+        r = regrets(lo, hi)
+        return t, r, r / t, r / np.sqrt(t)
+
+    def record_columns(lo, hi):
+        rates = record.rate_rows[ts[lo:hi] - 1]
+        cols = [ts[lo:hi], record.losses[ts[lo:hi] - 1]]
+        if series is not None:
+            cols.append(regrets(lo, hi))
+        return cols + [np.min(rates, axis=1), np.median(rates, axis=1),
+                       np.max(rates, axis=1)]
+
+    _write_csv(run_dir / "loss.csv", ["t", "loss"], "%d,%.17g\r\n", n, 2,
+               loss_columns)
+    _write_csv(run_dir / "regret.csv",
+               ["t", "regret", "avg_regret", "regret_over_sqrt_t"],
+               "%d,%.17g,%.17g,%.17g\r\n", n if series is not None else 0,
+               4, regret_columns)
 
     record.histogram.to_csv(run_dir / "lr_hist.csv")
     record.report.to_csv(run_dir / "conditions.csv")
 
-    with open(run_dir / "record.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "loss", "regret", "lr_min", "lr_median",
-                         "lr_max"])
-        series = dict(record.ledger.series) if record.ledger else {}
-        for t in stride_ts:
-            rates = record.rate_rows[t - 1]
-            regret = _fmt(series[t]) if t in series else ""
-            writer.writerow([
-                t, _fmt(record.losses[t - 1]), regret,
-                _fmt(np.min(rates)), _fmt(np.median(rates)),
-                _fmt(np.max(rates)),
-            ])
+    regret_cell = "%.17g" if series is not None else ""
+    _write_csv(run_dir / "record.csv",
+               ["t", "loss", "regret", "lr_min", "lr_median", "lr_max"],
+               f"%d,%.17g,{regret_cell},%.17g,%.17g,%.17g\r\n", n,
+               max(6, record.rate_rows.shape[1]), record_columns)
 
     meta = {
         "problem": cfg.problem.kind,
@@ -314,13 +340,9 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
     return run_dir
 
 
-def _sampled_steps(horizon: int, stride: int) -> List[int]:
-    steps = list(range(stride, horizon + 1, stride))
-    if not steps or steps[0] != 1:
-        steps = [1] + steps
-    if steps[-1] != horizon:
-        steps.append(horizon)
-    return steps
+def _sampled_steps(horizon: int, stride: int) -> np.ndarray:
+    """Steps that carry a CSV row: every stride-th, plus 1 and the horizon."""
+    return np.union1d(np.arange(stride, horizon + 1, stride), [1, horizon])
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,19 @@ class TransitionSchedule:
             )
         return self.rho_sequence[t - 1]
 
+    def rho_values(self, horizon: int) -> np.ndarray:
+        """rho_t for t = 1..horizon in one array evaluation."""
+        if self.rho_kind == "exponential":
+            return self.rho ** np.arange(1, horizon + 1, dtype=np.float64)
+        if self.rho_kind == "constant":
+            return np.full(horizon, self.rho)
+        if horizon > len(self.rho_sequence):
+            raise HorizonError(
+                f"custom rho sequence has {len(self.rho_sequence)} entries, "
+                f"step {horizon} requested"
+            )
+        return np.array(self.rho_sequence[:horizon])
+
     def rho_sup(self) -> float:
         """Smallest rho with rho_t <= rho for all t (the theorem's rho)."""
         if self.rho_kind == "custom":
@@ -142,6 +155,15 @@ class TransitionSchedule:
             return self.beta1
         if self.beta1_kind == "geometric":
             return self.beta1 * self.beta1_decay ** (t - 1)
+        return self.beta1 / t
+
+    def beta1_values(self, horizon: int) -> np.ndarray:
+        """beta1_t for t = 1..horizon in one array evaluation."""
+        t = np.arange(1, horizon + 1, dtype=np.float64)
+        if self.beta1_kind == "constant":
+            return np.full(horizon, self.beta1)
+        if self.beta1_kind == "geometric":
+            return self.beta1 * self.beta1_decay ** (t - 1.0)
         return self.beta1 / t
 
     def beta2_at(self, t: int) -> float:

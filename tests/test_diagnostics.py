@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transopt.diagnostics import (ConditionReport, LrHistogram, TheoryParams,
+from transopt.diagnostics import (BLOCK_ELEMENTS, ConditionReport,
+                                  LrHistogram, TheoryParams, block_rows,
                                   bound_corollary1, bound_corollary2,
                                   check_c2, estimate_zeta, eta_bound_check,
                                   lemma_a1_holds, sqrt_t_regret_series)
@@ -47,6 +48,37 @@ class TestLrHistogram:
         with pytest.raises(DomainError):
             hist.record(1, np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected_with_step_and_coordinate(self, bad):
+        hist = LrHistogram()
+        hist.record(1, np.array([0.01, 0.02]))
+        with pytest.raises(DomainError, match=r"step 4, coordinate 1"):
+            hist.record(4, np.array([0.01, bad]))
+        # the rejected row leaves no trace, so every row still totals d
+        assert [t for t, *_ in hist.rows] == [1]
+
+    def test_binning_matches_np_histogram_at_and_around_every_edge(self):
+        hist = LrHistogram()
+        edges = hist.edges
+        probes = np.concatenate([edges, np.nextafter(edges, 0.0),
+                                 np.nextafter(edges, np.inf)])
+        hist.record(1, probes)
+        _, counts, under, over = hist.rows[0]
+        inside = probes[(probes >= edges[0]) & (probes < edges[-1])]
+        expected, _ = np.histogram(inside, bins=edges)
+        np.testing.assert_array_equal(counts, expected)
+        assert under == int(np.sum(probes < edges[0]))
+        assert over == int(np.sum(probes >= edges[-1]))
+
+    def test_rows_span_counter_blocks(self):
+        hist = LrHistogram()
+        n = 2 * block_rows(len(hist.edges) + 1) + 3
+        for t in range(1, n + 1):
+            hist.record(t, np.array([10.0 ** (t % 11 - 8)]))
+        rows = hist.rows
+        assert [t for t, *_ in rows] == list(range(1, n + 1))
+        assert all(c.sum() + u + o == 1 for _, c, u, o in rows)
+
     def test_csv_export(self, tmp_path):
         hist = LrHistogram(n_bins=4, lo=1e-2, hi=1e2)
         hist.record(1, np.array([0.5, 60.0]))
@@ -56,6 +88,100 @@ class TestLrHistogram:
         assert len(lines) == 2
         assert lines[0].startswith("t,")
         assert lines[0].endswith("underflow,overflow")
+
+
+# ---------------------------------------------------------------------------
+# The per-row loop versions the block passes replaced, kept as references.
+# ---------------------------------------------------------------------------
+
+def loop_check_c2(rate_rows, tol=1e-12):
+    violations = []
+    for k in range(1, len(rate_rows)):
+        t = k + 1
+        lhs = math.sqrt(t) / np.asarray(rate_rows[k])
+        rhs = math.sqrt(t - 1) / np.asarray(rate_rows[k - 1])
+        bad = np.nonzero(lhs < rhs - tol)[0]
+        violations.extend((t, int(i)) for i in bad)
+    return violations
+
+
+def loop_estimate_zeta(grads, beta2):
+    grads = np.asarray(grads, dtype=np.float64)
+    if not np.any(grads):
+        return None
+    v = np.zeros(grads.shape[1])
+    raw = np.zeros(grads.shape[1])
+    zeta = 0.0
+    for k in range(grads.shape[0]):
+        t = k + 1
+        beta = float(beta2)
+        g2 = grads[k] * grads[k]
+        v = beta * v + (1.0 - beta) * g2
+        raw = raw + g2
+        lhs = np.sqrt(t * v)
+        rhs = np.sqrt(raw)
+        active = rhs > 0.0
+        if np.any(active & (lhs == 0.0)):
+            return float("inf")
+        if np.any(active):
+            zeta = max(zeta, float(np.max(rhs[active] / lhs[active])))
+    return zeta
+
+
+def loop_eta_bound_check(rate_rows, r_l, rho, tol=1e-12):
+    cap = 1.0 / (r_l * (1.0 - rho))
+    for row in rate_rows:
+        row = np.asarray(row, dtype=np.float64)
+        if np.any(row <= 0.0):
+            return False
+        if np.any(1.0 / row > cap + tol):
+            return False
+    return True
+
+
+#: (T, d) shapes where T straddles a block boundary, and where d is so
+#: large that a block holds a single row.
+BLOCK_SHAPES = [(2 * block_rows(10) + 5, 10), (block_rows(3) + 1, 3),
+                (5, BLOCK_ELEMENTS + 7)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+class TestBlockPassesMatchLoops:
+    def test_check_c2(self, shape):
+        rng = np.random.default_rng(shape[0])
+        rows = 10.0 ** rng.uniform(-3, 1, size=shape)
+        expected = loop_check_c2(list(rows))
+        assert check_c2(rows) == expected and expected
+        # one shared t object per violating row
+        got = check_c2(rows)
+        assert all(a[0] is b[0] for a, b in zip(got, got[1:])
+                   if a[0] == b[0])
+
+    def test_estimate_zeta_bit_identical(self, shape):
+        rng = np.random.default_rng(shape[1])
+        grads = rng.normal(size=shape)
+        grads[rng.uniform(size=shape) < 0.2] = 0.0
+        for beta2 in (0.999, 0.9, 0.0):
+            assert estimate_zeta(grads, beta2) == \
+                loop_estimate_zeta(grads, beta2)
+
+    def test_estimate_zeta_inf_in_last_block(self, shape):
+        grads = np.ones(shape)
+        grads[-1, -1] = 0.0
+        assert estimate_zeta(grads, 0.0) == loop_estimate_zeta(grads, 0.0)
+        assert estimate_zeta(grads, 0.0) == math.inf
+
+    def test_eta_bound_check(self, shape):
+        rng = np.random.default_rng(7)
+        r_l, rho = 0.01, 0.9
+        cap = 1.0 / (r_l * (1.0 - rho))
+        rows = rng.uniform(1.0 / cap, 1.0, size=shape)
+        assert eta_bound_check(rows, r_l, rho) is True
+        for value in (0.5 / cap, 0.0, -1.0):
+            bad = rows.copy()
+            bad[-1, -1] = value
+            assert eta_bound_check(bad, r_l, rho) is \
+                loop_eta_bound_check(bad, r_l, rho) is False
 
 
 class TestCheckC2:

@@ -146,6 +146,22 @@ class TestLogistic:
                 for s in range(prob.batches_per_epoch)])
             assert sorted(seen.tolist()) == list(range(50))
 
+    def test_permutation_cache_keeps_only_current_epoch(self):
+        prob = make_logistic(50, 2, seed=8, batch_size=16)
+        first = prob.batch_indices(1).copy()
+        for t in range(1, 50 * prob.batches_per_epoch + 1):
+            prob.batch_indices(t)
+            assert len(prob._orders) == 1
+        # an evicted epoch is recomputed to the same order
+        np.testing.assert_array_equal(prob.batch_indices(1), first)
+
+    def test_training_set_size_is_public(self):
+        assert make_logistic(50, 2, seed=8, batch_size=16).n_train == 50
+        assert make_mlp_problem(1, n_train=40, n_test=8,
+                                batch_size=8).n_train == 40
+        assert make_quadratic(2, 5, seed=1).n_train is None
+        assert make_reddi().n_train is None
+
     def test_convexity_midpoint_inequality(self):
         prob = make_logistic(64, 3, seed=6, batch_size=16)
         rng = np.random.default_rng(7)

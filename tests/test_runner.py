@@ -1,14 +1,18 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from transopt.cli import main as cli_main
 from transopt.config import parse_config
 from transopt.errors import ComparisonError, ConfigError, DomainError
-from transopt.runner import (CSV_ARTIFACTS, compare_csv, compare_records,
-                             compare_run_dirs, read_conditions,
+from transopt.problems import QuadraticTracking
+from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
+                             compare_records, compare_run_dirs, read_conditions,
                              resolve_horizon, run_experiment)
+from transopt import runner
 
 
 def quadratic_cfg(optimizer="dstadam", horizon=300, seed=7, extra=""):
@@ -93,6 +97,30 @@ batch_size: 32
         with pytest.raises(DomainError, match="step 2"):
             run_experiment(cfg, write_artifacts=False)
 
+    def test_nan_gradient_aborts_with_step_and_coordinate(self, monkeypatch):
+        class NanAtStep(QuadraticTracking):
+            def grad_at(self, t, theta):
+                g = super().grad_at(t, theta)
+                if t == 7:
+                    g[1] = math.nan
+                return g
+
+        def build_nan_problem(cfg):
+            p = build_problem(cfg)
+            return NanAtStep(p.centers, p.box)
+
+        monkeypatch.setattr(runner, "build_problem", build_nan_problem)
+        with pytest.raises(DomainError, match="step 7, coordinate 1"):
+            run_experiment(quadratic_cfg(horizon=20), write_artifacts=False)
+
+    def test_rate_rows_fill_a_t_by_d_array(self):
+        record = run_experiment(quadratic_cfg(horizon=40),
+                                write_artifacts=False)
+        assert record.rate_rows.shape == (40, 3)
+        assert record.rate_rows.dtype == np.float64
+        np.testing.assert_array_equal(record.rate_rows[-1],
+                                      list(record.rate_rows)[-1])
+
     def test_short_custom_sequence_fails_before_stepping(self):
         cfg = parse_config("""
 problem: {kind: quadratic, dim: 2, seed: 1}
@@ -117,6 +145,44 @@ batch_size: 32
         assert record.final_regret is None
         assert 0.0 <= record.test_accuracy <= 1.0
         assert record.train_loss is not None
+
+
+#: SHA-256 of each CSV artifact, recorded with the per-row writer the
+#: block writer replaced: a 2,000-step stride-1 cycle-problem Adam run and
+#: the criterion-11 quadratic.
+GOLDEN_DIGESTS = {
+    """
+problem: {kind: reddi, c: 3.0, seed: 7}
+optimizer: {kind: adam, beta1: 0.0, beta2: 0.1}
+horizon: 2000
+""": {
+        "loss.csv": "aed00c120b1ec617e9a5f5b1d0d05dcdaf1f2b3cd3d51b58941080a59893d643",
+        "regret.csv": "8334ef2f1a70b1a673105086e8a738d95feb13134ad51c2ade57a99cce5d9d78",
+        "lr_hist.csv": "6c78b29d817172ff98b484c3a615863cc8d4b67d67318de469ee6c52769d1fa4",
+        "conditions.csv": "e3ef2d6438727b2f921c5a90034ddaf2572ba891b20f11f6c15b38631b018a1d",
+        "record.csv": "c91571695ab7e32c702e134119c94b22a56be768a7bb75ecfe430474b13ec0ed",
+    },
+    """
+problem: {kind: quadratic, dim: 3, seed: 7}
+optimizer: {kind: dstadam}
+horizon: 1000
+""": {
+        "loss.csv": "0247506669dca55ba23a1e67eea11f57c237e7f214a20b76a49c3a1482fb74f7",
+        "regret.csv": "f92bb1b2255a08479724d754ec9079ccb13b6bddf4891106e32e420ff1a42f31",
+        "lr_hist.csv": "54afea6da869b3bff20cddab1ac867ec61aa3940377f3f057739212df0028b67",
+        "conditions.csv": "a7e05321c93a27ff1be4f8a990d91ac1406aa20ee3aef64f1e31e9476fc1291d",
+        "record.csv": "5912b3d5440da3bd1959d8cb6cfc8ef0e143d87d76c5ae4f6cd906da06158bee",
+    },
+}
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_DIGESTS),
+                         ids=["reddi-adam", "quadratic-dstadam"])
+def test_artifacts_match_golden_digests(text, tmp_path):
+    record = run_experiment(parse_config(text), out_root=str(tmp_path))
+    got = {name: hashlib.sha256((record.run_dir / name).read_bytes())
+           .hexdigest() for name in CSV_ARTIFACTS}
+    assert got == GOLDEN_DIGESTS[text]
 
 
 class TestResolveHorizon:

@@ -125,6 +125,36 @@ class TestBeta1At:
         assert all(s.beta1_at(t) <= 0.9 + 1e-15 for t in range(1, 501))
 
 
+class TestArrayEvaluations:
+    """rho_values/beta1_values agree with the per-step methods."""
+
+    SCHEDULES = [
+        dict(rho_kind="exponential", rho=0.999),
+        dict(rho_kind="constant", rho=0.3),
+        dict(rho_kind="custom", rho_sequence=tuple(np.linspace(1, 0, 400))),
+        dict(beta1_kind="geometric", beta1_decay=0.99),
+        dict(beta1_kind="harmonic"),
+    ]
+
+    @pytest.mark.parametrize("kw", SCHEDULES)
+    def test_match_scalar_methods(self, kw):
+        s = TransitionSchedule(horizon=300, **kw)
+        ts = range(1, 301)
+        # numpy's pow may round the last bit differently from Python's
+        np.testing.assert_allclose(s.rho_values(300),
+                                   [s.rho_at(t) for t in ts],
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(s.beta1_values(300),
+                                   [s.beta1_at(t) for t in ts],
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_custom_sequence_too_short(self):
+        s = TransitionSchedule(horizon=3, rho_kind="custom",
+                               rho_sequence=(0.5, 0.5, 0.5))
+        with pytest.raises(HorizonError):
+            s.rho_values(4)
+
+
 class TestScheduleValidation:
     def test_rho_out_of_range(self):
         with pytest.raises(DomainError):
