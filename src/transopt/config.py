@@ -266,9 +266,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Stable short id for output directories."""
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:12]
+def config_hash(cfg: ExperimentConfig, text: Optional[str] = None) -> str:
+    """Stable short id for output directories.
+
+    ``text`` is ``serialize_config(cfg)`` when the caller already has it.
+    """
+    if text is None:
+        text = serialize_config(cfg)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def with_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,

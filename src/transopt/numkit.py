@@ -1,9 +1,8 @@
-"""Dense vector arithmetic used by every other module.
+"""Checked vector helpers: clamp, norms and dot products.
 
 Parameter vectors, gradients, and moment estimates are plain 1-D float64
-numpy arrays.  All functions here are pure: inputs are never modified and
-every public result is checked to be finite.  Division never substitutes
-an epsilon; guarding denominators is the caller's job.
+numpy arrays.  All functions here are pure: inputs are never modified,
+and lengths are checked before any arithmetic.
 """
 
 from __future__ import annotations
@@ -18,20 +17,6 @@ from .errors import DimensionError, DomainError
 class VectorNorms(NamedTuple):
     l2: float
     linf: float
-
-
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Copy ``values`` into a finite 1-D float64 array of length >= 1."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size < 1:
-        raise DimensionError(f"{name} must have at least one entry")
-    arr = arr.copy()
-    _check_finite(arr, name)
-    return arr
 
 
 def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
@@ -50,37 +35,6 @@ def _broadcast(a: np.ndarray, b) -> np.ndarray:
             f"length mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
     return b
-
-
-def add(a: np.ndarray, b) -> np.ndarray:
-    return _check_finite(a + _broadcast(a, b), "add result")
-
-
-def sub(a: np.ndarray, b) -> np.ndarray:
-    return _check_finite(a - _broadcast(a, b), "sub result")
-
-
-def mul(a: np.ndarray, b) -> np.ndarray:
-    return _check_finite(a * _broadcast(a, b), "mul result")
-
-
-def div(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise division.  A zero divisor entry signals a missing
-    epsilon-guard upstream and raises instead of producing inf."""
-    b = _broadcast(a, b)
-    if np.any(b == 0.0):
-        raise DomainError("division by zero entry (missing epsilon guard?)")
-    return _check_finite(a / b, "div result")
-
-
-def sqrt(a: np.ndarray) -> np.ndarray:
-    if np.any(a < 0.0):
-        raise DomainError("sqrt of negative entry")
-    return np.sqrt(a)
-
-
-def square(a: np.ndarray) -> np.ndarray:
-    return _check_finite(a * a, "square result")
 
 
 def clamp(a: np.ndarray, lo, hi) -> np.ndarray:

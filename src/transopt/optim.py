@@ -149,13 +149,19 @@ def _schedule_fn(value: ScheduleFn, name: str) -> Callable[[int], float]:
 
 
 class _Stepper:
-    """Shared plumbing: shape checks, projection, effective-lr access."""
+    """Shared plumbing: input checks, projection, effective-lr access."""
 
     def __init__(self, dim: int, box: Optional[FeasibleBox]):
         self.state = OptimizerState(dim)
         self.box = box if box is not None else FeasibleBox.unbounded()
 
-    def _check_shapes(self, theta: np.ndarray, grad: np.ndarray):
+    def _check_inputs(self, theta: np.ndarray, grad: np.ndarray):
+        """Reject a bad step before any state changes.
+
+        A non-finite gradient would otherwise pass into m, v and theta
+        (``np.maximum`` and the rate blend propagate NaN), so it raises
+        naming the step and the first bad coordinate.
+        """
         if np.shape(theta) != (self.state.dim,):
             raise DimensionError(
                 f"theta has shape {np.shape(theta)}, expected ({self.state.dim},)"
@@ -164,6 +170,11 @@ class _Stepper:
             raise DimensionError(
                 f"grad has shape {np.shape(grad)}, expected ({self.state.dim},)"
             )
+        finite = np.isfinite(grad)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise DomainError(f"non-finite gradient at step "
+                              f"{self.state.t + 1}, coordinate {i}")
 
     def effective_lr(self) -> np.ndarray:
         """Per-coordinate rate applied at the most recent step."""
@@ -192,7 +203,7 @@ class MomentumSgd(_Stepper):
         self.momentum = momentum
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_shapes(theta, grad)
+        self._check_inputs(theta, grad)
         s = self.state
         s.t += 1
         s.m = self.momentum * s.m + grad
@@ -241,7 +252,7 @@ class Adam(_Stepper):
         return denom
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_shapes(theta, grad)
+        self._check_inputs(theta, grad)
         s = self.state
         s.t += 1
         self._update_moments(grad)
@@ -262,7 +273,7 @@ class Amsgrad(Adam):
         self.state.v_max = np.zeros(dim)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_shapes(theta, grad)
+        self._check_inputs(theta, grad)
         s = self.state
         s.t += 1
         self._update_moments(grad)
@@ -299,7 +310,7 @@ class ClippedTransition(_Stepper):
         self._m_abs_peak = 0.0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_shapes(theta, grad)
+        self._check_inputs(theta, grad)
         s = self.state
         t = s.t + 1
         b1 = self.beta1_at(t)
@@ -353,7 +364,7 @@ class DstAdam(_Stepper):
         self.cfg = cfg if cfg is not None else StepConfig()
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_shapes(theta, grad)
+        self._check_inputs(theta, grad)
         s = self.state
         t = s.t + 1
         if t > self.schedule.horizon:

@@ -1,9 +1,13 @@
 """Online convex problems, a small hand-differentiated MLP, and regret accounting.
 
-Every problem exposes loss/gradient oracles indexed by the step t
-(1-based) over a box feasible set, together with a fixed comparator
-theta_star where one exists.  Oracles are pure functions of (t, theta),
-so runs are bit-reproducible given the construction seed.
+Every problem exposes oracles indexed by the step t (1-based) over a box
+feasible set, together with a fixed comparator theta_star where one
+exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
+which returns the loss and the gradient from one pass over the data;
+``loss_at`` gives the loss alone (for the comparator and the final
+train loss) and ``grad_at`` the gradient alone.  Oracles are pure
+functions of (t, theta), so runs are bit-reproducible given the
+construction seed.
 """
 
 from __future__ import annotations
@@ -47,8 +51,13 @@ class OnlineProblem:
     def loss_at(self, t: int, theta: np.ndarray) -> float:
         raise NotImplementedError
 
-    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
+    def loss_and_grad(self, t: int,
+                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        """f_t(theta) and its gradient, computed together."""
         raise NotImplementedError
+
+    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
+        return self.loss_and_grad(t, theta)[1]
 
     def star_loss_at(self, t: int) -> float:
         if self.theta_star is None:
@@ -102,9 +111,11 @@ class QuadraticTracking(OnlineProblem):
         diff = theta - self._center(t)
         return 0.5 * dot(diff, diff)
 
-    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
+    def loss_and_grad(self, t: int,
+                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
-        return theta - self._center(t)
+        diff = theta - self._center(t)
+        return 0.5 * dot(diff, diff), diff
 
 
 def make_quadratic(dim: int, horizon: int, seed: int,
@@ -145,9 +156,11 @@ class ReddiCycle(OnlineProblem):
         theta = self._check_theta(theta)
         return self._slope(t) * float(theta[0])
 
-    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
-        self._check_theta(theta)
-        return np.array([self._slope(t)])
+    def loss_and_grad(self, t: int,
+                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        theta = self._check_theta(theta)
+        slope = self._slope(t)
+        return slope * float(theta[0]), np.array([slope])
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         return np.array([0.0])
@@ -242,12 +255,14 @@ class LogisticMinibatch(OnlineProblem, _MinibatchMixin):
         margins = y * (x @ theta)
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
-    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
+    def loss_and_grad(self, t: int,
+                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
         x, y = self._batch(t)
         margins = y * (x @ theta)
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
         weights = -y * _sigmoid(-margins)
-        return x.T @ weights / len(y)
+        return loss, x.T @ weights / len(y)
 
 
 def full_logistic_loss(theta: np.ndarray, features: np.ndarray,
@@ -410,10 +425,11 @@ class Mlp:
         loss = -float(np.mean(log_probs[np.arange(len(y)), y]))
         return loss, logits, (layers, activations, log_probs, y)
 
-    def backward(self, theta: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-        """Gradient of the mean batch loss with respect to flat theta."""
-        _, _, cache = self._forward_cached(theta, x, y)
+    def loss_and_grad(self, theta: np.ndarray, x: np.ndarray,
+                      y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Mean batch loss and its gradient with respect to flat theta,
+        both from one forward pass."""
+        loss, _, cache = self._forward_cached(theta, x, y)
         layers, activations, log_probs, y = cache
         n = len(y)
         delta = np.exp(log_probs)
@@ -430,7 +446,12 @@ class Mlp:
         for gw, gb in reversed(grads):
             flat.append(gw.ravel())
             flat.append(gb)
-        return np.concatenate(flat)
+        return loss, np.concatenate(flat)
+
+    def backward(self, theta: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """Gradient of the mean batch loss with respect to flat theta."""
+        return self.loss_and_grad(theta, x, y)[1]
 
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         _, logits = self.forward(theta, x, y)
@@ -479,9 +500,11 @@ class MlpClassification(OnlineProblem, _MinibatchMixin):
         loss, _ = self.net.forward(np.asarray(theta, dtype=np.float64), x, y)
         return loss
 
-    def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
+    def loss_and_grad(self, t: int,
+                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
         x, y = self._batch(t)
-        return self.net.backward(np.asarray(theta, dtype=np.float64), x, y)
+        return self.net.loss_and_grad(np.asarray(theta, dtype=np.float64),
+                                      x, y)
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         return self.net.init_params(seed)

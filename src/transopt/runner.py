@@ -209,19 +209,14 @@ def run_experiment(cfg: ExperimentConfig,
     iterates_feasible = True
 
     for t in range(1, horizon + 1):
-        loss = problem.loss_at(t, theta)
+        loss, g = problem.loss_and_grad(t, theta)
         if not math.isfinite(loss):
             raise DomainError(f"non-finite loss at step {t}; run aborted")
         losses[t - 1] = loss
         if ledger is not None:
             ledger.update(t, loss, problem.star_loss_at(t))
-        g = problem.grad_at(t, theta)
-        finite = np.isfinite(g)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise DomainError(f"non-finite gradient at step {t}, "
-                              f"coordinate {i}; run aborted")
         grads[t - 1] = g
+        # the stepper rejects a non-finite gradient before it changes state
         theta = optimizer.step(theta, g)
         rate_rows[t - 1] = optimizer.rate_raw()
         if t % cfg.stride == 0 or t == 1 or t == horizon:
@@ -255,10 +250,12 @@ def run_experiment(cfg: ExperimentConfig,
     return record
 
 
-def run_directory(cfg: ExperimentConfig, out_root: Optional[str] = None) -> Path:
+def run_directory(cfg: ExperimentConfig, out_root: Optional[str],
+                  text: str) -> Path:
+    """The run's output directory; ``text`` is ``serialize_config(cfg)``."""
     root = out_root or os.environ.get(OUT_ENV_VAR) or cfg.out_dir
     stem = cfg.name or f"{cfg.problem.kind}-{cfg.optimizer.kind}"
-    return Path(root) / f"{stem}-{config_hash(cfg)}"
+    return Path(root) / f"{stem}-{config_hash(cfg, text)}"
 
 
 def _write_csv(path: Path, header: Sequence[str], line: str, n_rows: int,
@@ -279,10 +276,11 @@ def _write_csv(path: Path, header: Sequence[str], line: str, n_rows: int,
 
 def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
     cfg = record.config
-    run_dir = run_directory(cfg, out_root)
+    text = serialize_config(cfg)
+    run_dir = run_directory(cfg, out_root, text)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    (run_dir / "config.yaml").write_text(serialize_config(cfg))
+    (run_dir / "config.yaml").write_text(text)
 
     ts = _sampled_steps(record.horizon, cfg.stride)
     n = len(ts)
@@ -324,7 +322,15 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
                f"%d,%.17g,{regret_cell},%.17g,%.17g,%.17g\r\n", n,
                max(6, record.rate_rows.shape[1]), record_columns)
 
-    meta = {
+    (run_dir / "meta.json").write_text(
+        json.dumps(run_summary(record), indent=2) + "\n")
+    return run_dir
+
+
+def run_summary(record: RunRecord) -> Dict[str, object]:
+    """The scalar results of a run, as written to ``meta.json``."""
+    cfg = record.config
+    return {
         "problem": cfg.problem.kind,
         "optimizer": cfg.optimizer.kind,
         "seed": cfg.problem.seed,
@@ -336,8 +342,6 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
         "test_accuracy": record.test_accuracy,
         "wall_clock_seconds": record.wall_clock,
     }
-    (run_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    return run_dir
 
 
 def _sampled_steps(horizon: int, stride: int) -> np.ndarray:
@@ -353,25 +357,21 @@ COMPARE_COLUMNS = ("optimizer", "final_loss", "final_regret",
                    "test_accuracy", "sup_sqrt_regret")
 
 
-def compare_records(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
-    if len(records) < 2:
+def _compare_rows(summaries: Sequence[Dict[str, object]]
+                  ) -> List[Dict[str, object]]:
+    """One comparison row per run summary; all must share problem and seed."""
+    if len(summaries) < 2:
         raise ComparisonError("need at least two runs to compare")
-    problems = {(r.config.problem.kind, r.config.problem.seed)
-                for r in records}
+    problems = {(s["problem"], s["seed"]) for s in summaries}
     if len(problems) != 1:
         raise ComparisonError(
             f"runs cover different problems/seeds: {sorted(problems)}"
         )
-    rows = []
-    for r in records:
-        rows.append({
-            "optimizer": r.config.optimizer.kind,
-            "final_loss": r.final_loss,
-            "final_regret": r.final_regret,
-            "test_accuracy": r.test_accuracy,
-            "sup_sqrt_regret": r.sup_sqrt_regret,
-        })
-    return rows
+    return [{col: s[col] for col in COMPARE_COLUMNS} for s in summaries]
+
+
+def compare_records(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
+    return _compare_rows([run_summary(r) for r in records])
 
 
 def compare_csv(rows: Sequence[Dict[str, object]]) -> str:
@@ -399,21 +399,7 @@ def load_run_summary(run_dir) -> Dict[str, object]:
 
 
 def compare_run_dirs(run_dirs: Sequence) -> List[Dict[str, object]]:
-    summaries = [load_run_summary(d) for d in run_dirs]
-    if len(summaries) < 2:
-        raise ComparisonError("need at least two runs to compare")
-    problems = {(s["problem"], s["seed"]) for s in summaries}
-    if len(problems) != 1:
-        raise ComparisonError(
-            f"runs cover different problems/seeds: {sorted(problems)}"
-        )
-    return [{
-        "optimizer": s["optimizer"],
-        "final_loss": s["final_loss"],
-        "final_regret": s["final_regret"],
-        "test_accuracy": s["test_accuracy"],
-        "sup_sqrt_regret": s["sup_sqrt_regret"],
-    } for s in summaries]
+    return _compare_rows([load_run_summary(d) for d in run_dirs])
 
 
 def read_conditions(run_dir) -> Dict[str, str]:

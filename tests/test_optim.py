@@ -383,3 +383,29 @@ class TestDstAdam:
             for _ in range(200):
                 theta = opt.step(theta, rng.normal(scale=3.0, size=2))
                 assert box.contains(theta)
+
+
+STEPPERS = {
+    "sgdm": lambda: MomentumSgd(2),
+    "adam": lambda: Adam(2),
+    "amsgrad": lambda: Amsgrad(2),
+    "adabound": lambda: ClippedTransition(
+        2, BoundFunctionSpec("adabound", alpha_star=0.1)),
+    "dstadam": lambda: DstAdam(2, TransitionSchedule(horizon=10)),
+}
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(STEPPERS))
+    def test_direct_step_rejects_before_state_changes(self, kind, bad):
+        opt = STEPPERS[kind]()
+        theta = opt.step(np.zeros(2), np.array([0.5, -1.0]))
+        s = opt.state
+        t, m, v = s.t, s.m.copy(), s.v.copy()
+        with pytest.raises(DomainError) as err:
+            opt.step(theta, np.array([0.25, bad]))
+        assert str(err.value) == "non-finite gradient at step 2, coordinate 1"
+        assert s.t == t
+        np.testing.assert_array_equal(s.m, m)
+        np.testing.assert_array_equal(s.v, v)

@@ -314,6 +314,90 @@ class TestMlpProblem:
         assert 0.0 <= prob.test_accuracy(theta) <= 1.0
 
 
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_mlp_grad(net, theta, x, y):
+    """The separate backward pass that the fused oracle replaced."""
+    _, _, cache = net._forward_cached(theta, x, y)
+    layers, activations, log_probs, y = cache
+    n = len(y)
+    delta = np.exp(log_probs)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads = []
+    for i in reversed(range(len(layers))):
+        w, _ = layers[i]
+        a_in = activations[i]
+        grads.append((a_in.T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ w.T) * (activations[i] > 0.0)
+    flat = []
+    for gw, gb in reversed(grads):
+        flat.append(gw.ravel())
+        flat.append(gb)
+    return np.concatenate(flat)
+
+
+class TestFusedOracle:
+    """loss_and_grad equals the separate loss_at and gradient bit for bit.
+
+    The reference gradients are the expressions of the separate
+    gradient oracles that loss_and_grad replaced.
+    """
+
+    def assert_fused(self, prob, t, theta, ref_grad):
+        loss, grad = prob.loss_and_grad(t, theta)
+        assert loss == prob.loss_at(t, theta)
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(prob.grad_at(t, theta), ref_grad)
+
+    def test_quadratic(self):
+        prob = make_quadratic(4, horizon=6, seed=2)
+        theta = np.array([0.3, -1.2, 0.7, 1.9])
+        for t in (1, 4, 6):
+            self.assert_fused(prob, t, theta, theta - prob.centers[t - 1])
+
+    def test_reddi(self):
+        prob = make_reddi(3.0)
+        theta = np.array([0.4])
+        for t in (1, 2, 3, 4):
+            slope = prob.c if t % 3 == 1 else -1.0
+            self.assert_fused(prob, t, theta, np.array([slope]))
+
+    def test_logistic_across_an_epoch_boundary(self):
+        prob = make_logistic(50, 3, seed=8, batch_size=16)
+        theta = np.array([0.3, -0.2, 1.1])
+        edge = prob.batches_per_epoch
+        for t in (1, edge, edge + 1):
+            idx = prob.batch_indices(t)
+            x, y = prob.features[idx], prob.labels[idx]
+            margins = y * (x @ theta)
+            weights = -y * reference_sigmoid(-margins)
+            self.assert_fused(prob, t, theta, x.T @ weights / len(y))
+
+    def test_mlp_across_an_epoch_boundary(self):
+        prob = make_mlp_problem(seed=3, hidden=(5, 4), n_train=40, n_test=8,
+                                batch_size=16)
+        theta = prob.initial_point(3)
+        edge = prob.batches_per_epoch
+        for t in (1, edge, edge + 1):
+            idx = prob.batch_indices(t)
+            x, y = prob.x_train[idx], prob.y_train[idx]
+            ref = reference_mlp_grad(prob.net, theta, x, y)
+            self.assert_fused(prob, t, theta, ref)
+            loss, grad = prob.net.loss_and_grad(theta, x, y)
+            assert loss == prob.net.forward(theta, x, y)[0]
+            np.testing.assert_array_equal(grad, ref)
+            np.testing.assert_array_equal(prob.net.backward(theta, x, y), ref)
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

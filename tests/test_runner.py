@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from transopt.cli import main as cli_main
-from transopt.config import parse_config
+from transopt import config as config_module
+from transopt.config import parse_config, serialize_config
 from transopt.errors import ComparisonError, ConfigError, DomainError
 from transopt.problems import QuadraticTracking
 from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
@@ -57,6 +58,23 @@ class TestRunExperiment:
         record = run_experiment(quadratic_cfg(horizon=20))
         assert record.run_dir.parent == tmp_path / "env-root"
 
+    def test_config_serialized_once_and_hashed_as_written(self, tmp_path,
+                                                          monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return serialize_config(cfg)
+
+        monkeypatch.setattr(config_module, "serialize_config", counting)
+        monkeypatch.setattr(runner, "serialize_config", counting)
+        record = run_experiment(quadratic_cfg(horizon=20),
+                                out_root=str(tmp_path))
+        assert len(calls) == 1
+        text = (record.run_dir / "config.yaml").read_bytes()
+        digest = hashlib.sha256(text).hexdigest()[:12]
+        assert record.run_dir.name == f"quadratic-dstadam-{digest}"
+
     def test_in_memory_run_skips_disk(self):
         record = run_experiment(quadratic_cfg(horizon=20),
                                 write_artifacts=False)
@@ -99,11 +117,11 @@ batch_size: 32
 
     def test_nan_gradient_aborts_with_step_and_coordinate(self, monkeypatch):
         class NanAtStep(QuadraticTracking):
-            def grad_at(self, t, theta):
-                g = super().grad_at(t, theta)
+            def loss_and_grad(self, t, theta):
+                loss, g = super().loss_and_grad(t, theta)
                 if t == 7:
                     g[1] = math.nan
-                return g
+                return loss, g
 
         def build_nan_problem(cfg):
             p = build_problem(cfg)
@@ -147,9 +165,11 @@ batch_size: 32
         assert record.train_loss is not None
 
 
-#: SHA-256 of each CSV artifact, recorded with the per-row writer the
-#: block writer replaced: a 2,000-step stride-1 cycle-problem Adam run and
-#: the criterion-11 quadratic.
+#: SHA-256 of each CSV artifact.  The first two, a 2,000-step stride-1
+#: cycle-problem Adam run and the criterion-11 quadratic, were recorded
+#: with the per-row writer the block writer replaced; the last two, a
+#: short MLP DstAdam run and a short logistic run that both cross epoch
+#: boundaries, with separate loss and gradient oracle calls per step.
 GOLDEN_DIGESTS = {
     """
 problem: {kind: reddi, c: 3.0, seed: 7}
@@ -173,11 +193,37 @@ horizon: 1000
         "conditions.csv": "a7e05321c93a27ff1be4f8a990d91ac1406aa20ee3aef64f1e31e9476fc1291d",
         "record.csv": "5912b3d5440da3bd1959d8cb6cfc8ef0e143d87d76c5ae4f6cd906da06158bee",
     },
+    """
+problem: {kind: mlp, n_train: 96, n_test: 32, seed: 3}
+optimizer: {kind: dstadam, schedule: {r_u: 1.0}}
+epochs: 4
+batch_size: 32
+stride: 2
+""": {
+        "loss.csv": "e9dab1c29dfb70eeeee62cde460ad8c17e58e2a5a7589e98b155d8daf0045334",
+        "regret.csv": "3277260660ec1a60cf0244dddd4f44bcef31203947cc2e8ab5da3970fa3c0ccd",
+        "lr_hist.csv": "e19f28bdce7526e56826202f18733092f1403bc78f7b175ab8966d70233604a4",
+        "conditions.csv": "9cb4272d57bdff7d45af3da195806388c2d9212baad7d8505ea4a6854602ca6e",
+        "record.csv": "118946081dae66b2b4482469d0c33750ec2b43e158fe1a950910fd54e719ef1c",
+    },
+    """
+problem: {kind: logistic, n_samples: 100, dim: 4, seed: 2}
+optimizer: {kind: adabound}
+epochs: 5
+batch_size: 32
+""": {
+        "loss.csv": "fba99f235fc5462a96ca13284f46904f228a4e296085c0e6fd4bca5927a4cd23",
+        "regret.csv": "fa9e4db7c515def0c4e9091d5d2bdbee4fcdcb6a2a27c21c0c143ce98e208b21",
+        "lr_hist.csv": "7f41137d2f40623ee8458ea61e9f8497e1232bae3b3d4d097b4f49d142f75129",
+        "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
+        "record.csv": "0a99ce478b6b530507b45362ff6b7571ff0be9f58dcb4446f81b9af82ab6a838",
+    },
 }
 
 
 @pytest.mark.parametrize("text", list(GOLDEN_DIGESTS),
-                         ids=["reddi-adam", "quadratic-dstadam"])
+                         ids=["reddi-adam", "quadratic-dstadam", "mlp-dstadam",
+                              "logistic-adabound"])
 def test_artifacts_match_golden_digests(text, tmp_path):
     record = run_experiment(parse_config(text), out_root=str(tmp_path))
     got = {name: hashlib.sha256((record.run_dir / name).read_bytes())
