@@ -113,6 +113,11 @@ class OptimizerSpec:
                 raise ConfigError(
                     f"optimizer.{name}: must lie in [0, 1), got {value}"
                 )
+        if self.sqrt_decay and self.kind in ("adam", "amsgrad", "sgdm"):
+            raise ConfigError(
+                f"optimizer.sqrt_decay: the {self.kind} baseline has no "
+                "sqrt(t) decay; only dstadam, adabound and generic take it"
+            )
 
     @property
     def bias_correction_effective(self) -> bool:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .problems import RegretLedger
+
+if TYPE_CHECKING:  # problems imports this module
+    from .problems import RegretLedger
 
 #: Shared log10 grid so histograms of different optimizers line up.
 HIST_BINS = 60

@@ -4,23 +4,30 @@ Each stepper owns an :class:`OptimizerState` and advances it with
 ``step(theta, grad) -> theta_next``.  A single state must not be shared
 between concurrent runs; distinct stepper instances are independent.
 
-The two transition steppers work on the same skeleton: keep exponential
-moving averages m_t, v_t of the gradient and its square, derive a
-per-coordinate rate from alpha/sqrt(v_t), then either clamp that rate
-into time-varying bounds (:class:`ClippedTransition`) or pull it toward
-the decreasing target r_t with the scaling factor rho_t
-(:class:`DstAdam`).  The update itself is always a projected step
-theta - eta_t * m_t with the diagonal metric 1/eta_t.
+Besides heavy-ball :class:`MomentumSgd`, four adaptive steppers share
+one skeleton, :meth:`_AdaptiveStepper.step`: update the moving averages
+m_t, v_t of the gradient and its square in place, optionally de-bias
+them, form the rate alpha / (sqrt(v_t) + epsilon), apply a rate rule,
+optionally divide by sqrt(t), and take the projected step
+theta - eta_t * m_t with the diagonal metric 1/eta_t.  The rules are
+the identity (:class:`Adam`), the rate of the running max of v_t
+(:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`)
+and the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
+target r_t (:class:`DstAdam`).
+
+Bad inputs raise before any state changes; a bad derived rate raises
+after the in-place moment update, before t and the last rates advance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, HorizonError, StateError
+from .errors import DimensionError, DomainError, StateError
 from .numkit import clamp
 from .schedule import BoundFunctionSpec, TransitionSchedule, eval_bounds
 
@@ -78,19 +85,29 @@ class FeasibleBox:
             and bool(np.all(np.isfinite(self.hi)))
         )
 
-    def diameter_linf(self) -> float:
-        """Sup-norm diameter; inf when any side is unbounded."""
-        if not self.is_bounded:
-            return float("inf")
-        return float(np.max(self.hi - self.lo))
-
     def contains(self, theta: np.ndarray, tol: float = 0.0) -> bool:
-        if self.lo is not None and not (theta >= self.lo - tol).all():
+        """Whether theta lies in the box grown by tol; False on NaN."""
+        if tol:
+            return self.widened(tol).contains(theta)
+        if self.lo is not None and not (theta >= self.lo).all():
             return False
-        return self.hi is None or bool((theta <= self.hi + tol).all())
+        return self.hi is None or bool((theta <= self.hi).all())
+
+    def widened(self, tol: float) -> "FeasibleBox":
+        """The box grown by tol >= 0 on every bounded side."""
+        return FeasibleBox(None if self.lo is None else self.lo - tol,
+                           None if self.hi is None else self.hi + tol)
 
     def project(self, y: np.ndarray, metric=None) -> np.ndarray:
         return project_box(y, self, metric)
+
+    def clamp_into(self, y: np.ndarray) -> np.ndarray:
+        """Clamp the float64 array y into the box in place; returns y."""
+        if self.lo is not None:
+            np.maximum(y, self.lo, out=y)
+        if self.hi is not None:
+            np.minimum(y, self.hi, out=y)
+        return y
 
 
 def project_box(y: np.ndarray, box: FeasibleBox, metric=None) -> np.ndarray:
@@ -109,12 +126,7 @@ def project_box(y: np.ndarray, box: FeasibleBox, metric=None) -> np.ndarray:
             )
         if np.any(metric <= 0.0):
             raise DomainError("projection metric must be positive")
-    out = y
-    if box.lo is not None:
-        out = np.maximum(out, box.lo)
-    if box.hi is not None:
-        out = np.minimum(out, box.hi)
-    return np.array(out, dtype=np.float64)
+    return box.clamp_into(np.array(y, dtype=np.float64))
 
 
 class OptimizerState:
@@ -160,21 +172,33 @@ class _Stepper:
 
         A non-finite gradient would otherwise pass into m, v and theta
         (``np.maximum`` and the rate blend propagate NaN), so it raises
-        naming the step and the first bad coordinate.
+        naming the step and the first bad coordinate.  The sum screens
+        it in one reduction; the exact test runs only when the sum is
+        not finite, which a finite gradient can reach by overflow.
         """
-        if np.shape(theta) != (self.state.dim,):
+        dim = self.state.dim
+        if np.shape(theta) != (dim,):
             raise DimensionError(
-                f"theta has shape {np.shape(theta)}, expected ({self.state.dim},)"
-            )
-        if np.shape(grad) != (self.state.dim,):
+                f"theta has shape {np.shape(theta)}, expected ({dim},)")
+        if np.shape(grad) != (dim,):
             raise DimensionError(
-                f"grad has shape {np.shape(grad)}, expected ({self.state.dim},)"
-            )
-        finite = np.isfinite(grad)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise DomainError(f"non-finite gradient at step "
-                              f"{self.state.t + 1}, coordinate {i}")
+                f"grad has shape {np.shape(grad)}, expected ({dim},)")
+        if not math.isfinite(np.add.reduce(grad)):
+            bad = np.flatnonzero(~np.isfinite(grad))
+            if bad.size:
+                raise DomainError(f"non-finite gradient at step "
+                                  f"{self.state.t + 1}, coordinate {bad[0]}")
+
+    def _project(self, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """Project y onto the box in place under the metric 1/eta.
+
+        The clamp is the projection for any positive diagonal metric.
+        Every rule gives eta >= 0 or NaN, so the metric is positive
+        unless some eta is +inf (``fmax`` skips NaN).
+        """
+        if np.fmax.reduce(eta) == math.inf:
+            raise DomainError("projection metric must be positive")
+        return self.box.clamp_into(y)
 
     def effective_lr(self) -> np.ndarray:
         """Per-coordinate rate applied at the most recent step."""
@@ -201,28 +225,80 @@ class MomentumSgd(_Stepper):
             raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
+        self._eta = np.full(dim, lr)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self._check_inputs(theta, grad)
         s = self.state
+        s.m *= self.momentum
+        s.m += grad
+        theta = self._project(theta - self.lr * s.m, self._eta)
         s.t += 1
-        s.m = self.momentum * s.m + grad
-        eta = np.full(s.dim, self.lr)
-        s.last_effective_lr = eta
-        s.last_rate_raw = eta
-        return self.box.project(theta - self.lr * s.m, metric=1.0 / eta)
+        s.last_effective_lr = s.last_rate_raw = self._eta
+        return theta
 
 
-class Adam(_Stepper):
+class _AdaptiveStepper(_Stepper):
+    """The step shared by the adaptive steppers.
+
+    A subclass supplies ``_betas(t) -> (beta1_t, beta2_t)`` and may
+    override the rate rule ``_rate(t, rate)``, which may rewrite the
+    fresh array ``rate`` in place, and ``_second_moment(v)``, the second
+    moment the rate is built from.
+    """
+
+    def __init__(self, dim: int, cfg: Optional[StepConfig],
+                 box: Optional[FeasibleBox]):
+        super().__init__(dim, box)
+        self.cfg = cfg if cfg is not None else StepConfig()
+
+    def _second_moment(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
+        return rate
+
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self._check_inputs(theta, grad)
+        s, cfg = self.state, self.cfg
+        t = s.t + 1
+        b1, b2 = self._betas(t)
+        # in place, in the operation order of b * m + (1 - b) * g
+        m, v = s.m, s.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        beta1_prod = s.beta1_prod * b1
+        beta2_prod = s.beta2_prod * b2
+        v = self._second_moment(v)
+        if cfg.bias_correction:
+            m = m / (1.0 - beta1_prod)
+            v = v / (1.0 - beta2_prod)
+        rate = np.sqrt(v)
+        rate += cfg.epsilon
+        # sqrt(v) >= 0, so only epsilon == 0 can leave a zero denominator
+        if cfg.epsilon == 0.0 and (rate == 0.0).any():
+            raise DomainError(
+                "zero second moment with epsilon=0; supply a positive epsilon"
+            )
+        rate = self._rate(t, np.divide(cfg.alpha, rate, out=rate))
+        eta = rate / math.sqrt(t) if cfg.sqrt_decay else rate
+        theta = self._project(theta - eta * m, eta)
+        s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
+        s.last_rate_raw, s.last_effective_lr = rate, eta
+        return theta
+
+
+class Adam(_AdaptiveStepper):
     """Adam baseline; bias correction is on by default for this one."""
 
     def __init__(self, dim: int, cfg: Optional[StepConfig] = None,
                  beta1: float = 0.9, beta2: float = 0.999,
                  box: Optional[FeasibleBox] = None):
-        super().__init__(dim, box)
         if cfg is None:
             cfg = StepConfig(bias_correction=True)
-        self.cfg = cfg
+        super().__init__(dim, cfg, box)
         if not 0.0 <= beta1 < 1.0:
             raise DomainError(f"beta1 must lie in [0, 1), got {beta1}")
         if not 0.0 <= beta2 < 1.0:
@@ -230,37 +306,8 @@ class Adam(_Stepper):
         self.beta1 = beta1
         self.beta2 = beta2
 
-    def _update_moments(self, grad: np.ndarray):
-        s = self.state
-        s.m = self.beta1 * s.m + (1.0 - self.beta1) * grad
-        s.v = self.beta2 * s.v + (1.0 - self.beta2) * grad * grad
-        s.beta1_prod *= self.beta1
-        s.beta2_prod *= self.beta2
-
-    def _corrected(self):
-        s = self.state
-        if not self.cfg.bias_correction:
-            return s.m, s.v
-        return s.m / (1.0 - s.beta1_prod), s.v / (1.0 - s.beta2_prod)
-
-    def _denominator(self, v_hat: np.ndarray) -> np.ndarray:
-        denom = np.sqrt(v_hat) + self.cfg.epsilon
-        if np.any(denom == 0.0):
-            raise DomainError(
-                "zero second moment with epsilon=0; supply a positive epsilon"
-            )
-        return denom
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
-        s = self.state
-        s.t += 1
-        self._update_moments(grad)
-        m_hat, v_hat = self._corrected()
-        eta = self.cfg.alpha / self._denominator(v_hat)
-        s.last_effective_lr = eta
-        s.last_rate_raw = eta
-        return self.box.project(theta - eta * m_hat, metric=1.0 / eta)
+    def _betas(self, t: int) -> Tuple[float, float]:
+        return self.beta1, self.beta2
 
 
 class Amsgrad(Adam):
@@ -272,24 +319,11 @@ class Amsgrad(Adam):
         super().__init__(dim, cfg, beta1, beta2, box)
         self.state.v_max = np.zeros(dim)
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
-        s = self.state
-        s.t += 1
-        self._update_moments(grad)
-        s.v_max = np.maximum(s.v_max, s.v)
-        if self.cfg.bias_correction:
-            m_hat = s.m / (1.0 - s.beta1_prod)
-            v_hat = s.v_max / (1.0 - s.beta2_prod)
-        else:
-            m_hat, v_hat = s.m, s.v_max
-        eta = self.cfg.alpha / self._denominator(v_hat)
-        s.last_effective_lr = eta
-        s.last_rate_raw = eta
-        return self.box.project(theta - eta * m_hat, metric=1.0 / eta)
+    def _second_moment(self, v: np.ndarray) -> np.ndarray:
+        return np.maximum(self.state.v_max, v, out=self.state.v_max)
 
 
-class ClippedTransition(_Stepper):
+class ClippedTransition(_AdaptiveStepper):
     """Generic transition stepper: clamp the adaptive rate into bounds.
 
     With the constant (swats) bounds the rate collapses to a single SGD
@@ -302,49 +336,24 @@ class ClippedTransition(_Stepper):
                  cfg: Optional[StepConfig] = None,
                  beta1: ScheduleFn = 0.9, beta2: ScheduleFn = 0.999,
                  box: Optional[FeasibleBox] = None):
-        super().__init__(dim, box)
+        super().__init__(dim, cfg, box)
         self.bounds = bounds
-        self.cfg = cfg if cfg is not None else StepConfig()
         self.beta1_at = _schedule_fn(beta1, "beta1")
         self.beta2_at = _schedule_fn(beta2, "beta2")
         self._m_abs_peak = 0.0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
-        s = self.state
-        t = s.t + 1
-        b1 = self.beta1_at(t)
-        b2 = self.beta2_at(t)
-        s.m = b1 * s.m + (1.0 - b1) * grad
-        s.v = b2 * s.v + (1.0 - b2) * grad * grad
-        s.beta1_prod *= b1
-        s.beta2_prod *= b2
-        s.t = t
+    def _betas(self, t: int) -> Tuple[float, float]:
+        return self.beta1_at(t), self.beta2_at(t)
 
-        if self.cfg.bias_correction:
-            m_used = s.m / (1.0 - s.beta1_prod)
-            v_used = s.v / (1.0 - s.beta2_prod)
-        else:
-            m_used, v_used = s.m, s.v
-        denom = np.sqrt(v_used) + self.cfg.epsilon
-        if np.any(denom == 0.0):
-            raise DomainError(
-                "zero second moment with epsilon=0; supply a positive epsilon"
-            )
-        self._m_abs_peak = max(self._m_abs_peak, float(np.max(np.abs(s.m))))
-        lower, upper = eval_bounds(
-            self.bounds, t,
-            momentum_abs=np.abs(s.m),
-            momentum_abs_peak=self._m_abs_peak,
-        )
-        rate = clamp(self.cfg.alpha / denom, lower, upper)
-        s.last_rate_raw = np.array(rate)
-        eta = rate / np.sqrt(t) if self.cfg.sqrt_decay else rate
-        s.last_effective_lr = np.array(eta)
-        return self.box.project(theta - eta * m_used, metric=1.0 / eta)
+    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
+        m_abs = np.abs(self.state.m)
+        self._m_abs_peak = max(self._m_abs_peak, float(m_abs.max()))
+        lower, upper = eval_bounds(self.bounds, t, momentum_abs=m_abs,
+                                   momentum_abs_peak=self._m_abs_peak)
+        return clamp(rate, lower, upper)
 
 
-class DstAdam(_Stepper):
+class DstAdam(_AdaptiveStepper):
     """Decreasing-scaling transition from Adam to SGD.
 
     Per coordinate the raw rate is the rho_t-weighted blend
@@ -359,45 +368,22 @@ class DstAdam(_Stepper):
     def __init__(self, dim: int, schedule: TransitionSchedule,
                  cfg: Optional[StepConfig] = None,
                  box: Optional[FeasibleBox] = None):
-        super().__init__(dim, box)
+        super().__init__(dim, cfg, box)
         self.schedule = schedule
-        self.cfg = cfg if cfg is not None else StepConfig()
+        self._blend = None  # (rho_t, r_t) of the step in progress
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
-        s = self.state
-        t = s.t + 1
-        if t > self.schedule.horizon:
-            raise HorizonError(
-                f"step {t} exceeds schedule horizon {self.schedule.horizon}"
-            )
-        sched = self.schedule
-        b1 = sched.beta1_at(t)
-        b2 = sched.beta2_at(t)
-        s.m = b1 * s.m + (1.0 - b1) * grad
-        s.v = b2 * s.v + (1.0 - b2) * grad * grad
-        s.beta1_prod *= b1
-        s.beta2_prod *= b2
-        s.t = t
+    def _betas(self, t: int) -> Tuple[float, float]:
+        b1, b2, rho_t, r_t = self.schedule.step_values(t)
+        self._blend = (rho_t, r_t)
+        return b1, b2
 
-        if self.cfg.bias_correction:
-            m_used = s.m / (1.0 - s.beta1_prod)
-            v_used = s.v / (1.0 - s.beta2_prod)
-        else:
-            m_used, v_used = s.m, s.v
-        denom = np.sqrt(v_used) + self.cfg.epsilon
-        if np.any(denom == 0.0):
-            raise DomainError(
-                "zero second moment with epsilon=0; supply a positive epsilon"
-            )
-        rho_t = sched.rho_at(t)
-        r_t = sched.r_at(t)
-        eta_hat = rho_t * (self.cfg.alpha / denom) + (1.0 - rho_t) * r_t
-        if np.any(eta_hat <= 0.0):
+    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
+        rho_t, r_t = self._blend
+        rate *= rho_t
+        rate += (1.0 - rho_t) * r_t
+        # fmin skips NaN, as the elementwise test did
+        if np.fmin.reduce(rate) <= 0.0:
             raise AssertionError(
                 "eta_hat must stay positive under a valid schedule"
             )
-        s.last_rate_raw = eta_hat
-        eta = eta_hat / np.sqrt(t) if self.cfg.sqrt_decay else eta_hat
-        s.last_effective_lr = np.array(eta)
-        return self.box.project(theta - eta * m_used, metric=1.0 / eta)
+        return rate

@@ -5,7 +5,8 @@ feasible set, together with a fixed comparator theta_star where one
 exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
 which returns the loss and the gradient from one pass over the data;
 ``loss_at`` gives the loss alone (for the comparator and the final
-train loss) and ``grad_at`` the gradient alone.  Oracles are pure
+train loss) and ``grad_at`` the gradient alone.  ``star_losses`` gives
+the comparator's loss at every step of a run at once.  Oracles are pure
 functions of (t, theta), so runs are bit-reproducible given the
 construction seed.
 """
@@ -19,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .diagnostics import row_blocks
 from .errors import DimensionError, DomainError, SequenceError
 from .numkit import dot, norms
 from .optim import FeasibleBox
@@ -63,6 +65,12 @@ class OnlineProblem:
         if self.theta_star is None:
             raise DomainError(f"{self.name} problem has no comparator")
         return self.loss_at(t, self.theta_star)
+
+    def star_losses(self, horizon: int) -> np.ndarray:
+        """``star_loss_at(t)`` for t = 1..horizon, bit for bit."""
+        return np.fromiter((self.star_loss_at(t)
+                            for t in range(1, horizon + 1)),
+                           dtype=np.float64, count=horizon)
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         """Deterministic feasible starting point."""
@@ -117,6 +125,17 @@ class QuadraticTracking(OnlineProblem):
         diff = theta - self._center(t)
         return 0.5 * dot(diff, diff), diff
 
+    def star_losses(self, horizon: int) -> np.ndarray:
+        # Stacked (1, d) @ (d, 1) products give the bits of ``dot``;
+        # einsum sums in another order.
+        self._center(horizon)  # past the problem horizon raises here too
+        out = np.empty(horizon)
+        for lo, hi in row_blocks(horizon, self.dim):
+            diff = self.theta_star - self.centers[lo:hi]
+            out[lo:hi] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        out *= 0.5
+        return out
+
 
 def make_quadratic(dim: int, horizon: int, seed: int,
                    box_halfwidth: float = 2.0) -> QuadraticTracking:
@@ -161,6 +180,10 @@ class ReddiCycle(OnlineProblem):
         theta = self._check_theta(theta)
         slope = self._slope(t)
         return slope * float(theta[0]), np.array([slope])
+
+    def star_losses(self, horizon: int) -> np.ndarray:
+        slopes = np.where(np.arange(1, horizon + 1) % 3 == 1, self.c, -1.0)
+        return slopes * float(self.theta_star[0])
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         return np.array([0.0])

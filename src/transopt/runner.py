@@ -203,25 +203,31 @@ def run_experiment(cfg: ExperimentConfig,
     theta = problem.initial_point(cfg.problem.seed)
     ledger = RegretLedger() if problem.theta_star is not None else None
     hist = LrHistogram()
-    losses = np.empty(horizon)
+    # With a comparator, losses[t - 1] holds the comparator's loss until
+    # step t overwrites it with the algorithm's.
+    losses = (np.empty(horizon) if ledger is None
+              else problem.star_losses(horizon))
     grads = np.empty((horizon, problem.dim))
     rate_rows = np.empty((horizon, problem.dim))
+    feasible = problem.box.widened(1e-12)
     iterates_feasible = True
+    state = optimizer.state
 
     for t in range(1, horizon + 1):
         loss, g = problem.loss_and_grad(t, theta)
         if not math.isfinite(loss):
             raise DomainError(f"non-finite loss at step {t}; run aborted")
-        losses[t - 1] = loss
         if ledger is not None:
-            ledger.update(t, loss, problem.star_loss_at(t))
+            ledger.update(t, loss, losses.item(t - 1))
+        losses[t - 1] = loss
         grads[t - 1] = g
         # the stepper rejects a non-finite gradient before it changes state
         theta = optimizer.step(theta, g)
-        rate_rows[t - 1] = optimizer.rate_raw()
+        # rate_rows copies the rates and the histogram only bins them
+        rate_rows[t - 1] = state.last_rate_raw
         if t % cfg.stride == 0 or t == 1 or t == horizon:
-            hist.record(t, optimizer.effective_lr())
-        if not problem.box.contains(theta, tol=1e-12):
+            hist.record(t, state.last_effective_lr)
+        if iterates_feasible and not feasible.contains(theta):
             iterates_feasible = False
 
     report = _make_condition_report(problem, schedule, horizon, grads,

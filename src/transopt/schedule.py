@@ -110,15 +110,18 @@ class TransitionSchedule:
     def rho_at(self, t: int) -> float:
         """Scaling factor at step t."""
         t = _check_t(t)
-        if self.rho_kind == "exponential":
-            return self.rho ** t
-        if self.rho_kind == "constant":
-            return self.rho
-        if t > len(self.rho_sequence):
+        if self.rho_kind == "custom" and t > len(self.rho_sequence):
             raise HorizonError(
                 f"custom rho sequence has {len(self.rho_sequence)} entries, "
                 f"step {t} requested"
             )
+        return self._rho(t)
+
+    def _rho(self, t: int) -> float:
+        if self.rho_kind == "exponential":
+            return self.rho ** t
+        if self.rho_kind == "constant":
+            return self.rho
         return self.rho_sequence[t - 1]
 
     def rho_values(self, horizon: int) -> np.ndarray:
@@ -147,10 +150,15 @@ class TransitionSchedule:
             raise HorizonError(
                 f"step {t} exceeds declared horizon {self.horizon}"
             )
+        return self._r(t)
+
+    def _r(self, t: int) -> float:
         return (self.r_u - self.r_l) * (1.0 - t / self.horizon) + self.r_l
 
     def beta1_at(self, t: int) -> float:
-        t = _check_t(t)
+        return self._beta1(_check_t(t))
+
+    def _beta1(self, t: int) -> float:
         if self.beta1_kind == "constant":
             return self.beta1
         if self.beta1_kind == "geometric":
@@ -169,6 +177,20 @@ class TransitionSchedule:
     def beta2_at(self, t: int) -> float:
         _check_t(t)
         return self.beta2
+
+    def step_values(self, t: int) -> Tuple[float, float, float, float]:
+        """(beta1_t, beta2_t, rho_t, r_t) for a stepper, checking t once.
+
+        The values equal those of ``beta1_at``, ``beta2_at``, ``rho_at``
+        and ``r_at``; a custom rho sequence covers the horizon by
+        construction.
+        """
+        if t > self.horizon:
+            raise HorizonError(
+                f"step {t} exceeds schedule horizon {self.horizon}"
+            )
+        t = _check_t(t)
+        return self._beta1(t), self.beta2, self._rho(t), self._r(t)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,19 @@ horizon: 100
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("problem: [unclosed")
 
+    @pytest.mark.parametrize("kind", ["adam", "amsgrad", "sgdm"])
+    def test_sqrt_decay_rejected_for_baselines(self, kind):
+        text = MINIMAL.replace("kind: dstadam",
+                               f"kind: {kind}\n  sqrt_decay: true")
+        with pytest.raises(ConfigError, match=r"^optimizer\.sqrt_decay: "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("kind", ["dstadam", "adabound", "generic"])
+    def test_sqrt_decay_accepted_for_transitions(self, kind):
+        text = MINIMAL.replace("kind: dstadam",
+                               f"kind: {kind}\n  sqrt_decay: true")
+        assert parse_config(text).optimizer.sqrt_decay is True
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self):

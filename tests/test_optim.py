@@ -409,3 +409,80 @@ class TestNonFiniteGradient:
         assert s.t == t
         np.testing.assert_array_equal(s.m, m)
         np.testing.assert_array_equal(s.v, v)
+
+
+def adaptive(kind, cfg=None, horizon=10):
+    """One of the four adaptive steppers on d=2."""
+    if kind == "adam":
+        return Adam(2, cfg)
+    if kind == "amsgrad":
+        return Amsgrad(2, cfg)
+    if kind == "adabound":
+        return ClippedTransition(
+            2, BoundFunctionSpec("adabound", alpha_star=0.1), cfg)
+    return DstAdam(2, TransitionSchedule(horizon=horizon), cfg)
+
+
+ADAPTIVE = ["adam", "amsgrad", "adabound", "dstadam"]
+
+
+class TestCheckParity:
+    """Each check keeps its type and message, and t, m, v stay unchanged."""
+
+    def assert_rejected(self, opt, theta, grad, exc, message):
+        s = opt.state
+        t, m, v = s.t, s.m.copy(), s.v.copy()
+        with pytest.raises(exc) as err:
+            opt.step(theta, grad)
+        assert str(err.value) == message
+        assert s.t == t
+        np.testing.assert_array_equal(s.m, m)
+        np.testing.assert_array_equal(s.v, v)
+
+    @pytest.mark.parametrize("kind", ADAPTIVE)
+    def test_zero_denominator_with_epsilon_zero(self, kind):
+        opt = adaptive(kind, StepConfig(epsilon=0.0))
+        self.assert_rejected(
+            opt, np.zeros(2), np.zeros(2), DomainError,
+            "zero second moment with epsilon=0; supply a positive epsilon")
+
+    def test_step_past_the_horizon(self):
+        opt = adaptive("dstadam", horizon=3)
+        theta = np.zeros(2)
+        for _ in range(3):
+            theta = opt.step(theta, np.array([0.5, -1.0]))
+        self.assert_rejected(opt, theta, np.array([0.5, -1.0]), HorizonError,
+                             "step 4 exceeds schedule horizon 3")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["sgdm"] + [k for k in ADAPTIVE
+                                                 if k != "adabound"])
+    def test_infinite_rate_fails_the_projection_metric(self, kind):
+        # alpha / epsilon overflows; the clipped family's bounds cap it
+        if kind == "sgdm":
+            opt = MomentumSgd(2, lr=math.inf)
+        else:
+            opt = adaptive(kind, StepConfig(alpha=1e300, epsilon=1e-10))
+        self.assert_rejected(opt, np.zeros(2), np.zeros(2), DomainError,
+                             "projection metric must be positive")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(STEPPERS))
+    def test_finite_gradient_with_an_overflowing_sum_is_accepted(self, kind):
+        opt = STEPPERS[kind]()
+        opt.step(np.zeros(2), np.array([1e308, 1e308]))
+        assert opt.state.t == 1
+
+    @pytest.mark.parametrize("kind", list(STEPPERS))
+    def test_returned_rates_are_copies(self, kind):
+        opt, twin = STEPPERS[kind](), STEPPERS[kind]()
+        theta = np.array([0.3, -0.2])
+        a = opt.step(theta, np.array([0.5, -1.0]))
+        b = twin.step(theta, np.array([0.5, -1.0]))
+        opt.effective_lr()[:] = -1.0
+        opt.rate_raw()[:] = -1.0
+        np.testing.assert_array_equal(opt.effective_lr(), twin.effective_lr())
+        np.testing.assert_array_equal(opt.rate_raw(), twin.rate_raw())
+        np.testing.assert_array_equal(opt.step(a, np.array([0.1, 0.2])),
+                                      twin.step(b, np.array([0.1, 0.2])))

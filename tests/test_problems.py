@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transopt.diagnostics import block_rows
 from transopt.errors import DomainError, SequenceError
 from transopt.optim import FeasibleBox
 from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
@@ -396,6 +397,40 @@ class TestFusedOracle:
             assert loss == prob.net.forward(theta, x, y)[0]
             np.testing.assert_array_equal(grad, ref)
             np.testing.assert_array_equal(prob.net.backward(theta, x, y), ref)
+
+
+class TestStarLosses:
+    """star_losses equals star_loss_at at every step, bit for bit."""
+
+    def assert_per_step(self, prob, horizon):
+        got = prob.star_losses(horizon)
+        assert got.dtype == np.float64 and got.shape == (horizon,)
+        ref = [prob.star_loss_at(t) for t in range(1, horizon + 1)]
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("dim", [1, 3, 10, 1100])
+    def test_quadratic_across_block_boundaries(self, dim):
+        horizon = 2 * block_rows(dim) + 5
+        prob = make_quadratic(dim, horizon, seed=dim)
+        self.assert_per_step(prob, horizon)
+        self.assert_per_step(prob, horizon - 1)
+
+    def test_quadratic_past_its_horizon(self):
+        with pytest.raises(DomainError, match="outside the problem horizon"):
+            make_quadratic(2, 5, seed=1).star_losses(6)
+
+    def test_reddi(self):
+        self.assert_per_step(make_reddi(3.5), 100)
+
+    def test_logistic(self):
+        prob = make_logistic(50, 3, seed=8, batch_size=16)
+        self.assert_per_step(prob, 3 * prob.batches_per_epoch + 1)
+
+    def test_no_comparator(self):
+        prob = make_mlp_problem(seed=3, hidden=(4,), n_train=16, n_test=8,
+                                batch_size=8)
+        with pytest.raises(DomainError, match="no comparator"):
+            prob.star_losses(2)
 
 
 class TestDatasetCsv:

@@ -9,6 +9,7 @@ from transopt.cli import main as cli_main
 from transopt import config as config_module
 from transopt.config import parse_config, serialize_config
 from transopt.errors import ComparisonError, ConfigError, DomainError
+from transopt.optim import DstAdam
 from transopt.problems import QuadraticTracking
 from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
                              compare_records, compare_run_dirs, read_conditions,
@@ -131,6 +132,26 @@ batch_size: 32
         with pytest.raises(DomainError, match="step 7, coordinate 1"):
             run_experiment(quadratic_cfg(horizon=20), write_artifacts=False)
 
+    @pytest.mark.parametrize("at, value, feasible", [
+        (7, 2.0 + 1e-9, False),       # off the box by more than 1e-12
+        (20, math.nan, False),        # the last iterate, never evaluated
+        (7, -2.0 - 5e-13, True),      # within the tolerance
+    ])
+    def test_diameter_ok_tracks_every_iterate(self, monkeypatch, at, value,
+                                              feasible):
+        step = DstAdam.step
+
+        def leaky_step(self, theta, grad):
+            theta = step(self, theta, grad)
+            if self.state.t == at:
+                theta[1] = value
+            return theta
+
+        monkeypatch.setattr(DstAdam, "step", leaky_step)
+        record = run_experiment(quadratic_cfg(horizon=20),
+                                write_artifacts=False)
+        assert record.report.diameter_ok is feasible
+
     def test_rate_rows_fill_a_t_by_d_array(self):
         record = run_experiment(quadratic_cfg(horizon=40),
                                 write_artifacts=False)
@@ -167,9 +188,13 @@ batch_size: 32
 
 #: SHA-256 of each CSV artifact.  The first two, a 2,000-step stride-1
 #: cycle-problem Adam run and the criterion-11 quadratic, were recorded
-#: with the per-row writer the block writer replaced; the last two, a
+#: with the per-row writer the block writer replaced; the next two, a
 #: short MLP DstAdam run and a short logistic run that both cross epoch
-#: boundaries, with separate loss and gradient oracle calls per step.
+#: boundaries, with separate loss and gradient oracle calls per step.  The
+#: last seven cover the paths of the stepper skeleton (each rate rule,
+#: sgdm, the adadb and lu bounds, bias correction with sqrt decay and
+#: harmonic beta1, constant rho, a binding box) and were recorded with a
+#: separate step body per stepper.
 GOLDEN_DIGESTS = {
     """
 problem: {kind: reddi, c: 3.0, seed: 7}
@@ -217,13 +242,107 @@ batch_size: 32
         "lr_hist.csv": "7f41137d2f40623ee8458ea61e9f8497e1232bae3b3d4d097b4f49d142f75129",
         "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
         "record.csv": "0a99ce478b6b530507b45362ff6b7571ff0be9f58dcb4446f81b9af82ab6a838",
+    },    """
+problem: {kind: reddi, c: 3.0, seed: 7}
+optimizer: {kind: amsgrad, beta1: 0.0, beta2: 0.1}
+horizon: 2000
+""": {
+        "loss.csv": "82da440f9bca0c485ddba1e7a8ffff89d840bfe738053ab4645257a3255eab38",
+        "regret.csv": "0fb0382ef5436f781abbfa02c0ca243802bf7144b8bd0040671f26e6f211e142",
+        "lr_hist.csv": "488a7adb9ecfa88abddfc3352e0df743cc8e2dfafbf5c966a62d6f7a6f22497c",
+        "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
+        "record.csv": "e063672eee2bcca3df043610eda07bc2148468335a18daa14e17583c679f5632",
+    },
+    """
+problem: {kind: quadratic, dim: 3, seed: 7, box_halfwidth: 0.5}
+optimizer: {kind: sgdm, lr: 0.5, momentum: 0.9}
+horizon: 500
+""": {
+        "loss.csv": "566e0c6b11e59bb6987766940e023ee253c85fcfeca5b23edb27eaa8d757875d",
+        "regret.csv": "8d46c6b8259a9b834cfb75e93921295d22ecd728af510eafe778c68da2514020",
+        "lr_hist.csv": "87ff3859e9fdd18086b2faabee03558d303acc4e112ae48a78fd51863c734076",
+        "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
+        "record.csv": "a30ff33e4c729bfd9b68edb0b26fd9e8fe16c8070f5cfccdc631de8437870996",
+    },
+    """
+problem: {kind: logistic, n_samples: 100, dim: 4, seed: 2}
+optimizer: {kind: generic, bounds: {kind: swats, alpha_star: 0.05}}
+epochs: 5
+batch_size: 32
+""": {
+        "loss.csv": "e3fe380e0be344e7782ce68df069821395f7d53cb251be8e03f9637801183ebb",
+        "regret.csv": "e9aa35354aa268ffeb2d45164ea5f4d74c857526d1b50a60dc1fd666b17e59f5",
+        "lr_hist.csv": "f93ae1d5db6a0f73779be86c0132de4f19850199c04253ef69f7244817908ba0",
+        "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
+        "record.csv": "4df029025e80831b2ee200e98891468fe80ea3740216312cfa8cee135f331653",
+    },
+    """
+problem: {kind: logistic, n_samples: 100, dim: 4, seed: 2}
+optimizer: {kind: generic, bounds: {kind: adadb, alpha_star: 0.05, gamma: 0.01}}
+epochs: 5
+batch_size: 32
+""": {
+        "loss.csv": "b57f8b0e0d5bc62ff680e3c5da8af33d1d414b10a5167ed7d54eea5bd9806dab",
+        "regret.csv": "5ab18c87b9b097c5e09bb60fbc1eb12bf5c45c4fd60bc3c6e9c249a5403c624c",
+        "lr_hist.csv": "a89554329ebc233b8979409a8703d52cda33d2cf8c6b8308f3e55140c8190940",
+        "conditions.csv": "2b0fec426469e66a6d32594514098e1d839862ec3e544fda1ab28bdbb959e467",
+        "record.csv": "8b9dbae90bb634dca194a94496d69e4471c62cef4cf206e0138a234c30fd43c0",
+    },
+    """
+problem: {kind: logistic, n_samples: 100, dim: 4, seed: 2}
+optimizer: {kind: generic, sqrt_decay: true, bounds: {kind: lu, alpha_star: 0.05}}
+epochs: 5
+batch_size: 32
+""": {
+        "loss.csv": "2c554b999d75b0295b8275f091bd35e51084e4b62cf5ae38461783f630e8f8c6",
+        "regret.csv": "42d2fd0ffaf8eb9ff4119f6dab0854fc4bd3381ee75a8a236dd808b8af4db7af",
+        "lr_hist.csv": "3b1e94061526b8d7313d2c7a6223934e2c46ef444fa6afeaa4af5b9d5bf3557f",
+        "conditions.csv": "8f93729fabd11ac5b67d884d216db1f8382f58129162905221c7398936145d23",
+        "record.csv": "6215ff8be427147eef6dc98cf3786fea8edbad0a7dc0158a61d921d6a50556f1",
+    },
+    """
+problem: {kind: quadratic, dim: 3, seed: 7}
+optimizer:
+  kind: dstadam
+  bias_correction: true
+  sqrt_decay: true
+  schedule: {beta1_kind: harmonic}
+horizon: 1000
+""": {
+        "loss.csv": "b894a09a238db31db9e20a1b8c388ff984c3c09471aa375a84eb02a01aeccee0",
+        "regret.csv": "831d3ecac4bd54b57e6e669d31b0f4c30cae8fb3f58ac44fc90ae0a6b0940c08",
+        "lr_hist.csv": "0386aa5ca84f62f8343708682583094f877e0a5faa5be9f589a661c1f4fad68d",
+        "conditions.csv": "a7e05321c93a27ff1be4f8a990d91ac1406aa20ee3aef64f1e31e9476fc1291d",
+        "record.csv": "ca054919e0d90582bec875749153ac42101d721240ccff0864c27b24a422008f",
+    },
+    """
+problem: {kind: quadratic, dim: 3, seed: 7, box_halfwidth: 0.1}
+optimizer:
+  kind: dstadam
+  schedule: {rho_kind: constant, rho: 0.99, r_u: 2.0}
+horizon: 1000
+""": {
+        "loss.csv": "fccf989de69bdb516fd96d995b4d17cda4f6e0627b04d13e50b56877f1d342a1",
+        "regret.csv": "07723f9eaae8538f6b3b771a3f37743c75bed7d63e03d32f8b453be9c73ef18e",
+        "lr_hist.csv": "474d7f8f4d81c0d86fcd56d768a282c14aaef96d7c92b9adc4a6d913b5f74be3",
+        "conditions.csv": "213ddae23f9753eabaa3a74e97bf375494d78a6c56a11976371232b447594852",
+        "record.csv": "b6e972f3dfba841f1335b75e7030ad7b25e33f92ae91aee731151833ee351016",
     },
 }
 
 
 @pytest.mark.parametrize("text", list(GOLDEN_DIGESTS),
-                         ids=["reddi-adam", "quadratic-dstadam", "mlp-dstadam",
-                              "logistic-adabound"])
+                         ids=["reddi-adam",
+                              "quadratic-dstadam",
+                              "mlp-dstadam",
+                              "logistic-adabound",
+                              "reddi-amsgrad",
+                              "quadratic-sgdm",
+                              "logistic-swats",
+                              "logistic-adadb",
+                              "logistic-lu",
+                              "quadratic-dstadam-harmonic",
+                              "quadratic-dstadam-constant-rho"])
 def test_artifacts_match_golden_digests(text, tmp_path):
     record = run_experiment(parse_config(text), out_root=str(tmp_path))
     got = {name: hashlib.sha256((record.run_dir / name).read_bytes())

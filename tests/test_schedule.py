@@ -154,6 +154,19 @@ class TestArrayEvaluations:
         with pytest.raises(HorizonError):
             s.rho_values(4)
 
+    @pytest.mark.parametrize("kw", SCHEDULES)
+    def test_step_values_equal_scalar_methods(self, kw):
+        s = TransitionSchedule(horizon=300, **kw)
+        for t in range(1, 301):
+            assert s.step_values(t) == (s.beta1_at(t), s.beta2_at(t),
+                                        s.rho_at(t), s.r_at(t))
+
+    def test_step_values_past_horizon(self):
+        s = TransitionSchedule(horizon=3)
+        with pytest.raises(HorizonError,
+                           match="^step 4 exceeds schedule horizon 3$"):
+            s.step_values(4)
+
 
 class TestScheduleValidation:
     def test_rho_out_of_range(self):
