@@ -4,7 +4,9 @@ Subcommands:
   run CONFIG                 execute one experiment config
   sweep CONFIG_DIR           run every *.yaml config in a directory
   compare RUN_DIR...         tabulate final metrics of finished runs
-  check-conditions RUN_DIR   print the recorded condition report
+  check-conditions RUN_DIR   print the recorded condition report, with the
+                             first C2 violation and the max of 1/eta_hat
+                             from meta.json
 
 The output root comes from --out, else the TRANSOPT_OUT environment
 variable, else the config's out_dir.
@@ -13,6 +15,7 @@ variable, else the config's out_dir.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -87,6 +90,16 @@ def cmd_compare(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     conditions = read_conditions(args.run_dir)
+    meta_path = Path(args.run_dir) / "meta.json"
+    if meta_path.exists():
+        meta = json.loads(meta_path.read_text())
+        if "c2_first_violation" in meta:
+            first = meta["c2_first_violation"]
+            conditions["c2_first_violation"] = (
+                "none" if first is None else f"t={first[0]} i={first[1]}")
+        if meta.get("inverse_rate_max") is not None:
+            conditions["inverse_rate_max"] = \
+                f"{meta['inverse_rate_max']:.17g}"
     width = max(len(k) for k in conditions)
     for key, value in conditions.items():
         print(f"{key:<{width}}  {value}")

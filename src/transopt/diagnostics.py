@@ -1,6 +1,13 @@
 """Trajectory measurements: rate histograms, convergence-condition
 monitors, and theoretical regret-bound evaluators.
 
+The monitors stream: each is fed the rows of consecutive steps a block
+at a time and carries O(d) state between blocks (the previous rate row
+for C2, the v recursion and prefix sum of g^2 for zeta, the running max
+of 1/eta_hat for the inverse-rate cap).  :class:`RunMonitor` feeds them
+all from a run's step buffers; ``check_c2``, ``estimate_zeta`` and
+``eta_bound_check`` feed a whole (T, d) array as one block.
+
 The monitors never enforce anything; they report.  Whether a run
 satisfies the convergence hypotheses is an empirical question answered
 per trajectory, and downstream scoring only compares the theoretical
@@ -12,8 +19,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +35,16 @@ HIST_BINS = 60
 HIST_LO = 1e-8
 HIST_HI = 1e3
 
+#: Distinct histogram rows whose CSV text ``LrHistogram.to_csv`` keeps.
+TEXT_CACHE_ROWS = 64
 
-#: Elements per block in the array passes over (T, d) run data and in the
-#: histogram's counter storage, so the temporaries stay bounded whatever T
-#: and d are.  Small blocks keep the allocator's high-water mark down: on
-#: a sweep of 24 runs of 200 steps, peak RSS rose by 1.0 MB over per-row
-#: loops at 32768 elements, by 0.4 MB at 2048 and by 0.1 MB at 1024.
+
+#: Elements per block in the array passes over (T, d) arrays (the CSV
+#: writer, the comparator losses), so the temporaries stay bounded
+#: whatever T and d are.  Small blocks keep the allocator's high-water
+#: mark down: on a sweep of 24 runs of 200 steps, peak RSS rose by 1.0 MB
+#: over per-row loops at 32768 elements, by 0.4 MB at 2048 and by 0.1 MB
+#: at 1024.
 BLOCK_ELEMENTS = 1024
 
 
@@ -53,8 +65,8 @@ class LrHistogram:
 
     Every coordinate of every recorded iteration lands in exactly one
     bin; values off the grid go to the underflow/overflow counters, so
-    row totals always equal the dimension.  Recorded rows are kept in
-    fixed-size blocks of counters, one counter row per recorded step.
+    row totals always equal the dimension.  Rows are binned and kept a
+    block at a time: one counter row per recorded step.
     """
 
     def __init__(self, n_bins: int = HIST_BINS, lo: float = HIST_LO,
@@ -65,54 +77,160 @@ class LrHistogram:
         # slot 0 is underflow (below edges[0]), slot k holds
         # [edges[k-1], edges[k]), and the last slot is overflow (>= edges[-1])
         self._width = n_bins + 2
-        self._block_rows = block_rows(self._width)
-        self._ts: List[int] = []
+        self._steps: List[np.ndarray] = []
         self._blocks: List[np.ndarray] = []
 
     def record(self, t: int, lrs: np.ndarray) -> None:
+        """Bin the rates of step t; see :meth:`record_rows`."""
         lrs = np.asarray(lrs, dtype=np.float64)
-        ok = (lrs > 0.0) & (lrs < math.inf)
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise DomainError(
-                f"learning rate {lrs[i]!r} at step {t}, coordinate {i}: "
-                "only positive finite rates can be binned")
-        k = len(self._ts) % self._block_rows
-        if k == 0:
-            # a counter never exceeds the dimension, so int32 holds it
-            self._blocks.append(
-                np.empty((self._block_rows, self._width), dtype=np.int32))
-        self._blocks[-1][k] = np.bincount(
-            self.edges.searchsorted(lrs, side="right"), minlength=self._width)
-        self._ts.append(t)
+        self.record_rows(np.array([t]), lrs.reshape(1, -1))
 
-    def _filled(self):
-        """(steps, slot counters) of each block, trimmed to recorded rows."""
-        for b, block in enumerate(self._blocks):
-            ts = self._ts[b * self._block_rows:(b + 1) * self._block_rows]
-            yield ts, block[:len(ts)]
+    def record_rows(self, ts: np.ndarray, rows: np.ndarray) -> None:
+        """Bin ``rows[k]``, the rates of step ``ts[k]``, for every k.
+
+        A rate that is not positive and finite raises, naming the step
+        and coordinate of the first one, and the block leaves no trace.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        n = len(rows)
+        if n == 0:
+            return
+        # min/max propagate NaN, so the screen fails on it too
+        if not (rows.min() > 0.0 and rows.max() < math.inf):
+            bad = ~((rows > 0.0) & (rows < math.inf))
+            k, i = divmod(int(np.flatnonzero(bad)[0]), rows.shape[1])
+            raise DomainError(
+                f"learning rate {rows[k, i]!r} at step {ts[k]}, "
+                f"coordinate {i}: only positive finite rates can be binned")
+        # offset row k's slots by k * width, so one bincount bins the block
+        slots = self.edges.searchsorted(rows, side="right")
+        slots += np.arange(0, n * self._width, self._width)[:, None]
+        counts = np.bincount(slots.ravel(), minlength=n * self._width)
+        # a counter never exceeds the dimension, so the smallest unsigned
+        # type that holds d holds it (one byte a counter below d = 256)
+        self._blocks.append(counts.reshape(n, self._width).astype(
+            np.min_scalar_type(rows.shape[1])))
+        self._steps.append(np.array(ts, dtype=np.int64))
 
     @property
     def rows(self) -> List[Tuple[int, np.ndarray, int, int]]:
         """(t, bin counts, underflow, overflow) of every recorded step."""
-        return [(t, s[1:-1], int(s[0]), int(s[-1]))
-                for ts, slots in self._filled() for t, s in zip(ts, slots)]
+        return [(t, s[1:-1].astype(np.int64), int(s[0]), int(s[-1]))
+                for ts, slots in zip(self._steps, self._blocks)
+                for t, s in zip(ts.tolist(), slots)]
 
     def to_csv(self, path) -> None:
-        line = ",".join(["%d"] * (self._width + 1)) + "\r\n"
+        # CSV column order: the bins, then underflow and overflow
+        order = np.r_[1:self._width - 1, 0, self._width - 1]
+        # Formatting dominates, and runs repeat counter rows (at d = 1
+        # there are at most width distinct ones), so each distinct row is
+        # formatted once; the cache is capped to keep memory bounded.
+        texts: Dict[bytes, str] = {}
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             header = ["t"] + [f"{math.log10(e):.17g}" for e in self.edges[:-1]]
             writer.writerow(header + ["underflow", "overflow"])
-            for ts, slots in self._filled():
-                cells = np.column_stack([ts, slots[:, 1:-1], slots[:, 0],
-                                         slots[:, -1]])
-                f.write(line * len(ts) % tuple(cells.ravel().tolist()))
+            for ts, slots in zip(self._steps, self._blocks):
+                slots = slots[:, order]
+                data, size = slots.tobytes(), slots.itemsize * self._width
+                lines = []
+                for k, t in enumerate(ts.tolist()):
+                    key = data[k * size:(k + 1) * size]
+                    text = texts.get(key)
+                    if text is None:
+                        text = ",".join(map(str, slots[k].tolist()))
+                        if len(texts) < TEXT_CACHE_ROWS:
+                            texts[key] = text
+                    lines.append(f"{t},{text}\r\n")
+                f.write("".join(lines))
 
 
 def _as_rows(rate_rows) -> np.ndarray:
     rows = np.asarray(rate_rows, dtype=np.float64)
     return rows[:, None] if rows.ndim == 1 else rows
+
+
+class C2Violations(Sequence):
+    """(t, i) pairs of C2 violations, ordered by t and then i.
+
+    Kept as integer arrays, one pair per block fed to :class:`C2Monitor`,
+    so a run with many violations holds 12 bytes for each rather than a
+    Python tuple.  Iteration yields tuples that share one t per step.
+    """
+
+    def __init__(self):
+        self._steps: List[np.ndarray] = []
+        self._coords: List[np.ndarray] = []
+        self._count = 0
+
+    def _extend(self, steps: np.ndarray, coords: np.ndarray) -> None:
+        self._steps.append(steps.astype(np.int64))
+        self._coords.append(coords.astype(np.int32))
+        self._count += len(steps)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        if k < 0:
+            k += self._count
+        if not 0 <= k < self._count:
+            raise IndexError("violation index out of range")
+        for steps, coords in zip(self._steps, self._coords):
+            if k < len(steps):
+                return int(steps[k]), int(coords[k])
+            k -= len(steps)
+
+    def __iter__(self):
+        for steps, coords in zip(self._steps, self._coords):
+            cuts = (np.flatnonzero(np.diff(steps)) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
+                step = int(steps[lo])
+                yield from ((step, i) for i in coords[lo:hi].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or len(other) != len(self):
+            return False
+        return all(a == tuple(b) for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"C2Violations({list(self)!r})"
+
+
+class C2Monitor:
+    """Streamed C2 check, fed the eta-hat rows of consecutive steps.
+
+    Carries only sqrt(t)/eta_hat of the last step fed, so a block's
+    first row is compared with the previous block's last.
+    """
+
+    def __init__(self, tol: float = 1e-12):
+        self.tol = tol
+        self.violations = C2Violations()
+        self._t = 0
+        self._last: Optional[np.ndarray] = None
+
+    def update(self, rows: np.ndarray) -> None:
+        n, d = rows.shape
+        t0, self._t = self._t, self._t + n
+        if n == 0:
+            return
+        # q[j + 1] = sqrt(t)/eta_hat_t of step t = t0 + j + 1, and q[0]
+        # that of the step before, so the test of step t reads
+        # q[j + 1] < q[j] - tol; the first step of a run has no
+        # predecessor, and -inf fails no test
+        q = np.empty((n + 1, d))
+        q[0] = -math.inf if self._last is None else self._last
+        t = np.arange(t0 + 1, t0 + n + 1, dtype=np.float64)[:, None]
+        np.divide(np.sqrt(t), rows, out=q[1:])
+        self._last = q[-1].copy()
+        rows_bad, coords = np.nonzero(q[1:] < q[:-1] - self.tol)
+        if len(rows_bad):
+            self.violations._extend(rows_bad + (t0 + 1), coords)
 
 
 def check_c2(rate_rows: Sequence[np.ndarray],
@@ -123,20 +241,87 @@ def check_c2(rate_rows: Sequence[np.ndarray],
     pairs (t is 1-based, i 0-based) where the inverse-rate monotonicity
     fails beyond the tolerance, ordered by t and then i.
     """
-    rows = _as_rows(rate_rows)
-    coords = list(range(rows.shape[1]))  # one shared int per coordinate
-    violations: List[Tuple[int, int]] = []
-    # block row j compares step lo + j + 2 with the step before it
-    for lo, hi in row_blocks(len(rows) - 1, rows.shape[1]):
-        t = np.arange(lo + 2, hi + 2, dtype=np.float64)[:, None]
-        lhs = np.sqrt(t) / rows[lo + 1:hi + 1]
-        rhs = np.sqrt(t - 1.0) / rows[lo:hi]
-        bad = lhs < rhs - tol
-        for j in np.flatnonzero(bad.any(axis=1)).tolist():
-            step = lo + j + 2
-            violations.extend([(step, coords[i])
-                               for i in np.flatnonzero(bad[j]).tolist()])
-    return violations
+    monitor = C2Monitor(tol)
+    monitor.update(_as_rows(rate_rows))
+    return list(monitor.violations)
+
+
+#: Widest gradient for which ZetaMonitor runs the v recursion on Python
+#: floats, column by column, instead of one numpy call per row.
+SCALAR_RECURSION_DIM = 16
+
+
+class ZetaMonitor:
+    """Streamed :func:`estimate_zeta`, fed the gradient rows of
+    consecutive steps.
+
+    Carries the v recursion, the prefix sum of g^2 and the running zeta.
+    """
+
+    def __init__(self, dim: int, beta2: float):
+        self.beta2 = float(beta2)
+        self._v = np.zeros(dim)
+        self._raw = np.zeros(dim)
+        self._t = 0
+        self._zeta = 0.0
+        self._nonzero = False
+        self._infinite = False
+
+    @property
+    def value(self) -> Optional[float]:
+        """None while every gradient is zero, inf once no finite zeta works."""
+        if not self._nonzero:
+            return None
+        return math.inf if self._infinite else self._zeta
+
+    def update(self, grads: np.ndarray) -> None:
+        lo, self._t = self._t, self._t + len(grads)
+        if self._infinite or not len(grads):
+            return
+        # all-zero rows leave v and the prefix sum at zero
+        self._nonzero = self._nonzero or bool(np.any(grads))
+        if not self._nonzero:
+            return
+        beta = self.beta2
+        g2 = grads * grads
+        # vs starts as (1 - beta) * g2 and becomes v row by row:
+        # beta * v + (1 - beta) * g2, one step at a time, as the rounding
+        # of this sequential recursion fixes zeta_min's bits.  Python
+        # floats round as numpy does; at small d a loop over them costs
+        # less than a numpy call per row.
+        vs = np.multiply(g2, 1.0 - beta)
+        if g2.shape[1] <= SCALAR_RECURSION_DIM:
+            columns = []
+            for v, column in zip(self._v.tolist(), vs.T.tolist()):
+                out = []
+                for f in column:
+                    v = beta * v + f
+                    out.append(v)
+                columns.append(out)
+            vs = np.array(columns).T
+            self._v = vs[-1].copy()
+        else:
+            v = self._v
+            for k in range(len(vs)):
+                v = beta * v + vs[k]
+                vs[k] = v
+            self._v = v
+        # a running sum that continues from the previous block; then both
+        # sides of the condition, in place
+        g2[0] += self._raw
+        rhs = np.cumsum(g2, axis=0, out=g2)
+        self._raw = rhs[-1].copy()
+        np.sqrt(rhs, out=rhs)
+        lhs = vs
+        lhs *= np.arange(lo + 1, self._t + 1, dtype=np.float64)[:, None]
+        np.sqrt(lhs, out=lhs)
+        active = rhs > 0.0
+        if np.any(active & (lhs == 0.0)):
+            self._infinite = True
+        elif np.any(active):
+            ratio = np.divide(rhs, lhs, out=rhs, where=active)
+            self._zeta = max(self._zeta, float(
+                np.max(ratio, where=active, initial=-math.inf)))
 
 
 def estimate_zeta(grads: np.ndarray, beta2: float) -> Optional[float]:
@@ -156,50 +341,133 @@ def estimate_zeta(grads: np.ndarray, beta2: float) -> Optional[float]:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise DomainError("grads must be a (T, d) array")
-    if not np.any(grads):
-        return None
-    beta = float(beta2)
-    v = np.zeros(grads.shape[1])
-    raw = np.zeros(grads.shape[1])
-    zeta = 0.0
-    for lo, hi in row_blocks(grads.shape[0], grads.shape[1]):
-        g2 = grads[lo:hi] * grads[lo:hi]
-        fresh = (1.0 - beta) * g2
-        vs = np.empty_like(g2)
-        for k in range(hi - lo):
-            # beta * v + (1 - beta) * g2, one row at a time: the rounding
-            # of this sequential recursion fixes zeta_min's bits
-            v = beta * v + fresh[k]
-            vs[k] = v
-        # a running sum that continues from the previous block
-        g2[0] += raw
-        raws = np.cumsum(g2, axis=0)
-        raw = raws[-1]
-        t = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
-        lhs = np.sqrt(t * vs)
-        rhs = np.sqrt(raws)
-        active = rhs > 0.0
-        if np.any(active & (lhs == 0.0)):
-            return float("inf")
-        if np.any(active):
-            zeta = max(zeta, float(np.max(rhs[active] / lhs[active])))
-    return zeta
+    monitor = ZetaMonitor(grads.shape[1], beta2)
+    monitor.update(grads)
+    return monitor.value
+
+
+class InverseRateMonitor:
+    """Streamed max of 1/eta_hat, fed eta-hat rows; +inf once a rate
+    is not positive."""
+
+    def __init__(self):
+        self.max = -math.inf
+
+    def update(self, rows: np.ndarray) -> None:
+        if rows.size == 0:
+            return
+        # fmin skips NaN, as the elementwise tests did; a correctly
+        # rounded 1/x falls as x grows, so 1/min is the max of 1/x
+        low = float(np.fmin.reduce(rows, axis=None))
+        if low <= 0.0:
+            self.max = math.inf
+        elif 1.0 / low > self.max:
+            self.max = 1.0 / low
+
+    def bounded(self, r_l: float, rho: float, tol: float = 1e-12) -> bool:
+        """True iff every 1/eta_hat fed is <= 1/(r_l (1 - rho)) + tol."""
+        if not 0.0 < rho < 1.0 or r_l <= 0.0:
+            raise DomainError("need r_l > 0 and rho in (0, 1)")
+        return self.max <= 1.0 / (r_l * (1.0 - rho)) + tol
 
 
 def eta_bound_check(rate_rows: Sequence[np.ndarray], r_l: float, rho: float,
                     tol: float = 1e-12) -> bool:
     """True iff every 1/eta_hat entry is <= 1/(r_l (1 - rho)) + tol."""
-    if not 0.0 < rho < 1.0 or r_l <= 0.0:
-        raise DomainError("need r_l > 0 and rho in (0, 1)")
-    cap = 1.0 / (r_l * (1.0 - rho))
-    rows = _as_rows(rate_rows)
-    for lo, hi in row_blocks(len(rows), rows.shape[1]):
-        block = rows[lo:hi]
-        if np.any(block <= 0.0):
-            return False
-        if np.any(1.0 / block > cap + tol):
-            return False
-    return True
+    monitor = InverseRateMonitor()
+    monitor.update(_as_rows(rate_rows))
+    return monitor.bounded(r_l, rho, tol)
+
+
+def sampled_steps(horizon: int, stride: int) -> np.ndarray:
+    """Steps that carry a CSV row: every stride-th, plus 1 and the horizon."""
+    return np.union1d(np.arange(stride, horizon + 1, stride), [1, horizon])
+
+
+#: A run's step buffers: a (rows, d) temporary of a flush holds about
+#: STREAM_ELEMENTS elements, the histogram's int64 (rows, HIST_BINS + 2)
+#: temporary at most HIST_ELEMENTS, and at least MIN_STREAM_ROWS rows
+#: share a flush's fixed cost (about 0.1 ms).  On the 24-run grid of 200
+#: steps at d <= 42, 200-row buffers raised peak RSS by 0.3 MB and 64-row
+#: ones left it flat.
+STREAM_ELEMENTS = 2048
+HIST_ELEMENTS = 32768
+MIN_STREAM_ROWS = 64
+
+
+def buffer_rows(horizon: int, dim: int) -> int:
+    """Rows of a run's step buffers."""
+    rows = max(MIN_STREAM_ROWS, STREAM_ELEMENTS // dim)
+    return min(horizon, rows, HIST_ELEMENTS // (HIST_BINS + 2))
+
+
+class RunMonitor:
+    """Every streamed monitor of one run, fed a block of steps at a time.
+
+    The step loop copies step t's gradient, raw rate eta-hat, effective
+    rate and iterate into row k of the ``(rows, d)`` arrays in
+    ``buffers`` (grads, rates, lrs, thetas) and calls ``flush(k + 1)``
+    when they are full and once after the last step.  A flush bins the
+    sampled steps' effective rates into ``histogram``, keeps the
+    min/median/max of their raw rates in ``rate_summary``, tests the
+    iterates against ``box`` and feeds the C2, inverse-rate and (with
+    ``beta2``) zeta monitors.  The run keeps O(d) state besides the
+    per-sampled-step histogram and summary rows; ``grads`` and
+    ``rate_rows`` hold the (T, d) trajectories only with
+    ``keep_trajectory``.
+    """
+
+    def __init__(self, dim: int, horizon: int, stride: int, box,
+                 beta2: Optional[float] = None,
+                 keep_trajectory: bool = False):
+        rows = buffer_rows(horizon, dim)
+        self.buffers = tuple(np.empty((rows, dim)) for _ in range(4))
+        self.box = box
+        self.steps = sampled_steps(horizon, stride)
+        self.histogram = LrHistogram()
+        self.rate_summary = np.empty((len(self.steps), 3))
+        self.c2 = C2Monitor()
+        self.inverse_rate = InverseRateMonitor()
+        self.zeta = None if beta2 is None else ZetaMonitor(dim, beta2)
+        self.grad_abs_max = 0.0
+        self.iterates_feasible = True
+        self.grads = self.rate_rows = None
+        if keep_trajectory:
+            self.grads = np.empty((horizon, dim))
+            self.rate_rows = np.empty((horizon, dim))
+        self._t = 0
+        self._sampled = 0
+
+    def flush(self, n: int) -> None:
+        """Hand the first n buffer rows, the steps after the last flush,
+        to the monitors."""
+        grads, rates, lrs, thetas = (b[:n] for b in self.buffers)
+        t0, self._t = self._t, self._t + n
+        if self.grads is not None:
+            self.grads[t0:self._t] = grads
+            self.rate_rows[t0:self._t] = rates
+        lo = self._sampled
+        self._sampled = hi = int(self.steps.searchsorted(self._t, "right"))
+        if hi > lo:
+            ts = self.steps[lo:hi]
+            if hi - lo < n:
+                at = ts - (t0 + 1)
+                lrs, sampled = lrs[at], rates[at]
+            else:
+                sampled = rates
+            self.histogram.record_rows(ts, lrs)
+            summary = self.rate_summary[lo:hi]
+            summary[:, 0] = np.min(sampled, axis=1)
+            summary[:, 1] = np.median(sampled, axis=1)
+            summary[:, 2] = np.max(sampled, axis=1)
+        if self.iterates_feasible and not self.box.contains(thetas):
+            self.iterates_feasible = False
+        self.c2.update(rates)
+        self.inverse_rate.update(rates)
+        if self.zeta is not None:
+            self.zeta.update(grads)
+        self.grad_abs_max = max(self.grad_abs_max, float(np.max(grads)),
+                                -float(np.min(grads)))
 
 
 @dataclass(frozen=True)
@@ -312,13 +580,20 @@ class ConditionReport:
     """Everything the convergence theorem assumes, measured on one run."""
 
     zeta_min: Optional[float] = None
-    c2_violations: List[Tuple[int, int]] = field(default_factory=list)
+    c2_violations: Sequence[Tuple[int, int]] = field(default_factory=list)
     rho_bounded: Optional[bool] = None
     r_ordered: Optional[bool] = None
     beta1_bounded: Optional[bool] = None
     grad_bound_ok: Optional[bool] = None
     diameter_ok: Optional[bool] = None
     eta_inverse_bounded: Optional[bool] = None
+    #: max of 1/eta_hat over the run; reported in meta.json, not the CSV
+    inverse_rate_max: Optional[float] = None
+
+    @property
+    def c2_first_violation(self) -> Optional[Tuple[int, int]]:
+        """(t, i) of the first C2 violation, or None."""
+        return self.c2_violations[0] if self.c2_violations else None
 
     @property
     def all_hypotheses_hold(self) -> bool:

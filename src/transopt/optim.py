@@ -15,8 +15,9 @@ the identity (:class:`Adam`), the rate of the running max of v_t
 and the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
 target r_t (:class:`DstAdam`).
 
-Bad inputs raise before any state changes; a bad derived rate raises
-after the in-place moment update, before t and the last rates advance.
+Bad inputs raise before any state changes; a NaN second moment (an
+overflowed one times a zero beta2) or a bad derived rate raises after
+the in-place moment update, before t and the last rates advance.
 """
 
 from __future__ import annotations
@@ -269,6 +270,15 @@ class _AdaptiveStepper(_Stepper):
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
+        # A finite gradient can overflow v to inf, which only zeroes that
+        # coordinate's rate while b2 > 0; b2 = 0 turns it into NaN at the
+        # next step, and NaN would reach theta.  Screened as in
+        # _check_inputs.
+        if not math.isfinite(np.add.reduce(v)):
+            bad = np.flatnonzero(np.isnan(v))
+            if bad.size:
+                raise DomainError(f"non-finite second moment at step {t}, "
+                                  f"coordinate {bad[0]}")
         beta1_prod = s.beta1_prod * b1
         beta2_prod = s.beta2_prod * b2
         v = self._second_moment(v)

@@ -2,9 +2,15 @@
 
 ``run_experiment`` executes one config end to end: build the problem and
 optimizer, step through the horizon in the online protocol (suffer
-f_t(theta_t), then update), feed the monitors, and write the CSV
-artifacts into a directory keyed by the config hash.  Identical config
-text yields byte-identical CSVs.
+f_t(theta_t), then update), and write the CSV artifacts into a directory
+keyed by the config hash.  Identical config text yields byte-identical
+CSVs.
+
+The step loop only copies each step's gradient, rates and iterate into
+small preallocated buffers; a full buffer is flushed as one block to the
+streamed monitors of :class:`~transopt.diagnostics.RunMonitor`, so run
+memory is O(d) besides the per-step losses and the per-sampled-step
+histogram rows.  The regret is one cumulative sum after the loop.
 """
 
 from __future__ import annotations
@@ -21,15 +27,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, config_hash, serialize_config
-from .diagnostics import (ConditionReport, LrHistogram, check_c2,
-                          estimate_zeta, eta_bound_check, row_blocks,
-                          sqrt_t_regret_series)
+from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
+                          row_blocks, sampled_steps)
+# perfbench/tracer.py times the whole-array checks under these names
+from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
 from .optim import (Adam, Amsgrad, ClippedTransition, DstAdam, FeasibleBox,
                     MomentumSgd, StepConfig)
-from .problems import (MlpClassification, OnlineProblem, RegretLedger,
-                       make_logistic, make_mlp_problem, make_quadratic,
-                       make_reddi)
+from .problems import (MlpClassification, OnlineProblem, make_logistic,
+                       make_mlp_problem, make_quadratic, make_reddi)
 from .schedule import BoundFunctionSpec, TransitionSchedule
 
 #: Environment variable overriding the output root directory.
@@ -123,20 +129,28 @@ def build_optimizer(cfg: ExperimentConfig, dim: int, horizon: int,
 
 @dataclass
 class RunRecord:
-    """Everything one run produced, in memory plus artifact paths."""
+    """Everything one run produced, in memory plus artifact paths.
+
+    ``regret[t - 1]`` is R(t), None without a comparator.  Row k of
+    ``rate_summary`` is the min, median and max of eta-hat at the k-th
+    sampled step.  ``grads`` and ``rate_rows`` (row t - 1 is the eta-hat
+    of step t) are (T, d) arrays only when the run was asked to keep its
+    trajectory.
+    """
 
     config: ExperimentConfig
     run_dir: Optional[Path]
     horizon: int
     losses: np.ndarray
-    ledger: Optional[RegretLedger]
-    rate_rows: np.ndarray  # (T, d): row t-1 is the eta-hat of step t
-    grads: np.ndarray
+    regret: Optional[np.ndarray]
+    rate_summary: np.ndarray
     report: ConditionReport
     final_theta: np.ndarray
     final_effective_lr: np.ndarray
     histogram: LrHistogram
     wall_clock: float
+    grads: Optional[np.ndarray] = None
+    rate_rows: Optional[np.ndarray] = None
     train_loss: Optional[float] = None
     test_accuracy: Optional[float] = None
 
@@ -146,38 +160,37 @@ class RunRecord:
 
     @property
     def final_regret(self) -> Optional[float]:
-        return self.ledger.regret if self.ledger is not None else None
+        return None if self.regret is None else float(self.regret[-1])
 
     @property
     def sup_sqrt_regret(self) -> Optional[float]:
-        if self.ledger is None:
-            return None
-        return max(v for _, v in sqrt_t_regret_series(self.ledger))
+        return self.sup_sqrt_regret_tail(1)
 
     def sup_sqrt_regret_tail(self, start: Optional[int] = None) -> Optional[float]:
         """Sup of R(t)/sqrt(t) over t >= start (default: second half)."""
-        if self.ledger is None:
+        if self.regret is None:
             return None
         if start is None:
             start = self.horizon // 2
-        return max(v for t, v in sqrt_t_regret_series(self.ledger)
-                   if t >= start)
+        lo = max(start, 1) - 1
+        t = np.arange(lo + 1, self.horizon + 1, dtype=np.float64)
+        return float(np.max(self.regret[lo:] / np.sqrt(t)))
 
 
 def _make_condition_report(problem: OnlineProblem,
                            schedule: Optional[TransitionSchedule],
-                           horizon: int, grads: np.ndarray,
-                           rate_rows: np.ndarray,
-                           iterates_feasible: bool) -> ConditionReport:
+                           horizon: int,
+                           monitor: RunMonitor) -> ConditionReport:
     report = ConditionReport()
-    report.c2_violations = check_c2(rate_rows)
+    report.c2_violations = monitor.c2.violations
+    report.inverse_rate_max = monitor.inverse_rate.max
     if math.isfinite(problem.grad_bound):
         report.grad_bound_ok = bool(
-            np.max(np.abs(grads)) <= problem.grad_bound + 1e-12)
+            monitor.grad_abs_max <= problem.grad_bound + 1e-12)
     if problem.box.is_bounded:
-        report.diameter_ok = iterates_feasible
+        report.diameter_ok = monitor.iterates_feasible
     if schedule is not None:
-        report.zeta_min = estimate_zeta(grads, schedule.beta2)
+        report.zeta_min = monitor.zeta.value
         rho_sup = schedule.rho_sup()
         report.rho_bounded = bool(
             np.all(schedule.rho_values(horizon) <= rho_sup + 1e-15))
@@ -185,15 +198,22 @@ def _make_condition_report(problem: OnlineProblem,
         report.beta1_bounded = bool(
             np.all(schedule.beta1_values(horizon) <= schedule.beta1 + 1e-15))
         if 0.0 < rho_sup < 1.0:
-            report.eta_inverse_bounded = eta_bound_check(
-                rate_rows, schedule.r_l, rho_sup)
+            report.eta_inverse_bounded = monitor.inverse_rate.bounded(
+                schedule.r_l, rho_sup)
     return report
 
 
 def run_experiment(cfg: ExperimentConfig,
                    out_root: Optional[str] = None,
-                   write_artifacts: bool = True) -> RunRecord:
-    """Execute one config; returns the record and (optionally) writes CSVs."""
+                   write_artifacts: bool = True, *,
+                   keep_trajectory: bool = False) -> RunRecord:
+    """Execute one config; returns the record and (optionally) writes CSVs.
+
+    The monitors stream, so a run holds O(d) state plus the per-step
+    losses and regret and one histogram and rate-summary row per sampled
+    step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
+    as the (T, d) arrays ``grads`` and ``rate_rows`` of the record.
+    """
     started = time.perf_counter()
     problem = build_problem(cfg)
     horizon = resolve_horizon(cfg, problem.n_train)
@@ -201,50 +221,59 @@ def run_experiment(cfg: ExperimentConfig,
     schedule = optimizer.schedule if isinstance(optimizer, DstAdam) else None
 
     theta = problem.initial_point(cfg.problem.seed)
-    ledger = RegretLedger() if problem.theta_star is not None else None
-    hist = LrHistogram()
-    # With a comparator, losses[t - 1] holds the comparator's loss until
-    # step t overwrites it with the algorithm's.
-    losses = (np.empty(horizon) if ledger is None
-              else problem.star_losses(horizon))
-    grads = np.empty((horizon, problem.dim))
-    rate_rows = np.empty((horizon, problem.dim))
-    feasible = problem.box.widened(1e-12)
-    iterates_feasible = True
+    # The comparator's losses, which step t's regret subtracts
+    star = (problem.star_losses(horizon) if problem.theta_star is not None
+            else None)
+    losses = np.empty(horizon)
+    monitor = RunMonitor(problem.dim, horizon, cfg.stride,
+                         problem.box.widened(1e-12),
+                         beta2=None if schedule is None else schedule.beta2,
+                         keep_trajectory=keep_trajectory)
+    grads, rates, lrs, thetas = monitor.buffers
+    rows = len(grads)
     state = optimizer.state
+    k = 0
 
     for t in range(1, horizon + 1):
         loss, g = problem.loss_and_grad(t, theta)
         if not math.isfinite(loss):
             raise DomainError(f"non-finite loss at step {t}; run aborted")
-        if ledger is not None:
-            ledger.update(t, loss, losses.item(t - 1))
         losses[t - 1] = loss
-        grads[t - 1] = g
         # the stepper rejects a non-finite gradient before it changes state
         theta = optimizer.step(theta, g)
-        # rate_rows copies the rates and the histogram only bins them
-        rate_rows[t - 1] = state.last_rate_raw
-        if t % cfg.stride == 0 or t == 1 or t == horizon:
-            hist.record(t, state.last_effective_lr)
-        if iterates_feasible and not feasible.contains(theta):
-            iterates_feasible = False
+        grads[k] = g
+        rates[k] = state.last_rate_raw
+        lrs[k] = state.last_effective_lr
+        thetas[k] = theta
+        k += 1
+        if k == rows:
+            monitor.flush(k)
+            k = 0
+    if k:
+        monitor.flush(k)
 
-    report = _make_condition_report(problem, schedule, horizon, grads,
-                                    rate_rows, iterates_feasible)
+    regret = None
+    if star is not None:
+        # R(t) by the sequential sums of a per-step ledger; adding 0.0
+        # first turns a -0.0 difference into the ledger's 0.0 + -0.0
+        regret = np.subtract(losses, star, out=star)
+        regret[0] += 0.0
+        np.add.accumulate(regret, out=regret)
+    report = _make_condition_report(problem, schedule, horizon, monitor)
     record = RunRecord(
         config=cfg,
         run_dir=None,
         horizon=horizon,
         losses=losses,
-        ledger=ledger,
-        rate_rows=rate_rows,
-        grads=grads,
+        regret=regret,
+        rate_summary=monitor.rate_summary,
         report=report,
         final_theta=theta,
         final_effective_lr=optimizer.effective_lr(),
-        histogram=hist,
+        histogram=monitor.histogram,
         wall_clock=0.0,
+        grads=monitor.grads,
+        rate_rows=monitor.rate_rows,
     )
     if isinstance(problem, MlpClassification):
         record.train_loss = problem.train_loss(theta)
@@ -288,45 +317,39 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
 
     (run_dir / "config.yaml").write_text(text)
 
-    ts = _sampled_steps(record.horizon, cfg.stride)
+    ts = sampled_steps(record.horizon, cfg.stride)
     n = len(ts)
-    series = record.ledger.series if record.ledger is not None else None
-
-    def regrets(lo, hi):
-        # the ledger holds one entry per step, so step t sits at t - 1
-        return np.array([series[t - 1][1] for t in ts[lo:hi].tolist()])
+    regret = record.regret
 
     def loss_columns(lo, hi):
         return ts[lo:hi], record.losses[ts[lo:hi] - 1]
 
     def regret_columns(lo, hi):
         t = ts[lo:hi].astype(np.float64)
-        r = regrets(lo, hi)
+        r = regret[ts[lo:hi] - 1]
         return t, r, r / t, r / np.sqrt(t)
 
     def record_columns(lo, hi):
-        rates = record.rate_rows[ts[lo:hi] - 1]
         cols = [ts[lo:hi], record.losses[ts[lo:hi] - 1]]
-        if series is not None:
-            cols.append(regrets(lo, hi))
-        return cols + [np.min(rates, axis=1), np.median(rates, axis=1),
-                       np.max(rates, axis=1)]
+        if regret is not None:
+            cols.append(regret[ts[lo:hi] - 1])
+        return cols + list(record.rate_summary[lo:hi].T)
 
     _write_csv(run_dir / "loss.csv", ["t", "loss"], "%d,%.17g\r\n", n, 2,
                loss_columns)
     _write_csv(run_dir / "regret.csv",
                ["t", "regret", "avg_regret", "regret_over_sqrt_t"],
-               "%d,%.17g,%.17g,%.17g\r\n", n if series is not None else 0,
+               "%d,%.17g,%.17g,%.17g\r\n", n if regret is not None else 0,
                4, regret_columns)
 
     record.histogram.to_csv(run_dir / "lr_hist.csv")
     record.report.to_csv(run_dir / "conditions.csv")
 
-    regret_cell = "%.17g" if series is not None else ""
+    regret_cell = "%.17g" if regret is not None else ""
     _write_csv(run_dir / "record.csv",
                ["t", "loss", "regret", "lr_min", "lr_median", "lr_max"],
-               f"%d,%.17g,{regret_cell},%.17g,%.17g,%.17g\r\n", n,
-               max(6, record.rate_rows.shape[1]), record_columns)
+               f"%d,%.17g,{regret_cell},%.17g,%.17g,%.17g\r\n", n, 6,
+               record_columns)
 
     (run_dir / "meta.json").write_text(
         json.dumps(run_summary(record), indent=2) + "\n")
@@ -346,13 +369,10 @@ def run_summary(record: RunRecord) -> Dict[str, object]:
         "sup_sqrt_regret": record.sup_sqrt_regret,
         "train_loss": record.train_loss,
         "test_accuracy": record.test_accuracy,
+        "c2_first_violation": record.report.c2_first_violation,
+        "inverse_rate_max": record.report.inverse_rate_max,
         "wall_clock_seconds": record.wall_clock,
     }
-
-
-def _sampled_steps(horizon: int, stride: int) -> np.ndarray:
-    """Steps that carry a CSV row: every stride-th, plus 1 and the horizon."""
-    return np.union1d(np.arange(stride, horizon + 1, stride), [1, horizon])
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def _a15_configs():
 @criterion(2, "inverse-rate bound holds on every step of every run")
 def test_02_eta_inverse_bound_suite(config_text):
     cfg = parse_config(config_text)
-    record = run_experiment(cfg, write_artifacts=False)
+    record = run_experiment(cfg, write_artifacts=False, keep_trajectory=True)
     schedule = TransitionSchedule(
         horizon=record.horizon,
         r_l=cfg.optimizer.schedule.r_l,
@@ -219,7 +219,7 @@ optimizer:
 horizon: 100000
 stride: 100
 """)
-    record = run_experiment(cfg, write_artifacts=False)
+    record = run_experiment(cfg, write_artifacts=False, keep_trajectory=True)
     sup_tail = record.sup_sqrt_regret_tail()
     assert sup_tail < THRESHOLDS["sqrt_regret_sup_constant"]
     assert record.report.all_hypotheses_hold

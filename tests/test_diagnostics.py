@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from transopt.diagnostics import (BLOCK_ELEMENTS, ConditionReport,
+from transopt.diagnostics import (BLOCK_ELEMENTS, C2Monitor, ConditionReport,
                                   LrHistogram, TheoryParams, block_rows,
                                   bound_corollary1, bound_corollary2,
                                   check_c2, estimate_zeta, eta_bound_check,
                                   lemma_a1_holds, sqrt_t_regret_series)
+from transopt import diagnostics
 from transopt.errors import DomainError
 from transopt.optim import DstAdam, StepConfig
 from transopt.problems import RegretLedger
@@ -78,6 +79,46 @@ class TestLrHistogram:
         rows = hist.rows
         assert [t for t, *_ in rows] == list(range(1, n + 1))
         assert all(c.sum() + u + o == 1 for _, c, u, o in rows)
+
+    def test_block_rejects_with_step_and_coordinate(self):
+        hist = LrHistogram()
+        rows = np.full((4, 3), 0.01)
+        rows[2, 1] = 0.0
+        with pytest.raises(DomainError, match=r"step 30, coordinate 1"):
+            hist.record_rows(np.array([10, 20, 30, 40]), rows)
+        assert hist.rows == []
+
+    def test_block_matches_row_by_row(self):
+        rng = np.random.default_rng(2)
+        rows = 10.0 ** rng.uniform(-10, 4, size=(9, 5))
+        ts = np.arange(3, 30, 3)
+        block, single = LrHistogram(), LrHistogram()
+        block.record_rows(ts[:4], rows[:4])
+        block.record_rows(ts[4:], rows[4:])
+        for t, row in zip(ts.tolist(), rows):
+            single.record(t, row)
+        for a, b in zip(block.rows, single.rows):
+            assert a[0] == b[0] and a[2:] == b[2:]
+            np.testing.assert_array_equal(a[1], b[1])
+
+    def test_csv_same_bytes_whatever_the_text_cache_holds(
+            self, tmp_path, monkeypatch):
+        hist = LrHistogram()
+        rng = np.random.default_rng(4)
+        for lo in range(0, 40, 8):
+            # repeated and distinct counter rows, in blocks
+            rows = 10.0 ** rng.integers(-9, 4, size=(8, 2)).astype(float)
+            hist.record_rows(np.arange(lo + 1, lo + 9), rows)
+        hist.to_csv(tmp_path / "cached.csv")
+        monkeypatch.setattr(diagnostics, "TEXT_CACHE_ROWS", 0)
+        hist.to_csv(tmp_path / "uncached.csv")
+        cached = (tmp_path / "cached.csv").read_bytes()
+        assert (tmp_path / "uncached.csv").read_bytes() == cached
+        # row text as the csv module writes it: t, bins, under, overflow
+        lines = cached.split(b"\r\n")
+        t, counts, under, over = hist.rows[-1]
+        assert lines[-2] == ",".join(
+            map(str, [t, *counts.tolist(), under, over])).encode()
 
     def test_csv_export(self, tmp_path):
         hist = LrHistogram(n_bins=4, lo=1e-2, hi=1e2)
@@ -199,6 +240,22 @@ class TestCheckC2:
         base = np.array([0.5])
         rows = [base, base * (1 + 1e-14)]
         assert check_c2(rows) == []
+
+    @pytest.mark.parametrize("block", [1, 3, 40])
+    def test_streamed_blocks_match_the_whole_array(self, block):
+        rng = np.random.default_rng(block)
+        rows = 10.0 ** rng.uniform(-3, 1, size=(37, 4))
+        monitor = C2Monitor()
+        for lo in range(0, len(rows), block):
+            monitor.update(rows[lo:lo + block])
+        expected = loop_check_c2(list(rows))
+        got = monitor.violations
+        assert got == expected and len(got) == len(expected)
+        assert list(got) == expected
+        assert (got[0], got[-1], got[2:5]) == \
+            (expected[0], expected[-1], expected[2:5])
+        with pytest.raises(IndexError):
+            got[len(expected)]
 
     def test_reported_not_asserted_on_sqrt_decay_run(self):
         # a real run may or may not violate; the monitor only reports

@@ -474,6 +474,32 @@ class TestCheckParity:
         opt.step(np.zeros(2), np.array([1e308, 1e308]))
         assert opt.state.t == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ADAPTIVE)
+    def test_overflowed_second_moment_times_zero_beta2(self, kind):
+        # g^2 overflows v to inf at step 1, which only zeroes that rate;
+        # beta2 = 0 makes it inf * 0 = NaN at step 2, which raises there
+        cfg = StepConfig(bias_correction=False)
+        opt = {
+            "adam": lambda: Adam(2, cfg, beta1=0.0, beta2=0.0),
+            "amsgrad": lambda: Amsgrad(2, cfg, beta1=0.0, beta2=0.0),
+            "adabound": lambda: ClippedTransition(
+                2, BoundFunctionSpec("adabound", alpha_star=0.1), cfg,
+                beta1=0.0, beta2=0.0),
+            "dstadam": lambda: DstAdam(
+                2, TransitionSchedule(horizon=10, beta1=0.0, beta2=0.0), cfg),
+        }[kind]()
+        g = np.array([0.5, 1e200])
+        theta = opt.step(np.zeros(2), g)
+        assert opt.state.t == 1 and np.all(np.isfinite(theta))
+        with pytest.raises(DomainError) as err:
+            opt.step(theta, g)
+        assert str(err.value) == \
+            "non-finite second moment at step 2, coordinate 1"
+        assert opt.state.t == 1
+        assert np.all(np.isfinite(opt.rate_raw()))
+
     @pytest.mark.parametrize("kind", list(STEPPERS))
     def test_returned_rates_are_copies(self, kind):
         opt, twin = STEPPERS[kind](), STEPPERS[kind]()

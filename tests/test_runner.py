@@ -7,10 +7,13 @@ import pytest
 
 from transopt.cli import main as cli_main
 from transopt import config as config_module
+from transopt import diagnostics
 from transopt.config import parse_config, serialize_config
+from transopt.diagnostics import (LrHistogram, check_c2, estimate_zeta,
+                                  eta_bound_check, sampled_steps)
 from transopt.errors import ComparisonError, ConfigError, DomainError
 from transopt.optim import DstAdam
-from transopt.problems import QuadraticTracking
+from transopt.problems import QuadraticTracking, RegretLedger
 from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
                              compare_records, compare_run_dirs, read_conditions,
                              resolve_horizon, run_experiment)
@@ -154,7 +157,7 @@ batch_size: 32
 
     def test_rate_rows_fill_a_t_by_d_array(self):
         record = run_experiment(quadratic_cfg(horizon=40),
-                                write_artifacts=False)
+                                write_artifacts=False, keep_trajectory=True)
         assert record.rate_rows.shape == (40, 3)
         assert record.rate_rows.dtype == np.float64
         np.testing.assert_array_equal(record.rate_rows[-1],
@@ -184,6 +187,170 @@ batch_size: 32
         assert record.final_regret is None
         assert 0.0 <= record.test_accuracy <= 1.0
         assert record.train_loss is not None
+
+
+#: One config per optimizer kind on the cycle problem (d = 1) and on the
+#: MLP (d = 354), with strides that leave steps between sampled rows.
+STREAM_OPTIMIZERS = {
+    "sgdm": "{kind: sgdm, lr: 0.1, momentum: 0.9}",
+    "adam": "{kind: adam}",
+    "amsgrad": "{kind: amsgrad, beta1: 0.0, beta2: 0.1}",
+    "adabound": "{kind: adabound}",
+    "generic": "{kind: generic, sqrt_decay: true, "
+               "bounds: {kind: lu, alpha_star: 0.05}}",
+    "dstadam": "{kind: dstadam}",
+    "dstadam-sqrt": "{kind: dstadam, sqrt_decay: true, "
+                    "schedule: {rho: 0.9}}",
+}
+STREAM_PROBLEMS = {
+    "d1": ("problem: {kind: reddi, c: 3.0, seed: 7}\n"
+           "horizon: 40\nstride: 3\n"),
+    "d354": ("problem: {kind: mlp, n_train: 64, n_test: 32, seed: 5}\n"
+             "horizon: 14\nbatch_size: 32\nstride: 5\n"),
+}
+
+
+def stream_run(text, monkeypatch, rows=None):
+    if rows is not None:
+        monkeypatch.setattr(diagnostics, "buffer_rows",
+                            lambda horizon, dim: rows)
+    return run_experiment(parse_config(text), write_artifacts=False,
+                          keep_trajectory=True)
+
+
+class TestStreamedMonitors:
+    @pytest.mark.parametrize("kind", list(STREAM_OPTIMIZERS))
+    @pytest.mark.parametrize("problem", list(STREAM_PROBLEMS))
+    def test_streamed_equal_whole_array_checks(self, problem, kind,
+                                               monkeypatch):
+        text = (STREAM_PROBLEMS[problem]
+                + f"optimizer: {STREAM_OPTIMIZERS[kind]}\n")
+        cfg = parse_config(text)
+        base = stream_run(text, monkeypatch)
+        grads, rates = base.grads, base.rate_rows
+        ts = sampled_steps(base.horizon, cfg.stride)
+        # reference values from the whole (T, d) arrays
+        report = base.report
+        assert report.c2_violations == check_c2(rates)
+        assert report.c2_first_violation == \
+            (check_c2(rates) or [None])[0]
+        assert report.inverse_rate_max == float(np.max(1.0 / rates))
+        problem_obj = build_problem(cfg)
+        if math.isfinite(problem_obj.grad_bound):
+            assert report.grad_bound_ok is bool(
+                np.max(np.abs(grads)) <= problem_obj.grad_bound + 1e-12)
+        else:
+            assert report.grad_bound_ok is None
+        if kind.startswith("dstadam"):
+            schedule = runner.build_schedule(cfg, base.horizon)
+            zeta = estimate_zeta(grads, schedule.beta2)
+            assert report.zeta_min is not None and report.zeta_min == zeta
+            assert report.eta_inverse_bounded is eta_bound_check(
+                rates, schedule.r_l, schedule.rho_sup())
+        sampled = rates[ts - 1]
+        np.testing.assert_array_equal(base.rate_summary, np.column_stack(
+            [np.min(sampled, axis=1), np.median(sampled, axis=1),
+             np.max(sampled, axis=1)]))
+        hist = LrHistogram()
+        for t in ts.tolist():
+            lrs = rates[t - 1]
+            hist.record(t, lrs / math.sqrt(t) if cfg.optimizer.sqrt_decay
+                        else lrs)
+        assert_same_rows(base.histogram.rows, hist.rows)
+        # the same results whatever the buffer size
+        for rows in (1, 3, base.horizon + 5):
+            other = stream_run(text, monkeypatch, rows)
+            for name in ("zeta_min", "c2_violations", "eta_inverse_bounded",
+                         "grad_bound_ok", "diameter_ok", "inverse_rate_max"):
+                assert getattr(other.report, name) == \
+                    getattr(report, name), (rows, name)
+            np.testing.assert_array_equal(other.rate_summary,
+                                          base.rate_summary)
+            np.testing.assert_array_equal(other.grads, grads)
+            np.testing.assert_array_equal(other.rate_rows, rates)
+            assert_same_rows(other.histogram.rows, base.histogram.rows)
+
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    @pytest.mark.parametrize("at", [1, 7, 20])
+    def test_off_box_iterate_found_in_any_block(self, monkeypatch, rows,
+                                                at):
+        step = DstAdam.step
+
+        def leaky_step(self, theta, grad):
+            theta = step(self, theta, grad)
+            if self.state.t == at:
+                theta[0] = 3.0
+            return theta
+
+        monkeypatch.setattr(DstAdam, "step", leaky_step)
+        monkeypatch.setattr(diagnostics, "buffer_rows",
+                            lambda horizon, dim: rows)
+        record = run_experiment(quadratic_cfg(horizon=20),
+                                write_artifacts=False)
+        assert record.report.diameter_ok is False
+
+    def test_trajectory_kept_only_on_request(self):
+        record = run_experiment(quadratic_cfg(horizon=30),
+                                write_artifacts=False)
+        assert record.grads is None and record.rate_rows is None
+        kept = run_experiment(quadratic_cfg(horizon=30),
+                              write_artifacts=False, keep_trajectory=True)
+        assert kept.grads.shape == kept.rate_rows.shape == (30, 3)
+
+    def test_regret_matches_a_per_step_ledger_bit_for_bit(self):
+        cfg = quadratic_cfg(horizon=500)
+        record = run_experiment(cfg, write_artifacts=False)
+        problem = build_problem(cfg)
+        star = problem.star_losses(record.horizon)
+        ledger = RegretLedger()
+        for t in range(1, record.horizon + 1):
+            ledger.update(t, record.losses.item(t - 1), star.item(t - 1))
+        assert record.regret.tolist() == [r for _, r in ledger.series]
+        assert record.final_regret == ledger.regret
+        ratios = [r / math.sqrt(t) for t, r in ledger.series]
+        assert record.sup_sqrt_regret == max(ratios)
+        assert record.sup_sqrt_regret_tail() == max(ratios[250:])
+        assert record.sup_sqrt_regret_tail(400) == max(ratios[399:])
+
+    def test_quadratic_d200_run_stays_small(self):
+        import tracemalloc
+        cfg = parse_config("""
+problem: {kind: quadratic, dim: 200, seed: 3}
+optimizer: {kind: dstadam}
+horizon: 20000
+stride: 100
+""")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, write_artifacts=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the problem's own (T, d) centers are 32 MB of it
+        assert peak < 50 * 2 ** 20, peak / 2 ** 20
+
+    def test_meta_and_check_conditions_report_streamed_values(
+            self, tmp_path, capsys):
+        record = run_experiment(quadratic_cfg(horizon=80),
+                                out_root=str(tmp_path))
+        meta = json.loads((record.run_dir / "meta.json").read_text())
+        first = record.report.c2_first_violation
+        assert meta["c2_first_violation"] == \
+            (None if first is None else list(first))
+        assert meta["inverse_rate_max"] == record.report.inverse_rate_max
+        assert cli_main(["check-conditions", str(record.run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"inverse_rate_max     {meta['inverse_rate_max']:.17g}\n" \
+            in out
+        t, i = meta["c2_first_violation"]
+        assert f"c2_first_violation   t={t} i={i}\n" in out
+
+
+def assert_same_rows(got, want):
+    assert [r[0] for r in got] == [r[0] for r in want]
+    for (_, a, au, ao), (_, b, bu, bo) in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        assert (au, ao) == (bu, bo)
 
 
 #: SHA-256 of each CSV artifact.  The first two, a 2,000-step stride-1

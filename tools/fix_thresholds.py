@@ -92,7 +92,7 @@ def reddi_separation():
 def sqrt_regret():
     started = time.perf_counter()
     record = run_experiment(parse_config(SQRT_REGRET_CONFIG),
-                            write_artifacts=False)
+                            write_artifacts=False, keep_trajectory=True)
     sup_tail = record.sup_sqrt_regret_tail()
     schedule_rho = (1e-8) ** (1.0 / record.horizon)
     params = TheoryParams(d_inf=4.0, g_inf=3.0, beta1=0.9, rho=schedule_rho,
