@@ -12,7 +12,7 @@ from .problems import (LogisticMinibatch, Mlp, MlpClassification,
                        OnlineProblem, QuadraticTracking, ReddiCycle,
                        RegretLedger, make_logistic, make_mlp_problem,
                        make_quadratic, make_reddi)
-from .runner import RunRecord, compare_records, run_experiment
+from .runner import RunRecord, compare_records, run_batch, run_experiment
 from .schedule import (BoundFunctionSpec, TransitionSchedule, eval_bounds,
                        rho_from_horizon)
 
@@ -29,6 +29,6 @@ __all__ = [
     "check_c2", "compare_records", "estimate_zeta", "eta_bound_check",
     "eval_bounds", "lemma_a1_holds", "load_config", "make_logistic",
     "make_mlp_problem", "make_quadratic", "make_reddi", "parse_config",
-    "project_box", "rho_from_horizon", "run_experiment",
+    "project_box", "rho_from_horizon", "run_batch", "run_experiment",
     "serialize_config", "sqrt_t_regret_series",
 ]

@@ -2,7 +2,9 @@
 
 Subcommands:
   run CONFIG                 execute one experiment config
-  sweep CONFIG_DIR           run every *.yaml config in a directory
+  sweep CONFIG_DIR           run every *.yaml config in a directory;
+                             configs that share a batch key (same kinds,
+                             shapes, horizon and stride) run as one batch
   compare RUN_DIR...         tabulate final metrics of finished runs
   check-conditions RUN_DIR   print the recorded condition report, with the
                              first C2 violation and the max of 1/eta_hat
@@ -15,26 +17,37 @@ variable, else the config's out_dir.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_config, with_overrides
 from .errors import ComparisonError, ConfigError
-from .runner import (compare_csv, compare_run_dirs, read_conditions,
-                     run_experiment)
+from .runner import (compare_csv, compare_run_dirs, group_configs,
+                     read_conditions, run_batch, run_experiment)
 
 
-def _run_one(args) -> str:
-    cfg, out_root = args
-    record = run_experiment(cfg, out_root=out_root)
+def _summary(record) -> str:
     summary = f"{record.run_dir}  loss={record.final_loss:.6g}"
     if record.final_regret is not None:
         summary += f"  regret={record.final_regret:.6g}"
     if record.test_accuracy is not None:
         summary += f"  acc={record.test_accuracy:.4f}"
     return summary
+
+
+def _run_group(args):
+    cfgs, out_root = args
+    # a lone config keeps run_experiment's entry point, whose spans
+    # perfbench/tracer.py times; it runs the same loop as a batch of one
+    if len(cfgs) == 1:
+        records = [run_experiment(cfgs[0], out_root=out_root)]
+    else:
+        records = run_batch(cfgs, out_root)
+    return [_summary(record) for record in records]
 
 
 def _expand_repeats(cfg):
@@ -44,21 +57,34 @@ def _expand_repeats(cfg):
             for i in range(cfg.repeats)]
 
 
-def _execute(jobs, tasks):
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for line in pool.map(_run_one, tasks):
-                print(line)
-    else:
-        for task in tasks:
-            print(_run_one(task))
+def _execute(jobs, cfgs, out_root):
+    """Run cfgs in batches, printing one summary line per config in
+    config order as soon as the lines before it are printed."""
+    groups = group_configs(cfgs)
+    if jobs > len(groups):
+        # more workers than batches: split the batches among them
+        parts = math.ceil(jobs / len(groups))
+        groups = [g[i::parts] for g in groups for i in range(parts)
+                  if g[i::parts]]
+    tasks = [([cfgs[i] for i in group], out_root) for group in groups]
+    lines = [None] * len(cfgs)
+    printed = 0
+    parallel = jobs > 1 and len(tasks) > 1
+    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+          else contextlib.nullcontext()) as pool:
+        results = (pool.map if parallel else map)(_run_group, tasks)
+        for group, group_lines in zip(groups, results):
+            for index, line in zip(group, group_lines):
+                lines[index] = line
+            while printed < len(lines) and lines[printed] is not None:
+                print(lines[printed])
+                printed += 1
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
-    tasks = [(c, args.out) for c in _expand_repeats(cfg)]
-    _execute(args.jobs, tasks)
+    _execute(args.jobs, _expand_repeats(cfg), args.out)
     return 0
 
 
@@ -68,12 +94,12 @@ def cmd_sweep(args) -> int:
     if not paths:
         print(f"no configs found in {config_dir}", file=sys.stderr)
         return 1
-    tasks = []
+    cfgs = []
     for path in paths:
         cfg = load_config(path)
         cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
-        tasks.extend((c, args.out) for c in _expand_repeats(cfg))
-    _execute(args.jobs, tasks)
+        cfgs.extend(_expand_repeats(cfg))
+    _execute(args.jobs, cfgs, args.out)
     return 0
 
 

@@ -396,32 +396,51 @@ MIN_STREAM_ROWS = 64
 
 
 def buffer_rows(horizon: int, dim: int) -> int:
-    """Rows of a run's step buffers."""
+    """Rows of a run's step buffers; ``dim`` counts every replica's
+    coordinates in a batch."""
     rows = max(MIN_STREAM_ROWS, STREAM_ELEMENTS // dim)
     return min(horizon, rows, HIST_ELEMENTS // (HIST_BINS + 2))
+
+
+def step_buffers(horizon: int, shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+    """The step loop's three (rows, *shape) buffers, shape being (d,) or
+    (R, d): gradients, raw rates and iterates."""
+    rows = buffer_rows(horizon, int(np.prod(shape)))
+    return tuple(np.empty((rows, *shape)) for _ in range(3))
 
 
 class RunMonitor:
     """Every streamed monitor of one run, fed a block of steps at a time.
 
-    The step loop copies step t's gradient, raw rate eta-hat, effective
-    rate and iterate into row k of the ``(rows, d)`` arrays in
-    ``buffers`` (grads, rates, lrs, thetas) and calls ``flush(k + 1)``
-    when they are full and once after the last step.  A flush bins the
-    sampled steps' effective rates into ``histogram``, keeps the
+    The step loop copies step t's gradient, raw rate eta-hat and iterate
+    into row k of the three :func:`step_buffers` (grads, rates, thetas)
+    and calls ``flush(k + 1)`` when they are full and once after the
+    last step.  In a batch of R runs the buffers are (rows, R, d) and
+    each run has its own monitor: ``buffers`` is then run ``replica``'s
+    (rows, d) view of them, and a flush is one call per run, not per
+    step.  Every stepper's effective rate is eta-hat, divided by sqrt(t)
+    with ``sqrt_decay``, so a flush derives it for the sampled steps
+    only and bins it into ``histogram``; it also keeps the
     min/median/max of their raw rates in ``rate_summary``, tests the
     iterates against ``box`` and feeds the C2, inverse-rate and (with
-    ``beta2``) zeta monitors.  The run keeps O(d) state besides the
-    per-sampled-step histogram and summary rows; ``grads`` and
-    ``rate_rows`` hold the (T, d) trajectories only with
-    ``keep_trajectory``.
+    ``beta2``) zeta monitors.  A raw rate that is not positive (a second
+    moment overflowed to inf leaves 0) raises at any stride.  The run
+    keeps O(d) state besides the per-sampled-step histogram and summary
+    rows; ``grads`` and ``rate_rows`` hold the (T, d) trajectories only
+    with ``keep_trajectory``.
     """
 
     def __init__(self, dim: int, horizon: int, stride: int, box,
                  beta2: Optional[float] = None,
-                 keep_trajectory: bool = False):
-        rows = buffer_rows(horizon, dim)
-        self.buffers = tuple(np.empty((rows, dim)) for _ in range(4))
+                 keep_trajectory: bool = False,
+                 sqrt_decay: bool = False,
+                 buffers: Optional[Tuple[np.ndarray, ...]] = None,
+                 replica: int = 0):
+        self.sqrt_decay = sqrt_decay
+        if buffers is None:
+            buffers = step_buffers(horizon, (dim,))
+        self.buffers = tuple(b.reshape(len(b), -1, dim)[:, replica]
+                             for b in buffers)
         self.box = box
         self.steps = sampled_steps(horizon, stride)
         self.histogram = LrHistogram()
@@ -438,24 +457,37 @@ class RunMonitor:
         self._t = 0
         self._sampled = 0
 
+    def finish(self, n: int) -> None:
+        """Flush the last n rows, if any, and let go of the buffers."""
+        if n:
+            self.flush(n)
+        self.buffers = ()
+
     def flush(self, n: int) -> None:
         """Hand the first n buffer rows, the steps after the last flush,
         to the monitors."""
-        grads, rates, lrs, thetas = (b[:n] for b in self.buffers)
+        grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self._t = self._t, self._t + n
         if self.grads is not None:
             self.grads[t0:self._t] = grads
             self.rate_rows[t0:self._t] = rates
+        self.inverse_rate.update(rates)
+        if self.inverse_rate.max == math.inf:
+            # fmin skips NaN, as InverseRateMonitor does
+            k, i = divmod(int(np.flatnonzero(np.fmin(rates, 1.0) <= 0.0)[0]),
+                          rates.shape[1])
+            raise DomainError(
+                f"raw rate {float(rates[k, i])!r} at step {t0 + k + 1}, "
+                f"coordinate {i}: a rate must stay positive (an overflowed "
+                "second moment leaves 0)")
         lo = self._sampled
         self._sampled = hi = int(self.steps.searchsorted(self._t, "right"))
         if hi > lo:
             ts = self.steps[lo:hi]
-            if hi - lo < n:
-                at = ts - (t0 + 1)
-                lrs, sampled = lrs[at], rates[at]
-            else:
-                sampled = rates
-            self.histogram.record_rows(ts, lrs)
+            sampled = rates[ts - (t0 + 1)] if hi - lo < n else rates
+            # the step's eta-hat / math.sqrt(t), bit for bit
+            self.histogram.record_rows(ts, sampled / np.sqrt(ts)[:, None]
+                                       if self.sqrt_decay else sampled)
             summary = self.rate_summary[lo:hi]
             summary[:, 0] = np.min(sampled, axis=1)
             summary[:, 1] = np.median(sampled, axis=1)
@@ -463,7 +495,6 @@ class RunMonitor:
         if self.iterates_feasible and not self.box.contains(thetas):
             self.iterates_feasible = False
         self.c2.update(rates)
-        self.inverse_rate.update(rates)
         if self.zeta is not None:
             self.zeta.update(grads)
         self.grad_abs_max = max(self.grad_abs_max, float(np.max(grads)),

@@ -6,7 +6,15 @@ class DimensionError(ValueError):
 
 
 class DomainError(ValueError):
-    """A value lies outside the mathematical domain of an operation."""
+    """A value lies outside the mathematical domain of an operation.
+
+    ``replica`` is the index, within a batch of runs stepped together,
+    of the run the value belongs to; None when it is not known.
+    """
+
+    def __init__(self, message: str = "", replica=None):
+        super().__init__(message)
+        self.replica = replica
 
 
 class HorizonError(ValueError):

@@ -1,8 +1,9 @@
-"""Checked vector helpers: clamp, norms and dot products.
+"""Checked vector helpers: clamp and norms.
 
-Parameter vectors, gradients, and moment estimates are plain 1-D float64
-numpy arrays.  All functions here are pure: inputs are never modified,
-and lengths are checked before any arithmetic.
+Parameter vectors, gradients, and moment estimates are float64 numpy
+arrays: 1-D, or (R, d) for a batch of R runs.  All functions here are
+pure: inputs are never modified, and lengths are checked before any
+arithmetic.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 def _broadcast(a: np.ndarray, b) -> np.ndarray:
-    """Validate that ``b`` is a scalar or a vector of the same length as ``a``."""
+    """Validate that ``b`` is a scalar, an array shaped like ``a``, or a
+    column of one value per row of ``a``."""
     if np.ndim(b) == 0:
         return np.float64(b)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != a.shape:
+    if b.shape != a.shape and (a.ndim < 2 or b.shape != a.shape[:-1] + (1,)):
         raise DimensionError(
             f"length mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
@@ -38,7 +40,8 @@ def _broadcast(a: np.ndarray, b) -> np.ndarray:
 
 
 def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
-    """Coordinatewise clip of ``a`` into [lo, hi]; lo/hi scalar or vector."""
+    """Coordinatewise clip of ``a`` into [lo, hi]; lo/hi scalar, vector
+    or (R, 1) column."""
     lo = _broadcast(a, lo)
     hi = _broadcast(a, hi)
     if np.any(lo > hi):
@@ -55,12 +58,3 @@ def norms(a: np.ndarray) -> VectorNorms:
     scaled = a / linf
     return VectorNorms(l2=linf * float(np.sqrt(np.sum(scaled * scaled))),
                        linf=linf)
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    b = np.asarray(b, dtype=np.float64)
-    if np.ndim(b) != 1 or b.shape != np.shape(a):
-        raise DimensionError(
-            f"length mismatch: {np.shape(a)} vs {b.shape}"
-        )
-    return float(np.dot(a, b))

@@ -18,19 +18,76 @@ target r_t (:class:`DstAdam`).
 Bad inputs raise before any state changes; a NaN second moment (an
 overflowed one times a zero beta2) or a bad derived rate raises after
 the in-place moment update, before t and the last rates advance.
+
+A stepper steps one (d,) iterate, or the (R, d) iterates of R replicas
+at once: :func:`stack_like` merges R steppers built alike into one whose
+hyperparameters are (R, 1) columns where the replicas differ and plain
+floats where they agree, so every update below broadcasts row by row
+and gives each replica the bits it would get alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import types
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
 from .numkit import clamp
 from .schedule import BoundFunctionSpec, TransitionSchedule, eval_bounds
+
+
+def column(values: Sequence):
+    """One field across R replicas: the value itself when every replica
+    has it, else an (R, 1) column that broadcasts against (R, d) rows."""
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return np.array(values)[:, None]
+
+
+def stack_like(objs: Sequence):
+    """One object standing for R objects built alike, field by field.
+
+    Arrays stack along a new leading axis, numbers become a
+    :func:`column`, and other objects (steppers and problems, and their
+    configs, schedules and boxes) are copied with each field stacked in
+    turn.  Anything else, such as a kind string or a callable, must be
+    the same in every object.
+    """
+    first = objs[0]
+    if isinstance(first, np.ndarray):
+        return np.stack(objs)
+    if isinstance(first, (int, float)):
+        return column(objs)
+    if hasattr(first, "__dict__") and not isinstance(
+            first, (type, types.FunctionType, types.MethodType)):
+        if any(type(o) is not type(first) for o in objs):
+            raise DomainError(f"cannot batch a {type(first).__name__} "
+                              "with objects of other types")
+        out = copy.copy(first)
+        for name, value in vars(first).items():
+            object.__setattr__(out, name,
+                               stack_like([vars(o)[name] for o in objs]))
+        return out
+    if any(o != first for o in objs):
+        raise DomainError(f"cannot batch differing values {objs!r}")
+    return first
+
+
+def _raise_first(bad: np.ndarray, message: str) -> None:
+    """Raise DomainError(message) at the first True entry of bad.
+
+    ``message`` is formatted with the entry's coordinate ``i``; in an
+    (R, d) batch the error also carries the entry's replica.
+    """
+    r, i = divmod(int(np.flatnonzero(bad)[0]), bad.shape[-1])
+    raise DomainError(message.format(i=i),
+                      replica=r if bad.ndim > 1 else None)
 
 
 @dataclass
@@ -137,6 +194,7 @@ class OptimizerState:
         if dim < 1:
             raise DimensionError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        # (d,), or (R, d) once stacked with its replicas' states
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.v_max: Optional[np.ndarray] = None
@@ -152,13 +210,23 @@ class OptimizerState:
 ScheduleFn = Union[float, Callable[[int], float]]
 
 
+class _Constant:
+    """A schedule with one value at every step; a field, so it stacks."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, t: int) -> float:
+        return self.value
+
+
 def _schedule_fn(value: ScheduleFn, name: str) -> Callable[[int], float]:
     if callable(value):
         return value
     value = float(value)
     if not 0.0 <= value < 1.0:
         raise DomainError(f"{name} must lie in [0, 1), got {value}")
-    return lambda t: value
+    return _Constant(value)
 
 
 class _Stepper:
@@ -177,18 +245,21 @@ class _Stepper:
         it in one reduction; the exact test runs only when the sum is
         not finite, which a finite gradient can reach by overflow.
         """
-        dim = self.state.dim
-        if np.shape(theta) != (dim,):
+        shape = self.state.m.shape
+        # np.shape, which costs more than the attribute, only for inputs
+        # without a matching shape attribute
+        if getattr(theta, "shape", None) != shape \
+                and np.shape(theta) != shape:
             raise DimensionError(
-                f"theta has shape {np.shape(theta)}, expected ({dim},)")
-        if np.shape(grad) != (dim,):
+                f"theta has shape {np.shape(theta)}, expected {shape}")
+        if getattr(grad, "shape", None) != shape and np.shape(grad) != shape:
             raise DimensionError(
-                f"grad has shape {np.shape(grad)}, expected ({dim},)")
-        if not math.isfinite(np.add.reduce(grad)):
-            bad = np.flatnonzero(~np.isfinite(grad))
-            if bad.size:
-                raise DomainError(f"non-finite gradient at step "
-                                  f"{self.state.t + 1}, coordinate {bad[0]}")
+                f"grad has shape {np.shape(grad)}, expected {shape}")
+        if not math.isfinite(np.add.reduce(grad, None)):
+            bad = ~np.isfinite(grad)
+            if bad.any():
+                _raise_first(bad, f"non-finite gradient at step "
+                                  f"{self.state.t + 1}, coordinate {{i}}")
 
     def _project(self, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Project y onto the box in place under the metric 1/eta.
@@ -197,7 +268,7 @@ class _Stepper:
         Every rule gives eta >= 0 or NaN, so the metric is positive
         unless some eta is +inf (``fmax`` skips NaN).
         """
-        if np.fmax.reduce(eta) == math.inf:
+        if np.fmax.reduce(eta, None) == math.inf:
             raise DomainError("projection metric must be positive")
         return self.box.clamp_into(y)
 
@@ -271,14 +342,14 @@ class _AdaptiveStepper(_Stepper):
         v *= b2
         v += (1.0 - b2) * grad * grad
         # A finite gradient can overflow v to inf, which only zeroes that
-        # coordinate's rate while b2 > 0; b2 = 0 turns it into NaN at the
-        # next step, and NaN would reach theta.  Screened as in
-        # _check_inputs.
-        if not math.isfinite(np.add.reduce(v)):
-            bad = np.flatnonzero(np.isnan(v))
-            if bad.size:
-                raise DomainError(f"non-finite second moment at step {t}, "
-                                  f"coordinate {bad[0]}")
+        # coordinate's rate while b2 > 0 (the run monitors reject that
+        # rate); b2 = 0 turns it into NaN at the next step, and NaN would
+        # reach theta.  Screened as in _check_inputs.
+        if not math.isfinite(np.add.reduce(v, None)):
+            bad = np.isnan(v)
+            if bad.any():
+                _raise_first(bad, f"non-finite second moment at step {t}, "
+                                  "coordinate {i}")
         beta1_prod = s.beta1_prod * b1
         beta2_prod = s.beta2_prod * b2
         v = self._second_moment(v)
@@ -293,7 +364,14 @@ class _AdaptiveStepper(_Stepper):
                 "zero second moment with epsilon=0; supply a positive epsilon"
             )
         rate = self._rate(t, np.divide(cfg.alpha, rate, out=rate))
-        eta = rate / math.sqrt(t) if cfg.sqrt_decay else rate
+        # a batch whose replicas differ in sqrt_decay holds a bool column;
+        # dividing by 1.0 leaves a rate's bits as they are
+        if isinstance(cfg.sqrt_decay, np.ndarray):
+            eta = rate / np.where(cfg.sqrt_decay, math.sqrt(t), 1.0)
+        elif cfg.sqrt_decay:
+            eta = rate / math.sqrt(t)
+        else:
+            eta = rate
         theta = self._project(theta - eta * m, eta)
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
         s.last_rate_raw, s.last_effective_lr = rate, eta
@@ -350,14 +428,18 @@ class ClippedTransition(_AdaptiveStepper):
         self.bounds = bounds
         self.beta1_at = _schedule_fn(beta1, "beta1")
         self.beta2_at = _schedule_fn(beta2, "beta2")
+        # running max of ||m||_inf, for the adadb bounds: one per replica
         self._m_abs_peak = 0.0
 
     def _betas(self, t: int) -> Tuple[float, float]:
         return self.beta1_at(t), self.beta2_at(t)
 
     def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        m_abs = np.abs(self.state.m)
-        self._m_abs_peak = max(self._m_abs_peak, float(m_abs.max()))
+        m_abs = None
+        if self.bounds.kind == "adadb":
+            m_abs = np.abs(self.state.m)
+            self._m_abs_peak = np.maximum(
+                self._m_abs_peak, m_abs.max(axis=-1, keepdims=True))
         lower, upper = eval_bounds(self.bounds, t, momentum_abs=m_abs,
                                    momentum_abs_peak=self._m_abs_peak)
         return clamp(rate, lower, upper)
@@ -392,7 +474,7 @@ class DstAdam(_AdaptiveStepper):
         rate *= rho_t
         rate += (1.0 - rho_t) * r_t
         # fmin skips NaN, as the elementwise test did
-        if np.fmin.reduce(rate) <= 0.0:
+        if np.fmin.reduce(rate, None) <= 0.0:
             raise AssertionError(
                 "eta_hat must stay positive under a valid schedule"
             )

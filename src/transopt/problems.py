@@ -9,6 +9,10 @@ train loss) and ``grad_at`` the gradient alone.  ``star_losses`` gives
 the comparator's loss at every step of a run at once.  Oracles are pure
 functions of (t, theta), so runs are bit-reproducible given the
 construction seed.
+
+The oracles take one (d,) iterate, or the (R, d) iterates of a batch:
+:func:`stack_problems` merges R problems built alike into one whose
+oracles answer row r as problem r would alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 
 from .diagnostics import row_blocks
 from .errors import DimensionError, DomainError, SequenceError
-from .numkit import dot, norms
-from .optim import FeasibleBox
+from .numkit import norms
+from .optim import FeasibleBox, stack_like
 
 
 class OnlineProblem:
@@ -34,7 +38,8 @@ class OnlineProblem:
     ``grad_bound`` is the declared sup-norm gradient bound over the box,
     infinity when unknown.  ``n_train`` is the training-set size of the
     minibatch problems, from which an epoch count derives the horizon;
-    None for problems without a dataset.
+    None for problems without a dataset.  ``shape`` is the shape of the
+    iterate the oracles take: (d,), or (R, d) once stacked.
     """
 
     name = "online"
@@ -43,6 +48,7 @@ class OnlineProblem:
     def __init__(self, dim: int, box: FeasibleBox,
                  theta_star: Optional[np.ndarray], grad_bound: float):
         self.dim = dim
+        self.shape = (dim,)
         self.box = box
         self.theta_star = None if theta_star is None else np.asarray(
             theta_star, dtype=np.float64)
@@ -80,11 +86,32 @@ class OnlineProblem:
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.dim,):
+        if theta.shape != self.shape:
             raise DimensionError(
-                f"theta has shape {theta.shape}, expected ({self.dim},)"
+                f"theta has shape {theta.shape}, expected {self.shape}"
             )
         return theta
+
+    def _stacked(self) -> None:
+        """Finish a :func:`stack_problems` copy whose fields are stacked."""
+
+
+def stack_problems(problems: Sequence[OnlineProblem]) -> OnlineProblem:
+    """One problem whose oracles take the (R, d) iterates of R problems.
+
+    The problems must be of one kind and shape; they may differ in their
+    data and scalars (seeds, centers, datasets, the box, the reddi
+    slope).  Row r of a stacked oracle's loss and gradient equals
+    problem r's, bit for bit.  A single problem is returned as it is.
+    Only the step oracle ``loss_and_grad`` is stacked: the comparator,
+    the box checks and the final MLP metrics stay with each problem.
+    """
+    if len(problems) == 1:
+        return problems[0]
+    out = stack_like(problems)
+    out.shape = (len(problems), out.dim)
+    out._stacked()
+    return out
 
 
 class QuadraticTracking(OnlineProblem):
@@ -112,27 +139,25 @@ class QuadraticTracking(OnlineProblem):
             raise DomainError(
                 f"step {t} outside the problem horizon {self.horizon}"
             )
-        return self.centers[t - 1]
+        # centers are (T, d), or (R, T, d) when stacked
+        return self.centers[..., t - 1, :]
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
-        theta = self._check_theta(theta)
-        diff = theta - self._center(t)
-        return 0.5 * dot(diff, diff)
+        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
         diff = theta - self._center(t)
-        return 0.5 * dot(diff, diff), diff
+        # vecdot takes the dot product of each row as np.dot would
+        return 0.5 * np.vecdot(diff, diff), diff
 
     def star_losses(self, horizon: int) -> np.ndarray:
-        # Stacked (1, d) @ (d, 1) products give the bits of ``dot``;
-        # einsum sums in another order.
         self._center(horizon)  # past the problem horizon raises here too
         out = np.empty(horizon)
         for lo, hi in row_blocks(horizon, self.dim):
             diff = self.theta_star - self.centers[lo:hi]
-            out[lo:hi] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            out[lo:hi] = np.vecdot(diff, diff)
         out *= 0.5
         return out
 
@@ -165,6 +190,9 @@ class ReddiCycle(OnlineProblem):
         self.c = float(c)
         box = FeasibleBox(np.array([-1.0]), np.array([1.0]))
         super().__init__(1, box, np.array([-1.0]), grad_bound=self.c)
+        # the gradient of each slope, copied out at its steps
+        self._up = np.array([self.c])
+        self._down = np.array([-1.0])
 
     def _slope(self, t: int) -> float:
         if t < 1:
@@ -172,14 +200,18 @@ class ReddiCycle(OnlineProblem):
         return self.c if t % 3 == 1 else -1.0
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
-        theta = self._check_theta(theta)
-        return self._slope(t) * float(theta[0])
+        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
         slope = self._slope(t)
-        return slope * float(theta[0]), np.array([slope])
+        grad = (self._up if t % 3 == 1 else self._down).copy()
+        return slope * theta[..., 0], grad
+
+    def _stacked(self) -> None:
+        # one slope per replica, as theta[..., 0] has one entry per replica
+        self.c = np.ravel(self.c)
 
     def star_losses(self, horizon: int) -> np.ndarray:
         slopes = np.where(np.arange(1, horizon + 1) % 3 == 1, self.c, -1.0)
@@ -204,7 +236,14 @@ class _MinibatchMixin:
     Only the current epoch's permutation is kept; an earlier epoch asked
     for again is recomputed, since the order is a pure function of
     (seed, epoch).
+
+    A subclass names its per-sample arrays in ``_data``.  Stacked, they
+    are concatenated, replica r's samples at rows r * n .. (r + 1) * n - 1,
+    and each replica draws its own batch from its own permutation, so
+    one fancy index gathers the (R, batch) samples of a step.
     """
+
+    _data: Tuple[str, ...] = ()
 
     def _init_batching(self, n: int, batch_size: int, seed: int):
         if batch_size < 1 or batch_size > n:
@@ -217,15 +256,38 @@ class _MinibatchMixin:
         self._orders: dict = {}
         self.batches_per_epoch = math.ceil(n / batch_size)
 
+    def _stacked(self) -> None:
+        for name in self._data:
+            rows = getattr(self, name)
+            setattr(self, name, rows.reshape(-1, *rows.shape[2:]))
+        # one seed per replica; replicas that share it share a column entry
+        self._order_seed = np.broadcast_to(
+            np.ravel(self._order_seed), self.shape[:1]).tolist()
+
+    def _epoch_orders(self, epoch: int) -> np.ndarray:
+        """The epoch's sample order: (n,), or (R, n) into stacked data."""
+        n = self.n_train
+        if not isinstance(self._order_seed, list):
+            return _epoch_order(self._order_seed, epoch, n)
+        orders = np.stack([_epoch_order(seed, epoch, n)
+                           for seed in self._order_seed])
+        orders += np.arange(0, orders.size, n)[:, None]
+        return orders
+
     def batch_indices(self, t: int) -> np.ndarray:
         if t < 1:
             raise DomainError(f"step index starts at 1, got {t}")
         epoch, slot = divmod(t - 1, self.batches_per_epoch)
         if epoch not in self._orders:
-            self._orders = {epoch: _epoch_order(self._order_seed, epoch,
-                                                self.n_train)}
+            self._orders = {epoch: self._epoch_orders(epoch)}
         start = slot * self._batch_size
-        return self._orders[epoch][start:start + self._batch_size]
+        return self._orders[epoch][..., start:start + self._batch_size]
+
+
+def _mean_of_rows(a: np.ndarray):
+    """np.mean(a, axis=-1), bit for bit (the same pairwise sum over
+    each row, divided by the row length) without np.mean's overhead."""
+    return np.add.reduce(a, -1) / a.shape[-1]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -237,7 +299,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class LogisticMinibatch(OnlineProblem, _MinibatchMixin):
+class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
     """Minibatch logistic regression with labels in {-1, +1}.
 
     f_t is the mean logistic loss of the t-th minibatch under a seeded
@@ -247,6 +309,7 @@ class LogisticMinibatch(OnlineProblem, _MinibatchMixin):
     """
 
     name = "logistic"
+    _data = ("features", "labels")
 
     def __init__(self, features: np.ndarray, labels: np.ndarray,
                  batch_size: int, seed: int, box: FeasibleBox,
@@ -273,19 +336,45 @@ class LogisticMinibatch(OnlineProblem, _MinibatchMixin):
         return self.features[idx], self.labels[idx]
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
-        theta = self._check_theta(theta)
-        x, y = self._batch(t)
-        margins = y * (x @ theta)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
         x, y = self._batch(t)
-        margins = y * (x @ theta)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        # x is (b, d) or (R, b, d); matmul runs the same BLAS product
+        # (gemv) on each replica's rows as on a lone batch
+        margins = y * np.matmul(x, theta[..., None])[..., 0]
+        loss = _mean_of_rows(np.logaddexp(0.0, -margins))
         weights = -y * _sigmoid(-margins)
-        return loss, x.T @ weights / len(y)
+        grad = np.matmul(x.mT, weights[..., None])[..., 0]
+        return loss, grad / y.shape[-1]
+
+    def star_losses(self, horizon: int) -> np.ndarray:
+        """``star_loss_at`` for t = 1..horizon: one pass per epoch.
+
+        The epoch's full batches go through one stacked product and mean,
+        which take each batch's rows as ``loss_at`` does; a partial last
+        batch goes alone.
+        """
+        n, b = self.n_train, self._batch_size
+        full = n // b
+        out = np.empty(horizon)
+        for lo in range(0, horizon, self.batches_per_epoch):
+            order = _epoch_order(self._order_seed,
+                                 lo // self.batches_per_epoch, n)
+            hi = min(horizon, lo + self.batches_per_epoch)
+            k = min(hi - lo, full)
+            x = self.features[order[:k * b]].reshape(k, b, self.dim)
+            y = self.labels[order[:k * b]].reshape(k, b)
+            margins = y * np.matmul(x, self.theta_star)
+            out[lo:lo + k] = _mean_of_rows(np.logaddexp(0.0, -margins))
+            if lo + k < hi:
+                idx = order[k * b:]
+                out[lo + k] = np.mean(np.logaddexp(
+                    0.0, -self.labels[idx] * (self.features[idx]
+                                              @ self.theta_star)))
+        return out
 
 
 def full_logistic_loss(theta: np.ndarray, features: np.ndarray,
@@ -405,17 +494,21 @@ class Mlp:
         return np.concatenate(chunks)
 
     def _unpack(self, theta: np.ndarray):
-        if theta.shape != (self.n_params,):
+        """Per layer, (weights, bias) views of theta: (in, out) and
+        (1, out), with theta's leading replica axis in front if any."""
+        if theta.shape[-1:] != (self.n_params,):
             raise DimensionError(
-                f"theta has {theta.shape[0] if theta.ndim == 1 else '?'} "
+                f"theta has {theta.shape[-1] if theta.ndim else '?'} "
                 f"entries, expected {self.n_params}"
             )
+        lead = theta.shape[:-1]
         layers = []
         offset = 0
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            w = theta[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            w = theta[..., offset:offset + fan_in * fan_out].reshape(
+                lead + (fan_in, fan_out))
             offset += fan_in * fan_out
-            b = theta[offset:offset + fan_out]
+            b = theta[..., None, offset:offset + fan_out]
             offset += fan_out
             layers.append((w, b))
         return layers
@@ -427,13 +520,17 @@ class Mlp:
         return loss, logits
 
     def _forward_cached(self, theta, x, y):
+        # A batch of replicas stacks theta (R, d), x (R, n, in) and
+        # y (R, n); matmul then runs each replica's products as the same
+        # BLAS calls as a lone batch, and every reduction runs along the
+        # axis it would alone.
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+        if x.ndim < 2 or x.shape[-1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"batch features must be (n, {self.layer_sizes[0]})"
             )
-        if y.shape != (x.shape[0],) or x.shape[0] == 0:
+        if y.shape != x.shape[:-1] or x.shape[-2] == 0:
             raise DimensionError("labels must be one non-empty row per sample")
         layers = self._unpack(np.asarray(theta, dtype=np.float64))
         activations = [x]
@@ -443,9 +540,11 @@ class Mlp:
             activations.append(h)
         w_out, b_out = layers[-1]
         logits = h @ w_out + b_out
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = -float(np.mean(log_probs[np.arange(len(y)), y]))
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1,
+                                                          keepdims=True))
+        picked = log_probs.reshape(-1, log_probs.shape[-1])[_label_entries(y)]
+        loss = -_mean_of_rows(picked.reshape(y.shape))
         return loss, logits, (layers, activations, log_probs, y)
 
     def loss_and_grad(self, theta: np.ndarray, x: np.ndarray,
@@ -454,22 +553,22 @@ class Mlp:
         both from one forward pass."""
         loss, _, cache = self._forward_cached(theta, x, y)
         layers, activations, log_probs, y = cache
-        n = len(y)
         delta = np.exp(log_probs)
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
+        delta.reshape(-1, delta.shape[-1])[_label_entries(y)] -= 1.0
+        delta /= y.shape[-1]
         grads = []
         for i in reversed(range(len(layers))):
             w, _ = layers[i]
             a_in = activations[i]
-            grads.append((a_in.T @ delta, delta.sum(axis=0)))
+            grads.append((a_in.mT @ delta, delta.sum(axis=-2)))
             if i > 0:
-                delta = (delta @ w.T) * (activations[i] > 0.0)
+                delta = (delta @ w.mT) * (activations[i] > 0.0)
+        flat_shape = delta.shape[:-2] + (-1,)
         flat = []
         for gw, gb in reversed(grads):
-            flat.append(gw.ravel())
+            flat.append(gw.reshape(flat_shape))
             flat.append(gb)
-        return loss, np.concatenate(flat)
+        return loss, np.concatenate(flat, axis=-1)
 
     def backward(self, theta: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
@@ -478,7 +577,13 @@ class Mlp:
 
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         _, logits = self.forward(theta, x, y)
-        return float(np.mean(logits.argmax(axis=1) == y))
+        return float(np.mean(logits.argmax(axis=-1) == y))
+
+
+def _label_entries(y: np.ndarray):
+    """Each sample's label entry in the (N, classes) view of a
+    contiguous (..., n, classes) array, as an index."""
+    return np.arange(y.size), y.ravel()
 
 
 def two_cluster_dataset(n: int, seed: int,
@@ -495,10 +600,11 @@ def two_cluster_dataset(n: int, seed: int,
     return x[order], y[order]
 
 
-class MlpClassification(OnlineProblem, _MinibatchMixin):
+class MlpClassification(_MinibatchMixin, OnlineProblem):
     """Minibatch training of the small MLP; no fixed comparator."""
 
     name = "mlp"
+    _data = ("x_train", "y_train")
 
     def __init__(self, net: Mlp, x_train: np.ndarray, y_train: np.ndarray,
                  x_test: np.ndarray, y_test: np.ndarray,
@@ -534,7 +640,7 @@ class MlpClassification(OnlineProblem, _MinibatchMixin):
 
     def train_loss(self, theta: np.ndarray) -> float:
         loss, _ = self.net.forward(theta, self.x_train, self.y_train)
-        return loss
+        return float(loss)
 
     def test_accuracy(self, theta: np.ndarray) -> float:
         return self.net.accuracy(theta, self.x_test, self.y_test)

@@ -1,16 +1,25 @@
 """Reproducible experiment runs and run comparison.
 
-``run_experiment`` executes one config end to end: build the problem and
+``run_batch`` executes configs end to end: build the problem and
 optimizer, step through the horizon in the online protocol (suffer
 f_t(theta_t), then update), and write the CSV artifacts into a directory
 keyed by the config hash.  Identical config text yields byte-identical
 CSVs.
 
-The step loop only copies each step's gradient, rates and iterate into
-small preallocated buffers; a full buffer is flushed as one block to the
-streamed monitors of :class:`~transopt.diagnostics.RunMonitor`, so run
-memory is O(d) besides the per-step losses and the per-sampled-step
-histogram rows.  The regret is one cumulative sum after the loop.
+Configs with the same :func:`batch_key` differ only in values, not in
+array shapes or code path, so ``run_batch`` steps them together: R
+replicas share one loop over (R, d) iterates, each replica's varying
+hyperparameters an (R, 1) column (see :func:`transopt.optim.stack_like`
+and :func:`transopt.problems.stack_problems`).  Replica r writes the
+bytes its config writes alone; ``run_experiment`` is the case R = 1,
+where every array is (d,).
+
+The step loop only copies each step's gradients, rates and iterates into
+small preallocated buffers; a full buffer is flushed as one block to
+each replica's streamed monitors (:class:`~transopt.diagnostics.RunMonitor`),
+so run memory is O(R d) besides the per-step losses and the
+per-sampled-step histogram rows.  The regret is one cumulative sum after
+the loop.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -28,14 +37,15 @@ import numpy as np
 
 from .config import ExperimentConfig, config_hash, serialize_config
 from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
-                          row_blocks, sampled_steps)
+                          row_blocks, sampled_steps, step_buffers)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
 from .optim import (Adam, Amsgrad, ClippedTransition, DstAdam, FeasibleBox,
-                    MomentumSgd, StepConfig)
+                    MomentumSgd, StepConfig, stack_like)
 from .problems import (MlpClassification, OnlineProblem, make_logistic,
-                       make_mlp_problem, make_quadratic, make_reddi)
+                       make_mlp_problem, make_quadratic, make_reddi,
+                       stack_problems)
 from .schedule import BoundFunctionSpec, TransitionSchedule
 
 #: Environment variable overriding the output root directory.
@@ -203,94 +213,190 @@ def _make_condition_report(problem: OnlineProblem,
     return report
 
 
+def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Configs with equal keys can run as one batch (:func:`run_batch`).
+
+    The key is the config with the fields a batch may vary cleared: the
+    seed, the box, the reddi slope, alpha, the betas, sqrt_decay, the
+    SGDM rate and momentum, rho, r_l, r_u, beta1_decay, alpha_star,
+    gamma and the run's name.  Every other field (kinds, shapes, the
+    horizon, the stride, epsilon, bias correction) fixes an array shape
+    or the code path.  A cleared field keeps whether it is None where a
+    run leaves None as it is.
+    """
+    p, o = cfg.problem, cfg.optimizer
+    s, b = o.schedule, o.bounds
+    bound_kind = b.kind if o.kind == "generic" else "adabound"
+    return replace(
+        cfg, name=None, out_dir="", repeats=1,
+        problem=replace(p, seed=0, c=3.0, box_halfwidth=(
+            None if p.kind == "mlp" and p.box_halfwidth is None else 1.0)),
+        optimizer=replace(
+            o, alpha=1.0, sqrt_decay=False, beta1=0.0, beta2=0.0, lr=1.0,
+            momentum=0.0,
+            schedule=replace(
+                s, r_l=1.0, r_u=1.0,
+                rho=s.rho if s.rho_kind == "custom" else None,
+                beta1_decay=(None if s.beta1_kind == "geometric"
+                             else s.beta1_decay)),
+            bounds=replace(b, alpha_star=1.0, gamma=(
+                None if bound_kind == "adadb" else b.gamma))))
+
+
+def group_configs(cfgs: Sequence[ExperimentConfig]) -> List[List[int]]:
+    """Indices of cfgs grouped by :func:`batch_key`, in order of first
+    appearance."""
+    groups: Dict[ExperimentConfig, List[int]] = {}
+    for index, cfg in enumerate(cfgs):
+        groups.setdefault(batch_key(cfg), []).append(index)
+    return list(groups.values())
+
+
+def run_stem(cfg: ExperimentConfig) -> str:
+    """The run's name: its directory name without the config hash."""
+    return cfg.name or f"{cfg.problem.kind}-{cfg.optimizer.kind}"
+
+
 def run_experiment(cfg: ExperimentConfig,
                    out_root: Optional[str] = None,
                    write_artifacts: bool = True, *,
                    keep_trajectory: bool = False) -> RunRecord:
-    """Execute one config; returns the record and (optionally) writes CSVs.
+    """Execute one config: :func:`run_batch` with one replica."""
+    return run_batch([cfg], out_root, write_artifacts,
+                     keep_trajectory=keep_trajectory)[0]
 
+
+def _flush(monitors: Sequence[RunMonitor], n: int, last: bool = False) -> None:
+    """Flush every replica's monitor; after the last step, finish them."""
+    for replica, monitor in enumerate(monitors):
+        try:
+            (monitor.finish if last else monitor.flush)(n)
+        except DomainError as exc:
+            exc.replica = replica
+            raise
+
+
+def run_batch(cfgs: Sequence[ExperimentConfig],
+              out_root: Optional[str] = None,
+              write_artifacts: bool = True, *,
+              keep_trajectory: bool = False) -> List[RunRecord]:
+    """Execute configs that share a :func:`batch_key` as one step loop.
+
+    Returns one record per config, in order, each equal to the config's
+    lone run but for the wall clock: the batch's time is shared equally.
     The monitors stream, so a run holds O(d) state plus the per-step
     losses and regret and one histogram and rate-summary row per sampled
     step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
-    as the (T, d) arrays ``grads`` and ``rate_rows`` of the record.
+    as the (T, d) arrays ``grads`` and ``rate_rows`` of each record.
+    A DomainError raised by a step names the config it belongs to.
     """
     started = time.perf_counter()
-    problem = build_problem(cfg)
-    horizon = resolve_horizon(cfg, problem.n_train)
-    optimizer = build_optimizer(cfg, problem.dim, horizon, problem.box)
-    schedule = optimizer.schedule if isinstance(optimizer, DstAdam) else None
+    if len({batch_key(cfg) for cfg in cfgs}) != 1:
+        raise ConfigError("a batch needs configs that share a batch key")
+    problems = [build_problem(cfg) for cfg in cfgs]
+    horizon = resolve_horizon(cfgs[0], problems[0].n_train)
+    optimizers = [build_optimizer(cfg, p.dim, horizon, p.box)
+                  for cfg, p in zip(cfgs, problems)]
+    schedules = [o.schedule if isinstance(o, DstAdam) else None
+                 for o in optimizers]
+    # one replica steps the lone problem and stepper over (d,) arrays
+    problem = stack_problems(problems)
+    optimizer = optimizers[0] if len(cfgs) == 1 else stack_like(optimizers)
 
-    theta = problem.initial_point(cfg.problem.seed)
-    # The comparator's losses, which step t's regret subtracts
-    star = (problem.star_losses(horizon) if problem.theta_star is not None
-            else None)
-    losses = np.empty(horizon)
-    monitor = RunMonitor(problem.dim, horizon, cfg.stride,
-                         problem.box.widened(1e-12),
-                         beta2=None if schedule is None else schedule.beta2,
-                         keep_trajectory=keep_trajectory)
-    grads, rates, lrs, thetas = monitor.buffers
+    theta = np.stack([p.initial_point(cfg.problem.seed)
+                      for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
+    # The comparators' losses, which step t's regret subtracts
+    stars = [p.star_losses(horizon) if p.theta_star is not None else None
+             for p in problems]
+    # (T,) for one replica, whose loss is a float; (T, R) for a batch
+    losses = np.empty((horizon, *problem.shape[:-1]))
+    finite = math.isfinite if len(cfgs) == 1 else (
+        lambda row: bool(np.isfinite(row).all()))
+    buffers = step_buffers(horizon, problem.shape)
+    monitors = [RunMonitor(p.dim, horizon, cfg.stride, p.box.widened(1e-12),
+                           beta2=None if s is None else s.beta2,
+                           keep_trajectory=keep_trajectory,
+                           sqrt_decay=cfg.optimizer.sqrt_decay,
+                           buffers=buffers, replica=r)
+                for r, (cfg, p, s) in enumerate(zip(cfgs, problems,
+                                                    schedules))]
+    grads, rates, thetas = buffers
     rows = len(grads)
     state = optimizer.state
     k = 0
 
-    for t in range(1, horizon + 1):
-        loss, g = problem.loss_and_grad(t, theta)
-        if not math.isfinite(loss):
-            raise DomainError(f"non-finite loss at step {t}; run aborted")
-        losses[t - 1] = loss
-        # the stepper rejects a non-finite gradient before it changes state
-        theta = optimizer.step(theta, g)
-        grads[k] = g
-        rates[k] = state.last_rate_raw
-        lrs[k] = state.last_effective_lr
-        thetas[k] = theta
-        k += 1
-        if k == rows:
-            monitor.flush(k)
-            k = 0
-    if k:
-        monitor.flush(k)
+    try:
+        for t in range(1, horizon + 1):
+            loss, g = problem.loss_and_grad(t, theta)
+            if not finite(loss):
+                bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
+                raise DomainError(f"non-finite loss at step {t}; run aborted",
+                                  replica=int(bad[0]))
+            losses[t - 1] = loss
+            # the stepper rejects a non-finite gradient before it changes
+            # state
+            theta = optimizer.step(theta, g)
+            grads[k] = g
+            rates[k] = state.last_rate_raw
+            thetas[k] = theta
+            k += 1
+            if k == rows:
+                _flush(monitors, k)
+                k = 0
+        _flush(monitors, k, last=True)
+    except DomainError as exc:
+        names = [run_stem(cfg) for cfg in cfgs]
+        who = (", ".join(names) if exc.replica is None
+               else names[exc.replica])
+        raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
+    del buffers, grads, rates, thetas  # the monitors let go of them too
 
-    regret = None
-    if star is not None:
-        # R(t) by the sequential sums of a per-step ledger; adding 0.0
-        # first turns a -0.0 difference into the ledger's 0.0 + -0.0
-        regret = np.subtract(losses, star, out=star)
-        regret[0] += 0.0
-        np.add.accumulate(regret, out=regret)
-    report = _make_condition_report(problem, schedule, horizon, monitor)
-    record = RunRecord(
-        config=cfg,
-        run_dir=None,
-        horizon=horizon,
-        losses=losses,
-        regret=regret,
-        rate_summary=monitor.rate_summary,
-        report=report,
-        final_theta=theta,
-        final_effective_lr=optimizer.effective_lr(),
-        histogram=monitor.histogram,
-        wall_clock=0.0,
-        grads=monitor.grads,
-        rate_rows=monitor.rate_rows,
-    )
-    if isinstance(problem, MlpClassification):
-        record.train_loss = problem.train_loss(theta)
-        record.test_accuracy = problem.test_accuracy(theta)
-    record.wall_clock = time.perf_counter() - started
-
-    if write_artifacts:
-        record.run_dir = _write_artifacts(record, out_root)
-    return record
+    records = []
+    final_lr = optimizer.effective_lr()
+    for r, (cfg, p, schedule, monitor, star) in enumerate(
+            zip(cfgs, problems, schedules, monitors, stars)):
+        # replica r's column of the batch; a lone run's arrays as they are
+        run_losses = np.ascontiguousarray(losses.reshape(horizon, -1)[:, r])
+        run_theta = theta.reshape(-1, p.dim)[r]
+        regret = None
+        if star is not None:
+            # R(t) by the sequential sums of a per-step ledger; adding 0.0
+            # first turns a -0.0 difference into the ledger's 0.0 + -0.0
+            regret = np.subtract(run_losses, star, out=star)
+            regret[0] += 0.0
+            np.add.accumulate(regret, out=regret)
+        record = RunRecord(
+            config=cfg,
+            run_dir=None,
+            horizon=horizon,
+            losses=run_losses,
+            regret=regret,
+            rate_summary=monitor.rate_summary,
+            report=_make_condition_report(p, schedule, horizon, monitor),
+            final_theta=run_theta,
+            final_effective_lr=final_lr.reshape(-1, p.dim)[r],
+            histogram=monitor.histogram,
+            wall_clock=0.0,
+            grads=monitor.grads,
+            rate_rows=monitor.rate_rows,
+        )
+        if isinstance(p, MlpClassification):
+            record.train_loss = p.train_loss(run_theta)
+            record.test_accuracy = p.test_accuracy(run_theta)
+        records.append(record)
+    wall_clock = (time.perf_counter() - started) / len(cfgs)
+    for record in records:
+        record.wall_clock = wall_clock
+        if write_artifacts:
+            record.run_dir = _write_artifacts(record, out_root)
+    return records
 
 
 def run_directory(cfg: ExperimentConfig, out_root: Optional[str],
                   text: str) -> Path:
     """The run's output directory; ``text`` is ``serialize_config(cfg)``."""
     root = out_root or os.environ.get(OUT_ENV_VAR) or cfg.out_dir
-    stem = cfg.name or f"{cfg.problem.kind}-{cfg.optimizer.kind}"
-    return Path(root) / f"{stem}-{config_hash(cfg, text)}"
+    return Path(root) / f"{run_stem(cfg)}-{config_hash(cfg, text)}"
 
 
 def _write_csv(path: Path, header: Sequence[str], line: str, n_rows: int,

@@ -37,6 +37,19 @@ def rho_from_horizon(horizon: int, target: float = DEFAULT_RHO_TARGET) -> float:
     return target ** (1.0 / horizon)
 
 
+def _power(base, exponent):
+    """base ** exponent, for a float or an (R, 1) column of floats.
+
+    A column is raised entry by entry on Python floats: ``np.power``
+    rounds differently from ``float.__pow__`` in many last bits, and a
+    replica of a batch must get the bits of its run alone.
+    """
+    if isinstance(base, np.ndarray):
+        return np.array([b ** exponent for b in base.ravel().tolist()]
+                        ).reshape(base.shape)
+    return base ** exponent
+
+
 def _check_t(t: int) -> int:
     if t < 1:
         raise HorizonError(f"step index starts at 1, got {t}")
@@ -119,7 +132,7 @@ class TransitionSchedule:
 
     def _rho(self, t: int) -> float:
         if self.rho_kind == "exponential":
-            return self.rho ** t
+            return _power(self.rho, t)
         if self.rho_kind == "constant":
             return self.rho
         return self.rho_sequence[t - 1]
@@ -162,7 +175,7 @@ class TransitionSchedule:
         if self.beta1_kind == "constant":
             return self.beta1
         if self.beta1_kind == "geometric":
-            return self.beta1 * self.beta1_decay ** (t - 1)
+            return self.beta1 * _power(self.beta1_decay, t - 1)
         return self.beta1 / t
 
     def beta1_values(self, horizon: int) -> np.ndarray:
@@ -183,7 +196,9 @@ class TransitionSchedule:
 
         The values equal those of ``beta1_at``, ``beta2_at``, ``rho_at``
         and ``r_at``; a custom rho sequence covers the horizon by
-        construction.
+        construction.  In a schedule stacked for a batch of runs
+        (:func:`transopt.optim.stack_like`), a field that differs between
+        the runs is an (R, 1) column and so is each value derived from it.
         """
         if t > self.horizon:
             raise HorizonError(
@@ -249,6 +264,7 @@ def eval_bounds(
     ||m_s||_inf over s <= t; both are required only by the adadb kind.
     When the peak is exactly zero (no gradient seen yet) the data-driven
     term is defined as 0 and the upper bound falls back to alpha_star.
+    In a batch the peak is an (R, 1) column, one entry per replica.
     """
     t = _check_t(t)
     a = spec.alpha_star
@@ -268,9 +284,14 @@ def eval_bounds(
     # adadb
     if momentum_abs is None or momentum_abs_peak is None:
         raise DomainError("adadb bounds need momentum statistics")
-    if momentum_abs_peak < 0.0:
+    if np.any(momentum_abs_peak < 0.0):
         raise DomainError("momentum peak must be >= 0")
-    if momentum_abs_peak == 0.0:
+    zero = np.equal(momentum_abs_peak, 0.0)
+    if zero.all():
         return a, a
+    if zero.any():
+        # a replica whose peak is 0 has m = 0, so any positive scale
+        # makes its term 0 and its upper bound alpha_star
+        momentum_abs_peak = np.where(zero, 1.0, momentum_abs_peak)
     upper = a + np.abs(momentum_abs) / (momentum_abs_peak * (spec.gamma * t))
     return a, upper

@@ -360,3 +360,108 @@ def test_11_determinism(tmp_path):
             a = (first.run_dir / name).read_bytes()
             b = (second.run_dir / name).read_bytes()
             assert a == b, f"{name} differs for config {index}"
+
+
+#: One problem line per kind, formatted with a replica's seed and box;
+#: shapes small enough that minibatches cross epochs with a partial last
+#: batch.
+BATCH_PROBLEMS = {
+    "reddi": "problem: {{kind: reddi, c: {c}, seed: {seed}}}",
+    "quadratic": "problem: {{kind: quadratic, dim: 3, seed: {seed}, "
+                 "box_halfwidth: {box}}}",
+    "logistic": "problem: {{kind: logistic, n_samples: 30, dim: 3, "
+                "seed: {seed}, box_halfwidth: {box}}}",
+    "mlp": "problem: {{kind: mlp, n_train: 24, n_test: 8, hidden: [4], "
+           "seed: {seed}, box_halfwidth: {box}}}",
+}
+
+#: One optimizer line per kind, formatted with a replica index k; every
+#: replica of a group differs in the fields a batch takes as columns.
+BATCH_OPTIMIZERS = {
+    "sgdm": "{{kind: sgdm, lr: {lr}, momentum: {mom}}}",
+    "adam": "{{kind: adam, alpha: {alpha}, beta1: {b1}, beta2: {b2}}}",
+    "amsgrad": "{{kind: amsgrad, alpha: {alpha}, beta1: {b1}}}",
+    "adabound": "{{kind: adabound, alpha: {alpha}, sqrt_decay: {sqrt}, "
+                "bounds: {{alpha_star: {astar}}}}}",
+    "generic-swats": "{{kind: generic, beta2: {b2}, "
+                     "bounds: {{kind: swats, alpha_star: {astar}}}}}",
+    "generic-adadb": "{{kind: generic, sqrt_decay: {sqrt}, bounds: "
+                     "{{kind: adadb, alpha_star: {astar}, gamma: {gamma}}}}}",
+    "generic-lu": "{{kind: generic, alpha: {alpha}, "
+                  "bounds: {{kind: lu, alpha_star: {astar}}}}}",
+    "dstadam": "{{kind: dstadam, alpha: {alpha}, sqrt_decay: {sqrt}, "
+               "schedule: {{{rho}r_l: {r_l}, r_u: {r_u}}}}}",
+    "dstadam-geometric": "{{kind: dstadam, beta1: {b1}, schedule: "
+                         "{{beta1_kind: geometric, beta1_decay: {decay}}}}}",
+}
+
+
+def _batch_configs():
+    """name -> config text: one group of three replicas per problem and
+    optimizer kind."""
+    out = {}
+    for problem, line in BATCH_PROBLEMS.items():
+        for optimizer, opt in BATCH_OPTIMIZERS.items():
+            for k in range(3):
+                values = dict(
+                    seed=3 + 5 * k, c=3.0 + k, box=2.0 + k, lr=0.05 * (k + 1),
+                    mom=0.5 + 0.2 * k, alpha=0.01 * (k + 1), b1=0.9 - 0.1 * k,
+                    b2=0.999 - 0.1 * k, sqrt=str(k % 2 == 1).lower(),
+                    astar=0.1 / (k + 1), gamma=1.0 + k, r_l=0.005 * (k + 1),
+                    r_u=5.0 - k, rho=["", "rho: 0.9, ", "rho: 0.99, "][k],
+                    decay=0.99 - 0.1 * k)
+                name = f"b-{problem}-{optimizer}-{k}"
+                out[name] = "\n".join([
+                    line.format(**values),
+                    "optimizer: " + opt.format(**values),
+                    "horizon: 13",
+                    "batch_size: 8",
+                    "stride: 2",
+                    f"name: {name}",
+                ]) + "\n"
+    return out
+
+
+def _artifacts(root):
+    """Run-directory name -> {file: contents}, meta.json without its
+    wall clock."""
+    out = {}
+    for run_dir in root.iterdir():
+        files = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        meta = json.loads(files.pop("meta.json"))
+        del meta["wall_clock_seconds"]
+        out[run_dir.name] = dict(files, meta=meta)
+    return out
+
+
+@criterion(11, "replica k of a batch writes its lone run's bytes")
+def test_11_batched_replicas_match_lone_runs(tmp_path):
+    from transopt.cli import main as cli_main
+    from transopt.runner import group_configs
+
+    texts = _batch_configs()
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    for name, text in texts.items():
+        (config_dir / f"{name}.yaml").write_text(text)
+    cfgs = [parse_config(text) for text in texts.values()]
+    groups = group_configs(cfgs)
+    assert len(groups) == len(BATCH_PROBLEMS) * len(BATCH_OPTIMIZERS)
+    assert all(len(group) == 3 for group in groups)
+
+    lone = tmp_path / "lone"
+    for cfg in cfgs:
+        run_experiment(cfg, out_root=str(lone))
+    assert cli_main(["sweep", str(config_dir), "--out",
+                     str(tmp_path / "serial")]) == 0
+    assert cli_main(["sweep", str(config_dir), "--out",
+                     str(tmp_path / "jobs"), "--jobs", "2"]) == 0
+    want = _artifacts(lone)
+    assert len(want) == len(texts)
+    for name, files in want.items():
+        assert set(files) == {*CSV_ARTIFACTS, "config.yaml", "meta"}, name
+    for out in ("serial", "jobs"):
+        got = _artifacts(tmp_path / out)
+        assert sorted(got) == sorted(want), out
+        for run_dir, files in want.items():
+            assert got[run_dir] == files, (out, run_dir)

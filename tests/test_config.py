@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from transopt.config import (config_hash, parse_config, serialize_config,
                              with_overrides)
@@ -140,3 +141,46 @@ class TestOverrides:
         cfg = parse_config(MINIMAL)
         out = with_overrides(cfg, out_dir="elsewhere", stride=10)
         assert out.out_dir == "elsewhere" and out.stride == 10
+
+
+def _workload_texts():
+    """Every config text of the benchmark's four workloads, seeds 0 and 3."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(
+        spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return [pytest.param(run.text, id=f"{run.name}-seed{seed}")
+            for make in workloads.WORKLOADS.values()
+            for seed in (0, 3) for run in make(seed)]
+
+
+def _config_texts():
+    from pathlib import Path
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    return ([pytest.param(p.read_text(), id=p.name)
+             for p in sorted(configs.glob("*.yaml"))] + _workload_texts())
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="pyyaml was built without libyaml")
+class TestLibyaml:
+    """libyaml's loader and dumper, which config uses when present, read
+    and write what the pure-Python classes do."""
+
+    @pytest.mark.parametrize("text", _config_texts())
+    def test_same_dicts_and_bytes(self, text):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader)
+        cfg = parse_config(text)
+        data = yaml.safe_load(serialize_config(cfg))
+        python = yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True,
+                           default_flow_style=False)
+        assert serialize_config(cfg) == python
+        assert yaml.load(python, Loader=yaml.CSafeLoader) == \
+            yaml.load(python, Loader=yaml.SafeLoader)
+        assert parse_config(python) == cfg

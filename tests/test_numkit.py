@@ -56,23 +56,6 @@ class TestNorms:
         assert n.l2 == 7.0 and n.linf == 7.0
 
 
-class TestDot:
-    def test_orthogonal(self):
-        assert numkit.dot(vec(1, 0), vec(0, 1)) == 0.0
-
-    def test_arithmetic(self):
-        assert numkit.dot(vec(1, 2), vec(3, 4)) == 11.0
-
-    def test_self_dot_is_l2_squared(self):
-        a = vec(1.5, -2.0, 0.25)
-        assert numkit.dot(a, a) == pytest.approx(numkit.norms(a).l2 ** 2,
-                                                 rel=1e-12)
-
-    def test_mismatch(self):
-        with pytest.raises(DimensionError):
-            numkit.dot(vec(1, 2), vec(1, 2, 3))
-
-
 class TestProperties:
     @given(finite_vectors)
     def test_norm_sandwich(self, a):

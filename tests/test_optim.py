@@ -6,7 +6,8 @@ import pytest
 from transopt.errors import (DimensionError, DomainError, HorizonError,
                              StateError)
 from transopt.optim import (Adam, Amsgrad, ClippedTransition, DstAdam,
-                            FeasibleBox, MomentumSgd, StepConfig, project_box)
+                            FeasibleBox, MomentumSgd, StepConfig, column,
+                            project_box, stack_like)
 from transopt.schedule import BoundFunctionSpec, TransitionSchedule
 
 
@@ -512,3 +513,93 @@ class TestCheckParity:
         np.testing.assert_array_equal(opt.rate_raw(), twin.rate_raw())
         np.testing.assert_array_equal(opt.step(a, np.array([0.1, 0.2])),
                                       twin.step(b, np.array([0.1, 0.2])))
+
+
+def _replica_steppers(kind, k, dim=3):
+    """Stepper k of a batch: same kind and shape, its own hyperparameters."""
+    box = FeasibleBox.cube(1.0 + 0.5 * k, dim)
+    cfg = StepConfig(alpha=0.01 * (k + 1), sqrt_decay=k % 2 == 1)
+    horizon = 12
+    return {
+        "sgdm": lambda: MomentumSgd(dim, lr=0.1 * (k + 1), momentum=0.5,
+                                    box=box),
+        "adam": lambda: Adam(dim, StepConfig(alpha=0.01 * (k + 1),
+                                             bias_correction=True),
+                             beta1=0.9 - 0.2 * k, beta2=0.99, box=box),
+        "amsgrad": lambda: Amsgrad(dim, StepConfig(bias_correction=True),
+                                   beta2=0.9 + 0.04 * k, box=box),
+        "adabound": lambda: ClippedTransition(
+            dim, BoundFunctionSpec("adabound", alpha_star=0.1 * (k + 1)),
+            cfg, box=box),
+        "adadb": lambda: ClippedTransition(
+            dim, BoundFunctionSpec("adadb", alpha_star=0.05,
+                                   gamma=1.0 + k), cfg, box=box),
+        "lu": lambda: ClippedTransition(
+            dim, BoundFunctionSpec("lu", alpha_star=0.05, horizon=16),
+            cfg, beta1=0.5 + 0.1 * k, box=box),
+        "dstadam": lambda: DstAdam(dim, TransitionSchedule(
+            horizon=horizon, r_l=0.005 * (k + 1), r_u=5.0 - k,
+            rho=[None, 0.9, 0.99][k]), cfg, box=box),
+        "dstadam-geometric": lambda: DstAdam(dim, TransitionSchedule(
+            horizon=horizon, beta1_kind="geometric",
+            beta1_decay=0.99 - 0.2 * k), cfg, box=box),
+    }[kind]()
+
+
+class TestStackedSteppers:
+    """A stepper stacked from R steppers steps row r as stepper r would
+    alone, bit for bit, with differing hyperparameters as columns."""
+
+    @pytest.mark.parametrize("kind", ["sgdm", "adam", "amsgrad", "adabound",
+                                      "adadb", "lu", "dstadam",
+                                      "dstadam-geometric"])
+    def test_rows_step_as_lone_steppers(self, kind):
+        lone = [_replica_steppers(kind, k) for k in range(3)]
+        batch = stack_like([_replica_steppers(kind, k) for k in range(3)])
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(-0.5, 0.5, size=(3, 3))
+        thetas = list(theta)
+        for t in range(1, 13):
+            grad = rng.normal(size=(3, 3))
+            if t == 1 and kind == "adadb":
+                grad[0] = 0.0  # one replica's adadb peak stays 0 a step
+            theta = batch.step(theta, grad)
+            for r, opt in enumerate(lone):
+                thetas[r] = opt.step(thetas[r], grad[r])
+                np.testing.assert_array_equal(theta[r], thetas[r])
+                np.testing.assert_array_equal(batch.rate_raw()[r],
+                                              opt.rate_raw())
+                np.testing.assert_array_equal(batch.effective_lr()[r],
+                                              opt.effective_lr())
+
+    def test_shared_values_stay_floats(self):
+        batch = stack_like([_replica_steppers("dstadam", k)
+                            for k in range(3)])
+        assert batch.state.m.shape == (3, 3)
+        assert isinstance(batch.schedule.beta2, float)
+        assert isinstance(batch.cfg.epsilon, float)
+        assert batch.schedule.r_u.shape == (3, 1)
+        assert batch.cfg.sqrt_decay.tolist() == [[False], [True], [False]]
+
+    def test_column(self):
+        assert column([0.5, 0.5]) == 0.5
+        np.testing.assert_array_equal(column([0.5, 1.0]), [[0.5], [1.0]])
+
+    def test_unlike_steppers_are_rejected(self):
+        with pytest.raises(DomainError, match="cannot batch"):
+            stack_like([Adam(2), Amsgrad(2)])
+        with pytest.raises(DomainError, match="cannot batch"):
+            stack_like([ClippedTransition(
+                2, BoundFunctionSpec(kind, alpha_star=0.1, gamma=1.0))
+                for kind in ("swats", "adadb")])
+
+    def test_errors_name_the_replica(self):
+        batch = stack_like([Adam(3), Adam(3)])
+        grad = np.zeros((2, 3))
+        grad[1, 2] = math.nan
+        with pytest.raises(DomainError) as err:
+            batch.step(np.zeros((2, 3)), grad)
+        assert str(err.value) == "non-finite gradient at step 1, coordinate 2"
+        assert err.value.replica == 1
+        with pytest.raises(DimensionError):
+            batch.step(np.zeros(3), np.zeros(3))

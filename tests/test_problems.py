@@ -12,7 +12,7 @@ from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
                                load_dataset_csv, load_vector_csv,
                                make_logistic, make_mlp_problem,
                                make_quadratic, make_reddi, save_dataset_csv,
-                               two_cluster_dataset)
+                               stack_problems, two_cluster_dataset)
 
 DATA = Path(__file__).parent / "data"
 
@@ -426,11 +426,75 @@ class TestStarLosses:
         prob = make_logistic(50, 3, seed=8, batch_size=16)
         self.assert_per_step(prob, 3 * prob.batches_per_epoch + 1)
 
+    @pytest.mark.parametrize("n, batch", [(96, 32), (100, 32), (200, 7)])
+    def test_logistic_epochs_with_a_partial_last_batch(self, n, batch):
+        prob = make_logistic(n, 3, seed=n + batch, batch_size=batch)
+        per_epoch = prob.batches_per_epoch
+        # ends inside an epoch's full batches, on its partial last batch
+        # (where there is one) and just after an epoch boundary
+        for horizon in (per_epoch + 2, 3 * per_epoch, 2 * per_epoch + 1):
+            self.assert_per_step(prob, horizon)
+
     def test_no_comparator(self):
         prob = make_mlp_problem(seed=3, hidden=(4,), n_train=16, n_test=8,
                                 batch_size=8)
         with pytest.raises(DomainError, match="no comparator"):
             prob.star_losses(2)
+
+
+class TestStackedOracles:
+    """Row r of a stacked oracle equals problem r's lone oracle bit for
+    bit, each replica with its own data and its own epoch order."""
+
+    def assert_rows(self, problems, horizon, theta):
+        stacked = stack_problems(problems)
+        assert stacked.shape == (len(problems), problems[0].dim)
+        for t in range(1, horizon + 1):
+            loss, grad = stacked.loss_and_grad(t, theta)
+            assert loss.shape == (len(problems),)
+            for r, prob in enumerate(problems):
+                want_loss, want_grad = prob.loss_and_grad(t, theta[r])
+                assert loss[r] == want_loss, (t, r)
+                np.testing.assert_array_equal(grad[r], want_grad)
+
+    def thetas(self, problems, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, size=(len(problems), problems[0].dim))
+
+    def test_one_problem_is_itself(self):
+        prob = make_quadratic(3, 5, seed=1)
+        assert stack_problems([prob]) is prob
+
+    def test_quadratic(self):
+        problems = [make_quadratic(4, 9, seed=s, box_halfwidth=1.0 + s)
+                    for s in range(3)]
+        self.assert_rows(problems, 9, self.thetas(problems))
+
+    def test_reddi_slopes_differ(self):
+        problems = [make_reddi(c) for c in (3.0, 2.5, 4.0)]
+        self.assert_rows(problems, 7, self.thetas(problems))
+
+    def test_logistic_across_epochs_with_a_partial_batch(self):
+        problems = [make_logistic(30, 3, seed=s, batch_size=8)
+                    for s in (2, 5)]
+        self.assert_rows(problems, 3 * problems[0].batches_per_epoch + 1,
+                         self.thetas(problems))
+
+    def test_mlp_across_epochs(self):
+        problems = [make_mlp_problem(seed=s, hidden=(5, 4), n_train=40,
+                                     n_test=8, batch_size=16)
+                    for s in (1, 2, 7)]
+        theta = np.stack([p.initial_point(s)
+                          for s, p in zip((1, 2, 7), problems)])
+        self.assert_rows(problems, 2 * problems[0].batches_per_epoch + 1,
+                         theta)
+
+    def test_unlike_problems_are_rejected(self):
+        with pytest.raises(DomainError, match="cannot batch"):
+            stack_problems([make_quadratic(3, 5, seed=1), make_reddi(3.0)])
+        with pytest.raises(ValueError):
+            stack_problems([make_quadratic(3, 5, seed=1),
+                            make_quadratic(4, 5, seed=1)])
 
 
 class TestDatasetCsv:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,3 +690,143 @@ repeats: 3
         seeds = {json.loads((d / "meta.json").read_text())["seed"]
                  for d in run_dirs}
         assert seeds == {3, 4, 5}
+
+
+class TestOverflowedSecondMoment:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_zero_rate_at_an_unsampled_step_raises(self, monkeypatch):
+        # g = 1e308 at step 5 overflows v to inf for good: from then on
+        # the rate of every coordinate is 0, while stride 10 samples only
+        # steps 1 and 8
+        class OverflowAtStep(QuadraticTracking):
+            def loss_and_grad(self, t, theta):
+                loss, g = super().loss_and_grad(t, theta)
+                return loss, (np.full_like(g, 1e308) if t == 5 else g)
+
+        def build_overflow_problem(cfg):
+            p = build_problem(cfg)
+            return OverflowAtStep(p.centers, p.box)
+
+        monkeypatch.setattr(runner, "build_problem", build_overflow_problem)
+        cfg = quadratic_cfg("adam", horizon=8, extra="  beta2: 0.999\n")
+        cfg = config_module.with_overrides(cfg, stride=10)
+        with pytest.raises(DomainError,
+                           match=r"raw rate 0\.0 at step 5, coordinate 0"):
+            run_experiment(cfg, write_artifacts=False)
+
+
+def _batch_cfg(name, seed=7, lr=0.1, kind="sgdm"):
+    return parse_config(f"""
+problem: {{kind: quadratic, dim: 3, seed: {seed}}}
+optimizer: {{kind: {kind}, lr: {lr}}}
+horizon: 20
+name: {name}
+""")
+
+
+class TestBatches:
+    def test_like_configs_share_a_batch_key(self):
+        cfgs = [_batch_cfg("a"), _batch_cfg("b", seed=9, lr=0.2),
+                _batch_cfg("c", kind="adam"),
+                config_module.with_overrides(_batch_cfg("d"), stride=2),
+                _batch_cfg("e", seed=1)]
+        assert runner.group_configs(cfgs) == [[0, 1, 4], [2], [3]]
+
+    def test_batch_records_equal_lone_records(self):
+        cfgs = [_batch_cfg("a"), _batch_cfg("b", seed=9, lr=0.2)]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            want = run_experiment(cfg, write_artifacts=False,
+                                  keep_trajectory=True)
+            assert got.config == cfg
+            for name in ("losses", "regret", "rate_summary", "final_theta",
+                         "final_effective_lr", "grads", "rate_rows"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+            assert got.report == want.report
+
+    def test_unlike_configs_are_not_a_batch(self):
+        with pytest.raises(ConfigError, match="batch key"):
+            runner.run_batch([_batch_cfg("a"), _batch_cfg("c", kind="adam")])
+
+    def test_a_replica_error_names_its_config(self, monkeypatch):
+        step = QuadraticTracking.loss_and_grad
+
+        def nan_in_replica_1(self, t, theta):
+            loss, g = step(self, t, theta)
+            if t == 6 and g.ndim == 2:
+                g[1, 2] = math.nan
+            return loss, g
+
+        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
+                            nan_in_replica_1)
+        cfgs = [_batch_cfg("first"), _batch_cfg("second", seed=9),
+                _batch_cfg("third", seed=11)]
+        with pytest.raises(DomainError) as err:
+            runner.run_batch(cfgs, write_artifacts=False)
+        assert str(err.value) == \
+            "second: non-finite gradient at step 6, coordinate 2"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_replica_zero_rate_names_its_config(self, monkeypatch):
+        step = QuadraticTracking.loss_and_grad
+
+        def overflow_in_replica_2(self, t, theta):
+            loss, g = step(self, t, theta)
+            if t == 3 and g.ndim == 2:
+                g[2, 1] = 1e308
+            return loss, g
+
+        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
+                            overflow_in_replica_2)
+        cfgs = [parse_config(f"""
+problem: {{kind: quadratic, dim: 3, seed: {seed}}}
+optimizer: {{kind: adam}}
+horizon: 20
+stride: 10
+name: run{seed}
+""") for seed in (1, 2, 3)]
+        with pytest.raises(DomainError,
+                           match=r"^run3: raw rate 0\.0 at step 3, "
+                                 r"coordinate 1"):
+            runner.run_batch(cfgs, write_artifacts=False)
+
+    # with 4 workers the two batches are split among them
+    @pytest.mark.parametrize("jobs", ["1", "2", "4"])
+    def test_sweep_prints_one_line_per_run_in_config_order(
+            self, tmp_path, capsys, jobs):
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        # the two sgdm configs batch together around the adam one
+        for name, kind, seed in (("a", "sgdm", 3), ("b", "adam", 3),
+                                 ("c", "sgdm", 4), ("d", "adam", 5)):
+            (sweep_dir / f"{name}.yaml").write_text(
+                f"problem: {{kind: quadratic, dim: 2, seed: {seed}}}\n"
+                f"optimizer: {{kind: {kind}}}\nhorizon: 30\nname: {name}\n")
+        out_root = tmp_path / "runs"
+        assert cli_main(["sweep", str(sweep_dir), "--out", str(out_root),
+                         "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [Path(line.split()[0]).name[0] for line in lines] == \
+            ["a", "b", "c", "d"]
+        for line in lines:
+            meta = json.loads(
+                (Path(line.split()[0]) / "meta.json").read_text())
+            assert f"loss={meta['final_loss']:.6g}" in line
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_replicas_may_share_a_seed(self, kind):
+        problem = {"logistic": "{kind: logistic, n_samples: 30, dim: 3, "
+                               "seed: 4}",
+                   "mlp": "{kind: mlp, n_train: 24, n_test: 8, "
+                          "hidden: [4], seed: 4}"}[kind]
+        cfgs = [parse_config(f"problem: {problem}\noptimizer: "
+                             f"{{kind: adam, alpha: {alpha}}}\n"
+                             "horizon: 9\nbatch_size: 8\n")
+                for alpha in (0.01, 0.02)]
+        for cfg, got in zip(cfgs, runner.run_batch(cfgs,
+                                                   write_artifacts=False)):
+            want = run_experiment(cfg, write_artifacts=False)
+            np.testing.assert_array_equal(got.losses, want.losses)
+            np.testing.assert_array_equal(got.final_theta, want.final_theta)
