@@ -3,8 +3,10 @@
 Subcommands:
   run CONFIG                 execute one experiment config
   sweep CONFIG_DIR           run every *.yaml config in a directory;
-                             configs that share a batch key (same kinds,
-                             shapes, horizon and stride) run as one batch
+                             configs that share a loop key (same problem
+                             kind, shapes, horizon and stride, and an
+                             adaptive optimizer of any kind, or SGDM
+                             with SGDM) run as one batch
   compare RUN_DIR...         tabulate final metrics of finished runs
   check-conditions RUN_DIR   print the recorded condition report, with the
                              first C2 violation and the max of 1/eta_hat
@@ -27,7 +29,7 @@ from pathlib import Path
 from .config import load_config, with_overrides
 from .errors import ComparisonError, ConfigError
 from .runner import (compare_csv, compare_run_dirs, group_configs,
-                     read_conditions, run_batch, run_experiment)
+                     loop_key, read_conditions, run_batch, run_experiment)
 
 
 def _summary(record) -> str:
@@ -60,7 +62,7 @@ def _expand_repeats(cfg):
 def _execute(jobs, cfgs, out_root):
     """Run cfgs in batches, printing one summary line per config in
     config order as soon as the lines before it are printed."""
-    groups = group_configs(cfgs)
+    groups = group_configs(cfgs, loop_key)
     if jobs > len(groups):
         # more workers than batches: split the batches among them
         parts = math.ceil(jobs / len(groups))

@@ -23,7 +23,12 @@ A stepper steps one (d,) iterate, or the (R, d) iterates of R replicas
 at once: :func:`stack_like` merges R steppers built alike into one whose
 hyperparameters are (R, 1) columns where the replicas differ and plain
 floats where they agree, so every update below broadcasts row by row
-and gives each replica the bits it would get alone.
+and gives each replica the bits it would get alone.  :func:`stack_kinds`
+goes one step further for the adaptive steppers: groups of different
+kinds (say Adam, AMSGrad and DstAdam on one problem) share one skeleton
+step over all their rows, alpha, epsilon, the bias correction and
+sqrt_decay become columns where the groups differ, and each group's
+hooks run on its own rows.
 """
 
 from __future__ import annotations
@@ -77,6 +82,38 @@ def stack_like(objs: Sequence):
     if any(o != first for o in objs):
         raise DomainError(f"cannot batch differing values {objs!r}")
     return first
+
+
+def stack_kinds(groups: Sequence[Sequence["_Stepper"]]) -> "_Stepper":
+    """One stepper for the rows of several kind groups, group after group.
+
+    Each group holds steppers of one kind built alike, merged by
+    :func:`stack_like`, or a lone stepper, kept as it is; so a single
+    group steps exactly as it would without this function.  Groups of
+    different adaptive kinds become one :class:`_KindBatch`.  The
+    steppers must not have stepped yet.
+    """
+    parts = [g[0] if len(g) == 1 else stack_like(g) for g in groups]
+    if len(parts) == 1:
+        return parts[0]
+    return _KindBatch(parts, [o for g in groups for o in g])
+
+
+def _holds(flag) -> bool:
+    """A bool, or whether any entry of an (R, 1) bool column holds."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
+def _divide_where(x: np.ndarray, flag, divisor):
+    """x / divisor where flag holds, else x.
+
+    ``flag`` is a bool, or an (R, 1) bool column in a batch whose rows
+    differ in it; the other rows are divided by 1.0, which leaves their
+    bits as they are.
+    """
+    if isinstance(flag, np.ndarray):
+        return x / np.where(flag, divisor, 1.0)
+    return x / divisor if flag else x
 
 
 def _raise_first(bad: np.ndarray, message: str) -> None:
@@ -353,25 +390,18 @@ class _AdaptiveStepper(_Stepper):
         beta1_prod = s.beta1_prod * b1
         beta2_prod = s.beta2_prod * b2
         v = self._second_moment(v)
-        if cfg.bias_correction:
-            m = m / (1.0 - beta1_prod)
-            v = v / (1.0 - beta2_prod)
+        bias_correction = cfg.bias_correction
+        if isinstance(bias_correction, np.ndarray) or bias_correction:
+            m = _divide_where(m, bias_correction, 1.0 - beta1_prod)
+            v = _divide_where(v, bias_correction, 1.0 - beta2_prod)
         rate = np.sqrt(v)
         rate += cfg.epsilon
         # sqrt(v) >= 0, so only epsilon == 0 can leave a zero denominator
-        if cfg.epsilon == 0.0 and (rate == 0.0).any():
-            raise DomainError(
-                "zero second moment with epsilon=0; supply a positive epsilon"
-            )
+        if _holds(cfg.epsilon == 0.0) and (rate == 0.0).any():
+            _raise_first(rate == 0.0, "zero second moment with epsilon=0; "
+                                      "supply a positive epsilon")
         rate = self._rate(t, np.divide(cfg.alpha, rate, out=rate))
-        # a batch whose replicas differ in sqrt_decay holds a bool column;
-        # dividing by 1.0 leaves a rate's bits as they are
-        if isinstance(cfg.sqrt_decay, np.ndarray):
-            eta = rate / np.where(cfg.sqrt_decay, math.sqrt(t), 1.0)
-        elif cfg.sqrt_decay:
-            eta = rate / math.sqrt(t)
-        else:
-            eta = rate
+        eta = _divide_where(rate, cfg.sqrt_decay, math.sqrt(t))
         theta = self._project(theta - eta * m, eta)
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
         s.last_rate_raw, s.last_effective_lr = rate, eta
@@ -473,9 +503,77 @@ class DstAdam(_AdaptiveStepper):
         rho_t, r_t = self._blend
         rate *= rho_t
         rate += (1.0 - rho_t) * r_t
-        # fmin skips NaN, as the elementwise test did
+        # Only rho_t = 1 with an adaptive rate of 0 (an overflowed second
+        # moment) reaches 0; fmin skips NaN, as the elementwise test did
         if np.fmin.reduce(rate, None) <= 0.0:
-            raise AssertionError(
-                "eta_hat must stay positive under a valid schedule"
-            )
+            _raise_first(rate <= 0.0, f"eta_hat not positive at step {t}, "
+                                      "coordinate {i}")
+        return rate
+
+
+class _KindBatch(_AdaptiveStepper):
+    """Adaptive steppers of several kinds stepping one (R, d) batch.
+
+    ``parts`` are the kind groups' steppers (see :func:`stack_kinds`) and
+    ``steppers`` the R lone steppers they were built from, in row order.
+    The skeleton step runs once over all rows with the rows' alpha,
+    epsilon, bias correction and sqrt_decay as columns where they
+    differ.  Each part keeps its own rows' moments as views of the
+    batch's and runs its hooks on them; their betas become (R, 1)
+    columns.  Row r gets the bits its stepper would get alone.
+    """
+
+    def __init__(self, parts: Sequence[_AdaptiveStepper],
+                 steppers: Sequence[_AdaptiveStepper]):
+        if not all(isinstance(p, _AdaptiveStepper) for p in parts):
+            raise DomainError("only adaptive steppers of different kinds "
+                              "can share a batch")
+        dim = steppers[0].state.dim
+        super().__init__(dim, stack_like([o.cfg for o in steppers]),
+                         stack_like([o.box for o in steppers]))
+        s = self.state
+        s.m = np.zeros((len(steppers), dim))
+        s.v = np.zeros((len(steppers), dim))
+        self._b1, self._b2 = np.empty((2, len(steppers), 1))
+        self._parts = []
+        lo = 0
+        for part in parts:
+            hi = lo + part.state.m.size // dim
+            part.state.m, part.state.v = s.m[lo:hi], s.v[lo:hi]
+            if part.state.v_max is not None:
+                part.state.v_max = part.state.v_max.reshape(hi - lo, dim)
+            self._parts.append((lo, hi, part))
+            lo = hi
+        # the parts whose hooks do more than the skeleton's defaults
+        self._rules = [(lo, hi, part) for lo, hi, part in self._parts
+                       if type(part)._rate is not _AdaptiveStepper._rate]
+        self._v_hat = None
+        if any(type(part)._second_moment
+               is not _AdaptiveStepper._second_moment for part in parts):
+            self._v_hat = np.empty_like(s.v)
+
+    def _betas(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        b1, b2 = self._b1, self._b2
+        for lo, hi, part in self._parts:
+            b1[lo:hi], b2[lo:hi] = part._betas(t)
+        return b1, b2
+
+    def _second_moment(self, v: np.ndarray) -> np.ndarray:
+        if self._v_hat is None:
+            return v
+        for lo, hi, part in self._parts:
+            self._v_hat[lo:hi] = part._second_moment(v[lo:hi])
+        return self._v_hat
+
+    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
+        for lo, hi, part in self._rules:
+            rows = rate[lo:hi]
+            try:
+                out = part._rate(t, rows)
+            except DomainError as exc:
+                if exc.replica is not None:
+                    exc.replica += lo
+                raise
+            if out is not rows:
+                rows[...] = out
         return rate

@@ -10,8 +10,12 @@ Configs with the same :func:`batch_key` differ only in values, not in
 array shapes or code path, so ``run_batch`` steps them together: R
 replicas share one loop over (R, d) iterates, each replica's varying
 hyperparameters an (R, 1) column (see :func:`transopt.optim.stack_like`
-and :func:`transopt.problems.stack_problems`).  Replica r writes the
-bytes its config writes alone; ``run_experiment`` is the case R = 1,
+and :func:`transopt.problems.stack_problems`).  Configs with the same
+:func:`loop_key` may also differ in their adaptive optimizer (Adam,
+AMSGrad, the clipped family, DstAdam): each kind group is stacked on its
+own and the groups share the loop and the skeleton step, each with its
+own rate rule (:func:`transopt.optim.stack_kinds`).  Replica r writes
+the bytes its config writes alone; ``run_experiment`` is the case R = 1,
 where every array is (d,).
 
 The step loop only copies each step's gradients, rates and iterates into
@@ -24,6 +28,7 @@ the loop.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -35,14 +40,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash, serialize_config
+from .config import (ExperimentConfig, OptimizerSpec, config_hash,
+                     serialize_config)
 from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
-                          row_blocks, sampled_steps, step_buffers)
+                          sampled_steps, step_buffers)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
 from .optim import (Adam, Amsgrad, ClippedTransition, DstAdam, FeasibleBox,
-                    MomentumSgd, StepConfig, stack_like)
+                    MomentumSgd, StepConfig, stack_kinds)
 from .problems import (MlpClassification, OnlineProblem, make_logistic,
                        make_mlp_problem, make_quadratic, make_reddi,
                        stack_problems)
@@ -214,7 +220,8 @@ def _make_condition_report(problem: OnlineProblem,
 
 
 def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Configs with equal keys can run as one batch (:func:`run_batch`).
+    """Configs with equal keys stack as one kind group of a batch
+    (:func:`run_batch`, :func:`transopt.optim.stack_like`).
 
     The key is the config with the fields a batch may vary cleared: the
     seed, the box, the reddi slope, alpha, the betas, sqrt_decay, the
@@ -243,12 +250,25 @@ def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
                 None if bound_kind == "adadb" else b.gamma))))
 
 
-def group_configs(cfgs: Sequence[ExperimentConfig]) -> List[List[int]]:
-    """Indices of cfgs grouped by :func:`batch_key`, in order of first
-    appearance."""
+def loop_key(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Configs with equal keys can share one step loop (:func:`run_batch`).
+
+    The key is :func:`batch_key` with the optimizer cleared for the
+    adaptive kinds, which share the skeleton step and differ only in
+    their hooks and columns; SGDM keeps its own key.
+    """
+    key = batch_key(cfg)
+    if cfg.optimizer.kind == "sgdm":
+        return key
+    return replace(key, optimizer=OptimizerSpec())
+
+
+def group_configs(cfgs: Sequence[ExperimentConfig],
+                  key=batch_key) -> List[List[int]]:
+    """Indices of cfgs grouped by ``key``, in order of first appearance."""
     groups: Dict[ExperimentConfig, List[int]] = {}
     for index, cfg in enumerate(cfgs):
-        groups.setdefault(batch_key(cfg), []).append(index)
+        groups.setdefault(key(cfg), []).append(index)
     return list(groups.values())
 
 
@@ -280,10 +300,12 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
               out_root: Optional[str] = None,
               write_artifacts: bool = True, *,
               keep_trajectory: bool = False) -> List[RunRecord]:
-    """Execute configs that share a :func:`batch_key` as one step loop.
+    """Execute configs that share a :func:`loop_key` as one step loop.
 
-    Returns one record per config, in order, each equal to the config's
-    lone run but for the wall clock: the batch's time is shared equally.
+    The rows of the loop are ordered by :func:`batch_key` group, so each
+    optimizer kind holds a contiguous slice of them.  Returns one record
+    per config, in the order given, each equal to the config's lone run
+    but for the wall clock: the batch's time is shared equally.
     The monitors stream, so a run holds O(d) state plus the per-step
     losses and regret and one histogram and rate-summary row per sampled
     step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
@@ -291,8 +313,12 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     A DomainError raised by a step names the config it belongs to.
     """
     started = time.perf_counter()
-    if len({batch_key(cfg) for cfg in cfgs}) != 1:
-        raise ConfigError("a batch needs configs that share a batch key")
+    if len({loop_key(cfg) for cfg in cfgs}) != 1:
+        raise ConfigError("a batch needs configs whose batch keys differ "
+                          "at most in an adaptive optimizer")
+    kinds = group_configs(cfgs)
+    order = [index for group in kinds for index in group]
+    cfgs = [cfgs[index] for index in order]
     problems = [build_problem(cfg) for cfg in cfgs]
     horizon = resolve_horizon(cfgs[0], problems[0].n_train)
     optimizers = [build_optimizer(cfg, p.dim, horizon, p.box)
@@ -301,7 +327,8 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                  for o in optimizers]
     # one replica steps the lone problem and stepper over (d,) arrays
     problem = stack_problems(problems)
-    optimizer = optimizers[0] if len(cfgs) == 1 else stack_like(optimizers)
+    built = iter(optimizers)
+    optimizer = stack_kinds([[next(built) for _ in group] for group in kinds])
 
     theta = np.stack([p.initial_point(cfg.problem.seed)
                       for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
@@ -389,7 +416,11 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         record.wall_clock = wall_clock
         if write_artifacts:
             record.run_dir = _write_artifacts(record, out_root)
-    return records
+    # back to the order the configs came in
+    in_order = [None] * len(records)
+    for index, record in zip(order, records):
+        in_order[index] = record
+    return in_order
 
 
 def run_directory(cfg: ExperimentConfig, out_root: Optional[str],
@@ -399,20 +430,62 @@ def run_directory(cfg: ExperimentConfig, out_root: Optional[str],
     return Path(root) / f"{run_stem(cfg)}-{config_hash(cfg, text)}"
 
 
-def _write_csv(path: Path, header: Sequence[str], line: str, n_rows: int,
-               width: int, columns) -> None:
-    """Write a header, then n_rows rows streamed in blocks.
+#: Rows of the per-step CSVs formatted at once.  Each distinct value of a
+#: block is formatted once (a 30k-step cycle run's losses hold 46
+#: distinct ones); at 2048 rows the writer's own peak stayed near 1 MB.
+WRITE_ROWS = 2048
 
-    ``columns(lo, hi)`` returns the columns of rows lo..hi-1 as 1-D
-    arrays, and ``width`` is the element count of one row of the arrays
-    it reads.  ``line`` %-formats one row and ends in the csv module's
-    CRLF terminator.
-    """
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(header)
-        for lo, hi in row_blocks(n_rows, width):
-            cells = np.column_stack(columns(lo, hi)).ravel().tolist()
-            f.write(line * (hi - lo) % tuple(cells))
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each float, as an object array; each distinct
+    bit pattern is formatted once, so -0.0 and 0.0 keep their own text."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % x for x in bits.view(np.float64).tolist()],
+                    dtype=object)[index]
+
+
+def _csv_lines(columns: Sequence[np.ndarray]) -> str:
+    """CSV lines of equally long text columns, each ending in the csv
+    module's CRLF terminator."""
+    line = ",".join(["%s"] * len(columns)) + "\r\n"
+    cells = np.column_stack(columns).ravel().tolist()
+    return line * len(columns[0]) % tuple(cells)
+
+
+def _write_step_csvs(record: RunRecord, run_dir: Path) -> None:
+    """loss.csv, regret.csv and record.csv, one sampled step a row,
+    written together a block of rows at a time so that each block's
+    columns are formatted once for every file that holds them."""
+    ts = sampled_steps(record.horizon, record.config.stride)
+    regret = record.regret
+    headers = {"loss.csv": ["t", "loss"],
+               "regret.csv": ["t", "regret", "avg_regret",
+                              "regret_over_sqrt_t"],
+               "record.csv": ["t", "loss", "regret", "lr_min", "lr_median",
+                              "lr_max"]}
+    with contextlib.ExitStack() as stack:
+        loss_csv, regret_csv, record_csv = files = [
+            stack.enter_context(open(run_dir / name, "w", newline=""))
+            for name in headers]
+        for f, header in zip(files, headers.values()):
+            csv.writer(f).writerow(header)
+        for lo in range(0, len(ts), WRITE_ROWS):
+            t = ts[lo:lo + WRITE_ROWS]
+            t_text = np.array([str(x) for x in t.tolist()], dtype=object)
+            loss = _texts(record.losses[t - 1])
+            loss_csv.write(_csv_lines([t_text, loss]))
+            if regret is None:
+                regret_text = np.full(len(t), "", dtype=object)
+            else:
+                r = regret[t - 1]
+                regret_text = _texts(r)
+                t_float = t.astype(np.float64)
+                regret_csv.write(_csv_lines(
+                    [t_text, regret_text, _texts(r / t_float),
+                     _texts(r / np.sqrt(t_float))]))
+            summary = record.rate_summary[lo:lo + WRITE_ROWS]
+            record_csv.write(_csv_lines([t_text, loss, regret_text,
+                                         *(_texts(c) for c in summary.T)]))
 
 
 def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
@@ -422,41 +495,9 @@ def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     (run_dir / "config.yaml").write_text(text)
-
-    ts = sampled_steps(record.horizon, cfg.stride)
-    n = len(ts)
-    regret = record.regret
-
-    def loss_columns(lo, hi):
-        return ts[lo:hi], record.losses[ts[lo:hi] - 1]
-
-    def regret_columns(lo, hi):
-        t = ts[lo:hi].astype(np.float64)
-        r = regret[ts[lo:hi] - 1]
-        return t, r, r / t, r / np.sqrt(t)
-
-    def record_columns(lo, hi):
-        cols = [ts[lo:hi], record.losses[ts[lo:hi] - 1]]
-        if regret is not None:
-            cols.append(regret[ts[lo:hi] - 1])
-        return cols + list(record.rate_summary[lo:hi].T)
-
-    _write_csv(run_dir / "loss.csv", ["t", "loss"], "%d,%.17g\r\n", n, 2,
-               loss_columns)
-    _write_csv(run_dir / "regret.csv",
-               ["t", "regret", "avg_regret", "regret_over_sqrt_t"],
-               "%d,%.17g,%.17g,%.17g\r\n", n if regret is not None else 0,
-               4, regret_columns)
-
+    _write_step_csvs(record, run_dir)
     record.histogram.to_csv(run_dir / "lr_hist.csv")
     record.report.to_csv(run_dir / "conditions.csv")
-
-    regret_cell = "%.17g" if regret is not None else ""
-    _write_csv(run_dir / "record.csv",
-               ["t", "loss", "regret", "lr_min", "lr_median", "lr_max"],
-               f"%d,%.17g,{regret_cell},%.17g,%.17g,%.17g\r\n", n, 6,
-               record_columns)
-
     (run_dir / "meta.json").write_text(
         json.dumps(run_summary(record), indent=2) + "\n")
     return run_dir

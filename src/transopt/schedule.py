@@ -276,9 +276,10 @@ def eval_bounds(
         upper = a * (1.0 + 1.0 / (one_minus * t))
         return lower, upper
     if spec.kind == "lu":
-        # factor the scale out so upper is exactly alpha_star at t == T
+        # factor the scale out so upper is exactly alpha_star at t == T;
+        # lower is set to it there, as a * T / T can round one ulp above
         scale = 1.0 / (1.0 - spec.beta2)
-        lower = a * t / spec.horizon
+        lower = a if t == spec.horizon else a * t / spec.horizon
         upper = a + scale * (1.0 / t - 1.0 / spec.horizon)
         return lower, upper
     # adadb

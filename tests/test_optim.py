@@ -7,7 +7,7 @@ from transopt.errors import (DimensionError, DomainError, HorizonError,
                              StateError)
 from transopt.optim import (Adam, Amsgrad, ClippedTransition, DstAdam,
                             FeasibleBox, MomentumSgd, StepConfig, column,
-                            project_box, stack_like)
+                            project_box, stack_kinds, stack_like)
 from transopt.schedule import BoundFunctionSpec, TransitionSchedule
 
 
@@ -603,3 +603,74 @@ class TestStackedSteppers:
         assert err.value.replica == 1
         with pytest.raises(DimensionError):
             batch.step(np.zeros(3), np.zeros(3))
+
+
+def _kind_groups():
+    """Kind groups of a mixed batch: rows differ in alpha, epsilon, the
+    bias correction, sqrt_decay and the box, and in each rule's own
+    hyperparameters."""
+    return [[_replica_steppers("adam", k) for k in range(2)],
+            [_replica_steppers("amsgrad", 0)],
+            [_replica_steppers("adadb", k) for k in range(2)],
+            [_replica_steppers("lu", 1)],
+            [Adam(3, StepConfig(epsilon=1e-3), box=FeasibleBox.cube(3.0, 3))],
+            [_replica_steppers("dstadam", k) for k in range(3)],
+            [_replica_steppers("dstadam-geometric", 1)]]
+
+
+class TestKindBatches:
+    """stack_kinds: groups of different adaptive kinds share the skeleton
+    step, and row r steps as its stepper would alone, bit for bit."""
+
+    def test_rows_step_as_lone_steppers(self):
+        lone = [opt for group in _kind_groups() for opt in group]
+        batch = stack_kinds(_kind_groups())
+        assert batch.state.m.shape == (11, 3)
+        assert batch.cfg.bias_correction.ravel().tolist() == \
+            [True] * 3 + [False] * 8
+        rng = np.random.default_rng(9)
+        theta = rng.uniform(-0.5, 0.5, size=(11, 3))
+        thetas = list(theta)
+        for t in range(1, 13):
+            grad = rng.normal(size=(11, 3))
+            if t == 1:
+                grad[3] = 0.0  # one adadb replica's peak stays 0 a step
+            theta = batch.step(theta, grad)
+            for r, opt in enumerate(lone):
+                thetas[r] = opt.step(thetas[r], grad[r])
+                assert theta[r].tobytes() == thetas[r].tobytes(), (t, r)
+                assert batch.rate_raw()[r].tobytes() == \
+                    opt.rate_raw().tobytes(), (t, r)
+                assert batch.effective_lr()[r].tobytes() == \
+                    opt.effective_lr().tobytes(), (t, r)
+
+    def test_one_group_steps_as_it_does_alone(self):
+        opt = Adam(3)
+        assert stack_kinds([[opt]]) is opt
+        assert type(stack_kinds([[Adam(3), Adam(3)]])) is Adam
+
+    def test_sgdm_does_not_join_a_kind_batch(self):
+        with pytest.raises(DomainError, match="only adaptive"):
+            stack_kinds([[MomentumSgd(2)], [Adam(2)]])
+
+    def test_errors_name_the_row(self):
+        batch = stack_kinds([[Adam(2)], [DstAdam(
+            2, TransitionSchedule(horizon=10), StepConfig(epsilon=0.0))]])
+        with pytest.raises(DomainError) as err:
+            batch.step(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert str(err.value) == \
+            "zero second moment with epsilon=0; supply a positive epsilon"
+        assert err.value.replica == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_zero_dstadam_rate_names_step_and_coordinate():
+    # rho_t = 1 leaves the adaptive rate alone, and an overflowed second
+    # moment makes it 0
+    opt = DstAdam(2, TransitionSchedule(horizon=4, rho_kind="custom",
+                                        rho_sequence=[1.0] * 4))
+    theta = opt.step(np.zeros(2), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError) as err:
+        opt.step(theta, np.array([0.5, 1e308]))
+    assert str(err.value) == "eta_hat not positive at step 2, coordinate 1"
+    assert err.value.replica is None

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -830,3 +831,150 @@ name: run{seed}
             want = run_experiment(cfg, write_artifacts=False)
             np.testing.assert_array_equal(got.losses, want.losses)
             np.testing.assert_array_equal(got.final_theta, want.final_theta)
+
+
+#: The criterion-05 trio on the Reddi cycle, shortened; Adam de-biases its
+#: moments and DstAdam does not, so the batch holds columns of both.
+CYCLE_TRIO = {
+    "adam": "{kind: adam, beta1: 0.0, beta2: 0.1}",
+    "amsgrad": "{kind: amsgrad, beta1: 0.0, beta2: 0.1}",
+    "dstadam": "{kind: dstadam}",
+}
+
+
+def _mixed_cfg(name, kind, seed=3, extra=""):
+    return parse_config(f"problem: {{kind: quadratic, dim: 3, seed: {seed}}}\n"
+                        f"optimizer: {{kind: {kind}{extra}}}\n"
+                        f"horizon: 20\nname: {name}\n")
+
+
+def _assert_records_equal(got, want):
+    """Every field of two records but the wall clock and the run
+    directory, bit for bit."""
+    for field in dataclasses.fields(want):
+        if field.name in ("wall_clock", "run_dir"):
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                field.name
+        elif isinstance(b, LrHistogram):
+            assert [(t, c.tolist(), u, o) for t, c, u, o in a.rows] == \
+                [(t, c.tolist(), u, o) for t, c, u, o in b.rows]
+        else:
+            assert a == b, field.name
+
+
+class TestMixedBatches:
+    """Runs of different adaptive kinds on one problem share a loop."""
+
+    def test_cycle_trio_records_equal_lone_records(self):
+        cfgs = [parse_config("problem: {kind: reddi, c: 3.0, seed: 7}\n"
+                             f"optimizer: {opt}\nhorizon: 3000\nstride: 1\n"
+                             f"name: cycle-{kind}\n")
+                for kind, opt in CYCLE_TRIO.items()]
+        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2]]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            _assert_records_equal(got, run_experiment(
+                cfg, write_artifacts=False, keep_trajectory=True))
+
+    def test_adaptive_mlp_records_equal_lone_records(self):
+        root = Path(__file__).resolve().parent.parent / "configs"
+        cfgs = [config_module.load_config(root / f"mlp_{kind}.yaml")
+                for kind in ("adabound", "adam", "dstadam", "sgdm")]
+        # SGDM never shares a loop with an adaptive optimizer
+        assert runner.group_configs(cfgs, runner.loop_key) == \
+            [[0, 1, 2], [3]]
+        batch = runner.run_batch(cfgs[:3], write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            _assert_records_equal(got, run_experiment(
+                cfg, write_artifacts=False, keep_trajectory=True))
+
+    def test_sgdm_keeps_its_own_loop(self):
+        cfgs = [_batch_cfg("a"), _batch_cfg("b", kind="adam"),
+                _batch_cfg("c", kind="dstadam"), _batch_cfg("d", seed=9)]
+        assert runner.group_configs(cfgs, runner.loop_key) == \
+            [[0, 3], [1, 2]]
+        with pytest.raises(ConfigError, match="batch keys"):
+            runner.run_batch(cfgs[:3])
+
+    def test_a_nan_gradient_names_its_config(self, monkeypatch):
+        step = QuadraticTracking.loss_and_grad
+
+        def nan_in_row_1(self, t, theta):
+            loss, g = step(self, t, theta)
+            if t == 6 and g.ndim == 2:
+                g[1, 2] = math.nan
+            return loss, g
+
+        monkeypatch.setattr(QuadraticTracking, "loss_and_grad", nan_in_row_1)
+        # the rows are ordered by kind: a, c, then b
+        cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
+                _mixed_cfg("c", "adam", seed=4)]
+        with pytest.raises(DomainError) as err:
+            runner.run_batch(cfgs, write_artifacts=False)
+        assert str(err.value) == \
+            "c: non-finite gradient at step 6, coordinate 2"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_an_error_in_one_groups_rule_names_its_config(self, monkeypatch):
+        step = QuadraticTracking.loss_and_grad
+
+        def overflow_in_row_4(self, t, theta):
+            loss, g = step(self, t, theta)
+            if t == 4 and g.ndim == 2:
+                g[4, 1] = 1e308
+            return loss, g
+
+        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
+                            overflow_in_row_4)
+        # with rho_t = 1 DstAdam's rate is Adam's, which the overflowed
+        # second moment makes 0; e's custom schedule is a kind group of
+        # its own, so the rows are a, c, b, d, e
+        ones = ", ".join(["1.0"] * 20)
+        rule = (f", schedule: {{rho_kind: custom, rho_sequence: [{ones}]}}")
+        cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
+                _mixed_cfg("c", "adam", seed=4),
+                _mixed_cfg("d", "dstadam", seed=5),
+                _mixed_cfg("e", "dstadam", seed=6, extra=rule)]
+        with pytest.raises(DomainError) as err:
+            runner.run_batch(cfgs, write_artifacts=False)
+        assert str(err.value) == \
+            "e: eta_hat not positive at step 4, coordinate 1"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_lines_keep_config_order_across_kinds(self, tmp_path,
+                                                        capsys, jobs):
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        for name, kind, seed in (("a", "adam", 3), ("b", "dstadam", 3),
+                                 ("c", "adam", 4)):
+            (sweep_dir / f"{name}.yaml").write_text(
+                f"problem: {{kind: quadratic, dim: 2, seed: {seed}}}\n"
+                f"optimizer: {{kind: {kind}}}\nhorizon: 30\nname: {name}\n")
+        assert cli_main(["sweep", str(sweep_dir), "--out",
+                         str(tmp_path / "runs"), "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [Path(line.split()[0]).name[0] for line in lines] == \
+            ["a", "b", "c"]
+        for line in lines:
+            run_dir = Path(line.split()[0])
+            lone = run_experiment(config_module.load_config(
+                run_dir / "config.yaml"), out_root=str(tmp_path / "lone"))
+            for name in CSV_ARTIFACTS:
+                assert (run_dir / name).read_bytes() == \
+                    (lone.run_dir / name).read_bytes(), (line, name)
+
+
+def test_lu_run_reaches_its_last_step():
+    # the lower bound used to round past alpha_star at t = T and the clamp
+    # raised "clamp bounds inverted" at the last step
+    record = run_experiment(quadratic_cfg(
+        "generic", horizon=12,
+        extra="  bounds: {kind: lu, alpha_star: 0.05}\n"),
+        write_artifacts=False)
+    assert len(record.losses) == 12
+    np.testing.assert_array_equal(record.final_effective_lr, 0.05)

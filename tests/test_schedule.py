@@ -218,6 +218,13 @@ class TestBoundFunctions:
         assert lower_T == pytest.approx(0.1, rel=1e-12)
         assert upper_T == pytest.approx(0.1, rel=1e-12)
 
+    def test_lu_lower_is_alpha_star_exactly_at_the_horizon(self):
+        # 0.05 * 12 / 12 rounds to one ulp above 0.05, past the upper bound
+        spec = BoundFunctionSpec("lu", alpha_star=0.05, horizon=12)
+        assert eval_bounds(spec, 12) == (0.05, 0.05)
+        for t in range(1, 12):
+            assert eval_bounds(spec, t)[0] == 0.05 * t / 12
+
     def test_adadb_vector_upper(self):
         spec = BoundFunctionSpec("adadb", alpha_star=0.1, gamma=0.5)
         m_abs = np.array([0.2, 0.1])
