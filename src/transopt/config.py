@@ -204,15 +204,16 @@ def _coerce(key: str, value, path: str):
 
 
 def _build(cls, data: dict, path: str):
+    """``cls`` from the mapping at ``path``; the root's path is ""."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
     allowed = {f.name for f in cls.__dataclass_fields__.values()}
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
         child = f"{path}.{key}" if path else key
-        if key in ("schedule", "bounds"):
+        if key not in allowed:
+            raise ConfigError(f"{child}: unknown key")
+        if key in _SECTION_FIELDS:
             kwargs[key] = _build(_SECTION_FIELDS[key], value, child)
         elif key in ("hidden", "rho_sequence") and value is not None:
             if not isinstance(value, (list, tuple)):
@@ -225,7 +226,7 @@ def _build(cls, data: dict, path: str):
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -238,23 +239,7 @@ def parse_config(text: str) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    allowed = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"{key}: unknown key")
-        if key == "problem":
-            kwargs[key] = _build(ProblemSpec, value, "problem")
-        elif key == "optimizer":
-            kwargs[key] = _build(OptimizerSpec, value, "optimizer")
-        else:
-            kwargs[key] = _coerce(key, value, key)
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,12 +1,14 @@
 """Trajectory measurements: rate histograms, convergence-condition
 monitors, and theoretical regret-bound evaluators.
 
-The monitors stream: each is fed the rows of consecutive steps a block
-at a time and carries O(d) state between blocks (the previous rate row
-for C2, the v recursion and prefix sum of g^2 for zeta, the running max
-of 1/eta_hat for the inverse-rate cap).  :class:`RunMonitor` feeds them
-all from a run's step buffers; ``check_c2``, ``estimate_zeta`` and
-``eta_bound_check`` feed a whole (T, d) array as one block.
+The monitors stream: each is fed the (n, R, d) rows of n consecutive
+steps of R runs a block at a time, reduces a block over its coordinate
+axis and carries O(R d) state between blocks (the previous rate row for
+C2, the v recursion and prefix sum of g^2 for zeta, the running max of
+1/eta_hat for the inverse-rate cap, and per run C2's violation count and
+first violation).  :class:`RunMonitor` feeds them all from the step
+buffers of one step loop; ``check_c2``, ``estimate_zeta`` and
+``eta_bound_check`` feed a whole (T, d) array as one block of one run.
 
 The monitors never enforce anything; they report.  Whether a run
 satisfies the convergence hypotheses is an empirical question answered
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,87 +152,44 @@ def _as_rows(rate_rows) -> np.ndarray:
     return rows[:, None] if rows.ndim == 1 else rows
 
 
-class C2Violations(Sequence):
-    """(t, i) pairs of C2 violations, ordered by t and then i.
-
-    Kept as integer arrays, one pair per block fed to :class:`C2Monitor`,
-    so a run with many violations holds 12 bytes for each rather than a
-    Python tuple.  Iteration yields tuples that share one t per step.
-    """
-
-    def __init__(self):
-        self._steps: List[np.ndarray] = []
-        self._coords: List[np.ndarray] = []
-        self._count = 0
-
-    def _extend(self, steps: np.ndarray, coords: np.ndarray) -> None:
-        self._steps.append(steps.astype(np.int64))
-        self._coords.append(coords.astype(np.int32))
-        self._count += len(steps)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        if k < 0:
-            k += self._count
-        if not 0 <= k < self._count:
-            raise IndexError("violation index out of range")
-        for steps, coords in zip(self._steps, self._coords):
-            if k < len(steps):
-                return int(steps[k]), int(coords[k])
-            k -= len(steps)
-
-    def __iter__(self):
-        for steps, coords in zip(self._steps, self._coords):
-            cuts = (np.flatnonzero(np.diff(steps)) + 1).tolist()
-            for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
-                step = int(steps[lo])
-                yield from ((step, i) for i in coords[lo:hi].tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or len(other) != len(self):
-            return False
-        return all(a == tuple(b) for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"C2Violations({list(self)!r})"
-
-
 class C2Monitor:
-    """Streamed C2 check, fed the eta-hat rows of consecutive steps.
+    """Streamed C2 check, fed the (n, R, d) eta-hat rows of consecutive
+    steps of R runs.
 
-    Carries only sqrt(t)/eta_hat of the last step fed, so a block's
-    first row is compared with the previous block's last.
+    Keeps, per run, the number of violations and the (t, i) of the first
+    (t is 1-based, i 0-based), and carries only sqrt(t)/eta_hat of the
+    last step fed, so a block's first row is compared with the previous
+    block's last.
     """
 
-    def __init__(self, tol: float = 1e-12):
+    def __init__(self, replicas: int = 1, tol: float = 1e-12):
         self.tol = tol
-        self.violations = C2Violations()
+        self.count = np.zeros(replicas, dtype=np.int64)
+        self.first: List[Optional[Tuple[int, int]]] = [None] * replicas
         self._t = 0
-        self._last: Optional[np.ndarray] = None
+        # the first step of a run has no predecessor, and -inf fails no test
+        self._last = -math.inf
 
-    def update(self, rows: np.ndarray) -> None:
-        n, d = rows.shape
+    def update(self, rows: np.ndarray) -> np.ndarray:
+        """Count the violations of the block; returns its (n, R, d) mask
+        of them."""
+        n = len(rows)
         t0, self._t = self._t, self._t + n
-        if n == 0:
-            return
         # q[j + 1] = sqrt(t)/eta_hat_t of step t = t0 + j + 1, and q[0]
         # that of the step before, so the test of step t reads
-        # q[j + 1] < q[j] - tol; the first step of a run has no
-        # predecessor, and -inf fails no test
-        q = np.empty((n + 1, d))
-        q[0] = -math.inf if self._last is None else self._last
-        t = np.arange(t0 + 1, t0 + n + 1, dtype=np.float64)[:, None]
+        # q[j + 1] < q[j] - tol
+        q = np.empty((n + 1, *rows.shape[1:]))
+        q[0] = self._last
+        t = np.arange(t0 + 1, t0 + n + 1, dtype=np.float64)[:, None, None]
         np.divide(np.sqrt(t), rows, out=q[1:])
         self._last = q[-1].copy()
-        rows_bad, coords = np.nonzero(q[1:] < q[:-1] - self.tol)
-        if len(rows_bad):
-            self.violations._extend(rows_bad + (t0 + 1), coords)
+        bad = q[1:] < q[:-1] - self.tol
+        counts = np.count_nonzero(bad, axis=(0, 2))
+        for r in np.flatnonzero((counts > 0) & (self.count == 0)).tolist():
+            k, i = divmod(int(np.argmax(bad[:, r])), bad.shape[2])
+            self.first[r] = (t0 + k + 1, i)
+        self.count += counts
+        return bad
 
 
 def check_c2(rate_rows: Sequence[np.ndarray],
@@ -239,73 +198,83 @@ def check_c2(rate_rows: Sequence[np.ndarray],
 
     ``rate_rows[k]`` is the eta-hat vector of step k+1.  Returns (t, i)
     pairs (t is 1-based, i 0-based) where the inverse-rate monotonicity
-    fails beyond the tolerance, ordered by t and then i.
+    fails beyond the tolerance, ordered by t and then i; the pairs of one
+    step share its t.
     """
-    monitor = C2Monitor(tol)
-    monitor.update(_as_rows(rate_rows))
-    return list(monitor.violations)
+    bad = C2Monitor(1, tol).update(_as_rows(rate_rows)[:, None])
+    steps, coords = np.nonzero(bad[:, 0])
+    violations, step = [], None
+    for t, i in zip((steps + 1).tolist(), coords.tolist()):
+        if t != step:
+            step = t
+        violations.append((step, i))
+    return violations
 
 
-#: Widest gradient for which ZetaMonitor runs the v recursion on Python
-#: floats, column by column, instead of one numpy call per row.
+#: Widest (R, d) gradient block for which ZetaMonitor runs the v
+#: recursion on Python floats, column by column, instead of one numpy
+#: call per row.
 SCALAR_RECURSION_DIM = 16
 
 
 class ZetaMonitor:
-    """Streamed :func:`estimate_zeta`, fed the gradient rows of
-    consecutive steps.
+    """Streamed :func:`estimate_zeta` of R runs, fed the (n, R, d)
+    gradient rows of consecutive steps; ``beta2`` holds each run's decay.
 
-    Carries the v recursion, the prefix sum of g^2 and the running zeta.
+    Carries the v recursion, the prefix sum of g^2 and the running zeta
+    of every run.
     """
 
-    def __init__(self, dim: int, beta2: float):
-        self.beta2 = float(beta2)
-        self._v = np.zeros(dim)
-        self._raw = np.zeros(dim)
+    def __init__(self, dim: int, beta2: Sequence[float]):
+        self.beta2 = np.array(beta2, dtype=np.float64)[:, None]
+        replicas = len(self.beta2)
+        # the decay of each (run, coordinate) column, for the scalar path
+        self._column_beta2 = np.repeat(self.beta2, dim).tolist()
+        self._v = np.zeros((replicas, dim))
+        self._raw = np.zeros((replicas, dim))
         self._t = 0
-        self._zeta = 0.0
-        self._nonzero = False
-        self._infinite = False
+        self._zeta = np.zeros(replicas)
+        self._nonzero = np.zeros(replicas, dtype=bool)
 
     @property
-    def value(self) -> Optional[float]:
-        """None while every gradient is zero, inf once no finite zeta works."""
-        if not self._nonzero:
-            return None
-        return math.inf if self._infinite else self._zeta
+    def value(self) -> List[Optional[float]]:
+        """Each run's zeta: None while every gradient is zero, inf once no
+        finite zeta works."""
+        return [zeta if nonzero else None for nonzero, zeta in zip(
+            self._nonzero.tolist(), self._zeta.tolist())]
 
     def update(self, grads: np.ndarray) -> None:
-        lo, self._t = self._t, self._t + len(grads)
-        if self._infinite or not len(grads):
+        n = len(grads)
+        lo, self._t = self._t, self._t + n
+        if not n:
             return
         # all-zero rows leave v and the prefix sum at zero
-        self._nonzero = self._nonzero or bool(np.any(grads))
-        if not self._nonzero:
-            return
-        beta = self.beta2
+        if not self._nonzero.all():
+            self._nonzero |= np.any(grads, axis=(0, 2))
         g2 = grads * grads
         # vs starts as (1 - beta) * g2 and becomes v row by row:
         # beta * v + (1 - beta) * g2, one step at a time, as the rounding
         # of this sequential recursion fixes zeta_min's bits.  Python
-        # floats round as numpy does; at small d a loop over them costs
-        # less than a numpy call per row.
-        vs = np.multiply(g2, 1.0 - beta)
-        if g2.shape[1] <= SCALAR_RECURSION_DIM:
+        # floats round as numpy does; on narrow blocks a loop over them
+        # costs less than a numpy call per row.
+        vs = np.multiply(g2, 1.0 - self.beta2)
+        if self._v.size <= SCALAR_RECURSION_DIM:
             columns = []
-            for v, column in zip(self._v.tolist(), vs.T.tolist()):
+            for beta, v, column in zip(self._column_beta2,
+                                       self._v.ravel().tolist(),
+                                       vs.reshape(n, -1).T.tolist()):
                 out = []
                 for f in column:
                     v = beta * v + f
                     out.append(v)
                 columns.append(out)
-            vs = np.array(columns).T
-            self._v = vs[-1].copy()
+            vs = np.array(columns).T.reshape(g2.shape)
         else:
             v = self._v
-            for k in range(len(vs)):
-                v = beta * v + vs[k]
+            for k in range(n):
+                v = self.beta2 * v + vs[k]
                 vs[k] = v
-            self._v = v
+        self._v = vs[-1].copy()
         # a running sum that continues from the previous block; then both
         # sides of the condition, in place
         g2[0] += self._raw
@@ -313,15 +282,16 @@ class ZetaMonitor:
         self._raw = rhs[-1].copy()
         np.sqrt(rhs, out=rhs)
         lhs = vs
-        lhs *= np.arange(lo + 1, self._t + 1, dtype=np.float64)[:, None]
+        lhs *= np.arange(lo + 1, self._t + 1, dtype=np.float64)[:, None, None]
         np.sqrt(lhs, out=lhs)
+        # a zero v under a nonzero raw sum makes the ratio, and zeta for
+        # good, +inf; fmax, like Python's max before it, passes over a
+        # NaN block max
         active = rhs > 0.0
-        if np.any(active & (lhs == 0.0)):
-            self._infinite = True
-        elif np.any(active):
+        with np.errstate(divide="ignore"):
             ratio = np.divide(rhs, lhs, out=rhs, where=active)
-            self._zeta = max(self._zeta, float(
-                np.max(ratio, where=active, initial=-math.inf)))
+        np.fmax(self._zeta, np.max(ratio, axis=(0, 2), where=active,
+                                   initial=-math.inf), out=self._zeta)
 
 
 def estimate_zeta(grads: np.ndarray, beta2: float) -> Optional[float]:
@@ -341,42 +311,44 @@ def estimate_zeta(grads: np.ndarray, beta2: float) -> Optional[float]:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
         raise DomainError("grads must be a (T, d) array")
-    monitor = ZetaMonitor(grads.shape[1], beta2)
-    monitor.update(grads)
-    return monitor.value
+    monitor = ZetaMonitor(grads.shape[1], [beta2])
+    monitor.update(grads[:, None])
+    return monitor.value[0]
 
 
 class InverseRateMonitor:
-    """Streamed max of 1/eta_hat, fed eta-hat rows; +inf once a rate
-    is not positive."""
+    """Streamed max of 1/eta_hat of R runs, fed (n, R, d) eta-hat rows;
+    a run's max is +inf once one of its rates is not positive."""
 
-    def __init__(self):
-        self.max = -math.inf
+    def __init__(self, replicas: int = 1):
+        self.max = np.full(replicas, -math.inf)
 
     def update(self, rows: np.ndarray) -> None:
         if rows.size == 0:
             return
-        # fmin skips NaN, as the elementwise tests did; a correctly
-        # rounded 1/x falls as x grows, so 1/min is the max of 1/x
-        low = float(np.fmin.reduce(rows, axis=None))
-        if low <= 0.0:
-            self.max = math.inf
-        elif 1.0 / low > self.max:
-            self.max = 1.0 / low
+        # a correctly rounded 1/x falls as x grows, so 1/min is the max of
+        # 1/x; fmin and fmax skip NaN, as the elementwise tests did
+        low = np.fmin.reduce(rows, axis=(0, 2))
+        inverse = np.divide(1.0, low, out=np.full_like(low, math.inf),
+                            where=low > 0.0)
+        inverse[np.isnan(low)] = math.nan
+        np.fmax(self.max, inverse, out=self.max)
 
-    def bounded(self, r_l: float, rho: float, tol: float = 1e-12) -> bool:
-        """True iff every 1/eta_hat fed is <= 1/(r_l (1 - rho)) + tol."""
-        if not 0.0 < rho < 1.0 or r_l <= 0.0:
-            raise DomainError("need r_l > 0 and rho in (0, 1)")
-        return self.max <= 1.0 / (r_l * (1.0 - rho)) + tol
+
+def inverse_rate_bounded(inverse_max: float, r_l: float, rho: float,
+                         tol: float = 1e-12) -> bool:
+    """True iff a max of 1/eta_hat is <= 1/(r_l (1 - rho)) + tol."""
+    if not 0.0 < rho < 1.0 or r_l <= 0.0:
+        raise DomainError("need r_l > 0 and rho in (0, 1)")
+    return bool(inverse_max <= 1.0 / (r_l * (1.0 - rho)) + tol)
 
 
 def eta_bound_check(rate_rows: Sequence[np.ndarray], r_l: float, rho: float,
                     tol: float = 1e-12) -> bool:
     """True iff every 1/eta_hat entry is <= 1/(r_l (1 - rho)) + tol."""
     monitor = InverseRateMonitor()
-    monitor.update(_as_rows(rate_rows))
-    return monitor.bounded(r_l, rho, tol)
+    monitor.update(_as_rows(rate_rows)[:, None])
+    return inverse_rate_bounded(float(monitor.max[0]), r_l, rho, tol)
 
 
 def sampled_steps(horizon: int, stride: int) -> np.ndarray:
@@ -384,7 +356,7 @@ def sampled_steps(horizon: int, stride: int) -> np.ndarray:
     return np.union1d(np.arange(stride, horizon + 1, stride), [1, horizon])
 
 
-#: A run's step buffers: a (rows, d) temporary of a flush holds about
+#: A run's step buffers: a (rows, R, d) temporary of a flush holds about
 #: STREAM_ELEMENTS elements, the histogram's int64 (rows, HIST_BINS + 2)
 #: temporary at most HIST_ELEMENTS, and at least MIN_STREAM_ROWS rows
 #: share a flush's fixed cost (about 0.1 ms).  On the 24-run grid of 200
@@ -403,59 +375,76 @@ def buffer_rows(horizon: int, dim: int) -> int:
 
 
 def step_buffers(horizon: int, shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-    """The step loop's three (rows, *shape) buffers, shape being (d,) or
-    (R, d): gradients, raw rates and iterates."""
+    """The step loop's three (rows, *shape) buffers, shape being (R, d):
+    gradients, raw rates and iterates."""
     rows = buffer_rows(horizon, int(np.prod(shape)))
     return tuple(np.empty((rows, *shape)) for _ in range(3))
 
 
 class RunMonitor:
-    """Every streamed monitor of one run, fed a block of steps at a time.
+    """Every streamed monitor of the R runs of one step loop, fed a block
+    of steps at a time; a lone run is R = 1.
 
-    The step loop copies step t's gradient, raw rate eta-hat and iterate
-    into row k of the three :func:`step_buffers` (grads, rates, thetas)
-    and calls ``flush(k + 1)`` when they are full and once after the
-    last step.  In a batch of R runs the buffers are (rows, R, d) and
-    each run has its own monitor: ``buffers`` is then run ``replica``'s
-    (rows, d) view of them, and a flush is one call per run, not per
-    step.  Every stepper's effective rate is eta-hat, divided by sqrt(t)
-    with ``sqrt_decay``, so a flush derives it for the sampled steps
-    only and bins it into ``histogram``; it also keeps the
-    min/median/max of their raw rates in ``rate_summary``, tests the
-    iterates against ``box`` and feeds the C2, inverse-rate and (with
-    ``beta2``) zeta monitors.  A raw rate that is not positive (a second
-    moment overflowed to inf leaves 0) raises at any stride.  The run
-    keeps O(d) state besides the per-sampled-step histogram and summary
-    rows; ``grads`` and ``rate_rows`` hold the (T, d) trajectories only
-    with ``keep_trajectory``.
+    ``box``, ``beta2`` and ``sqrt_decay`` hold one entry per run: its
+    feasible box, the constant decay of its zeta (None for a run without
+    a schedule, which gets no zeta) and whether its effective rate is
+    eta-hat divided by sqrt(t).  The step loop copies step t's gradients,
+    raw rates eta-hat and iterates, (R, d) or (d,), into row k of the
+    three (rows, R, d) ``buffers`` (grads, rates, thetas) and calls
+    ``flush(k + 1)`` when they are full and ``finish(k)`` after the last
+    step.  A flush reduces the whole block over its coordinate axis, so
+    it makes one call per monitor whatever R is: a raw rate that is not
+    positive raises, naming the run, step and coordinate, at any stride;
+    the min/median/max of the sampled steps' raw rates go to
+    ``rate_summary`` (R, sampled steps, 3), and their effective rates to
+    each run's own ``histograms[r]``; the iterates are tested against
+    the boxes, and the C2, inverse-rate, |g| and zeta state are (R,)
+    arrays.  The runs keep O(R d) state besides the per-sampled-step
+    histogram and summary rows; ``grads`` and ``rate_rows`` hold the
+    (R, T, d) trajectories only with ``keep_trajectory``.
     """
 
-    def __init__(self, dim: int, horizon: int, stride: int, box,
-                 beta2: Optional[float] = None,
-                 keep_trajectory: bool = False,
-                 sqrt_decay: bool = False,
-                 buffers: Optional[Tuple[np.ndarray, ...]] = None,
-                 replica: int = 0):
-        self.sqrt_decay = sqrt_decay
-        if buffers is None:
-            buffers = step_buffers(horizon, (dim,))
-        self.buffers = tuple(b.reshape(len(b), -1, dim)[:, replica]
-                             for b in buffers)
-        self.box = box
+    def __init__(self, dim: int, horizon: int, stride: int,
+                 box: Sequence, beta2: Sequence[Optional[float]],
+                 sqrt_decay: Sequence[bool], keep_trajectory: bool = False):
+        replicas = len(box)
+        self.buffers = step_buffers(horizon, (replicas, dim))
         self.steps = sampled_steps(horizon, stride)
-        self.histogram = LrHistogram()
-        self.rate_summary = np.empty((len(self.steps), 3))
-        self.c2 = C2Monitor()
-        self.inverse_rate = InverseRateMonitor()
-        self.zeta = None if beta2 is None else ZetaMonitor(dim, beta2)
-        self.grad_abs_max = 0.0
-        self.iterates_feasible = True
+        self.histograms = [LrHistogram() for _ in range(replicas)]
+        self.rate_summary = np.empty((replicas, len(self.steps), 3))
+        self.c2 = C2Monitor(replicas)
+        self.inverse_rate = InverseRateMonitor(replicas)
+        self._beta2 = list(beta2)
+        zeta_rows = [r for r, b in enumerate(beta2) if b is not None]
+        self._zeta_rows = (slice(None) if len(zeta_rows) == replicas
+                           else zeta_rows)
+        self.zeta = (ZetaMonitor(dim, [beta2[r] for r in zeta_rows])
+                     if zeta_rows else None)
+        # effective rate = raw / divisor, with a divisor of 1 (exact) for
+        # the runs without sqrt_decay
+        self._sqrt_decay = np.array(sqrt_decay, dtype=bool)[:, None]
+        # an unbounded side is an infinite one, and runs without a finite
+        # side have no iterate to test
+        self._lo = np.stack([np.broadcast_to(
+            -math.inf if b.lo is None else b.lo, dim) for b in box])
+        self._hi = np.stack([np.broadcast_to(
+            math.inf if b.hi is None else b.hi, dim) for b in box])
+        self._boxed = bool(np.isfinite(self._lo).any()
+                           or np.isfinite(self._hi).any())
+        self.grad_abs_max = np.zeros(replicas)
+        self.iterates_feasible = np.ones(replicas, dtype=bool)
         self.grads = self.rate_rows = None
         if keep_trajectory:
-            self.grads = np.empty((horizon, dim))
-            self.rate_rows = np.empty((horizon, dim))
+            self.grads = np.empty((replicas, horizon, dim))
+            self.rate_rows = np.empty((replicas, horizon, dim))
         self._t = 0
         self._sampled = 0
+
+    @property
+    def zeta_min(self) -> List[Optional[float]]:
+        """Each run's zeta; None for a run fed no beta2."""
+        values = iter(self.zeta.value if self.zeta else ())
+        return [None if b is None else next(values) for b in self._beta2]
 
     def finish(self, n: int) -> None:
         """Flush the last n rows, if any, and let go of the buffers."""
@@ -469,36 +458,43 @@ class RunMonitor:
         grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self._t = self._t, self._t + n
         if self.grads is not None:
-            self.grads[t0:self._t] = grads
-            self.rate_rows[t0:self._t] = rates
+            self.grads[:, t0:self._t] = grads.swapaxes(0, 1)
+            self.rate_rows[:, t0:self._t] = rates.swapaxes(0, 1)
         self.inverse_rate.update(rates)
-        if self.inverse_rate.max == math.inf:
+        if self.inverse_rate.max.max() == math.inf:
             # fmin skips NaN, as InverseRateMonitor does
-            k, i = divmod(int(np.flatnonzero(np.fmin(rates, 1.0) <= 0.0)[0]),
-                          rates.shape[1])
+            k, r, i = np.unravel_index(
+                np.flatnonzero(np.fmin(rates, 1.0) <= 0.0)[0], rates.shape)
             raise DomainError(
-                f"raw rate {float(rates[k, i])!r} at step {t0 + k + 1}, "
+                f"raw rate {float(rates[k, r, i])!r} at step {t0 + k + 1}, "
                 f"coordinate {i}: a rate must stay positive (an overflowed "
-                "second moment leaves 0)")
+                "second moment leaves 0)", replica=int(r))
         lo = self._sampled
         self._sampled = hi = int(self.steps.searchsorted(self._t, "right"))
         if hi > lo:
             ts = self.steps[lo:hi]
             sampled = rates[ts - (t0 + 1)] if hi - lo < n else rates
-            # the step's eta-hat / math.sqrt(t), bit for bit
-            self.histogram.record_rows(ts, sampled / np.sqrt(ts)[:, None]
-                                       if self.sqrt_decay else sampled)
-            summary = self.rate_summary[lo:hi]
-            summary[:, 0] = np.min(sampled, axis=1)
-            summary[:, 1] = np.median(sampled, axis=1)
-            summary[:, 2] = np.max(sampled, axis=1)
-        if self.iterates_feasible and not self.box.contains(thetas):
-            self.iterates_feasible = False
+            effective = sampled
+            if self._sqrt_decay.any():
+                # the step's eta-hat / math.sqrt(t), bit for bit
+                effective = sampled / np.where(
+                    self._sqrt_decay, np.sqrt(ts)[:, None, None], 1.0)
+            for r, histogram in enumerate(self.histograms):
+                histogram.record_rows(ts, effective[:, r])
+            summary = self.rate_summary[:, lo:hi]
+            summary[..., 0] = np.min(sampled, axis=2).T
+            summary[..., 1] = np.median(sampled, axis=2).T
+            summary[..., 2] = np.max(sampled, axis=2).T
+        if self._boxed and self.iterates_feasible.any():
+            self.iterates_feasible &= np.all(
+                (thetas >= self._lo) & (thetas <= self._hi), axis=(0, 2))
         self.c2.update(rates)
         if self.zeta is not None:
-            self.zeta.update(grads)
-        self.grad_abs_max = max(self.grad_abs_max, float(np.max(grads)),
-                                -float(np.min(grads)))
+            self.zeta.update(grads[:, self._zeta_rows])
+        np.maximum(self.grad_abs_max, np.max(grads, axis=(0, 2)),
+                   out=self.grad_abs_max)
+        np.maximum(self.grad_abs_max, -np.min(grads, axis=(0, 2)),
+                   out=self.grad_abs_max)
 
 
 @dataclass(frozen=True)
@@ -611,7 +607,9 @@ class ConditionReport:
     """Everything the convergence theorem assumes, measured on one run."""
 
     zeta_min: Optional[float] = None
-    c2_violations: Sequence[Tuple[int, int]] = field(default_factory=list)
+    c2_violation_count: int = 0
+    #: (t, i) of the first C2 violation, or None
+    c2_first_violation: Optional[Tuple[int, int]] = None
     rho_bounded: Optional[bool] = None
     r_ordered: Optional[bool] = None
     beta1_bounded: Optional[bool] = None
@@ -622,11 +620,6 @@ class ConditionReport:
     inverse_rate_max: Optional[float] = None
 
     @property
-    def c2_first_violation(self) -> Optional[Tuple[int, int]]:
-        """(t, i) of the first C2 violation, or None."""
-        return self.c2_violations[0] if self.c2_violations else None
-
-    @property
     def all_hypotheses_hold(self) -> bool:
         flags = (self.rho_bounded, self.r_ordered, self.beta1_bounded,
                  self.grad_bound_ok, self.diameter_ok)
@@ -634,7 +627,7 @@ class ConditionReport:
 
     def items(self):
         yield "zeta_min", self.zeta_min
-        yield "c2_violation_count", len(self.c2_violations)
+        yield "c2_violation_count", self.c2_violation_count
         yield "rho_bounded", self.rho_bounded
         yield "r_ordered", self.r_ordered
         yield "beta1_bounded", self.beta1_bounded

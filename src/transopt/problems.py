@@ -57,7 +57,7 @@ class OnlineProblem:
             raise DomainError("comparator lies outside the feasible box")
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
-        raise NotImplementedError
+        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -142,9 +142,6 @@ class QuadraticTracking(OnlineProblem):
         # centers are (T, d), or (R, T, d) when stacked
         return self.centers[..., t - 1, :]
 
-    def loss_at(self, t: int, theta: np.ndarray) -> float:
-        return self.loss_and_grad(t, theta)[0]
-
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
@@ -198,9 +195,6 @@ class ReddiCycle(OnlineProblem):
         if t < 1:
             raise DomainError(f"step index starts at 1, got {t}")
         return self.c if t % 3 == 1 else -1.0
-
-    def loss_at(self, t: int, theta: np.ndarray) -> float:
-        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -334,9 +328,6 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
     def _batch(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         idx = self.batch_indices(t)
         return self.features[idx], self.labels[idx]
-
-    def loss_at(self, t: int, theta: np.ndarray) -> float:
-        return self.loss_and_grad(t, theta)[0]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:

@@ -19,11 +19,12 @@ the bytes its config writes alone; ``run_experiment`` is the case R = 1,
 where every array is (d,).
 
 The step loop only copies each step's gradients, rates and iterates into
-small preallocated buffers; a full buffer is flushed as one block to
-each replica's streamed monitors (:class:`~transopt.diagnostics.RunMonitor`),
-so run memory is O(R d) besides the per-step losses and the
-per-sampled-step histogram rows.  The regret is one cumulative sum after
-the loop.
+three small preallocated (rows, R, d) buffers; a full buffer is flushed
+as one block to the loop's one streamed monitor
+(:class:`~transopt.diagnostics.RunMonitor`), which reduces it over the
+coordinate axis for all R replicas at once.  So run memory is O(R d)
+besides the per-step losses and the per-sampled-step histogram rows.
+The regret is one cumulative sum after the loop.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .config import (ExperimentConfig, OptimizerSpec, config_hash,
                      serialize_config)
 from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
-                          sampled_steps, step_buffers)
+                          inverse_rate_bounded, sampled_steps)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
@@ -195,18 +196,19 @@ class RunRecord:
 
 def _make_condition_report(problem: OnlineProblem,
                            schedule: Optional[TransitionSchedule],
-                           horizon: int,
-                           monitor: RunMonitor) -> ConditionReport:
-    report = ConditionReport()
-    report.c2_violations = monitor.c2.violations
-    report.inverse_rate_max = monitor.inverse_rate.max
+                           horizon: int, monitor: RunMonitor,
+                           replica: int) -> ConditionReport:
+    report = ConditionReport(
+        c2_violation_count=int(monitor.c2.count[replica]),
+        c2_first_violation=monitor.c2.first[replica],
+        inverse_rate_max=float(monitor.inverse_rate.max[replica]))
     if math.isfinite(problem.grad_bound):
         report.grad_bound_ok = bool(
-            monitor.grad_abs_max <= problem.grad_bound + 1e-12)
+            monitor.grad_abs_max[replica] <= problem.grad_bound + 1e-12)
     if problem.box.is_bounded:
-        report.diameter_ok = monitor.iterates_feasible
+        report.diameter_ok = bool(monitor.iterates_feasible[replica])
     if schedule is not None:
-        report.zeta_min = monitor.zeta.value
+        report.zeta_min = monitor.zeta_min[replica]
         rho_sup = schedule.rho_sup()
         report.rho_bounded = bool(
             np.all(schedule.rho_values(horizon) <= rho_sup + 1e-15))
@@ -214,8 +216,8 @@ def _make_condition_report(problem: OnlineProblem,
         report.beta1_bounded = bool(
             np.all(schedule.beta1_values(horizon) <= schedule.beta1 + 1e-15))
         if 0.0 < rho_sup < 1.0:
-            report.eta_inverse_bounded = monitor.inverse_rate.bounded(
-                schedule.r_l, rho_sup)
+            report.eta_inverse_bounded = inverse_rate_bounded(
+                report.inverse_rate_max, schedule.r_l, rho_sup)
     return report
 
 
@@ -286,16 +288,6 @@ def run_experiment(cfg: ExperimentConfig,
                      keep_trajectory=keep_trajectory)[0]
 
 
-def _flush(monitors: Sequence[RunMonitor], n: int, last: bool = False) -> None:
-    """Flush every replica's monitor; after the last step, finish them."""
-    for replica, monitor in enumerate(monitors):
-        try:
-            (monitor.finish if last else monitor.flush)(n)
-        except DomainError as exc:
-            exc.replica = replica
-            raise
-
-
 def run_batch(cfgs: Sequence[ExperimentConfig],
               out_root: Optional[str] = None,
               write_artifacts: bool = True, *,
@@ -339,15 +331,15 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     losses = np.empty((horizon, *problem.shape[:-1]))
     finite = math.isfinite if len(cfgs) == 1 else (
         lambda row: bool(np.isfinite(row).all()))
-    buffers = step_buffers(horizon, problem.shape)
-    monitors = [RunMonitor(p.dim, horizon, cfg.stride, p.box.widened(1e-12),
-                           beta2=None if s is None else s.beta2,
-                           keep_trajectory=keep_trajectory,
-                           sqrt_decay=cfg.optimizer.sqrt_decay,
-                           buffers=buffers, replica=r)
-                for r, (cfg, p, s) in enumerate(zip(cfgs, problems,
-                                                    schedules))]
-    grads, rates, thetas = buffers
+    monitor = RunMonitor(
+        problem.dim, horizon, cfgs[0].stride,
+        [p.box.widened(1e-12) for p in problems],
+        [None if s is None else s.beta2 for s in schedules],
+        [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory)
+    # views of the monitor's (rows, R, d) buffers whose rows take a step's
+    # arrays as they are: a broadcast (d,) -> (1, d) copy costs more
+    grads, rates, thetas = (b.reshape(len(b), *problem.shape)
+                            for b in monitor.buffers)
     rows = len(grads)
     state = optimizer.state
     k = 0
@@ -368,20 +360,20 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             thetas[k] = theta
             k += 1
             if k == rows:
-                _flush(monitors, k)
+                monitor.flush(k)
                 k = 0
-        _flush(monitors, k, last=True)
+        monitor.finish(k)
     except DomainError as exc:
         names = [run_stem(cfg) for cfg in cfgs]
         who = (", ".join(names) if exc.replica is None
                else names[exc.replica])
         raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
-    del buffers, grads, rates, thetas  # the monitors let go of them too
+    del grads, rates, thetas  # the monitor lets go of them too
 
     records = []
     final_lr = optimizer.effective_lr()
-    for r, (cfg, p, schedule, monitor, star) in enumerate(
-            zip(cfgs, problems, schedules, monitors, stars)):
+    for r, (cfg, p, schedule, star) in enumerate(
+            zip(cfgs, problems, schedules, stars)):
         # replica r's column of the batch; a lone run's arrays as they are
         run_losses = np.ascontiguousarray(losses.reshape(horizon, -1)[:, r])
         run_theta = theta.reshape(-1, p.dim)[r]
@@ -398,14 +390,15 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             horizon=horizon,
             losses=run_losses,
             regret=regret,
-            rate_summary=monitor.rate_summary,
-            report=_make_condition_report(p, schedule, horizon, monitor),
+            rate_summary=monitor.rate_summary[r],
+            report=_make_condition_report(p, schedule, horizon, monitor, r),
             final_theta=run_theta,
             final_effective_lr=final_lr.reshape(-1, p.dim)[r],
-            histogram=monitor.histogram,
+            histogram=monitor.histograms[r],
             wall_clock=0.0,
-            grads=monitor.grads,
-            rate_rows=monitor.rate_rows,
+            grads=None if monitor.grads is None else monitor.grads[r],
+            rate_rows=(None if monitor.rate_rows is None
+                       else monitor.rate_rows[r]),
         )
         if isinstance(p, MlpClassification):
             record.train_loss = p.train_loss(run_theta)

@@ -247,15 +247,31 @@ class TestCheckC2:
         rows = 10.0 ** rng.uniform(-3, 1, size=(37, 4))
         monitor = C2Monitor()
         for lo in range(0, len(rows), block):
-            monitor.update(rows[lo:lo + block])
+            monitor.update(rows[lo:lo + block, None])
         expected = loop_check_c2(list(rows))
-        got = monitor.violations
-        assert got == expected and len(got) == len(expected)
-        assert list(got) == expected
-        assert (got[0], got[-1], got[2:5]) == \
-            (expected[0], expected[-1], expected[2:5])
-        with pytest.raises(IndexError):
-            got[len(expected)]
+        assert check_c2(rows) == expected
+        assert monitor.count.tolist() == [len(expected)]
+        assert monitor.first == [expected[0]]
+
+    @pytest.mark.parametrize("block", [1, 4, 6])
+    def test_replicas_first_violations_in_different_blocks(self, block):
+        # replica 0 first violates at step 3, replica 1 at step 8 in its
+        # coordinate 2, replica 2 never; the blocks are fed step by step
+        # or four or six steps at a time
+        rows = np.full((12, 3, 4), 0.5)
+        rows[2:, 0, 1] = 1.0
+        rows[7:, 1, 2] = 2.0
+        rows[9:, 1, 0] = 4.0
+        monitor = C2Monitor(3)
+        masks = [monitor.update(rows[lo:lo + block])
+                 for lo in range(0, len(rows), block)]
+        assert np.concatenate(masks).shape == rows.shape
+        for r in range(3):
+            expected = loop_check_c2(list(rows[:, r]))
+            assert monitor.count[r] == len(expected)
+            assert monitor.first[r] == (expected[0] if expected else None)
+        assert monitor.first == [(3, 1), (8, 2), None]
+        assert isinstance(monitor.first[0][0], int)
 
     def test_reported_not_asserted_on_sqrt_decay_run(self):
         # a real run may or may not violate; the monitor only reports
@@ -463,7 +479,8 @@ class TestConditionReport:
         assert not report.all_hypotheses_hold
 
     def test_csv_round_trip_values(self, tmp_path):
-        report = ConditionReport(zeta_min=31.6, c2_violations=[(2, 0)],
+        report = ConditionReport(zeta_min=31.6, c2_violation_count=1,
+                                 c2_first_violation=(2, 0),
                                  rho_bounded=True, r_ordered=True,
                                  beta1_bounded=True, grad_bound_ok=False,
                                  diameter_ok=None, eta_inverse_bounded=True)

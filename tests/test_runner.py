@@ -220,6 +220,27 @@ def stream_run(text, monkeypatch, rows=None):
                           keep_trajectory=True)
 
 
+def stream_batch_replica(problem, kind, monkeypatch, rows):
+    """Replica ``kind`` of the problem's six adaptive configs, stepped as
+    one batch with buffers of ``rows`` rows."""
+    kinds = [k for k in STREAM_OPTIMIZERS if k != "sgdm"]
+    cfgs = [parse_config(STREAM_PROBLEMS[problem]
+                         + f"optimizer: {STREAM_OPTIMIZERS[k]}\n")
+            for k in kinds]
+    monkeypatch.setattr(diagnostics, "buffer_rows",
+                        lambda horizon, dim: rows)
+    flushes = []
+    flush = diagnostics.RunMonitor.flush
+    monkeypatch.setattr(diagnostics.RunMonitor, "flush",
+                        lambda self, n: flushes.append(n) or flush(self, n))
+    records = runner.run_batch(cfgs, write_artifacts=False,
+                               keep_trajectory=True)
+    monkeypatch.setattr(diagnostics.RunMonitor, "flush", flush)
+    # one flush per buffer, whatever the number of replicas
+    assert len(flushes) == math.ceil(records[0].horizon / rows)
+    return records[kinds.index(kind)]
+
+
 class TestStreamedMonitors:
     @pytest.mark.parametrize("kind", list(STREAM_OPTIMIZERS))
     @pytest.mark.parametrize("problem", list(STREAM_PROBLEMS))
@@ -233,9 +254,9 @@ class TestStreamedMonitors:
         ts = sampled_steps(base.horizon, cfg.stride)
         # reference values from the whole (T, d) arrays
         report = base.report
-        assert report.c2_violations == check_c2(rates)
-        assert report.c2_first_violation == \
-            (check_c2(rates) or [None])[0]
+        violations = check_c2(rates)
+        assert report.c2_violation_count == len(violations)
+        assert report.c2_first_violation == (violations or [None])[0]
         assert report.inverse_rate_max == float(np.max(1.0 / rates))
         problem_obj = build_problem(cfg)
         if math.isfinite(problem_obj.grad_bound):
@@ -259,18 +280,25 @@ class TestStreamedMonitors:
             hist.record(t, lrs / math.sqrt(t) if cfg.optimizer.sqrt_decay
                         else lrs)
         assert_same_rows(base.histogram.rows, hist.rows)
-        # the same results whatever the buffer size
+        # the same results whatever the buffer size, alone and as one
+        # replica of the six adaptive configs stepped as one batch
         for rows in (1, 3, base.horizon + 5):
-            other = stream_run(text, monkeypatch, rows)
-            for name in ("zeta_min", "c2_violations", "eta_inverse_bounded",
-                         "grad_bound_ok", "diameter_ok", "inverse_rate_max"):
-                assert getattr(other.report, name) == \
-                    getattr(report, name), (rows, name)
-            np.testing.assert_array_equal(other.rate_summary,
-                                          base.rate_summary)
-            np.testing.assert_array_equal(other.grads, grads)
-            np.testing.assert_array_equal(other.rate_rows, rates)
-            assert_same_rows(other.histogram.rows, base.histogram.rows)
+            others = [stream_run(text, monkeypatch, rows)]
+            if kind != "sgdm":
+                others.append(stream_batch_replica(problem, kind,
+                                                   monkeypatch, rows))
+            for other in others:
+                for name in ("zeta_min", "c2_violation_count",
+                             "c2_first_violation", "eta_inverse_bounded",
+                             "grad_bound_ok", "diameter_ok",
+                             "inverse_rate_max"):
+                    assert getattr(other.report, name) == \
+                        getattr(report, name), (rows, name)
+                np.testing.assert_array_equal(other.rate_summary,
+                                              base.rate_summary)
+                np.testing.assert_array_equal(other.grads, grads)
+                np.testing.assert_array_equal(other.rate_rows, rates)
+                assert_same_rows(other.histogram.rows, base.histogram.rows)
 
     @pytest.mark.parametrize("rows", [1, 3, 50])
     @pytest.mark.parametrize("at", [1, 7, 20])
