@@ -9,9 +9,8 @@ When ``rho`` is omitted it is derived from the horizon so that
 rho**T = 1e-8.
 """
 
-from __future__ import annotations
-
 import hashlib
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -164,35 +163,41 @@ class ExperimentConfig:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-_SECTION_FIELDS = {
-    "problem": ProblemSpec,
-    "optimizer": OptimizerSpec,
-    "schedule": ScheduleSpec,
-    "bounds": BoundsSpec,
-}
-
-# What each leaf key must parse as.  YAML 1.1 reads "1.0e18" as a string,
-# so numeric fields coerce explicitly instead of trusting the loader.
-_FLOAT_KEYS = {"box_halfwidth", "c", "rho", "r_l", "r_u", "beta1_decay",
-               "alpha_star", "gamma", "alpha", "epsilon", "beta1", "beta2",
-               "lr", "momentum"}
-_INT_KEYS = {"seed", "dim", "n_samples", "n_train", "n_test", "horizon",
-             "epochs", "batch_size", "stride", "repeats"}
-_BOOL_KEYS = {"bias_correction", "sqrt_decay"}
+def _field_types(cls) -> dict:
+    """Each field's type with ``Optional`` dropped: float, int, bool,
+    tuple, str or a section's dataclass."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is typing.Union:
+            hint, = (a for a in typing.get_args(hint) if a is not type(None))
+        types[name] = typing.get_origin(hint) or hint
+    return types
 
 
-def _coerce(key: str, value, path: str):
+_FIELD_TYPES = {cls: _field_types(cls) for cls in
+                (ExperimentConfig, ProblemSpec, OptimizerSpec, ScheduleSpec,
+                 BoundsSpec)}
+
+
+def _coerce(kind: type, value, path: str):
+    """``value`` as a field of type ``kind``.  YAML 1.1 reads "1.0e18" as
+    a string, so numeric fields coerce explicitly instead of trusting the
+    loader."""
     if value is None:
         return None
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(value)
     try:
-        if key in _FLOAT_KEYS:
+        if kind is float:
             return float(value)
-        if key in _INT_KEYS:
+        if kind is int:
             as_float = float(value)
             if as_float != int(as_float):
                 raise ValueError("not an integer")
             return int(as_float)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if isinstance(value, bool):
                 return value
             if value in ("true", "false"):
@@ -207,20 +212,16 @@ def _build(cls, data: dict, path: str):
     """``cls`` from the mapping at ``path``; the root's path is ""."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    allowed = {f.name for f in cls.__dataclass_fields__.values()}
+    types = _FIELD_TYPES[cls]
     kwargs = {}
     for key, value in data.items():
         child = f"{path}.{key}" if path else key
-        if key not in allowed:
+        if key not in types:
             raise ConfigError(f"{child}: unknown key")
-        if key in _SECTION_FIELDS:
-            kwargs[key] = _build(_SECTION_FIELDS[key], value, child)
-        elif key in ("hidden", "rho_sequence") and value is not None:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{child}: expected a list")
-            kwargs[key] = tuple(value)
+        if types[key] in _FIELD_TYPES:
+            kwargs[key] = _build(types[key], value, child)
         else:
-            kwargs[key] = _coerce(key, value, child)
+            kwargs[key] = _coerce(types[key], value, child)
     try:
         return cls(**kwargs)
     except ConfigError:

@@ -181,7 +181,8 @@ class C2Monitor:
         q = np.empty((n + 1, *rows.shape[1:]))
         q[0] = self._last
         t = np.arange(t0 + 1, t0 + n + 1, dtype=np.float64)[:, None, None]
-        np.divide(np.sqrt(t), rows, out=q[1:])
+        with np.errstate(over="ignore"):  # a subnormal rate makes q inf
+            np.divide(np.sqrt(t), rows, out=q[1:])
         self._last = q[-1].copy()
         bad = q[1:] < q[:-1] - self.tol
         counts = np.count_nonzero(bad, axis=(0, 2))
@@ -318,21 +319,24 @@ def estimate_zeta(grads: np.ndarray, beta2: float) -> Optional[float]:
 
 class InverseRateMonitor:
     """Streamed max of 1/eta_hat of R runs, fed (n, R, d) eta-hat rows;
-    a run's max is +inf once one of its rates is not positive."""
+    a run's max is +inf once one of its rates is not positive, or so
+    small (below about 5.6e-309) that its inverse overflows."""
 
     def __init__(self, replicas: int = 1):
         self.max = np.full(replicas, -math.inf)
 
-    def update(self, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
+    def update(self, rows: np.ndarray) -> np.ndarray:
+        """Fold in a block; returns its (R,) per-run min rates (NaN
+        where a run's rates are all NaN)."""
         # a correctly rounded 1/x falls as x grows, so 1/min is the max of
         # 1/x; fmin and fmax skip NaN, as the elementwise tests did
-        low = np.fmin.reduce(rows, axis=(0, 2))
-        inverse = np.divide(1.0, low, out=np.full_like(low, math.inf),
-                            where=low > 0.0)
+        low = np.fmin.reduce(rows, axis=(0, 2), initial=math.nan)
+        with np.errstate(over="ignore"):
+            inverse = np.divide(1.0, low, out=np.full_like(low, math.inf),
+                                where=low > 0.0)
         inverse[np.isnan(low)] = math.nan
         np.fmax(self.max, inverse, out=self.max)
+        return low
 
 
 def inverse_rate_bounded(inverse_max: float, r_l: float, rho: float,
@@ -460,8 +464,7 @@ class RunMonitor:
         if self.grads is not None:
             self.grads[:, t0:self._t] = grads.swapaxes(0, 1)
             self.rate_rows[:, t0:self._t] = rates.swapaxes(0, 1)
-        self.inverse_rate.update(rates)
-        if self.inverse_rate.max.max() == math.inf:
+        if (self.inverse_rate.update(rates) <= 0.0).any():
             # fmin skips NaN, as InverseRateMonitor does
             k, r, i = np.unravel_index(
                 np.flatnonzero(np.fmin(rates, 1.0) <= 0.0)[0], rates.shape)

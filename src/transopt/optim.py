@@ -13,7 +13,9 @@ theta - eta_t * m_t with the diagonal metric 1/eta_t.  The rules are
 the identity (:class:`Adam`), the rate of the running max of v_t
 (:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`)
 and the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
-target r_t (:class:`DstAdam`).
+target r_t (:class:`DstAdam`).  The moment decays beta1 and beta2 are
+fields of the skeleton, constant in every stepper but DstAdam, whose
+schedule is the one override of ``_betas``.
 
 Bad inputs raise before any state changes; a NaN second moment (an
 overflowed one times a zero beta2) or a bad derived rate raises after
@@ -27,8 +29,9 @@ and gives each replica the bits it would get alone.  :func:`stack_kinds`
 goes one step further for the adaptive steppers: groups of different
 kinds (say Adam, AMSGrad and DstAdam on one problem) share one skeleton
 step over all their rows, alpha, epsilon, the bias correction and
-sqrt_decay become columns where the groups differ, and each group's
-hooks run on its own rows.
+sqrt_decay become columns where the groups differ, the betas become
+columns filled once, and each group runs on its own rows only the hooks
+its kind overrides.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import copy
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,28 +247,6 @@ class OptimizerState:
         self.beta2_prod = 1.0
 
 
-ScheduleFn = Union[float, Callable[[int], float]]
-
-
-class _Constant:
-    """A schedule with one value at every step; a field, so it stacks."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, t: int) -> float:
-        return self.value
-
-
-def _schedule_fn(value: ScheduleFn, name: str) -> Callable[[int], float]:
-    if callable(value):
-        return value
-    value = float(value)
-    if not 0.0 <= value < 1.0:
-        raise DomainError(f"{name} must lie in [0, 1), got {value}")
-    return _Constant(value)
-
-
 class _Stepper:
     """Shared plumbing: input checks, projection, effective-lr access."""
 
@@ -350,16 +331,27 @@ class MomentumSgd(_Stepper):
 class _AdaptiveStepper(_Stepper):
     """The step shared by the adaptive steppers.
 
-    A subclass supplies ``_betas(t) -> (beta1_t, beta2_t)`` and may
-    override the rate rule ``_rate(t, rate)``, which may rewrite the
-    fresh array ``rate`` in place, and ``_second_moment(v)``, the second
-    moment the rate is built from.
+    ``beta1`` and ``beta2`` are the constant moment decays, which the
+    default ``_betas(t)`` returns; only a schedule (:class:`DstAdam`)
+    overrides it with time-varying betas.  A subclass may override the
+    rate rule ``_rate(t, rate)``, which may rewrite the fresh array
+    ``rate`` in place, and ``_second_moment(v)``, the second moment the
+    rate is built from.
     """
 
     def __init__(self, dim: int, cfg: Optional[StepConfig],
-                 box: Optional[FeasibleBox]):
+                 box: Optional[FeasibleBox], beta1: float = 0.9,
+                 beta2: float = 0.999):
         super().__init__(dim, box)
         self.cfg = cfg if cfg is not None else StepConfig()
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= value < 1.0:
+                raise DomainError(f"{name} must lie in [0, 1), got {value}")
+        self.beta1 = beta1
+        self.beta2 = beta2
+
+    def _betas(self, t: int) -> Tuple[float, float]:
+        return self.beta1, self.beta2
 
     def _second_moment(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -416,16 +408,7 @@ class Adam(_AdaptiveStepper):
                  box: Optional[FeasibleBox] = None):
         if cfg is None:
             cfg = StepConfig(bias_correction=True)
-        super().__init__(dim, cfg, box)
-        if not 0.0 <= beta1 < 1.0:
-            raise DomainError(f"beta1 must lie in [0, 1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise DomainError(f"beta2 must lie in [0, 1), got {beta2}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-
-    def _betas(self, t: int) -> Tuple[float, float]:
-        return self.beta1, self.beta2
+        super().__init__(dim, cfg, box, beta1, beta2)
 
 
 class Amsgrad(Adam):
@@ -452,17 +435,12 @@ class ClippedTransition(_AdaptiveStepper):
 
     def __init__(self, dim: int, bounds: BoundFunctionSpec,
                  cfg: Optional[StepConfig] = None,
-                 beta1: ScheduleFn = 0.9, beta2: ScheduleFn = 0.999,
+                 beta1: float = 0.9, beta2: float = 0.999,
                  box: Optional[FeasibleBox] = None):
-        super().__init__(dim, cfg, box)
+        super().__init__(dim, cfg, box, beta1, beta2)
         self.bounds = bounds
-        self.beta1_at = _schedule_fn(beta1, "beta1")
-        self.beta2_at = _schedule_fn(beta2, "beta2")
         # running max of ||m||_inf, for the adadb bounds: one per replica
         self._m_abs_peak = 0.0
-
-    def _betas(self, t: int) -> Tuple[float, float]:
-        return self.beta1_at(t), self.beta2_at(t)
 
     def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
         m_abs = None
@@ -484,13 +462,14 @@ class DstAdam(_AdaptiveStepper):
 
     so the run starts Adam-like and ends at the decreasing SGD rate r_t.
     The blend keeps every rate above (1 - rho_t) * r_t, which is what
-    bounds 1/eta_hat by 1/(r_l (1 - rho)) for the whole run.
+    bounds 1/eta_hat by 1/(r_l (1 - rho)) for the whole run.  The betas
+    of step t come from the schedule, like rho_t and r_t.
     """
 
     def __init__(self, dim: int, schedule: TransitionSchedule,
                  cfg: Optional[StepConfig] = None,
                  box: Optional[FeasibleBox] = None):
-        super().__init__(dim, cfg, box)
+        super().__init__(dim, cfg, box, schedule.beta1, schedule.beta2)
         self.schedule = schedule
         self._blend = None  # (rho_t, r_t) of the step in progress
 
@@ -518,9 +497,11 @@ class _KindBatch(_AdaptiveStepper):
     ``steppers`` the R lone steppers they were built from, in row order.
     The skeleton step runs once over all rows with the rows' alpha,
     epsilon, bias correction and sqrt_decay as columns where they
-    differ.  Each part keeps its own rows' moments as views of the
-    batch's and runs its hooks on them; their betas become (R, 1)
-    columns.  Row r gets the bits its stepper would get alone.
+    differ.  The betas are (R, 1) columns filled once from the lone
+    steppers; each step, a part whose kind overrides a hook (a schedule's
+    ``_betas``, AMSGrad's ``_second_moment``, a rate rule) runs it on its
+    own rows, whose moments are views of the batch's.  Row r gets the
+    bits its stepper would get alone.
     """
 
     def __init__(self, parts: Sequence[_AdaptiveStepper],
@@ -534,36 +515,41 @@ class _KindBatch(_AdaptiveStepper):
         s = self.state
         s.m = np.zeros((len(steppers), dim))
         s.v = np.zeros((len(steppers), dim))
-        self._b1, self._b2 = np.empty((2, len(steppers), 1))
-        self._parts = []
+        self._v_hat = np.empty_like(s.v)
+        betas = [[o.beta1 for o in steppers], [o.beta2 for o in steppers]]
+        self.beta1, self.beta2 = np.array(betas)[..., None]
+        rows = []
         lo = 0
         for part in parts:
             hi = lo + part.state.m.size // dim
             part.state.m, part.state.v = s.m[lo:hi], s.v[lo:hi]
             if part.state.v_max is not None:
                 part.state.v_max = part.state.v_max.reshape(hi - lo, dim)
-            self._parts.append((lo, hi, part))
+            rows.append((lo, hi, part))
             lo = hi
-        # the parts whose hooks do more than the skeleton's defaults
-        self._rules = [(lo, hi, part) for lo, hi, part in self._parts
-                       if type(part)._rate is not _AdaptiveStepper._rate]
-        self._v_hat = None
-        if any(type(part)._second_moment
-               is not _AdaptiveStepper._second_moment for part in parts):
-            self._v_hat = np.empty_like(s.v)
+
+        def overriding(hook):
+            default = getattr(_AdaptiveStepper, hook)
+            return [(lo, hi, part) for lo, hi, part in rows
+                    if getattr(type(part), hook) is not default]
+
+        self._schedules = overriding("_betas")
+        self._moments = overriding("_second_moment")
+        self._rules = overriding("_rate")
 
     def _betas(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        b1, b2 = self._b1, self._b2
-        for lo, hi, part in self._parts:
-            b1[lo:hi], b2[lo:hi] = part._betas(t)
-        return b1, b2
+        for lo, hi, part in self._schedules:
+            self.beta1[lo:hi], self.beta2[lo:hi] = part._betas(t)
+        return self.beta1, self.beta2
 
     def _second_moment(self, v: np.ndarray) -> np.ndarray:
-        if self._v_hat is None:
+        if not self._moments:
             return v
-        for lo, hi, part in self._parts:
-            self._v_hat[lo:hi] = part._second_moment(v[lo:hi])
-        return self._v_hat
+        v_hat = self._v_hat
+        v_hat[...] = v
+        for lo, hi, part in self._moments:
+            v_hat[lo:hi] = part._second_moment(v[lo:hi])
+        return v_hat
 
     def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
         for lo, hi, part in self._rules:

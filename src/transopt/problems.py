@@ -368,12 +368,6 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
         return out
 
 
-def full_logistic_loss(theta: np.ndarray, features: np.ndarray,
-                       labels: np.ndarray) -> float:
-    margins = labels * (features @ theta)
-    return float(np.mean(np.logaddexp(0.0, -margins)))
-
-
 def full_logistic_grad(theta: np.ndarray, features: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     margins = labels * (features @ theta)

@@ -10,7 +10,7 @@ from transopt.diagnostics import (BLOCK_ELEMENTS, C2Monitor, ConditionReport,
                                   lemma_a1_holds, sqrt_t_regret_series)
 from transopt import diagnostics
 from transopt.errors import DomainError
-from transopt.optim import DstAdam, StepConfig
+from transopt.optim import DstAdam, FeasibleBox, StepConfig
 from transopt.problems import RegretLedger
 from transopt.schedule import TransitionSchedule
 
@@ -341,6 +341,36 @@ class TestEtaBoundCheck:
                 theta = opt.step(theta, rng.normal(size=2))
                 rows.append(opt.rate_raw())
             assert eta_bound_check(rows, r_l=0.01, rho=0.95)
+
+
+class TestRunMonitorFlush:
+    """A lone run's flush of three steps at d = 2, the rate of step 2,
+    coordinate 1 replaced."""
+
+    @staticmethod
+    def flush(rate):
+        monitor = diagnostics.RunMonitor(2, 3, 1, [FeasibleBox.unbounded()],
+                                         [None], [False])
+        grads, rates, thetas = monitor.buffers
+        grads[:3] = 0.5
+        rates[:3] = 0.1
+        rates[1, 0, 1] = rate
+        thetas[:3] = 0.0
+        monitor.flush(3)
+        return monitor
+
+    def test_a_subnormal_rate_makes_the_inverse_rate_max_inf(self):
+        # 1/1e-310 overflows to +inf; the rate is positive, so no raise
+        monitor = self.flush(1e-310)
+        assert monitor.inverse_rate.max.tolist() == [math.inf]
+        assert monitor.rate_summary[0, 1].tolist() == [1e-310, 0.05, 0.1]
+
+    def test_a_zero_rate_names_step_and_coordinate(self):
+        with pytest.raises(DomainError) as err:
+            self.flush(0.0)
+        assert str(err.value).startswith(
+            "raw rate 0.0 at step 2, coordinate 1: a rate must stay positive")
+        assert err.value.replica == 0
 
 
 def reference_params(**overrides):

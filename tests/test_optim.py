@@ -536,7 +536,7 @@ def _replica_steppers(kind, k, dim=3):
                                    gamma=1.0 + k), cfg, box=box),
         "lu": lambda: ClippedTransition(
             dim, BoundFunctionSpec("lu", alpha_star=0.05, horizon=16),
-            cfg, beta1=0.5 + 0.1 * k, box=box),
+            cfg, beta1=0.5 + 0.1 * k, beta2=0.99 - 0.09 * k, box=box),
         "dstadam": lambda: DstAdam(dim, TransitionSchedule(
             horizon=horizon, r_l=0.005 * (k + 1), r_u=5.0 - k,
             rho=[None, 0.9, 0.99][k]), cfg, box=box),
@@ -612,7 +612,7 @@ def _kind_groups():
     return [[_replica_steppers("adam", k) for k in range(2)],
             [_replica_steppers("amsgrad", 0)],
             [_replica_steppers("adadb", k) for k in range(2)],
-            [_replica_steppers("lu", 1)],
+            [_replica_steppers("lu", k) for k in range(2)],
             [Adam(3, StepConfig(epsilon=1e-3), box=FeasibleBox.cube(3.0, 3))],
             [_replica_steppers("dstadam", k) for k in range(3)],
             [_replica_steppers("dstadam-geometric", 1)]]
@@ -625,14 +625,17 @@ class TestKindBatches:
     def test_rows_step_as_lone_steppers(self):
         lone = [opt for group in _kind_groups() for opt in group]
         batch = stack_kinds(_kind_groups())
-        assert batch.state.m.shape == (11, 3)
+        assert batch.state.m.shape == (12, 3)
         assert batch.cfg.bias_correction.ravel().tolist() == \
-            [True] * 3 + [False] * 8
+            [True] * 3 + [False] * 9
+        # the lu rows' constant betas, filled once at construction
+        assert batch.beta1[5:7].ravel().tolist() == [0.5, 0.6]
+        assert batch.beta2[5:7].ravel().tolist() == [0.99, 0.9]
         rng = np.random.default_rng(9)
-        theta = rng.uniform(-0.5, 0.5, size=(11, 3))
+        theta = rng.uniform(-0.5, 0.5, size=(12, 3))
         thetas = list(theta)
         for t in range(1, 13):
-            grad = rng.normal(size=(11, 3))
+            grad = rng.normal(size=(12, 3))
             if t == 1:
                 grad[3] = 0.0  # one adadb replica's peak stays 0 a step
             theta = batch.step(theta, grad)
@@ -674,3 +677,16 @@ def test_a_zero_dstadam_rate_names_step_and_coordinate():
         opt.step(theta, np.array([0.5, 1e308]))
     assert str(err.value) == "eta_hat not positive at step 2, coordinate 1"
     assert err.value.replica is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda **betas: Adam(2, **betas),
+    lambda **betas: Amsgrad(2, **betas),
+    lambda **betas: ClippedTransition(
+        2, BoundFunctionSpec("adabound", alpha_star=0.1), **betas),
+], ids=["adam", "amsgrad", "clipped"])
+@pytest.mark.parametrize("name, value", [("beta1", 1.0), ("beta2", -0.1)])
+def test_a_beta_outside_the_unit_interval_raises(make, name, value):
+    with pytest.raises(DomainError) as err:
+        make(**{name: value})
+    assert str(err.value) == f"{name} must lie in [0, 1), got {value}"
