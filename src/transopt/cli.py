@@ -4,9 +4,8 @@ Subcommands:
   run CONFIG                 execute one experiment config
   sweep CONFIG_DIR           run every *.yaml config in a directory;
                              configs that share a loop key (same problem
-                             kind, shapes, horizon and stride, and an
-                             adaptive optimizer of any kind, or SGDM
-                             with SGDM) run as one batch
+                             kind, shapes, horizon and stride, with any
+                             optimizer) run as one batch
   compare RUN_DIR...         tabulate final metrics of finished runs
   check-conditions RUN_DIR   print the recorded condition report, with the
                              first C2 violation and the max of 1/eta_hat

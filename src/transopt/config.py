@@ -10,6 +10,7 @@ rho**T = 1e-8.
 """
 
 import hashlib
+import math
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Tuple
@@ -21,6 +22,16 @@ from .schedule import BETA1_KINDS, BOUND_KINDS, RHO_KINDS
 
 PROBLEM_KINDS = ("quadratic", "reddi", "logistic", "mlp")
 OPTIMIZER_KINDS = ("sgdm", "adam", "amsgrad", "adabound", "generic", "dstadam")
+
+
+def _check_positive(path: str, value: float, zero_ok: bool = False):
+    """Reject a value that is not a finite number > 0 (>= 0 with
+    ``zero_ok``), NaN included."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    if value < 0.0 or value == 0.0 and not zero_ok:
+        raise ConfigError(
+            f"{path}: must be {'>=' if zero_ok else '>'} 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,9 @@ class BoundsSpec:
             raise ConfigError(
                 f"optimizer.bounds.kind: unknown kind {self.kind!r}"
             )
-        if self.alpha_star <= 0.0:
-            raise ConfigError(
-                f"optimizer.bounds.alpha_star: must be > 0, got {self.alpha_star}"
-            )
+        _check_positive("optimizer.bounds.alpha_star", self.alpha_star)
+        if self.gamma is not None:
+            _check_positive("optimizer.bounds.gamma", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,10 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer.kind: unknown kind {self.kind!r}")
-        if self.alpha <= 0.0:
-            raise ConfigError(f"optimizer.alpha: must be > 0, got {self.alpha}")
-        if self.epsilon < 0.0:
-            raise ConfigError(
-                f"optimizer.epsilon: must be >= 0, got {self.epsilon}"
-            )
-        for name in ("beta1", "beta2"):
+        _check_positive("optimizer.alpha", self.alpha)
+        _check_positive("optimizer.epsilon", self.epsilon, zero_ok=True)
+        _check_positive("optimizer.lr", self.lr)
+        for name in ("beta1", "beta2", "momentum"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(

@@ -28,7 +28,10 @@ def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
 
 def _broadcast(a: np.ndarray, b) -> np.ndarray:
     """Validate that ``b`` is a scalar, an array shaped like ``a``, or a
-    column of one value per row of ``a``."""
+    column of one value per row of ``a``.  A float passes as it is:
+    ``np.ndim`` costs more than the clip itself."""
+    if isinstance(b, float):
+        return b
     if np.ndim(b) == 0:
         return np.float64(b)
     b = np.asarray(b, dtype=np.float64)
@@ -44,7 +47,9 @@ def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
     or (R, 1) column."""
     lo = _broadcast(a, lo)
     hi = _broadcast(a, hi)
-    if np.any(lo > hi):
+    # a plain comparison: np.any on two scalars costs about 5 us
+    inverted = lo > hi
+    if inverted.any() if isinstance(inverted, np.ndarray) else inverted:
         raise DomainError("clamp bounds inverted (lo > hi)")
     return np.clip(a, lo, hi)
 

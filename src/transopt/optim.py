@@ -4,18 +4,19 @@ Each stepper owns an :class:`OptimizerState` and advances it with
 ``step(theta, grad) -> theta_next``.  A single state must not be shared
 between concurrent runs; distinct stepper instances are independent.
 
-Besides heavy-ball :class:`MomentumSgd`, four adaptive steppers share
-one skeleton, :meth:`_AdaptiveStepper.step`: update the moving averages
-m_t, v_t of the gradient and its square in place, optionally de-bias
-them, form the rate alpha / (sqrt(v_t) + epsilon), apply a rate rule,
-optionally divide by sqrt(t), and take the projected step
-theta - eta_t * m_t with the diagonal metric 1/eta_t.  The rules are
-the identity (:class:`Adam`), the rate of the running max of v_t
-(:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`)
-and the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
-target r_t (:class:`DstAdam`).  The moment decays beta1 and beta2 are
-fields of the skeleton, constant in every stepper but DstAdam, whose
-schedule is the one override of ``_betas``.
+Every stepper runs one skeleton, :meth:`_AdaptiveStepper.step`: update
+the moving averages m_t, v_t of the gradient and its square in place,
+optionally de-bias them, form the rate alpha / (sqrt(v_t) + epsilon),
+apply a rate rule, optionally divide by sqrt(t), and take the projected
+step theta - eta_t * m_t with the diagonal metric 1/eta_t.  The rules
+are the identity (:class:`Adam`), the rate of the running max of v_t
+(:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`),
+the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
+target r_t (:class:`DstAdam`) and the constant rate lr of heavy-ball
+:class:`MomentumSgd`, whose first moment takes the gradient undamped.
+The moment decays beta1 and beta2 and the first moment's gain on the
+gradient are fields of the skeleton, constant in every stepper but
+DstAdam, whose schedule is the one override of ``_betas``.
 
 Bad inputs raise before any state changes; a NaN second moment (an
 overflowed one times a zero beta2) or a bad derived rate raises after
@@ -26,12 +27,12 @@ at once: :func:`stack_like` merges R steppers built alike into one whose
 hyperparameters are (R, 1) columns where the replicas differ and plain
 floats where they agree, so every update below broadcasts row by row
 and gives each replica the bits it would get alone.  :func:`stack_kinds`
-goes one step further for the adaptive steppers: groups of different
-kinds (say Adam, AMSGrad and DstAdam on one problem) share one skeleton
-step over all their rows, alpha, epsilon, the bias correction and
-sqrt_decay become columns where the groups differ, the betas become
-columns filled once, and each group runs on its own rows only the hooks
-its kind overrides.
+goes one step further: groups of different kinds (say SGDM, Adam and
+DstAdam on one problem) share one skeleton step over all their rows,
+alpha, epsilon, the bias correction and sqrt_decay become columns where
+the groups differ, the betas and the first-moment gain become columns
+filled once, and each group runs on its own rows only the hooks its kind
+overrides.
 """
 
 from __future__ import annotations
@@ -87,14 +88,15 @@ def stack_like(objs: Sequence):
     return first
 
 
-def stack_kinds(groups: Sequence[Sequence["_Stepper"]]) -> "_Stepper":
+def stack_kinds(groups: Sequence[Sequence["_AdaptiveStepper"]]
+                ) -> "_AdaptiveStepper":
     """One stepper for the rows of several kind groups, group after group.
 
     Each group holds steppers of one kind built alike, merged by
     :func:`stack_like`, or a lone stepper, kept as it is; so a single
     group steps exactly as it would without this function.  Groups of
-    different adaptive kinds become one :class:`_KindBatch`.  The
-    steppers must not have stepped yet.
+    different kinds become one :class:`_KindBatch`.  The steppers must
+    not have stepped yet.
     """
     parts = [g[0] if len(g) == 1 else stack_like(g) for g in groups]
     if len(parts) == 1:
@@ -148,9 +150,10 @@ class StepConfig:
     sqrt_decay: bool = False
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        # written so that NaN fails them too
+        if not self.alpha > 0.0:
             raise DomainError(f"alpha must be > 0, got {self.alpha}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
@@ -247,12 +250,31 @@ class OptimizerState:
         self.beta2_prod = 1.0
 
 
-class _Stepper:
-    """Shared plumbing: input checks, projection, effective-lr access."""
+class _AdaptiveStepper:
+    """The step shared by every stepper.
 
-    def __init__(self, dim: int, box: Optional[FeasibleBox]):
+    ``beta1`` and ``beta2`` are the constant moment decays, which the
+    default ``_betas(t)`` returns; only a schedule (:class:`DstAdam`)
+    overrides it with time-varying betas, and then also refreshes
+    ``gain1``, the first moment's gain on the gradient, which is
+    1 - beta1 for every kind but heavy ball's 1.0.  A subclass may
+    override the rate rule ``_rate(t, rate)``, which may rewrite the
+    fresh array ``rate`` in place, and ``_second_moment(v)``, the second
+    moment the rate is built from.
+    """
+
+    def __init__(self, dim: int, cfg: Optional[StepConfig],
+                 box: Optional[FeasibleBox], beta1: float = 0.9,
+                 beta2: float = 0.999):
         self.state = OptimizerState(dim)
         self.box = box if box is not None else FeasibleBox.unbounded()
+        self.cfg = cfg if cfg is not None else StepConfig()
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= value < 1.0:
+                raise DomainError(f"{name} must lie in [0, 1), got {value}")
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.gain1 = 1.0 - beta1
 
     def _check_inputs(self, theta: np.ndarray, grad: np.ndarray):
         """Reject a bad step before any state changes.
@@ -302,54 +324,6 @@ class _Stepper:
             raise StateError("no step has been taken yet")
         return self.state.last_rate_raw.copy()
 
-
-class MomentumSgd(_Stepper):
-    """Heavy-ball SGD: m <- momentum * m + g; theta <- theta - lr * m."""
-
-    def __init__(self, dim: int, lr: float = 0.1, momentum: float = 0.9,
-                 box: Optional[FeasibleBox] = None):
-        super().__init__(dim, box)
-        if lr <= 0.0:
-            raise DomainError(f"lr must be > 0, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._eta = np.full(dim, lr)
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
-        s = self.state
-        s.m *= self.momentum
-        s.m += grad
-        theta = self._project(theta - self.lr * s.m, self._eta)
-        s.t += 1
-        s.last_effective_lr = s.last_rate_raw = self._eta
-        return theta
-
-
-class _AdaptiveStepper(_Stepper):
-    """The step shared by the adaptive steppers.
-
-    ``beta1`` and ``beta2`` are the constant moment decays, which the
-    default ``_betas(t)`` returns; only a schedule (:class:`DstAdam`)
-    overrides it with time-varying betas.  A subclass may override the
-    rate rule ``_rate(t, rate)``, which may rewrite the fresh array
-    ``rate`` in place, and ``_second_moment(v)``, the second moment the
-    rate is built from.
-    """
-
-    def __init__(self, dim: int, cfg: Optional[StepConfig],
-                 box: Optional[FeasibleBox], beta1: float = 0.9,
-                 beta2: float = 0.999):
-        super().__init__(dim, box)
-        self.cfg = cfg if cfg is not None else StepConfig()
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= value < 1.0:
-                raise DomainError(f"{name} must lie in [0, 1), got {value}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-
     def _betas(self, t: int) -> Tuple[float, float]:
         return self.beta1, self.beta2
 
@@ -364,10 +338,11 @@ class _AdaptiveStepper(_Stepper):
         s, cfg = self.state, self.cfg
         t = s.t + 1
         b1, b2 = self._betas(t)
-        # in place, in the operation order of b * m + (1 - b) * g
+        # in place, in the operation order of b1 * m + gain1 * g and
+        # b2 * v + (1 - b2) * g * g
         m, v = s.m, s.v
         m *= b1
-        m += (1.0 - b1) * grad
+        m += self.gain1 * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
         # A finite gradient can overflow v to inf, which only zeroes that
@@ -398,6 +373,29 @@ class _AdaptiveStepper(_Stepper):
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
         s.last_rate_raw, s.last_effective_lr = rate, eta
         return theta
+
+
+class MomentumSgd(_AdaptiveStepper):
+    """Heavy-ball SGD: m <- momentum * m + g; theta <- theta - lr * m.
+
+    The skeleton with an undamped first moment (gain 1.0, and 1.0 * g is
+    g exactly) and the rate rule eta = lr.  Its second moment is never
+    read; a beta2 in (0, 1) keeps an overflowed one inf, never NaN.
+    """
+
+    def __init__(self, dim: int, lr: float = 0.1, momentum: float = 0.9,
+                 box: Optional[FeasibleBox] = None):
+        if not lr > 0.0:
+            raise DomainError(f"lr must be > 0, got {lr}")
+        if not 0.0 <= momentum < 1.0:
+            raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
+        super().__init__(dim, None, box, beta1=momentum, beta2=0.5)
+        self.gain1 = 1.0
+        self.lr = lr
+
+    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
+        rate[...] = self.lr
+        return rate
 
 
 class Adam(_AdaptiveStepper):
@@ -476,6 +474,7 @@ class DstAdam(_AdaptiveStepper):
     def _betas(self, t: int) -> Tuple[float, float]:
         b1, b2, rho_t, r_t = self.schedule.step_values(t)
         self._blend = (rho_t, r_t)
+        self.gain1 = 1.0 - b1
         return b1, b2
 
     def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
@@ -491,24 +490,22 @@ class DstAdam(_AdaptiveStepper):
 
 
 class _KindBatch(_AdaptiveStepper):
-    """Adaptive steppers of several kinds stepping one (R, d) batch.
+    """Steppers of several kinds stepping one (R, d) batch.
 
     ``parts`` are the kind groups' steppers (see :func:`stack_kinds`) and
     ``steppers`` the R lone steppers they were built from, in row order.
     The skeleton step runs once over all rows with the rows' alpha,
     epsilon, bias correction and sqrt_decay as columns where they
-    differ.  The betas are (R, 1) columns filled once from the lone
-    steppers; each step, a part whose kind overrides a hook (a schedule's
-    ``_betas``, AMSGrad's ``_second_moment``, a rate rule) runs it on its
-    own rows, whose moments are views of the batch's.  Row r gets the
-    bits its stepper would get alone.
+    differ.  The betas and the first-moment gain are (R, 1) columns
+    filled once from the lone steppers; each step, a part whose kind
+    overrides a hook (a schedule's ``_betas``, which also refreshes its
+    rows' gain, AMSGrad's ``_second_moment``, a rate rule such as heavy
+    ball's eta = lr) runs it on its own rows, whose moments are views of
+    the batch's.  Row r gets the bits its stepper would get alone.
     """
 
     def __init__(self, parts: Sequence[_AdaptiveStepper],
                  steppers: Sequence[_AdaptiveStepper]):
-        if not all(isinstance(p, _AdaptiveStepper) for p in parts):
-            raise DomainError("only adaptive steppers of different kinds "
-                              "can share a batch")
         dim = steppers[0].state.dim
         super().__init__(dim, stack_like([o.cfg for o in steppers]),
                          stack_like([o.box for o in steppers]))
@@ -516,8 +513,9 @@ class _KindBatch(_AdaptiveStepper):
         s.m = np.zeros((len(steppers), dim))
         s.v = np.zeros((len(steppers), dim))
         self._v_hat = np.empty_like(s.v)
-        betas = [[o.beta1 for o in steppers], [o.beta2 for o in steppers]]
-        self.beta1, self.beta2 = np.array(betas)[..., None]
+        self.beta1, self.beta2, self.gain1 = np.array(
+            [[o.beta1 for o in steppers], [o.beta2 for o in steppers],
+             [o.gain1 for o in steppers]])[..., None]
         rows = []
         lo = 0
         for part in parts:
@@ -540,6 +538,7 @@ class _KindBatch(_AdaptiveStepper):
     def _betas(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         for lo, hi, part in self._schedules:
             self.beta1[lo:hi], self.beta2[lo:hi] = part._betas(t)
+            self.gain1[lo:hi] = part.gain1
         return self.beta1, self.beta2
 
     def _second_moment(self, v: np.ndarray) -> np.ndarray:

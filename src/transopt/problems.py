@@ -263,8 +263,10 @@ class _MinibatchMixin:
         n = self.n_train
         if not isinstance(self._order_seed, list):
             return _epoch_order(self._order_seed, epoch, n)
-        orders = np.stack([_epoch_order(seed, epoch, n)
-                           for seed in self._order_seed])
+        # one permutation per distinct seed: replicas may share a seed
+        perms = {seed: _epoch_order(seed, epoch, n)
+                 for seed in dict.fromkeys(self._order_seed)}
+        orders = np.stack([perms[seed] for seed in self._order_seed])
         orders += np.arange(0, orders.size, n)[:, None]
         return orders
 

@@ -11,7 +11,7 @@ array shapes or code path, so ``run_batch`` steps them together: R
 replicas share one loop over (R, d) iterates, each replica's varying
 hyperparameters an (R, 1) column (see :func:`transopt.optim.stack_like`
 and :func:`transopt.problems.stack_problems`).  Configs with the same
-:func:`loop_key` may also differ in their adaptive optimizer (Adam,
+:func:`loop_key` may also differ in their optimizer (SGDM, Adam,
 AMSGrad, the clipped family, DstAdam): each kind group is stacked on its
 own and the groups share the loop and the skeleton step, each with its
 own rate rule (:func:`transopt.optim.stack_kinds`).  Replica r writes
@@ -255,14 +255,11 @@ def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
 def loop_key(cfg: ExperimentConfig) -> ExperimentConfig:
     """Configs with equal keys can share one step loop (:func:`run_batch`).
 
-    The key is :func:`batch_key` with the optimizer cleared for the
-    adaptive kinds, which share the skeleton step and differ only in
-    their hooks and columns; SGDM keeps its own key.
+    The key is :func:`batch_key` with the optimizer cleared: every kind
+    runs the one skeleton step and differs only in its hooks and
+    columns.
     """
-    key = batch_key(cfg)
-    if cfg.optimizer.kind == "sgdm":
-        return key
-    return replace(key, optimizer=OptimizerSpec())
+    return replace(batch_key(cfg), optimizer=OptimizerSpec())
 
 
 def group_configs(cfgs: Sequence[ExperimentConfig],
@@ -307,7 +304,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     started = time.perf_counter()
     if len({loop_key(cfg) for cfg in cfgs}) != 1:
         raise ConfigError("a batch needs configs whose batch keys differ "
-                          "at most in an adaptive optimizer")
+                          "at most in the optimizer")
     kinds = group_configs(cfgs)
     order = [index for group in kinds for index in group]
     cfgs = [cfgs[index] for index in order]
@@ -430,11 +427,12 @@ WRITE_ROWS = 2048
 
 
 def _texts(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each float, as an object array; each distinct
-    bit pattern is formatted once, so -0.0 and 0.0 keep their own text."""
+    """The ``%.17g`` text of each float, as an object array shaped like
+    ``values``; each distinct bit pattern is formatted once, so -0.0 and
+    0.0 keep their own text."""
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     return np.array(["%.17g" % x for x in bits.view(np.float64).tolist()],
-                    dtype=object)[index]
+                    dtype=object)[index.reshape(values.shape)]
 
 
 def _csv_lines(columns: Sequence[np.ndarray]) -> str:
@@ -476,9 +474,11 @@ def _write_step_csvs(record: RunRecord, run_dir: Path) -> None:
                 regret_csv.write(_csv_lines(
                     [t_text, regret_text, _texts(r / t_float),
                      _texts(r / np.sqrt(t_float))]))
-            summary = record.rate_summary[lo:lo + WRITE_ROWS]
+            # lr_min, lr_median and lr_max formatted at once: at d = 1
+            # all three are equal
+            summary = _texts(record.rate_summary[lo:lo + WRITE_ROWS])
             record_csv.write(_csv_lines([t_text, loss, regret_text,
-                                         *(_texts(c) for c in summary.T)]))
+                                         *summary.T]))
 
 
 def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:

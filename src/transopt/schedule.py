@@ -233,12 +233,12 @@ class BoundFunctionSpec:
     def __post_init__(self):
         if self.kind not in BOUND_KINDS:
             raise DomainError(f"unknown bound kind {self.kind!r}")
-        if self.alpha_star <= 0.0:
+        if not self.alpha_star > 0.0:
             raise DomainError(f"alpha_star must be > 0, got {self.alpha_star}")
         if self.kind in ("adabound", "lu") and not 0.0 < self.beta2 < 1.0:
             raise DomainError(f"beta2 must lie in (0, 1), got {self.beta2}")
         if self.kind == "adadb":
-            if self.gamma is None or self.gamma <= 0.0:
+            if self.gamma is None or not self.gamma > 0.0:
                 raise DomainError(
                     f"adadb requires gamma > 0, got {self.gamma}"
                 )

@@ -1,6 +1,7 @@
 import pytest
 import yaml
 
+from transopt.cli import main as cli_main
 from transopt.config import (config_hash, parse_config, serialize_config,
                              with_overrides)
 from transopt.errors import ConfigError
@@ -95,6 +96,37 @@ horizon: 100
         text = MINIMAL.replace("kind: dstadam",
                                f"kind: {kind}\n  sqrt_decay: true")
         assert parse_config(text).optimizer.sqrt_decay is True
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "-1.0"), ("lr", "0.0"), ("lr", ".nan"), ("lr", ".inf"),
+        ("momentum", ".nan"), ("momentum", "1.0"), ("momentum", "-0.1"),
+        ("alpha", ".nan"), ("alpha", ".inf"), ("alpha", "0.0"),
+        ("epsilon", ".nan"), ("epsilon", ".inf"), ("epsilon", "-1.0e-8"),
+        ("bounds.alpha_star", ".nan"), ("bounds.alpha_star", ".inf"),
+        ("bounds.gamma", ".nan"), ("bounds.gamma", "-1.0"),
+    ])
+    def test_a_bad_optimizer_value_names_its_field(self, field, value):
+        section, _, key = field.rpartition(".")
+        line = (f"{section}: {{{key}: {value}}}" if section
+                else f"{key}: {value}")
+        text = MINIMAL.replace("kind: dstadam", f"kind: sgdm\n  {line}")
+        with pytest.raises(ConfigError,
+                           match=rf"^optimizer\.{field}: must "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("line", ["alpha: .nan", "lr: -1.0",
+                                      "momentum: .nan",
+                                      "bounds: {kind: adadb, gamma: .nan}"])
+    def test_run_rejects_a_bad_value_before_any_step(self, line, tmp_path,
+                                                     capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace(
+            "kind: dstadam", f"kind: generic\n  {line}"))
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / "runs")]) == 2
+        field = line.split(":")[0]
+        assert capsys.readouterr().err.startswith(f"error: optimizer.{field}")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRoundTrip:

@@ -618,6 +618,14 @@ def _kind_groups():
             [_replica_steppers("dstadam-geometric", 1)]]
 
 
+def _sgdm_groups():
+    """Heavy-ball kind groups: a stacked pair whose lr differs, and a
+    lone stepper with its own momentum and box."""
+    return [[_replica_steppers("sgdm", k) for k in range(2)],
+            [MomentumSgd(3, lr=0.3, momentum=0.0,
+                         box=FeasibleBox.cube(0.5, 3))]]
+
+
 class TestKindBatches:
     """stack_kinds: groups of different adaptive kinds share the skeleton
     step, and row r steps as its stepper would alone, bit for bit."""
@@ -652,9 +660,37 @@ class TestKindBatches:
         assert stack_kinds([[opt]]) is opt
         assert type(stack_kinds([[Adam(3), Adam(3)]])) is Adam
 
-    def test_sgdm_does_not_join_a_kind_batch(self):
-        with pytest.raises(DomainError, match="only adaptive"):
-            stack_kinds([[MomentumSgd(2)], [Adam(2)]])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_sgdm_rows_step_as_lone_steppers(self):
+        def groups():
+            sgdm = _sgdm_groups()
+            return [sgdm[0], *_kind_groups(), sgdm[1]]
+
+        lone = [opt for group in groups() for opt in group]
+        batch = stack_kinds(groups())
+        assert batch.state.m.shape == (15, 3)
+        # heavy ball's undamped first-moment gain, filled once
+        sgdm = [0, 1, 14]
+        assert batch.gain1[sgdm].ravel().tolist() == [1.0] * 3
+        assert batch.beta1[sgdm].ravel().tolist() == [0.5, 0.5, 0.0]
+        rng = np.random.default_rng(10)
+        theta = rng.uniform(-0.5, 0.5, size=(15, 3))
+        thetas = list(theta)
+        for t in range(1, 13):
+            grad = rng.normal(size=(15, 3))
+            if t == 3:
+                # g^2 overflows the lone SGDM row's unused v to inf, which
+                # its beta2 in (0, 1) keeps inf: no row raises
+                grad[14, 0] = 1e308
+            theta = batch.step(theta, grad)
+            for r, opt in enumerate(lone):
+                thetas[r] = opt.step(thetas[r], grad[r])
+                assert theta[r].tobytes() == thetas[r].tobytes(), (t, r)
+                assert batch.rate_raw()[r].tobytes() == \
+                    opt.rate_raw().tobytes(), (t, r)
+                assert batch.effective_lr()[r].tobytes() == \
+                    opt.effective_lr().tobytes(), (t, r)
+        assert batch.state.v[14, 0] == math.inf
 
     def test_errors_name_the_row(self):
         batch = stack_kinds([[Adam(2)], [DstAdam(
@@ -690,3 +726,20 @@ def test_a_beta_outside_the_unit_interval_raises(make, name, value):
     with pytest.raises(DomainError) as err:
         make(**{name: value})
     assert str(err.value) == f"{name} must lie in [0, 1), got {value}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: StepConfig(alpha=math.nan), "alpha must be > 0, got nan"),
+    (lambda: StepConfig(epsilon=math.nan), "epsilon must be >= 0, got nan"),
+    (lambda: MomentumSgd(2, lr=math.nan), "lr must be > 0, got nan"),
+    (lambda: MomentumSgd(2, momentum=math.nan),
+     "momentum must lie in [0, 1), got nan"),
+    (lambda: BoundFunctionSpec("adabound", alpha_star=math.nan),
+     "alpha_star must be > 0, got nan"),
+    (lambda: BoundFunctionSpec("adadb", alpha_star=0.1, gamma=math.nan),
+     "adadb requires gamma > 0, got nan"),
+], ids=["alpha", "epsilon", "lr", "momentum", "alpha_star", "gamma"])
+def test_a_nan_hyperparameter_raises(make, message):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message

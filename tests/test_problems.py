@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transopt import problems as problems_module
 from transopt.diagnostics import block_rows
 from transopt.errors import DomainError, SequenceError
 from transopt.optim import FeasibleBox
@@ -488,6 +489,35 @@ class TestStackedOracles:
                           for s, p in zip((1, 2, 7), problems)])
         self.assert_rows(problems, 2 * problems[0].batches_per_epoch + 1,
                          theta)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_shared_seeds_build_one_permutation_per_epoch(self, kind,
+                                                          monkeypatch):
+        seeds = (5, 5, 3, 5)
+        make = {"logistic": lambda s: make_logistic(30, 3, seed=s,
+                                                    batch_size=8),
+                "mlp": lambda s: make_mlp_problem(seed=s, hidden=(4,),
+                                                  n_train=24, n_test=8,
+                                                  batch_size=8)}[kind]
+        problems = [make(s) for s in seeds]
+        stacked = stack_problems(problems)
+        calls = []
+        order = problems_module._epoch_order
+        monkeypatch.setattr(problems_module, "_epoch_order",
+                            lambda *args: calls.append(args) or order(*args))
+        n, per_epoch = problems[0].n_train, problems[0].batches_per_epoch
+        for epoch in range(3):
+            orders = stacked._epoch_orders(epoch)
+            # replica r's order, shifted into its rows of the stacked data
+            for r, prob in enumerate(problems):
+                np.testing.assert_array_equal(
+                    orders[r] - r * n, prob._epoch_orders(epoch))
+        # two distinct seeds, so two permutations an epoch for the batch,
+        # then one per lone problem
+        assert [c[:2] for c in calls] == [
+            args for epoch in range(3)
+            for args in [(5, epoch), (3, epoch)] + [(s, epoch) for s in seeds]]
+        self.assert_rows(problems, 2 * per_epoch + 1, self.thetas(problems))
 
     def test_unlike_problems_are_rejected(self):
         with pytest.raises(DomainError, match="cannot batch"):

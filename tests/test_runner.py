@@ -777,7 +777,8 @@ class TestBatches:
 
     def test_unlike_configs_are_not_a_batch(self):
         with pytest.raises(ConfigError, match="batch key"):
-            runner.run_batch([_batch_cfg("a"), _batch_cfg("c", kind="adam")])
+            runner.run_batch([_batch_cfg("a"), config_module.with_overrides(
+                _batch_cfg("d", kind="adam"), stride=2)])
 
     def test_a_replica_error_names_its_config(self, monkeypatch):
         step = QuadraticTracking.loss_and_grad
@@ -821,13 +822,13 @@ name: run{seed}
                                  r"coordinate 1"):
             runner.run_batch(cfgs, write_artifacts=False)
 
-    # with 4 workers the two batches are split among them
+    # one loop of four; with 2 or 4 workers it is split among them
     @pytest.mark.parametrize("jobs", ["1", "2", "4"])
     def test_sweep_prints_one_line_per_run_in_config_order(
             self, tmp_path, capsys, jobs):
         sweep_dir = tmp_path / "configs"
         sweep_dir.mkdir()
-        # the two sgdm configs batch together around the adam one
+        # the sgdm and adam configs share one loop, interleaved by kind
         for name, kind, seed in (("a", "sgdm", 3), ("b", "adam", 3),
                                  ("c", "sgdm", 4), ("d", "adam", 5)):
             (sweep_dir / f"{name}.yaml").write_text(
@@ -912,22 +913,29 @@ class TestMixedBatches:
         root = Path(__file__).resolve().parent.parent / "configs"
         cfgs = [config_module.load_config(root / f"mlp_{kind}.yaml")
                 for kind in ("adabound", "adam", "dstadam", "sgdm")]
-        # SGDM never shares a loop with an adaptive optimizer
-        assert runner.group_configs(cfgs, runner.loop_key) == \
-            [[0, 1, 2], [3]]
-        batch = runner.run_batch(cfgs[:3], write_artifacts=False,
+        # the four optimizers of the MLP comparison share one loop
+        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
                                  keep_trajectory=True)
         for cfg, got in zip(cfgs, batch):
             _assert_records_equal(got, run_experiment(
                 cfg, write_artifacts=False, keep_trajectory=True))
 
-    def test_sgdm_keeps_its_own_loop(self):
+    def test_sgdm_shares_the_adaptive_loop(self):
         cfgs = [_batch_cfg("a"), _batch_cfg("b", kind="adam"),
-                _batch_cfg("c", kind="dstadam"), _batch_cfg("d", seed=9)]
-        assert runner.group_configs(cfgs, runner.loop_key) == \
-            [[0, 3], [1, 2]]
+                _batch_cfg("c", kind="dstadam"),
+                _batch_cfg("d", seed=9, lr=0.2)]
+        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            _assert_records_equal(got, run_experiment(
+                cfg, write_artifacts=False, keep_trajectory=True))
+        # a stride fixes the loop's buffers: SGDM at another stride does
+        # not join
         with pytest.raises(ConfigError, match="batch keys"):
-            runner.run_batch(cfgs[:3])
+            runner.run_batch(cfgs[1:3] + [config_module.with_overrides(
+                cfgs[0], stride=2)])
 
     def test_a_nan_gradient_names_its_config(self, monkeypatch):
         step = QuadraticTracking.loss_and_grad
