@@ -1,4 +1,4 @@
-"""Checked vector helpers: clamp and norms.
+"""Checked vector helpers: clamp, norms and a bool-or-array test.
 
 Parameter vectors, gradients, and moment estimates are float64 numpy
 arrays: 1-D, or (R, d) for a batch of R runs.  All functions here are
@@ -26,16 +26,21 @@ def _check_finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def holds(flag) -> bool:
+    """A bool, or whether any entry of a bool array holds.  Cheaper than
+    ``np.any`` when ``flag`` comes from comparing scalars."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
 def _broadcast(a: np.ndarray, b) -> np.ndarray:
     """Validate that ``b`` is a scalar, an array shaped like ``a``, or a
     column of one value per row of ``a``.  A float passes as it is:
-    ``np.ndim`` costs more than the clip itself."""
+    ``np.asarray`` costs more than the clip itself."""
     if isinstance(b, float):
         return b
-    if np.ndim(b) == 0:
-        return np.float64(b)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != a.shape and (a.ndim < 2 or b.shape != a.shape[:-1] + (1,)):
+    if b.ndim and b.shape != a.shape and (
+            a.ndim < 2 or b.shape != a.shape[:-1] + (1,)):
         raise DimensionError(
             f"length mismatch: {a.shape[0]} vs {b.shape[0]}"
         )
@@ -47,9 +52,7 @@ def clamp(a: np.ndarray, lo, hi) -> np.ndarray:
     or (R, 1) column."""
     lo = _broadcast(a, lo)
     hi = _broadcast(a, hi)
-    # a plain comparison: np.any on two scalars costs about 5 us
-    inverted = lo > hi
-    if inverted.any() if isinstance(inverted, np.ndarray) else inverted:
+    if holds(lo > hi):
         raise DomainError("clamp bounds inverted (lo > hi)")
     return np.clip(a, lo, hi)
 

@@ -13,7 +13,8 @@ are the identity (:class:`Adam`), the rate of the running max of v_t
 (:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`),
 the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
 target r_t (:class:`DstAdam`) and the constant rate lr of heavy-ball
-:class:`MomentumSgd`, whose first moment takes the gradient undamped.
+:class:`MomentumSgd`, whose first moment takes the gradient undamped
+and which, reading no rate from v_t, skips v_t when it steps alone.
 The moment decays beta1 and beta2 and the first moment's gain on the
 gradient are fields of the skeleton, constant in every stepper but
 DstAdam, whose schedule is the one override of ``_betas``.
@@ -46,7 +47,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .numkit import clamp
+from .numkit import clamp, holds
 from .schedule import BoundFunctionSpec, TransitionSchedule, eval_bounds
 
 
@@ -102,11 +103,6 @@ def stack_kinds(groups: Sequence[Sequence["_AdaptiveStepper"]]
     if len(parts) == 1:
         return parts[0]
     return _KindBatch(parts, [o for g in groups for o in g])
-
-
-def _holds(flag) -> bool:
-    """A bool, or whether any entry of an (R, 1) bool column holds."""
-    return flag.any() if isinstance(flag, np.ndarray) else flag
 
 
 def _divide_where(x: np.ndarray, flag, divisor):
@@ -260,8 +256,13 @@ class _AdaptiveStepper:
     1 - beta1 for every kind but heavy ball's 1.0.  A subclass may
     override the rate rule ``_rate(t, rate)``, which may rewrite the
     fresh array ``rate`` in place, and ``_second_moment(v)``, the second
-    moment the rate is built from.
+    moment the rate is built from.  A kind whose rate rule never reads
+    the adaptive rate (heavy ball) sets ``reads_v`` false: then v, its
+    square root and the divide are skipped and the rule fills an
+    uninitialised array.
     """
+
+    reads_v = True
 
     def __init__(self, dim: int, cfg: Optional[StepConfig],
                  box: Optional[FeasibleBox], beta1: float = 0.9,
@@ -338,36 +339,45 @@ class _AdaptiveStepper:
         s, cfg = self.state, self.cfg
         t = s.t + 1
         b1, b2 = self._betas(t)
-        # in place, in the operation order of b1 * m + gain1 * g and
-        # b2 * v + (1 - b2) * g * g
-        m, v = s.m, s.v
-        m *= b1
-        m += self.gain1 * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        # A finite gradient can overflow v to inf, which only zeroes that
-        # coordinate's rate while b2 > 0 (the run monitors reject that
-        # rate); b2 = 0 turns it into NaN at the next step, and NaN would
-        # reach theta.  Screened as in _check_inputs.
-        if not math.isfinite(np.add.reduce(v, None)):
-            bad = np.isnan(v)
-            if bad.any():
-                _raise_first(bad, f"non-finite second moment at step {t}, "
-                                  "coordinate {i}")
         beta1_prod = s.beta1_prod * b1
         beta2_prod = s.beta2_prod * b2
-        v = self._second_moment(v)
         bias_correction = cfg.bias_correction
-        if isinstance(bias_correction, np.ndarray) or bias_correction:
+        debias = isinstance(bias_correction, np.ndarray) or bias_correction
+        # in place, in the operation order of b1 * m + gain1 * g
+        m = s.m
+        m *= b1
+        m += self.gain1 * grad
+        if self.reads_v:
+            # b2 * v + (1 - b2) * g * g, in place
+            v = s.v
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            # A finite gradient can overflow v to inf, which only zeroes
+            # that coordinate's rate while b2 > 0 (the run monitors reject
+            # that rate); b2 = 0 turns it into NaN at the next step, and
+            # NaN would reach theta.  Screened as in _check_inputs.
+            if not math.isfinite(np.add.reduce(v, None)):
+                bad = np.isnan(v)
+                if bad.any():
+                    _raise_first(bad, f"non-finite second moment at step "
+                                      f"{t}, coordinate {{i}}")
+            v = self._second_moment(v)
+            if debias:
+                v = _divide_where(v, bias_correction, 1.0 - beta2_prod)
+            rate = np.sqrt(v)
+            rate += cfg.epsilon
+            # sqrt(v) >= 0, so only epsilon == 0 can leave a zero
+            # denominator
+            if holds(cfg.epsilon == 0.0) and (rate == 0.0).any():
+                _raise_first(rate == 0.0, "zero second moment with "
+                                          "epsilon=0; supply a positive "
+                                          "epsilon")
+            rate = np.divide(cfg.alpha, rate, out=rate)
+        else:
+            rate = np.empty_like(m)
+        if debias:
             m = _divide_where(m, bias_correction, 1.0 - beta1_prod)
-            v = _divide_where(v, bias_correction, 1.0 - beta2_prod)
-        rate = np.sqrt(v)
-        rate += cfg.epsilon
-        # sqrt(v) >= 0, so only epsilon == 0 can leave a zero denominator
-        if _holds(cfg.epsilon == 0.0) and (rate == 0.0).any():
-            _raise_first(rate == 0.0, "zero second moment with epsilon=0; "
-                                      "supply a positive epsilon")
-        rate = self._rate(t, np.divide(cfg.alpha, rate, out=rate))
+        rate = self._rate(t, rate)
         eta = _divide_where(rate, cfg.sqrt_decay, math.sqrt(t))
         theta = self._project(theta - eta * m, eta)
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
@@ -379,9 +389,13 @@ class MomentumSgd(_AdaptiveStepper):
     """Heavy-ball SGD: m <- momentum * m + g; theta <- theta - lr * m.
 
     The skeleton with an undamped first moment (gain 1.0, and 1.0 * g is
-    g exactly) and the rate rule eta = lr.  Its second moment is never
-    read; a beta2 in (0, 1) keeps an overflowed one inf, never NaN.
+    g exactly) and the rate rule eta = lr.  Its rate never reads the
+    second moment, which a lone stepper therefore skips; in a kind batch
+    with adaptive rows its rows' v is updated but unread, and a beta2 in
+    (0, 1) keeps an overflowed one inf, never NaN.
     """
+
+    reads_v = False
 
     def __init__(self, dim: int, lr: float = 0.1, momentum: float = 0.9,
                  box: Optional[FeasibleBox] = None):
@@ -531,6 +545,7 @@ class _KindBatch(_AdaptiveStepper):
             return [(lo, hi, part) for lo, hi, part in rows
                     if getattr(type(part), hook) is not default]
 
+        self.reads_v = any(part.reads_v for part in parts)
         self._schedules = overriding("_betas")
         self._moments = overriding("_second_moment")
         self._rules = overriding("_rate")

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
 
 
@@ -54,3 +56,11 @@ def test_serial_and_pooled_digests_must_agree():
                "seed0/w/jobs1/run/meta.json": "c"}
     assert tool.pool_mismatches(digests) == ["seed0/w/run/loss.csv",
                                              "seed0/w/run/meta.json"]
+
+
+def test_out_or_check_is_required(capsys):
+    tool = _load_tool()
+    for argv in (["--seeds", "1"], ["--out", "a", "--check", "b"]):
+        with pytest.raises(SystemExit):
+            tool.main(argv)
+    capsys.readouterr()

@@ -105,6 +105,16 @@ class TestMomentumSgd:
         with pytest.raises(DimensionError):
             opt.step(np.zeros(2), np.zeros(3))
 
+    def test_a_lone_stepper_skips_the_second_moment(self):
+        # the rate never reads v, so a gradient whose square overflows
+        # leaves v at zero and prints no overflow warning
+        opt = MomentumSgd(2, lr=0.1, momentum=0.5)
+        grad = np.array([1e300, 1.0])
+        theta = opt.step(np.zeros(2), grad)
+        np.testing.assert_array_equal(theta, -(0.1 * grad))
+        np.testing.assert_array_equal(opt.state.v, 0.0)
+        np.testing.assert_array_equal(opt.effective_lr(), 0.1)
+
 
 class TestAdam:
     def test_first_step_is_signed_alpha(self):

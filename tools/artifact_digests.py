@@ -16,12 +16,13 @@ file, so a renamed directory shows as a missing and an extra key.  The
 sweep's summary lines (with the output root cut out) and each run's
 ``check-conditions`` output are hashed too.
 
-``--check FILE`` sweeps again at the seeds, workloads and size recorded
-in FILE, which may come from another checkout (say, the parent commit's,
-with this script copied into it), and exits 1 on any mismatch, missing
-or extra key.  Either way the script exits 1 when a run's artifacts
-differ between the serial and the ``--jobs 2`` sweep.  ``--smoke`` uses
-the workloads' few-step configs.
+``--out FILE`` writes the digests to FILE.  ``--check FILE`` sweeps
+again at the seeds and size recorded in FILE, which may come from
+another checkout (say, the parent commit's, with this script copied
+into it), and exits 1 on any mismatch, missing or extra key.  Either
+way the script exits 1 when a run's artifacts differ between the serial
+and the ``--jobs 2`` sweep.  ``--smoke`` uses the workloads' few-step
+configs.
 """
 
 from __future__ import annotations
@@ -94,12 +95,11 @@ def sweep_digests(workload: str, seed: int, smoke: bool,
     return digests
 
 
-def collect(seeds: Sequence[int], names: Sequence[str],
-            smoke: bool) -> Dict[str, str]:
+def collect(seeds: Sequence[int], smoke: bool) -> Dict[str, str]:
     digests: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         for seed in seeds:
-            for name in names:
+            for name in workloads.WORKLOADS:
                 digests.update(sweep_digests(name, seed, smoke, Path(tmp)))
     return digests
 
@@ -130,21 +130,18 @@ def compare(want: Dict[str, str], got: Dict[str, str]) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    parser.add_argument("--workload", nargs="+", dest="workloads",
-                        choices=sorted(workloads.WORKLOADS),
-                        default=list(workloads.WORKLOADS))
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--out", help="write the digests here, not stdout")
-    parser.add_argument("--check", metavar="FILE",
-                        help="compare with the digests in FILE")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="FILE", help="write the digests here")
+    mode.add_argument("--check", metavar="FILE",
+                      help="compare with the digests in FILE")
     args = parser.parse_args(argv)
 
     want = None
     if args.check:
         want = json.loads(Path(args.check).read_text())
-        args.seeds, args.workloads, args.smoke = (
-            want["seeds"], want["workloads"], want["smoke"])
-    digests = collect(args.seeds, args.workloads, args.smoke)
+        args.seeds, args.smoke = want["seeds"], want["smoke"]
+    digests = collect(args.seeds, args.smoke)
     status = 0
     for key in pool_mismatches(digests):
         print(f"serial and --jobs 2 differ: {key}", file=sys.stderr)
@@ -155,13 +152,9 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         print(f"{len(digests)} digests, {len(lines)} mismatches")
         return 1 if lines else status
-    text = json.dumps({"seeds": args.seeds, "workloads": args.workloads,
-                       "smoke": args.smoke, "digests": digests},
-                      indent=1, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    Path(args.out).write_text(json.dumps(
+        {"seeds": args.seeds, "smoke": args.smoke, "digests": digests},
+        indent=1, sort_keys=True) + "\n")
     return status
 
 
