@@ -4,8 +4,7 @@ from .config import (BoundsSpec, ExperimentConfig, OptimizerSpec, ProblemSpec,
                      ScheduleSpec, load_config, parse_config, serialize_config)
 from .diagnostics import (ConditionReport, LrHistogram, TheoryParams,
                           bound_corollary1, bound_corollary2, check_c2,
-                          estimate_zeta, eta_bound_check, lemma_a1_holds,
-                          sqrt_t_regret_series)
+                          estimate_zeta, eta_bound_check, lemma_a1_holds)
 from .optim import (Adam, Amsgrad, ClippedTransition, DstAdam, FeasibleBox,
                     MomentumSgd, OptimizerState, StepConfig, project_box)
 from .problems import (LogisticMinibatch, Mlp, MlpClassification,
@@ -30,5 +29,5 @@ __all__ = [
     "eval_bounds", "lemma_a1_holds", "load_config", "make_logistic",
     "make_mlp_problem", "make_quadratic", "make_reddi", "parse_config",
     "project_box", "rho_from_horizon", "run_batch", "run_experiment",
-    "serialize_config", "sqrt_t_regret_series",
+    "serialize_config",
 ]

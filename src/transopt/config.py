@@ -9,11 +9,12 @@ When ``rho`` is omitted it is derived from the horizon so that
 rho**T = 1e-8.
 """
 
+import copy
 import hashlib
 import math
 import typing
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional, Sequence, Tuple
 
 import yaml
 
@@ -49,6 +50,13 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
+        if self.box_halfwidth is not None:
+            _check_positive("problem.box_halfwidth", self.box_halfwidth)
+        if not math.isfinite(self.c):
+            raise ConfigError(f"problem.c: must be finite, got {self.c}")
+        if self.kind == "reddi" and not self.c > 1.0:
+            raise ConfigError(
+                f"problem.c: must be > 1 for the reddi cycle, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,10 @@ class OptimizerSpec:
                 raise ConfigError(
                     f"optimizer.{name}: must lie in [0, 1), got {value}"
                 )
+        if (self.kind == "generic" and self.bounds.kind == "adadb"
+                and self.bounds.gamma is None):
+            raise ConfigError("optimizer.bounds.gamma: the adadb bounds "
+                              "need a gamma > 0")
         if self.sqrt_decay and self.kind in ("adam", "amsgrad", "sgdm"):
             raise ConfigError(
                 f"optimizer.sqrt_decay: the {self.kind} baseline has no "
@@ -184,6 +196,23 @@ def _field_types(cls) -> dict:
 _FIELD_TYPES = {cls: _field_types(cls) for cls in
                 (ExperimentConfig, ProblemSpec, OptimizerSpec, ScheduleSpec,
                  BoundsSpec)}
+
+
+def reset_values(cfg, names: Sequence[str] = ()):
+    """``cfg`` with every float and bool field of every section, and each
+    field named in ``names``, back at its dataclass default.  The result
+    is a key, not a config: the sections' checks do not run on it."""
+    out = copy.copy(cfg)
+    for f in fields(cfg):
+        kind = _FIELD_TYPES[type(cfg)][f.name]
+        if kind in _FIELD_TYPES:
+            value = reset_values(getattr(cfg, f.name), names)
+        elif kind in (float, bool) or f.name in names:
+            value = f.default
+        else:
+            continue
+        object.__setattr__(out, f.name, value)
+    return out
 
 
 def _coerce(kind: type, value, path: str):

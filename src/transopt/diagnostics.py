@@ -23,14 +23,11 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-
-if TYPE_CHECKING:  # problems imports this module
-    from .problems import RegretLedger
 
 #: Shared log10 grid so histograms of different optimizers line up.
 HIST_BINS = 60
@@ -41,12 +38,14 @@ HIST_HI = 1e3
 TEXT_CACHE_ROWS = 64
 
 
-#: Elements per block in the array passes over (T, d) arrays (the CSV
-#: writer, the comparator losses), so the temporaries stay bounded
-#: whatever T and d are.  Small blocks keep the allocator's high-water
-#: mark down: on a sweep of 24 runs of 200 steps, peak RSS rose by 1.0 MB
-#: over per-row loops at 32768 elements, by 0.4 MB at 2048 and by 0.1 MB
-#: at 1024.
+#: Elements per block of a blocked pass over a (T, d) array, so that its
+#: temporaries stay bounded whatever T and d are.  The one such pass is
+#: ``QuadraticTracking.star_losses``; the CSV writer blocks by
+#: ``runner.WRITE_ROWS``.  Small blocks keep the allocator's high-water
+#: mark down: when the writer and the condition checks also ran in these
+#: blocks, a sweep of 24 runs of 200 steps rose in peak RSS over per-row
+#: loops by 1.0 MB at 32768 elements, by 0.4 MB at 2048 and by 0.1 MB at
+#: 1024.
 BLOCK_ELEMENTS = 1024
 
 
@@ -200,16 +199,13 @@ def check_c2(rate_rows: Sequence[np.ndarray],
     ``rate_rows[k]`` is the eta-hat vector of step k+1.  Returns (t, i)
     pairs (t is 1-based, i 0-based) where the inverse-rate monotonicity
     fails beyond the tolerance, ordered by t and then i; the pairs of one
-    step share its t.
+    step share one t object.
     """
     bad = C2Monitor(1, tol).update(_as_rows(rate_rows)[:, None])
     steps, coords = np.nonzero(bad[:, 0])
-    violations, step = [], None
-    for t, i in zip((steps + 1).tolist(), coords.tolist()):
-        if t != step:
-            step = t
-        violations.append((step, i))
-    return violations
+    ts = (steps + 1).tolist()
+    shared = dict(zip(ts, ts))
+    return list(zip(map(shared.__getitem__, ts), coords.tolist()))
 
 
 #: Widest (R, d) gradient block for which ZetaMonitor runs the v
@@ -427,12 +423,9 @@ class RunMonitor:
         # effective rate = raw / divisor, with a divisor of 1 (exact) for
         # the runs without sqrt_decay
         self._sqrt_decay = np.array(sqrt_decay, dtype=bool)[:, None]
-        # an unbounded side is an infinite one, and runs without a finite
-        # side have no iterate to test
-        self._lo = np.stack([np.broadcast_to(
-            -math.inf if b.lo is None else b.lo, dim) for b in box])
-        self._hi = np.stack([np.broadcast_to(
-            math.inf if b.hi is None else b.hi, dim) for b in box])
+        # runs without a finite side have no iterate to test
+        self._lo = np.stack([b.lo for b in box])
+        self._hi = np.stack([b.hi for b in box])
         self._boxed = bool(np.isfinite(self._lo).any()
                            or np.isfinite(self._hi).any())
         self.grad_abs_max = np.zeros(replicas)
@@ -580,13 +573,6 @@ def bound_corollary2(grads: np.ndarray, rate_final: np.ndarray,
     term2 = (d * params.d_inf ** 2 * math.sqrt(horizon)
              / (params.r_l * (1.0 - params.rho) * (1.0 - params.beta1)))
     return term1 + term2 + term3 + term4
-
-
-def sqrt_t_regret_series(ledger: RegretLedger) -> List[Tuple[int, float]]:
-    """The normalized series (t, R(t)/sqrt(t)); bounded iff regret is O(sqrt T)."""
-    if not ledger.series:
-        raise DomainError("ledger is empty")
-    return [(t, r / math.sqrt(t)) for t, r in ledger.series]
 
 
 def lemma_a1_holds(values: Sequence[float], tol: float = 1e-12) -> bool:

@@ -154,57 +154,52 @@ class StepConfig:
 
 
 class FeasibleBox:
-    """Axis-aligned feasible set; either side may be unbounded (None)."""
+    """Axis-aligned feasible set [lo, hi].
 
-    def __init__(self, lo=None, hi=None):
-        self.lo = None if lo is None else np.asarray(lo, dtype=np.float64)
-        self.hi = None if hi is None else np.asarray(hi, dtype=np.float64)
-        if self.lo is not None and self.hi is not None:
-            if np.any(self.lo > self.hi):
-                raise DomainError("box has lo > hi in some coordinate")
+    ``lo`` and ``hi`` are float64 arrays of the iterate's shape, -inf and
+    +inf on an open side, so every box steps, clamps and stacks alike: a
+    batch (:func:`stack_like`) may mix bounded and unbounded boxes, and
+    clamping into an open side leaves the bits as they are.
+    """
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=np.float64)
+        self.hi = np.asarray(hi, dtype=np.float64)
+        if np.any(self.lo > self.hi):
+            raise DomainError("box has lo > hi in some coordinate")
 
     @classmethod
-    def unbounded(cls) -> "FeasibleBox":
-        return cls(None, None)
+    def unbounded(cls, dim: int) -> "FeasibleBox":
+        return cls(np.full(dim, -math.inf), np.full(dim, math.inf))
 
     @classmethod
     def cube(cls, halfwidth: float, dim: int) -> "FeasibleBox":
-        if halfwidth <= 0.0:
+        # written so that NaN fails it too
+        if not halfwidth > 0.0:
             raise DomainError(f"halfwidth must be > 0, got {halfwidth}")
         return cls(np.full(dim, -halfwidth), np.full(dim, halfwidth))
 
     @property
     def is_bounded(self) -> bool:
-        return (
-            self.lo is not None
-            and self.hi is not None
-            and bool(np.all(np.isfinite(self.lo)))
-            and bool(np.all(np.isfinite(self.hi)))
-        )
+        return bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
     def contains(self, theta: np.ndarray, tol: float = 0.0) -> bool:
         """Whether theta lies in the box grown by tol; False on NaN."""
         if tol:
             return self.widened(tol).contains(theta)
-        if self.lo is not None and not (theta >= self.lo).all():
-            return False
-        return self.hi is None or bool((theta <= self.hi).all())
+        return bool((theta >= self.lo).all() and (theta <= self.hi).all())
 
     def widened(self, tol: float) -> "FeasibleBox":
         """The box grown by tol >= 0 on every bounded side."""
-        return FeasibleBox(None if self.lo is None else self.lo - tol,
-                           None if self.hi is None else self.hi + tol)
+        return FeasibleBox(self.lo - tol, self.hi + tol)
 
     def project(self, y: np.ndarray, metric=None) -> np.ndarray:
         return project_box(y, self, metric)
 
     def clamp_into(self, y: np.ndarray) -> np.ndarray:
         """Clamp the float64 array y into the box in place; returns y."""
-        if self.lo is not None:
-            np.maximum(y, self.lo, out=y)
-        if self.hi is not None:
-            np.minimum(y, self.hi, out=y)
-        return y
+        np.maximum(y, self.lo, out=y)
+        return np.minimum(y, self.hi, out=y)
 
 
 def project_box(y: np.ndarray, box: FeasibleBox, metric=None) -> np.ndarray:
@@ -268,7 +263,7 @@ class _AdaptiveStepper:
                  box: Optional[FeasibleBox], beta1: float = 0.9,
                  beta2: float = 0.999):
         self.state = OptimizerState(dim)
-        self.box = box if box is not None else FeasibleBox.unbounded()
+        self.box = box if box is not None else FeasibleBox.unbounded(dim)
         self.cfg = cfg if cfg is not None else StepConfig()
         for name, value in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= value < 1.0:

@@ -126,10 +126,8 @@ class QuadraticTracking(OnlineProblem):
         dim = centers.shape[1]
         theta_star = box.project(centers.mean(axis=0))
         # Largest |theta_i - c_{t,i}| over the box and all centers.
-        hi = box.hi if box.hi is not None else np.full(dim, np.inf)
-        lo = box.lo if box.lo is not None else np.full(dim, -np.inf)
-        g_inf = float(np.max(np.maximum(hi - centers.min(axis=0),
-                                        centers.max(axis=0) - lo)))
+        g_inf = float(np.max(np.maximum(box.hi - centers.min(axis=0),
+                                        centers.max(axis=0) - box.lo)))
         super().__init__(dim, box, theta_star, g_inf)
         self.centers = centers
         self.horizon = centers.shape[0]
@@ -182,7 +180,8 @@ class ReddiCycle(OnlineProblem):
     name = "reddi"
 
     def __init__(self, c: float):
-        if c <= 1.0:
+        # written so that NaN fails it too
+        if not c > 1.0:
             raise DomainError(f"construction needs C > 1, got C={c}")
         self.c = float(c)
         box = FeasibleBox(np.array([-1.0]), np.array([1.0]))
@@ -597,7 +596,7 @@ class MlpClassification(_MinibatchMixin, OnlineProblem):
                  x_test: np.ndarray, y_test: np.ndarray,
                  batch_size: int, seed: int,
                  box: Optional[FeasibleBox] = None):
-        box = box if box is not None else FeasibleBox.unbounded()
+        box = box if box is not None else FeasibleBox.unbounded(net.n_params)
         super().__init__(net.n_params, box, None, float("inf"))
         self.net = net
         self.x_train = x_train
@@ -669,13 +668,6 @@ def load_dataset_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     features = np.array([[float(v) for v in row[:dim]] for row in rows])
     labels = np.array([int(row[dim]) for row in rows], dtype=np.int64)
     return features, labels
-
-
-def save_vector_csv(path, vector: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"v{i}" for i in range(len(vector))])
-        writer.writerow([f"{v:.17g}" for v in vector])
 
 
 def load_vector_csv(path) -> np.ndarray:

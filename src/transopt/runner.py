@@ -6,11 +6,12 @@ f_t(theta_t), then update), and write the CSV artifacts into a directory
 keyed by the config hash.  Identical config text yields byte-identical
 CSVs.
 
-Configs with the same :func:`batch_key` differ only in values, not in
-array shapes or code path, so ``run_batch`` steps them together: R
-replicas share one loop over (R, d) iterates, each replica's varying
-hyperparameters an (R, 1) column (see :func:`transopt.optim.stack_like`
-and :func:`transopt.problems.stack_problems`).  Configs with the same
+Configs with the same :func:`batch_key` differ at most in their float
+and bool fields, seed and name, none of which fixes an array shape or
+the code path, so ``run_batch`` steps them together: R replicas share
+one loop over (R, d) iterates, each replica's varying hyperparameters
+an (R, 1) column (see :func:`transopt.optim.stack_like` and
+:func:`transopt.problems.stack_problems`).  Configs with the same
 :func:`loop_key` may also differ in their optimizer (SGDM, Adam,
 AMSGrad, the clipped family, DstAdam): each kind group is stacked on its
 own and the groups share the loop and the skeleton step, each with its
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import (ExperimentConfig, OptimizerSpec, config_hash,
-                     serialize_config)
+                     reset_values, serialize_config)
 from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
                           inverse_rate_bounded, sampled_steps)
 # perfbench/tracer.py times the whole-array checks under these names
@@ -105,11 +106,13 @@ def build_schedule(cfg: ExperimentConfig, horizon: int) -> TransitionSchedule:
             r_l=s.r_l,
             r_u=s.r_u,
             rho_kind=s.rho_kind,
-            rho=s.rho,
+            # a value the kind does not read is left out, so that replicas
+            # of one kind stack (see batch_key)
+            rho=None if s.rho_kind == "custom" else s.rho,
             rho_sequence=s.rho_sequence,
             beta1_kind=s.beta1_kind,
             beta1=cfg.optimizer.beta1,
-            beta1_decay=s.beta1_decay,
+            beta1_decay=s.beta1_decay if s.beta1_kind == "geometric" else None,
             beta2=cfg.optimizer.beta2,
         )
     except DomainError as exc:
@@ -131,11 +134,12 @@ def build_optimizer(cfg: ExperimentConfig, dim: int, horizon: int,
         return Amsgrad(dim, step_cfg, beta1=o.beta1, beta2=o.beta2, box=box)
     if o.kind in ("adabound", "generic"):
         b = o.bounds
+        kind = b.kind if o.kind == "generic" else "adabound"
         bounds = BoundFunctionSpec(
-            kind=b.kind if o.kind == "generic" else "adabound",
+            kind=kind,
             alpha_star=b.alpha_star,
             beta2=o.beta2,
-            gamma=b.gamma,
+            gamma=b.gamma if kind == "adadb" else None,
             horizon=horizon,
         )
         return ClippedTransition(dim, bounds, step_cfg,
@@ -225,31 +229,16 @@ def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
     """Configs with equal keys stack as one kind group of a batch
     (:func:`run_batch`, :func:`transopt.optim.stack_like`).
 
-    The key is the config with the fields a batch may vary cleared: the
-    seed, the box, the reddi slope, alpha, the betas, sqrt_decay, the
-    SGDM rate and momentum, rho, r_l, r_u, beta1_decay, alpha_star,
-    gamma and the run's name.  Every other field (kinds, shapes, the
-    horizon, the stride, epsilon, bias correction) fixes an array shape
-    or the code path.  A cleared field keeps whether it is None where a
-    run leaves None as it is.
+    The key is the config with every float and bool field, the seed, the
+    name, the output root and the repeat count set back to their defaults
+    (:func:`transopt.config.reset_values`).  The fields left (kinds,
+    shapes, the horizon, the stride, the hidden sizes, a custom rho
+    sequence) fix an array shape or the code path.  A built stepper or
+    problem holds each float or bool field as a number or an array, never
+    None next to one (an open box side is infinite; a value the kind does
+    not read is not passed), so the replicas' values stack as columns.
     """
-    p, o = cfg.problem, cfg.optimizer
-    s, b = o.schedule, o.bounds
-    bound_kind = b.kind if o.kind == "generic" else "adabound"
-    return replace(
-        cfg, name=None, out_dir="", repeats=1,
-        problem=replace(p, seed=0, c=3.0, box_halfwidth=(
-            None if p.kind == "mlp" and p.box_halfwidth is None else 1.0)),
-        optimizer=replace(
-            o, alpha=1.0, sqrt_decay=False, beta1=0.0, beta2=0.0, lr=1.0,
-            momentum=0.0,
-            schedule=replace(
-                s, r_l=1.0, r_u=1.0,
-                rho=s.rho if s.rho_kind == "custom" else None,
-                beta1_decay=(None if s.beta1_kind == "geometric"
-                             else s.beta1_decay)),
-            bounds=replace(b, alpha_star=1.0, gamma=(
-                None if bound_kind == "adadb" else b.gamma))))
+    return reset_values(cfg, ("seed", "name", "out_dir", "repeats"))
 
 
 def loop_key(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -114,9 +114,35 @@ horizon: 100
                            match=rf"^optimizer\.{field}: must "):
             parse_config(text)
 
+    def test_adadb_bounds_need_gamma(self):
+        text = MINIMAL.replace("kind: dstadam",
+                               "kind: generic\n  bounds: {kind: adadb}")
+        with pytest.raises(ConfigError,
+                           match=r"^optimizer\.bounds\.gamma: the adadb "):
+            parse_config(text)
+        # the other bounds and kinds read no gamma
+        for kind, bound in (("generic", "swats"), ("adabound", "adadb")):
+            parse_config(MINIMAL.replace(
+                "kind: dstadam", f"kind: {kind}\n  bounds: {{kind: {bound}}}"))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("quadratic", "box_halfwidth", ".nan"),
+        ("quadratic", "box_halfwidth", ".inf"),
+        ("mlp", "box_halfwidth", "0.0"),
+        ("logistic", "box_halfwidth", "-1.0"),
+        ("reddi", "c", ".nan"), ("reddi", "c", ".inf"), ("reddi", "c", "1.0"),
+        ("quadratic", "c", ".nan"),
+    ])
+    def test_a_bad_problem_value_names_its_field(self, kind, field, value):
+        text = MINIMAL.replace("kind: quadratic",
+                               f"kind: {kind}\n  {field}: {value}")
+        with pytest.raises(ConfigError, match=rf"^problem\.{field}: must "):
+            parse_config(text)
+
     @pytest.mark.parametrize("line", ["alpha: .nan", "lr: -1.0",
                                       "momentum: .nan",
-                                      "bounds: {kind: adadb, gamma: .nan}"])
+                                      "bounds: {kind: adadb, gamma: .nan}",
+                                      "bounds: {kind: adadb}"])
     def test_run_rejects_a_bad_value_before_any_step(self, line, tmp_path,
                                                      capsys):
         path = tmp_path / "bad.yaml"

@@ -7,11 +7,10 @@ from transopt.diagnostics import (BLOCK_ELEMENTS, C2Monitor, ConditionReport,
                                   LrHistogram, TheoryParams, block_rows,
                                   bound_corollary1, bound_corollary2,
                                   check_c2, estimate_zeta, eta_bound_check,
-                                  lemma_a1_holds, sqrt_t_regret_series)
+                                  lemma_a1_holds)
 from transopt import diagnostics
 from transopt.errors import DomainError
 from transopt.optim import DstAdam, FeasibleBox, StepConfig
-from transopt.problems import RegretLedger
 from transopt.schedule import TransitionSchedule
 
 
@@ -349,7 +348,7 @@ class TestRunMonitorFlush:
 
     @staticmethod
     def flush(rate):
-        monitor = diagnostics.RunMonitor(2, 3, 1, [FeasibleBox.unbounded()],
+        monitor = diagnostics.RunMonitor(2, 3, 1, [FeasibleBox.unbounded(2)],
                                          [None], [False])
         grads, rates, thetas = monitor.buffers
         grads[:3] = 0.5
@@ -444,31 +443,6 @@ class TestCorollaryBounds:
             bound = bound_corollary1(grads[:k], rates[k - 1], params, zeta)
             assert bound >= previous
             previous = bound
-
-
-class TestSqrtTSeries:
-    def test_exact_sqrt_regret_is_constant_one(self):
-        ledger = RegretLedger()
-        prev = 0.0
-        for t in range(1, 50):
-            target = math.sqrt(t)
-            ledger.update(t, target - prev, 0.0)
-            prev = target
-        series = sqrt_t_regret_series(ledger)
-        assert all(v == pytest.approx(1.0, rel=1e-9) for _, v in series)
-
-    def test_linear_regret_diverges(self):
-        ledger = RegretLedger()
-        for t in range(1, 101):
-            ledger.update(t, 1.0, 0.0)
-        series = sqrt_t_regret_series(ledger)
-        values = [v for _, v in series]
-        assert values[-1] == pytest.approx(10.0, rel=1e-12)
-        assert values[-1] > values[0]
-
-    def test_empty_ledger_rejected(self):
-        with pytest.raises(DomainError):
-            sqrt_t_regret_series(RegretLedger())
 
 
 class TestLemmaA1:

@@ -34,7 +34,27 @@ class TestProjectBox:
     def test_unbounded_box_is_identity(self):
         y = np.array([1e6, -1e6])
         np.testing.assert_array_equal(
-            project_box(y, FeasibleBox.unbounded()), y)
+            project_box(y, FeasibleBox.unbounded(2)), y)
+
+    def test_open_sides_are_infinite_arrays_of_the_box_shape(self):
+        box = FeasibleBox.unbounded(3)
+        for side, inf in ((box.lo, -math.inf), (box.hi, math.inf)):
+            assert side.dtype == np.float64 and side.shape == (3,)
+            assert (side == inf).all()
+        assert not box.is_bounded
+        assert box.contains(np.array([-1e308, 0.0, 1e308]))
+        assert not box.contains(np.array([0.0, math.nan, 0.0]))
+        assert box.widened(1e-12).lo.shape == (3,)
+        half_open = FeasibleBox(np.zeros(2), np.full(2, math.inf))
+        assert not half_open.is_bounded
+        np.testing.assert_array_equal(
+            half_open.clamp_into(np.array([-1.0, 1e300])), [0.0, 1e300])
+        assert FeasibleBox.cube(1.0, 2).is_bounded
+
+    @pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.nan])
+    def test_cube_rejects_a_halfwidth_not_above_zero(self, halfwidth):
+        with pytest.raises(DomainError, match="halfwidth must be > 0"):
+            FeasibleBox.cube(halfwidth, 2)
 
     def test_nonexpansive_in_weighted_norm(self):
         # Lemma-style check, brute-forced over one thousand random tuples

@@ -92,6 +92,10 @@ class TestReddi:
         with pytest.raises(DomainError):
             make_reddi(c=1.0)
 
+    def test_nan_slope_rejected(self):
+        with pytest.raises(DomainError, match="needs C > 1, got C=nan"):
+            make_reddi(c=math.nan)
+
     def test_gradient_bound(self):
         assert make_reddi(c=3.0).grad_bound == 3.0
 

@@ -753,6 +753,29 @@ name: {name}
 """)
 
 
+#: ``_batch_cfg("f", kind="generic")`` with every float and bool field
+#: changed.
+_EVERY_VALUE_CHANGED = """
+problem: {kind: quadratic, dim: 3, seed: 8, box_halfwidth: 1.5, c: 2.5}
+optimizer:
+  kind: generic
+  alpha: 0.01
+  epsilon: 0.0
+  bias_correction: true
+  sqrt_decay: true
+  beta1: 0.5
+  beta2: 0.9
+  lr: 0.2
+  momentum: 0.5
+  schedule: {rho: 0.9, r_l: 0.01, r_u: 2.0, beta1_decay: 0.5}
+  bounds: {alpha_star: 0.2, gamma: 0.7}
+horizon: 20
+name: z
+out_dir: elsewhere
+repeats: 2
+"""
+
+
 class TestBatches:
     def test_like_configs_share_a_batch_key(self):
         cfgs = [_batch_cfg("a"), _batch_cfg("b", seed=9, lr=0.2),
@@ -760,6 +783,20 @@ class TestBatches:
                 config_module.with_overrides(_batch_cfg("d"), stride=2),
                 _batch_cfg("e", seed=1)]
         assert runner.group_configs(cfgs) == [[0, 1, 4], [2], [3]]
+        # a config that differs from another in every float and bool
+        # field, and in the seed, name, output root and repeat count,
+        # joins its group
+        cfgs += [_batch_cfg("f", kind="generic"),
+                 parse_config(_EVERY_VALUE_CHANGED)]
+        assert runner.group_configs(cfgs) == [[0, 1, 4], [2], [3], [5, 6]]
+        pairs = [(cfgs[5], cfgs[6])]
+        for a, b in pairs:
+            for name, kind in config_module._FIELD_TYPES[type(a)].items():
+                if kind in config_module._FIELD_TYPES:
+                    pairs.append((getattr(a, name), getattr(b, name)))
+                elif kind in (float, bool) or name in (
+                        "seed", "name", "out_dir", "repeats"):
+                    assert getattr(a, name) != getattr(b, name), name
 
     def test_batch_records_equal_lone_records(self):
         cfgs = [_batch_cfg("a"), _batch_cfg("b", seed=9, lr=0.2)]
@@ -1003,6 +1040,84 @@ class TestMixedBatches:
             for name in CSV_ARTIFACTS:
                 assert (run_dir / name).read_bytes() == \
                     (lone.run_dir / name).read_bytes(), (line, name)
+
+
+#: A config and, for each kind, shape or tuple field, one change of it.
+_KEY_BASE = """
+problem: {kind: quadratic, dim: 3, seed: 7, hidden: [4]}
+optimizer:
+  kind: generic
+  schedule: {rho_kind: exponential, rho_sequence: [0.5], beta1_kind: constant}
+  bounds: {kind: adadb, gamma: 0.5}
+horizon: 20
+stride: 1
+batch_size: 8
+"""
+_KEY_SPLITS = [("kind: quadratic", "kind: logistic"),
+               ("kind: generic", "kind: adabound"),
+               ("kind: adadb", "kind: swats"),
+               ("rho_kind: exponential", "rho_kind: constant"),
+               ("beta1_kind: constant", "beta1_kind: harmonic"),
+               ("dim: 3", "dim: 4"), ("horizon: 20", "horizon: 21"),
+               ("stride: 1", "stride: 2"), ("batch_size: 8", "batch_size: 9"),
+               ("hidden: [4]", "hidden: [4, 4]"),
+               ("rho_sequence: [0.5]", "rho_sequence: [0.25]")]
+
+
+class TestBatchKey:
+    @pytest.mark.parametrize("old, new", _KEY_SPLITS)
+    def test_a_kind_shape_or_tuple_field_splits_the_key(self, old, new):
+        assert old in _KEY_BASE
+        base = parse_config(_KEY_BASE)
+        changed = parse_config(_KEY_BASE.replace(old, new))
+        assert runner.batch_key(base) != runner.batch_key(changed)
+
+    def test_mlp_boxes_epsilon_and_bias_correction_share_one_group(self):
+        def cfg(seed, box, epsilon, bias_correction):
+            side = f", box_halfwidth: {box}" if box else ""
+            return parse_config(
+                "problem: {kind: mlp, n_train: 24, n_test: 8, hidden: [4], "
+                f"seed: {seed}{side}}}\noptimizer: {{kind: adam, epsilon: "
+                f"{epsilon}, bias_correction: {bias_correction}}}\n"
+                "horizon: 9\nbatch_size: 8\n")
+
+        cfgs = [cfg(4, None, 0.0, "true"), cfg(5, 0.3, 1.0e-8, "false"),
+                cfg(4, 0.5, 1.0e-3, "true"), cfg(6, None, 1.0e-8, "false")]
+        assert runner.group_configs(cfgs) == [[0, 1, 2, 3]]
+        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            _assert_records_equal(got, run_experiment(
+                cfg, write_artifacts=False, keep_trajectory=True))
+        # the boxes bind, so the batch clamps some rows and not others
+        assert np.abs(batch[1].final_theta).max() == 0.3
+
+    @pytest.mark.parametrize("kind, a, b", [
+        ("dstadam", "schedule: {rho_kind: custom, rho: 0.5, "
+                    "rho_sequence: [0.9, 0.5, 0.25, 0.0]}",
+         "schedule: {rho_kind: custom, rho: 0.7, "
+         "rho_sequence: [0.9, 0.5, 0.25, 0.0]}"),
+        ("dstadam", "schedule: {beta1_decay: 0.3}",
+         "schedule: {beta1_decay: 0.6}"),
+        ("dstadam", "schedule: {beta1_kind: geometric, beta1_decay: 0.3}",
+         "schedule: {beta1_kind: geometric, beta1_decay: 0.6}"),
+        ("generic", "bounds: {kind: swats, gamma: 0.1}",
+         "bounds: {kind: swats}"),
+        ("generic", "bounds: {kind: adadb, gamma: 0.1}",
+         "bounds: {kind: adadb, gamma: 0.2}"),
+    ])
+    def test_values_a_kind_reads_or_not_share_one_group(self, kind, a, b):
+        cfgs = [parse_config(
+            "problem: {kind: quadratic, dim: 3, seed: %d}\n"
+            "optimizer: {kind: %s, %s}\nhorizon: 4\n" % (seed, kind, extra))
+            for seed, extra in ((3, a), (4, b))]
+        assert runner.group_configs(cfgs) == [[0, 1]]
+        batch = runner.run_batch(cfgs, write_artifacts=False,
+                                 keep_trajectory=True)
+        for cfg, got in zip(cfgs, batch):
+            _assert_records_equal(got, run_experiment(
+                cfg, write_artifacts=False, keep_trajectory=True))
 
 
 def test_lu_run_reaches_its_last_step():
