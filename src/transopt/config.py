@@ -57,6 +57,13 @@ class ProblemSpec:
         if self.kind == "reddi" and not self.c > 1.0:
             raise ConfigError(
                 f"problem.c: must be > 1 for the reddi cycle, got {self.c}")
+        for name in ("dim", "n_samples", "n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"problem.{name}: must be >= 1, "
+                                  f"got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError("problem.hidden: must be widths >= 1, "
+                              f"got {list(self.hidden)}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ oracles answer row r as problem r would alone, bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -286,12 +287,10 @@ def _mean_of_rows(a: np.ndarray):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so
+    exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
@@ -459,11 +458,25 @@ class Mlp:
 
     Parameters live in one flat vector: for each layer, the weight matrix
     in row-major order followed by the bias vector.
+
+    The softmax takes each row's max and sum over the classes as left
+    folds over the class columns, ``((c0 + c1) + c2) ...``, which is
+    cheaper than numpy's reduction over a short axis.  A max is exact in
+    any order.  A left-fold sum equals numpy's contiguous row sum for
+    rows shorter than 8 (numpy sums 8 or more in pairwise blocks), so
+    the output layer has at most ``MAX_CLASSES`` = 7 classes.
     """
+
+    MAX_CLASSES = 7
 
     def __init__(self, layer_sizes: Sequence[int]):
         if len(layer_sizes) < 2:
             raise DimensionError("need at least input and output sizes")
+        if layer_sizes[-1] > self.MAX_CLASSES:
+            raise DimensionError(
+                f"the output layer has {layer_sizes[-1]} classes; at most "
+                f"{self.MAX_CLASSES} keep the softmax folds exact"
+            )
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.n_params = sum(
             fan_in * fan_out + fan_out
@@ -522,33 +535,40 @@ class Mlp:
         activations = [x]
         h = x
         for w, b in layers[:-1]:
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
         w_out, b_out = layers[-1]
-        logits = h @ w_out + b_out
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1,
-                                                          keepdims=True))
-        picked = log_probs.reshape(-1, log_probs.shape[-1])[_label_entries(y)]
-        loss = -_mean_of_rows(picked.reshape(y.shape))
-        return loss, logits, (layers, activations, log_probs, y)
+        logits = h @ w_out
+        logits += b_out
+        # the row max and row sum over the classes as column folds (see
+        # the class docstring); exp and log see the same contiguous
+        # arrays as a per-row reduction would give them
+        log_probs = logits - _fold_columns(np.maximum, logits)
+        log_probs -= np.log(_fold_columns(np.add, np.exp(log_probs)))
+        labels = np.take(_one_hot(logits.shape[-1]), y, axis=0)
+        loss = -_mean_of_rows(log_probs[labels].reshape(y.shape))
+        return loss, logits, (layers, activations, log_probs, labels)
 
     def loss_and_grad(self, theta: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> Tuple[float, np.ndarray]:
         """Mean batch loss and its gradient with respect to flat theta,
         both from one forward pass."""
         loss, _, cache = self._forward_cached(theta, x, y)
-        layers, activations, log_probs, y = cache
+        layers, activations, log_probs, labels = cache
         delta = np.exp(log_probs)
-        delta.reshape(-1, delta.shape[-1])[_label_entries(y)] -= 1.0
-        delta /= y.shape[-1]
+        # x - 1.0 at the label, x - 0.0 = x elsewhere
+        np.subtract(delta, labels, out=delta)
+        delta /= labels.shape[-2]
         grads = []
         for i in reversed(range(len(layers))):
             w, _ = layers[i]
             a_in = activations[i]
             grads.append((a_in.mT @ delta, delta.sum(axis=-2)))
             if i > 0:
-                delta = (delta @ w.mT) * (activations[i] > 0.0)
+                delta = delta @ w.mT
+                np.multiply(delta, activations[i] > 0.0, out=delta)
         flat_shape = delta.shape[:-2] + (-1,)
         flat = []
         for gw, gb in reversed(grads):
@@ -566,10 +586,21 @@ class Mlp:
         return float(np.mean(logits.argmax(axis=-1) == y))
 
 
-def _label_entries(y: np.ndarray):
-    """Each sample's label entry in the (N, classes) view of a
-    contiguous (..., n, classes) array, as an index."""
-    return np.arange(y.size), y.ravel()
+def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded left over the columns of ``a``, as a (..., 1)
+    column: ``ufunc(ufunc(a0, a1), a2) ...``."""
+    out = a[..., :1]
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j:j + 1])
+    return out
+
+
+@functools.lru_cache(maxsize=Mlp.MAX_CLASSES)
+def _one_hot(classes: int) -> np.ndarray:
+    """Row c is the one-hot row of label c (read only)."""
+    rows = np.eye(classes, dtype=bool)
+    rows.flags.writeable = False
+    return rows
 
 
 def two_cluster_dataset(n: int, seed: int,
@@ -608,7 +639,8 @@ class MlpClassification(_MinibatchMixin, OnlineProblem):
 
     def _batch(self, t: int):
         idx = self.batch_indices(t)
-        return self.x_train[idx], self.y_train[idx]
+        return (np.take(self.x_train, idx, axis=0),
+                np.take(self.y_train, idx, axis=0))
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
         x, y = self._batch(t)

@@ -132,6 +132,10 @@ horizon: 100
         ("logistic", "box_halfwidth", "-1.0"),
         ("reddi", "c", ".nan"), ("reddi", "c", ".inf"), ("reddi", "c", "1.0"),
         ("quadratic", "c", ".nan"),
+        ("quadratic", "dim", "0"), ("logistic", "dim", "-2"),
+        ("logistic", "n_samples", "0"), ("mlp", "n_train", "0"),
+        ("mlp", "n_test", "0"), ("mlp", "hidden", "[0]"),
+        ("mlp", "hidden", "[16, -1]"),
     ])
     def test_a_bad_problem_value_names_its_field(self, kind, field, value):
         text = MINIMAL.replace("kind: quadratic",
@@ -152,6 +156,20 @@ horizon: 100
                          str(tmp_path / "runs")]) == 2
         field = line.split(":")[0]
         assert capsys.readouterr().err.startswith(f"error: optimizer.{field}")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("kind, line", [("quadratic", "dim: 0"),
+                                            ("mlp", "n_test: 0"),
+                                            ("mlp", "hidden: [0]")])
+    def test_run_rejects_a_bad_problem_value(self, kind, line, tmp_path,
+                                             capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace("kind: quadratic",
+                                        f"kind: {kind}\n  {line}"))
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / "runs")]) == 2
+        field = line.split(":")[0]
+        assert capsys.readouterr().err.startswith(f"error: problem.{field}")
         assert not (tmp_path / "runs").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from transopt import problems as problems_module
 from transopt.diagnostics import block_rows
-from transopt.errors import DomainError, SequenceError
+from transopt.errors import DimensionError, DomainError, SequenceError
 from transopt.optim import FeasibleBox
 from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
                                RegretLedger, full_logistic_grad,
@@ -329,26 +329,143 @@ def reference_sigmoid(z):
     return out
 
 
-def reference_mlp_grad(net, theta, x, y):
-    """The separate backward pass that the fused oracle replaced."""
-    _, _, cache = net._forward_cached(theta, x, y)
-    layers, activations, log_probs, y = cache
-    n = len(y)
+class TestSigmoid:
+    """_sigmoid equals the boolean-mask reference bit for bit."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+               1e-320, -1e-320, 5e-324, -5e-324, 709.78, -709.78]
+
+    def assert_bits(self, z):
+        np.testing.assert_array_equal(
+            problems_module._sigmoid(z).view(np.int64),
+            reference_sigmoid(z).view(np.int64))
+
+    def test_special_values(self):
+        self.assert_bits(np.array(self.SPECIAL))
+
+    def test_random_arrays_with_special_values(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            z = rng.normal(scale=10.0 ** rng.uniform(-3, 3),
+                           size=rng.integers(1, 70))
+            spots = rng.integers(0, len(z), size=3)
+            z[spots] = rng.choice(self.SPECIAL, size=3)
+            self.assert_bits(z)
+        self.assert_bits(rng.normal(scale=5.0, size=(8, 32)))
+
+    def test_nan_gives_nan(self):
+        out = problems_module._sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == reference_sigmoid(np.array([1.0]))[0]
+
+
+def reference_mlp(net, theta, x, y):
+    """Loss, logits and gradient from the per-row reductions and the
+    fancy-index label entries that the column folds replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    layers = net._unpack(np.asarray(theta, dtype=np.float64))
+    activations = [x]
+    h = x
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w + b, 0.0)
+        activations.append(h)
+    w_out, b_out = layers[-1]
+    logits = h @ w_out + b_out
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    entries = np.arange(y.size), y.ravel()
+    picked = log_probs.reshape(-1, log_probs.shape[-1])[entries]
+    loss = -np.mean(picked.reshape(y.shape), axis=-1)
     delta = np.exp(log_probs)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    delta.reshape(-1, delta.shape[-1])[entries] -= 1.0
+    delta /= y.shape[-1]
     grads = []
     for i in reversed(range(len(layers))):
         w, _ = layers[i]
-        a_in = activations[i]
-        grads.append((a_in.T @ delta, delta.sum(axis=0)))
+        grads.append((activations[i].mT @ delta, delta.sum(axis=-2)))
         if i > 0:
-            delta = (delta @ w.T) * (activations[i] > 0.0)
+            delta = (delta @ w.mT) * (activations[i] > 0.0)
     flat = []
     for gw, gb in reversed(grads):
-        flat.append(gw.ravel())
+        flat.append(gw.reshape(delta.shape[:-2] + (-1,)))
         flat.append(gb)
-    return np.concatenate(flat)
+    return loss, logits, np.concatenate(flat, axis=-1)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMlpOracleBits:
+    """The MLP oracle's column folds, one-hot delta and in-place forward
+    give the reference's loss, logits and gradient bit for bit."""
+
+    SCALES = (0.1, 1.0, 10.0, 1e3)
+
+    def assert_reference(self, net, theta, x, y):
+        want = reference_mlp(net, theta, x, y)
+        loss, grad = net.loss_and_grad(theta, x, y)
+        assert_same_bits(loss, want[0])
+        assert_same_bits(grad, want[2])
+        loss, logits = net.forward(theta, x, y)
+        assert_same_bits(loss, want[0])
+        assert_same_bits(logits, want[1])
+        return want
+
+    def assert_step(self, prob, t, theta):
+        """The problem's oracle at step t, whose batch it gathers with
+        np.take, against the reference on a fancy-indexed batch."""
+        idx = prob.batch_indices(t)
+        want_loss, want_logits, want_grad = self.assert_reference(
+            prob.net, theta, prob.x_train[idx], prob.y_train[idx])
+        loss, grad = prob.loss_and_grad(t, theta)
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(grad, want_grad)
+        return want_logits
+
+    def thetas(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        yield np.zeros(shape)
+        for scale in self.SCALES:
+            yield rng.normal(scale=scale, size=shape)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+    def test_lone_problem(self, hidden):
+        prob = make_mlp_problem(seed=3, hidden=hidden, n_train=40, n_test=8,
+                                batch_size=16)
+        saturated = False
+        for theta in self.thetas(prob.dim, seed=len(hidden)):
+            for t in (1, prob.batches_per_epoch + 1):
+                logits = self.assert_step(prob, t, theta)
+                # a row whose other class underflows exp: log-sum exactly 0
+                saturated |= bool(np.any(np.ptp(logits, axis=-1) > 800.0))
+        assert saturated
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+    @pytest.mark.parametrize("seeds", [(6, 6, 6, 6), (1, 2, 7)])
+    def test_stacked_problems(self, hidden, seeds):
+        problems = [make_mlp_problem(seed=s, hidden=hidden, n_train=40,
+                                     n_test=8, batch_size=16) for s in seeds]
+        stacked = stack_problems(problems)
+        for theta in self.thetas(stacked.shape, seed=len(seeds)):
+            for t in (1, 2 * problems[0].batches_per_epoch + 1):
+                self.assert_step(stacked, t, theta)
+
+    @pytest.mark.parametrize("classes", range(1, Mlp.MAX_CLASSES + 1))
+    def test_every_allowed_head_width(self, classes):
+        net = Mlp((3, 4, classes))
+        rng = np.random.default_rng(classes)
+        x = rng.normal(size=(3, 21, 3))
+        y = rng.integers(0, classes, size=(3, 21))
+        for theta in self.thetas((3, net.n_params), seed=classes):
+            self.assert_reference(net, theta, x, y)
+            self.assert_reference(net, theta[0], x[0], y[0])
+
+    def test_a_head_wider_than_the_fold_limit_is_rejected(self):
+        with pytest.raises(DimensionError, match="at most 7"):
+            Mlp((2, 4, 8))
 
 
 class TestFusedOracle:
@@ -396,7 +513,7 @@ class TestFusedOracle:
         for t in (1, edge, edge + 1):
             idx = prob.batch_indices(t)
             x, y = prob.x_train[idx], prob.y_train[idx]
-            ref = reference_mlp_grad(prob.net, theta, x, y)
+            ref = reference_mlp(prob.net, theta, x, y)[2]
             self.assert_fused(prob, t, theta, ref)
             loss, grad = prob.net.loss_and_grad(theta, x, y)
             assert loss == prob.net.forward(theta, x, y)[0]
