@@ -7,21 +7,36 @@ between concurrent runs; distinct stepper instances are independent.
 Every stepper runs one skeleton, :meth:`_AdaptiveStepper.step`: update
 the moving averages m_t, v_t of the gradient and its square in place,
 optionally de-bias them, form the rate alpha / (sqrt(v_t) + epsilon),
-apply a rate rule, optionally divide by sqrt(t), and take the projected
-step theta - eta_t * m_t with the diagonal metric 1/eta_t.  The rules
-are the identity (:class:`Adam`), the rate of the running max of v_t
-(:class:`Amsgrad`), a clamp into ``eval_bounds`` (:class:`ClippedTransition`),
-the blend rho_t * rate + (1 - rho_t) * r_t toward the decreasing SGD
-target r_t (:class:`DstAdam`) and the constant rate lr of heavy-ball
-:class:`MomentumSgd`, whose first moment takes the gradient undamped
-and which, reading no rate from v_t, skips v_t when it steps alone.
-The moment decays beta1 and beta2 and the first moment's gain on the
-gradient are fields of the skeleton, constant in every stepper but
-DstAdam, whose schedule is the one override of ``_betas``.
+blend it to scale * rate + shift, clamp it into [lower, upper],
+optionally divide by sqrt(t), and take the projected step
+theta - eta_t * m_t with the diagonal metric 1/eta_t.  The kinds differ
+only in these coefficients: :class:`Adam` neither blends nor clamps,
+:class:`ClippedTransition` clamps into its bound functions,
+:class:`DstAdam` blends with scale rho_t and shift (1 - rho_t) * r_t
+toward the decreasing SGD target r_t, and heavy-ball
+:class:`MomentumSgd` blends with scale 0 and shift lr; its first moment
+takes the gradient undamped and, reading no rate from v_t, it skips v_t
+when it steps alone.  Two rules read the state and run each step:
+AMSGrad's running max of v_t (:class:`Amsgrad`) and adadb's bound on
+|m_t|.
+
+Coefficient blocks: every coefficient depends on t alone, so a stepper
+fills the coefficients of its next ``BLOCK_STEPS`` steps in one call,
+as arrays over the block (the moment decays and gains, the beta
+products and bias-correction divisors, the blend, the bounds and
+sqrt(t)), and each step reads its row.  Powers are taken on Python
+floats, products by a sequential ``np.multiply.accumulate`` from the
+carried product, and the rest is elementwise arithmetic, which rounds as
+the scalar does, so every step keeps the bits it had when each scalar
+was computed at its own step.
 
 Bad inputs raise before any state changes; a NaN second moment (an
 overflowed one times a zero beta2) or a bad derived rate raises after
-the in-place moment update, before t and the last rates advance.
+the in-place moment update, before t, the beta products and the last
+rates advance.  A screen that the block's coefficients show cannot fire
+at a step (the NaN screen under a positive beta2, the positive-rate
+screen under a positive shift, the metric screen under a finite largest
+rate) is skipped there.
 
 A stepper steps one (d,) iterate, or the (R, d) iterates of R replicas
 at once: :func:`stack_like` merges R steppers built alike into one whose
@@ -31,14 +46,15 @@ and gives each replica the bits it would get alone.  :func:`stack_kinds`
 goes one step further: groups of different kinds (say SGDM, Adam and
 DstAdam on one problem) share one skeleton step over all their rows,
 alpha, epsilon, the bias correction and sqrt_decay become columns where
-the groups differ, the betas and the first-moment gain become columns
-filled once, and each group runs on its own rows only the hooks its kind
-overrides.
+the groups differ, the groups' coefficient blocks are concatenated row
+by row, and each group runs on its own rows only the rules that read
+its state.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -48,7 +64,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
 from .numkit import clamp, holds
-from .schedule import BoundFunctionSpec, TransitionSchedule, eval_bounds
+from .schedule import (BoundFunctionSpec, TransitionSchedule, bound_values,
+                       eval_bounds)
 
 
 def column(values: Sequence):
@@ -103,18 +120,6 @@ def stack_kinds(groups: Sequence[Sequence["_AdaptiveStepper"]]
     if len(parts) == 1:
         return parts[0]
     return _KindBatch(parts, [o for g in groups for o in g])
-
-
-def _divide_where(x: np.ndarray, flag, divisor):
-    """x / divisor where flag holds, else x.
-
-    ``flag`` is a bool, or an (R, 1) bool column in a batch whose rows
-    differ in it; the other rows are divided by 1.0, which leaves their
-    bits as they are.
-    """
-    if isinstance(flag, np.ndarray):
-        return x / np.where(flag, divisor, 1.0)
-    return x / divisor if flag else x
 
 
 def _raise_first(bad: np.ndarray, message: str) -> None:
@@ -241,23 +246,89 @@ class OptimizerState:
         self.beta2_prod = 1.0
 
 
+#: Steps whose coefficients a stepper fills at once.  A fill of a lone
+#: DSTAdam block of 256 steps (two Python-float powers a step) took
+#: about 200 us on a 2-core Xeon host, under 1 us a step; a schedule's
+#: horizon ends a block early, so a 200-step run fills 200 rows.
+BLOCK_STEPS = 256
+
+#: The per-step coefficients, in the order of a block's rows.  A kind
+#: sets beta1, gain1 (the first moment's gain on the gradient), beta2 and
+#: gain2, the blend scale and shift, the clamp's lower and upper; the
+#: skeleton derives the beta products, the bias-correction divisors
+#: div1 = 1 - beta1_prod and div2 = 1 - beta2_prod, and root_t = sqrt(t).
+COEFFICIENTS = ("beta1", "gain1", "beta2", "gain2", "scale", "shift",
+                "lower", "upper", "div1", "div2", "root_t", "beta1_prod",
+                "beta2_prod")
+
+#: What a row of a kind batch that does not blend or clamp gets: a
+#: positive rate times 1.0 plus 0.0, or clamped into (-inf, inf), keeps
+#: its bits.
+NEUTRAL = {"scale": 1.0, "shift": 0.0, "lower": -math.inf,
+           "upper": math.inf}
+
+
+def _products(carried, factors: np.ndarray) -> np.ndarray:
+    """carried * f_1, carried * f_1 * f_2, ... along the leading step
+    axis of factors, multiplied in step order as step after step would
+    (``np.multiply.accumulate`` is a sequential scan)."""
+    out = np.empty((len(factors) + 1,)
+                   + np.broadcast_shapes(np.shape(carried), factors.shape[1:]))
+    out[0] = carried
+    out[1:] = factors
+    return np.multiply.accumulate(out, axis=0)[1:]
+
+
+def _first(flags: np.ndarray) -> int:
+    """The first step of a block at which some row's flag holds, or the
+    block's length; ``flags`` has a leading step axis."""
+    hits = np.flatnonzero(flags.reshape(len(flags), -1).any(axis=1))
+    return int(hits[0]) if len(hits) else len(flags)
+
+
+def _steps(x: np.ndarray) -> np.ndarray:
+    """A per-step array as (n, rows, 1): an (n,) array of values every
+    row shares becomes (n, 1, 1)."""
+    return x.reshape(-1, 1, 1) if x.ndim == 1 else x
+
+
+def _where(flag, values: np.ndarray) -> np.ndarray:
+    """values where flag holds, else 1.0, which divides a value into
+    itself.  ``flag`` is a bool, or an (R, 1) column in a batch whose
+    rows differ in it."""
+    if isinstance(flag, np.ndarray):
+        return np.where(flag, values, 1.0)
+    return values
+
+
 class _AdaptiveStepper:
     """The step shared by every stepper.
 
-    ``beta1`` and ``beta2`` are the constant moment decays, which the
-    default ``_betas(t)`` returns; only a schedule (:class:`DstAdam`)
-    overrides it with time-varying betas, and then also refreshes
-    ``gain1``, the first moment's gain on the gradient, which is
-    1 - beta1 for every kind but heavy ball's 1.0.  A subclass may
-    override the rate rule ``_rate(t, rate)``, which may rewrite the
-    fresh array ``rate`` in place, and ``_second_moment(v)``, the second
-    moment the rate is built from.  A kind whose rate rule never reads
-    the adaptive rate (heavy ball) sets ``reads_v`` false: then v, its
-    square root and the divide are skipped and the rule fills an
-    uninitialised array.
+    A step updates m_t and v_t in place, forms the adaptive rate
+    alpha / (sqrt(v_t) + epsilon) and applies the kind's coefficients of
+    step t: the moment decays and gains, the blend scale * rate + shift,
+    the clamp into [lower, upper], the bias-correction divisors and
+    sqrt(t).  They depend on t alone, so :meth:`_fill` computes them for
+    a block of ``BLOCK_STEPS`` steps at once, as arrays over the block,
+    and the step reads row k of the block; a coefficient that holds for
+    the whole run stays one float, or one (R, 1) column.
+
+    A kind states its coefficients in ``_coefficients(t, n)``.  By
+    default they are the constant decays ``beta1`` and ``beta2`` and the
+    gains ``gain1`` (1 - beta1 for every kind but heavy ball's 1.0) and
+    1 - beta2, with no blend and no clamp.  Only the rules that read the
+    state stay per step, each behind a flag: ``_second_moment(v)``
+    (AMSGrad's running max) and ``_rate(t, rate)`` (adadb's bound on
+    |m_t|).  A kind whose rate never reads the adaptive rate (heavy
+    ball) sets ``reads_v`` false: then v, its square root and the divide
+    are skipped and the rate is the blend's shift.
     """
 
     reads_v = True
+    _moment_hook = False
+    _rate_hook = False
+    # rows whose blended rate must be positive: all, or an (R, 1) column
+    _blend_rows = None
 
     def __init__(self, dim: int, cfg: Optional[StepConfig],
                  box: Optional[FeasibleBox], beta1: float = 0.9,
@@ -271,6 +342,9 @@ class _AdaptiveStepper:
         self.beta1 = beta1
         self.beta2 = beta2
         self.gain1 = 1.0 - beta1
+        # the rows of the block of steps that starts at _block_start
+        self._block = ()
+        self._block_start = 1
 
     def _check_inputs(self, theta: np.ndarray, grad: np.ndarray):
         """Reject a bad step before any state changes.
@@ -297,17 +371,6 @@ class _AdaptiveStepper:
                 _raise_first(bad, f"non-finite gradient at step "
                                   f"{self.state.t + 1}, coordinate {{i}}")
 
-    def _project(self, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Project y onto the box in place under the metric 1/eta.
-
-        The clamp is the projection for any positive diagonal metric.
-        Every rule gives eta >= 0 or NaN, so the metric is positive
-        unless some eta is +inf (``fmax`` skips NaN).
-        """
-        if np.fmax.reduce(eta, None) == math.inf:
-            raise DomainError("projection metric must be positive")
-        return self.box.clamp_into(y)
-
     def effective_lr(self) -> np.ndarray:
         """Per-coordinate rate applied at the most recent step."""
         if self.state.last_effective_lr is None:
@@ -320,74 +383,194 @@ class _AdaptiveStepper:
             raise StateError("no step has been taken yet")
         return self.state.last_rate_raw.copy()
 
-    def _betas(self, t: int) -> Tuple[float, float]:
-        return self.beta1, self.beta2
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        """The kind's coefficients of the steps t .. t + n - 1.
 
-    def _second_moment(self, v: np.ndarray) -> np.ndarray:
-        return v
+        Returns (fixed, varying): ``fixed`` maps a name of
+        ``COEFFICIENTS`` to a float or an (R, 1) column that holds for
+        the whole run, ``varying`` to an array along a leading step axis
+        of at most n entries (fewer where the run's horizon ends).
+        """
+        return {"beta1": self.beta1, "gain1": self.gain1,
+                "beta2": self.beta2, "gain2": 1.0 - self.beta2}, {}
 
-    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        return rate
+    def _fill(self, t: int) -> None:
+        """Compute the rows of the block of steps that starts at t.
+
+        Nothing changes if this raises, so a rejected step leaves the
+        stepper as it was.
+        """
+        s, cfg = self.state, self.cfg
+        fixed, varying = self._coefficients(t, BLOCK_STEPS)
+        n = min([BLOCK_STEPS, *map(len, varying.values())])
+        # a batch's per-step arrays are (n, R, 1) or (n, 1, 1)
+        lead = (n,) if s.m.ndim == 1 else (n, 1, 1)
+        varying = {name: x[:n].reshape(lead) if x.ndim == 1 else x[:n]
+                   for name, x in varying.items()}
+
+        def steps(name):
+            if name in varying:
+                return varying[name]
+            x = fixed[name]
+            return np.broadcast_to(x, (n,) + np.shape(x) if np.ndim(x)
+                                   else lead)
+
+        prods = [_products(s.beta1_prod, steps("beta1")),
+                 _products(s.beta2_prod, steps("beta2"))]
+        varying["beta1_prod"], varying["beta2_prod"] = prods
+        debias = cfg.bias_correction
+        if holds(debias):
+            varying["div1"], varying["div2"] = (_where(debias, 1.0 - p)
+                                                for p in prods)
+        if holds(cfg.sqrt_decay):
+            varying["root_t"] = _where(cfg.sqrt_decay, np.sqrt(
+                np.arange(t, t + n, dtype=np.float64)).reshape(lead))
+        blends = "scale" in fixed or "scale" in varying
+        clamps = "lower" in fixed or "lower" in varying
+        # The first step of the block at which each screen can fire.  The
+        # rate alpha / (sqrt(v) + epsilon) is >= 0 or NaN, and each later
+        # operation is monotone in it, so a screen that the coefficients
+        # show cannot fire is skipped; from that step on it runs.
+        inverted_from = positive_from = n
+        # adadb's bound reads the state: its rows are always screened
+        finite_from = 0
+        if clamps:
+            inverted_from = _first(steps("lower") > steps("upper"))
+        if blends:
+            # rate * scale + shift >= shift > 0 for a scale >= 0; rows
+            # that do not blend get shift 0.0 and are not screened
+            nonpositive = steps("shift") <= 0.0
+            if self._blend_rows is not None:
+                nonpositive = nonpositive & self._blend_rows
+            positive_from = _first(nonpositive)
+        if not self._rate_hook:
+            # the largest rate each step can apply, in the step's order
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                cap = np.divide(cfg.alpha, cfg.epsilon)
+                if blends:
+                    cap = (cap * steps("scale") + steps("shift")
+                           if self.reads_v else steps("shift"))
+                if clamps:
+                    cap = np.minimum(np.maximum(cap, steps("lower")),
+                                     steps("upper"))
+            finite_from = _first(~np.isfinite(np.broadcast_to(
+                cap, np.broadcast_shapes(lead, np.shape(cap)))))
+
+        def column(name):
+            if name in varying:
+                x = varying[name]
+                # floats where the step's value is one number
+                return x.ravel().tolist() if x[0].size == 1 else list(x)
+            return itertools.repeat(fixed.get(name), n)
+
+        self._block = list(zip(*map(column, COEFFICIENTS)))
+        self._block_start = t
+        self._debias = holds(debias)
+        self._decays = holds(cfg.sqrt_decay)
+        self._blends, self._clamps = blends, clamps
+        # only a zero beta2 turns an overflowed v into NaN (inf * 0)
+        self._nan_v = holds(np.equal(steps("beta2"), 0.0))
+        self._zero_rate = holds(cfg.epsilon == 0.0)
+        self._inverted_from = inverted_from
+        self._positive_from = positive_from
+        self._finite_from = finite_from
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self._check_inputs(theta, grad)
         s, cfg = self.state, self.cfg
         t = s.t + 1
-        b1, b2 = self._betas(t)
-        beta1_prod = s.beta1_prod * b1
-        beta2_prod = s.beta2_prod * b2
-        bias_correction = cfg.bias_correction
-        debias = isinstance(bias_correction, np.ndarray) or bias_correction
+        k = t - self._block_start
+        if not 0 <= k < len(self._block):
+            self._fill(t)
+            k = 0
+        (b1, gain1, b2, gain2, scale, shift, lower, upper, div1, div2,
+         root_t, beta1_prod, beta2_prod) = self._block[k]
         # in place, in the operation order of b1 * m + gain1 * g
         m = s.m
         m *= b1
-        m += self.gain1 * grad
+        m += gain1 * grad
         if self.reads_v:
             # b2 * v + (1 - b2) * g * g, in place
             v = s.v
             v *= b2
-            v += (1.0 - b2) * grad * grad
+            v += gain2 * grad * grad
             # A finite gradient can overflow v to inf, which only zeroes
             # that coordinate's rate while b2 > 0 (the run monitors reject
             # that rate); b2 = 0 turns it into NaN at the next step, and
             # NaN would reach theta.  Screened as in _check_inputs.
-            if not math.isfinite(np.add.reduce(v, None)):
+            if self._nan_v and not math.isfinite(np.add.reduce(v, None)):
                 bad = np.isnan(v)
                 if bad.any():
                     _raise_first(bad, f"non-finite second moment at step "
                                       f"{t}, coordinate {{i}}")
-            v = self._second_moment(v)
-            if debias:
-                v = _divide_where(v, bias_correction, 1.0 - beta2_prod)
+            if self._moment_hook:
+                v = self._second_moment(v)
+            if self._debias:
+                v = v / div2
             rate = np.sqrt(v)
             rate += cfg.epsilon
             # sqrt(v) >= 0, so only epsilon == 0 can leave a zero
             # denominator
-            if holds(cfg.epsilon == 0.0) and (rate == 0.0).any():
+            if self._zero_rate and (rate == 0.0).any():
                 _raise_first(rate == 0.0, "zero second moment with "
                                           "epsilon=0; supply a positive "
                                           "epsilon")
             rate = np.divide(cfg.alpha, rate, out=rate)
+            if self._blends:
+                rate *= scale
+                rate += shift
+                # fmin skips NaN, as the elementwise test does
+                if k >= self._positive_from \
+                        and np.fmin.reduce(rate, None) <= 0.0:
+                    self._reject_nonpositive(t, rate)
         else:
+            # the blend with scale 0
             rate = np.empty_like(m)
-        if debias:
-            m = _divide_where(m, bias_correction, 1.0 - beta1_prod)
-        rate = self._rate(t, rate)
-        eta = _divide_where(rate, cfg.sqrt_decay, math.sqrt(t))
-        theta = self._project(theta - eta * m, eta)
+            rate[...] = shift
+        if self._debias:
+            m = m / div1
+        if self._clamps:
+            if k >= self._inverted_from:
+                raise DomainError("clamp bounds inverted (lo > hi)")
+            np.maximum(rate, lower, out=rate)
+            np.minimum(rate, upper, out=rate)
+        if self._rate_hook:
+            rate = self._rate(t, rate)
+        eta = rate / root_t if self._decays else rate
+        # The clamp into the box is the projection under the metric
+        # 1/eta for any positive diagonal metric.  Every rule gives
+        # eta >= 0 or NaN, so the metric is positive unless some eta is
+        # +inf (fmax skips NaN); dividing by sqrt(t) >= 1 keeps a finite
+        # rate finite.
+        if k >= self._finite_from and np.fmax.reduce(eta, None) == math.inf:
+            raise DomainError("projection metric must be positive")
+        theta = self.box.clamp_into(theta - eta * m)
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
         s.last_rate_raw, s.last_effective_lr = rate, eta
         return theta
+
+    def _reject_nonpositive(self, t: int, rate: np.ndarray) -> None:
+        """Raise at the first rate <= 0 of a row that blends.  Only
+        rho_t = 1 with an adaptive rate of 0 (an overflowed second
+        moment) reaches 0."""
+        bad = rate <= 0.0
+        if self._blend_rows is not None:
+            bad &= self._blend_rows
+        if bad.any():
+            _raise_first(bad, f"eta_hat not positive at step {t}, "
+                              "coordinate {i}")
 
 
 class MomentumSgd(_AdaptiveStepper):
     """Heavy-ball SGD: m <- momentum * m + g; theta <- theta - lr * m.
 
     The skeleton with an undamped first moment (gain 1.0, and 1.0 * g is
-    g exactly) and the rate rule eta = lr.  Its rate never reads the
-    second moment, which a lone stepper therefore skips; in a kind batch
-    with adaptive rows its rows' v is updated but unread, and a beta2 in
-    (0, 1) keeps an overflowed one inf, never NaN.
+    g exactly) and the rate eta = lr, the blend 0 * rate + lr.  Its rate
+    never reads the second moment, which a lone stepper therefore skips;
+    in a kind batch with adaptive rows its rows' v is updated but unread,
+    and a beta2 in (0, 1) keeps an overflowed one inf, never NaN, so its
+    rows' adaptive rate is finite and 0 * rate is 0.0.
     """
 
     reads_v = False
@@ -402,9 +585,10 @@ class MomentumSgd(_AdaptiveStepper):
         self.gain1 = 1.0
         self.lr = lr
 
-    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        rate[...] = self.lr
-        return rate
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        fixed, varying = super()._coefficients(t, n)
+        fixed.update(scale=0.0, shift=self.lr)
+        return fixed, varying
 
 
 class Adam(_AdaptiveStepper):
@@ -420,6 +604,8 @@ class Adam(_AdaptiveStepper):
 
 class Amsgrad(Adam):
     """Adam with a coordinatewise running max of the second moment."""
+
+    _moment_hook = True
 
     def __init__(self, dim: int, cfg: Optional[StepConfig] = None,
                  beta1: float = 0.9, beta2: float = 0.999,
@@ -437,7 +623,9 @@ class ClippedTransition(_AdaptiveStepper):
     With the constant (swats) bounds the rate collapses to a single SGD
     rate; with widening/narrowing bounds it interpolates between Adam
     and SGD behaviour.  Bounds may be scalar or per-coordinate (adadb)
-    and scalars broadcast over coordinates.
+    and scalars broadcast over coordinates.  The scalar bounds are
+    coefficients of the block; adadb's upper bound reads |m_t|, so its
+    clamp runs each step.
     """
 
     def __init__(self, dim: int, bounds: BoundFunctionSpec,
@@ -446,15 +634,23 @@ class ClippedTransition(_AdaptiveStepper):
                  box: Optional[FeasibleBox] = None):
         super().__init__(dim, cfg, box, beta1, beta2)
         self.bounds = bounds
+        self._rate_hook = bounds.kind == "adadb"
         # running max of ||m||_inf, for the adadb bounds: one per replica
         self._m_abs_peak = 0.0
 
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        fixed, varying = super()._coefficients(t, n)
+        if self.bounds.kind == "swats":
+            fixed["lower"] = fixed["upper"] = self.bounds.alpha_star
+        elif not self._rate_hook:
+            varying["lower"], varying["upper"] = bound_values(
+                self.bounds, t, n)
+        return fixed, varying
+
     def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        m_abs = None
-        if self.bounds.kind == "adadb":
-            m_abs = np.abs(self.state.m)
-            self._m_abs_peak = np.maximum(
-                self._m_abs_peak, m_abs.max(axis=-1, keepdims=True))
+        m_abs = np.abs(self.state.m)
+        self._m_abs_peak = np.maximum(
+            self._m_abs_peak, m_abs.max(axis=-1, keepdims=True))
         lower, upper = eval_bounds(self.bounds, t, momentum_abs=m_abs,
                                    momentum_abs_peak=self._m_abs_peak)
         return clamp(rate, lower, upper)
@@ -470,7 +666,8 @@ class DstAdam(_AdaptiveStepper):
     so the run starts Adam-like and ends at the decreasing SGD rate r_t.
     The blend keeps every rate above (1 - rho_t) * r_t, which is what
     bounds 1/eta_hat by 1/(r_l (1 - rho)) for the whole run.  The betas
-    of step t come from the schedule, like rho_t and r_t.
+    of step t come from the schedule, like rho_t and r_t; the blend's
+    scale is rho_t and its shift (1 - rho_t) * r_t.
     """
 
     def __init__(self, dim: int, schedule: TransitionSchedule,
@@ -478,24 +675,19 @@ class DstAdam(_AdaptiveStepper):
                  box: Optional[FeasibleBox] = None):
         super().__init__(dim, cfg, box, schedule.beta1, schedule.beta2)
         self.schedule = schedule
-        self._blend = None  # (rho_t, r_t) of the step in progress
 
-    def _betas(self, t: int) -> Tuple[float, float]:
-        b1, b2, rho_t, r_t = self.schedule.step_values(t)
-        self._blend = (rho_t, r_t)
-        self.gain1 = 1.0 - b1
-        return b1, b2
-
-    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        rho_t, r_t = self._blend
-        rate *= rho_t
-        rate += (1.0 - rho_t) * r_t
-        # Only rho_t = 1 with an adaptive rate of 0 (an overflowed second
-        # moment) reaches 0; fmin skips NaN, as the elementwise test did
-        if np.fmin.reduce(rate, None) <= 0.0:
-            _raise_first(rate <= 0.0, f"eta_hat not positive at step {t}, "
-                                      "coordinate {i}")
-        return rate
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        fixed, varying = super()._coefficients(t, n)
+        schedule = self.schedule
+        beta1, _, rho, r = schedule.block_values(t, n)
+        if schedule.beta1_kind != "constant":
+            varying.update(beta1=beta1, gain1=1.0 - beta1)
+        if schedule.rho_kind == "constant":
+            fixed["scale"] = schedule.rho
+        else:
+            varying["scale"] = rho
+        varying["shift"] = (1.0 - rho) * r
+        return fixed, varying
 
 
 class _KindBatch(_AdaptiveStepper):
@@ -505,12 +697,13 @@ class _KindBatch(_AdaptiveStepper):
     ``steppers`` the R lone steppers they were built from, in row order.
     The skeleton step runs once over all rows with the rows' alpha,
     epsilon, bias correction and sqrt_decay as columns where they
-    differ.  The betas and the first-moment gain are (R, 1) columns
-    filled once from the lone steppers; each step, a part whose kind
-    overrides a hook (a schedule's ``_betas``, which also refreshes its
-    rows' gain, AMSGrad's ``_second_moment``, a rate rule such as heavy
-    ball's eta = lr) runs it on its own rows, whose moments are views of
-    the batch's.  Row r gets the bits its stepper would get alone.
+    differ.  Each block, the parts' coefficients are concatenated into
+    (R, 1) columns (a coefficient fixed in every part) or (n, R, 1)
+    arrays, and a row whose kind does not blend or clamp gets the
+    ``NEUTRAL`` scale, shift and bounds.  Each step, a part whose rule
+    reads the state (AMSGrad's running max, adadb's bound) runs it on its
+    own rows, whose moments are views of the batch's.  Row r gets the
+    bits its stepper would get alone.
     """
 
     def __init__(self, parts: Sequence[_AdaptiveStepper],
@@ -522,38 +715,48 @@ class _KindBatch(_AdaptiveStepper):
         s.m = np.zeros((len(steppers), dim))
         s.v = np.zeros((len(steppers), dim))
         self._v_hat = np.empty_like(s.v)
-        self.beta1, self.beta2, self.gain1 = np.array(
-            [[o.beta1 for o in steppers], [o.beta2 for o in steppers],
-             [o.gain1 for o in steppers]])[..., None]
-        rows = []
+        self._parts = []
         lo = 0
         for part in parts:
             hi = lo + part.state.m.size // dim
             part.state.m, part.state.v = s.m[lo:hi], s.v[lo:hi]
             if part.state.v_max is not None:
                 part.state.v_max = part.state.v_max.reshape(hi - lo, dim)
-            rows.append((lo, hi, part))
+            self._parts.append((lo, hi, part))
             lo = hi
-
-        def overriding(hook):
-            default = getattr(_AdaptiveStepper, hook)
-            return [(lo, hi, part) for lo, hi, part in rows
-                    if getattr(type(part), hook) is not default]
-
         self.reads_v = any(part.reads_v for part in parts)
-        self._schedules = overriding("_betas")
-        self._moments = overriding("_second_moment")
-        self._rules = overriding("_rate")
+        self._moments = [row for row in self._parts if row[2]._moment_hook]
+        self._rules = [row for row in self._parts if row[2]._rate_hook]
+        self._moment_hook = bool(self._moments)
+        self._rate_hook = bool(self._rules)
 
-    def _betas(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        for lo, hi, part in self._schedules:
-            self.beta1[lo:hi], self.beta2[lo:hi] = part._betas(t)
-            self.gain1[lo:hi] = part.gain1
-        return self.beta1, self.beta2
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        coefficients = [part._coefficients(t, n)
+                        for _, _, part in self._parts]
+        n = min([n, *(len(x) for _, varying in coefficients
+                      for x in varying.values())])
+        names = {name for fixed, varying in coefficients
+                 for name in (*fixed, *varying)}
+        fixed, varying = {}, {}
+        for name in names:
+            default = NEUTRAL.get(name)
+            if any(name in v for _, v in coefficients):
+                varying[name] = np.concatenate([
+                    np.broadcast_to(_steps(v[name][:n]) if name in v
+                                    else f.get(name, default),
+                                    (n, hi - lo, 1))
+                    for (lo, hi, _), (f, v) in zip(self._parts, coefficients)
+                ], axis=1)
+            else:
+                fixed[name] = np.concatenate([
+                    np.broadcast_to(f.get(name, default), (hi - lo, 1))
+                    for (lo, hi, _), (f, _) in zip(self._parts, coefficients)])
+        self._blend_rows = np.concatenate([
+            np.full((hi - lo, 1), "scale" in f or "scale" in v)
+            for (lo, hi, _), (f, v) in zip(self._parts, coefficients)])
+        return fixed, varying
 
     def _second_moment(self, v: np.ndarray) -> np.ndarray:
-        if not self._moments:
-            return v
         v_hat = self._v_hat
         v_hat[...] = v
         for lo, hi, part in self._moments:
@@ -572,3 +775,4 @@ class _KindBatch(_AdaptiveStepper):
             if out is not rows:
                 rows[...] = out
         return rate
+

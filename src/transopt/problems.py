@@ -514,7 +514,9 @@ class Mlp:
 
     def forward(self, theta: np.ndarray, x: np.ndarray,
                 y: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Mean cross-entropy loss and the logits for a batch."""
+        """Mean cross-entropy loss and the logits for a batch; a label
+        outside [0, classes) raises a DomainError."""
+        check_labels(y, self.layer_sizes[-1])
         loss, logits, _ = self._forward_cached(theta, x, y)
         return loss, logits
 
@@ -554,7 +556,14 @@ class Mlp:
     def loss_and_grad(self, theta: np.ndarray, x: np.ndarray,
                       y: np.ndarray) -> Tuple[float, np.ndarray]:
         """Mean batch loss and its gradient with respect to flat theta,
-        both from one forward pass."""
+        both from one forward pass.
+
+        Every label of ``y`` must lie in [0, classes).  That is not
+        checked here, as this runs every step: a negative label would
+        pick a class from the end.  Labels are checked where they enter
+        (:class:`MlpClassification`, :func:`load_dataset_csv` with
+        ``classes``, :meth:`forward`).
+        """
         loss, _, cache = self._forward_cached(theta, x, y)
         layers, activations, log_probs, labels = cache
         delta = np.exp(log_probs)
@@ -584,6 +593,17 @@ class Mlp:
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         _, logits = self.forward(theta, x, y)
         return float(np.mean(logits.argmax(axis=-1) == y))
+
+
+def check_labels(labels, classes: int, name: str = "labels") -> None:
+    """Raise a DomainError naming the first row of ``labels`` whose label
+    lies outside [0, classes)."""
+    labels = np.asarray(labels)
+    bad = (labels < 0) | (labels >= classes)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise DomainError(f"{name}: label {labels[at]} at row {at[-1]} "
+                          f"lies outside [0, {classes})")
 
 
 def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
@@ -629,6 +649,9 @@ class MlpClassification(_MinibatchMixin, OnlineProblem):
                  box: Optional[FeasibleBox] = None):
         box = box if box is not None else FeasibleBox.unbounded(net.n_params)
         super().__init__(net.n_params, box, None, float("inf"))
+        classes = net.layer_sizes[-1]
+        check_labels(y_train, classes, "y_train")
+        check_labels(y_test, classes, "y_test")
         self.net = net
         self.x_train = x_train
         self.y_train = y_train
@@ -691,7 +714,11 @@ def save_dataset_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
             writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
 
 
-def load_dataset_csv(path) -> Tuple[np.ndarray, np.ndarray]:
+def load_dataset_csv(path, classes: Optional[int] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Features and integer labels from a file ``save_dataset_csv`` wrote.
+    With ``classes``, a label outside [0, classes) raises a DomainError
+    naming its row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -699,6 +726,8 @@ def load_dataset_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     dim = len(header) - 1
     features = np.array([[float(v) for v in row[:dim]] for row in rows])
     labels = np.array([int(row[dim]) for row in rows], dtype=np.int64)
+    if classes is not None:
+        check_labels(labels, classes)
     return features, labels
 
 

@@ -50,6 +50,28 @@ def _power(base, exponent):
     return base ** exponent
 
 
+def _powers(base, exponents: range, ndim: int) -> np.ndarray:
+    """base ** e for each e in exponents, on Python floats as in
+    :func:`_power`, along a leading step axis: (n, R, 1) for an (R, 1)
+    column; for a float, (n,) when ``ndim`` is 1, else (n, 1, 1)."""
+    if isinstance(base, np.ndarray):
+        bases = base.ravel().tolist()
+        return np.array([[b ** e for b in bases] for e in exponents]
+                        ).reshape((len(exponents),) + base.shape)
+    out = np.array([base ** e for e in exponents])
+    return out if ndim == 1 else out[:, None, None]
+
+
+def _step_axis(t: int, stop: int, *fields) -> np.ndarray:
+    """The steps t .. stop - 1 as floats along a leading axis: (n,), or
+    (n, 1, 1) when some field is an (R, 1) column of a stacked batch, so
+    that a value derived from both is (n, R, 1)."""
+    ts = np.arange(t, stop, dtype=np.float64)
+    if any(isinstance(f, np.ndarray) for f in fields):
+        return ts[:, None, None]
+    return ts
+
+
 def _check_t(t: int) -> int:
     if t < 1:
         raise HorizonError(f"step index starts at 1, got {t}")
@@ -191,21 +213,45 @@ class TransitionSchedule:
         _check_t(t)
         return self.beta2
 
-    def step_values(self, t: int) -> Tuple[float, float, float, float]:
-        """(beta1_t, beta2_t, rho_t, r_t) for a stepper, checking t once.
+    def block_values(self, t: int, n: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """(beta1_t, beta2_t, rho_t, r_t) of the steps t .. t + n - 1 that
+        lie within the horizon, as arrays along a leading step axis.
 
-        The values equal those of ``beta1_at``, ``beta2_at``, ``rho_at``
-        and ``r_at``; a custom rho sequence covers the horizon by
-        construction.  In a schedule stacked for a batch of runs
-        (:func:`transopt.optim.stack_like`), a field that differs between
-        the runs is an (R, 1) column and so is each value derived from it.
+        Entry k equals ``beta1_at(t + k)``, ``beta2_at(t + k)``,
+        ``rho_at(t + k)`` and ``r_at(t + k)`` bit for bit: powers are
+        taken on Python floats (:func:`_power`) and the rest is
+        elementwise arithmetic, which rounds as the scalar does.  A
+        custom rho sequence covers the horizon by construction.  In a
+        schedule stacked for a batch of runs
+        (:func:`transopt.optim.stack_like`), where a field is an (R, 1)
+        column, every array is (n, R, 1).
         """
         if t > self.horizon:
             raise HorizonError(
                 f"step {t} exceeds schedule horizon {self.horizon}"
             )
         t = _check_t(t)
-        return self._beta1(t), self.beta2, self._rho(t), self._r(t)
+        stop = min(t + n, self.horizon + 1)
+        ts = _step_axis(t, stop, self.r_l, self.r_u, self.rho, self.beta1,
+                        self.beta1_decay, self.beta2)
+        r = (self.r_u - self.r_l) * (1.0 - ts / self.horizon) + self.r_l
+        if self.rho_kind == "exponential":
+            rho = _powers(self.rho, range(t, stop), ts.ndim)
+        elif self.rho_kind == "constant":
+            rho = self.rho
+        else:
+            rho = np.array(self.rho_sequence[t - 1:stop - 1]
+                           ).reshape(ts.shape)
+        if self.beta1_kind == "constant":
+            beta1 = self.beta1
+        elif self.beta1_kind == "geometric":
+            beta1 = self.beta1 * _powers(self.beta1_decay,
+                                         range(t - 1, stop - 1), ts.ndim)
+        else:
+            beta1 = self.beta1 / ts
+        return np.broadcast_arrays(beta1, self.beta2, rho, r)
 
 
 @dataclass(frozen=True)
@@ -296,3 +342,32 @@ def eval_bounds(
         momentum_abs_peak = np.where(zero, 1.0, momentum_abs_peak)
     upper = a + np.abs(momentum_abs) / (momentum_abs_peak * (spec.gamma * t))
     return a, upper
+
+
+def bound_values(spec: BoundFunctionSpec, t: int, n: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of the steps t .. t + n - 1 along a leading step
+    axis, for every kind but adadb, whose upper bound reads the momentum.
+
+    Entry k equals ``eval_bounds(spec, t + k)`` bit for bit: each bound is
+    elementwise arithmetic, which rounds as the scalar does.  For a spec
+    stacked for a batch, where a field is an (R, 1) column, the arrays
+    are (n, R, 1).
+    """
+    t = _check_t(t)
+    if spec.kind == "adadb":
+        raise DomainError("adadb bounds need momentum statistics")
+    a = spec.alpha_star
+    ts = _step_axis(t, t + n, a, spec.beta2)
+    if spec.kind == "swats":
+        lower = upper = a
+    elif spec.kind == "adabound":
+        one_minus = 1.0 - spec.beta2
+        lower = a * (1.0 - 1.0 / (one_minus * ts + 1.0))
+        upper = a * (1.0 + 1.0 / (one_minus * ts))
+    else:
+        # as eval_bounds: lower is alpha_star itself at t == T
+        scale = 1.0 / (1.0 - spec.beta2)
+        lower = np.where(ts == spec.horizon, a, a * ts / spec.horizon)
+        upper = a + scale * (1.0 / ts - 1.0 / spec.horizon)
+    return np.broadcast_arrays(lower, upper, ts)[:2]

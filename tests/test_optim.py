@@ -666,9 +666,12 @@ class TestKindBatches:
         assert batch.state.m.shape == (12, 3)
         assert batch.cfg.bias_correction.ravel().tolist() == \
             [True] * 3 + [False] * 9
-        # the lu rows' constant betas, filled once at construction
-        assert batch.beta1[5:7].ravel().tolist() == [0.5, 0.6]
-        assert batch.beta2[5:7].ravel().tolist() == [0.99, 0.9]
+        # the lu rows' constant betas: beta2 is one (R, 1) column for the
+        # run, and beta1 a per-step array, as the geometric DstAdam row's
+        # beta1 varies
+        fixed, varying = batch._coefficients(1, 4)
+        assert fixed["beta2"][5:7].ravel().tolist() == [0.99, 0.9]
+        assert varying["beta1"][:, 5:7].tolist() == [[[0.5], [0.6]]] * 4
         rng = np.random.default_rng(9)
         theta = rng.uniform(-0.5, 0.5, size=(12, 3))
         thetas = list(theta)
@@ -699,10 +702,18 @@ class TestKindBatches:
         lone = [opt for group in groups() for opt in group]
         batch = stack_kinds(groups())
         assert batch.state.m.shape == (15, 3)
-        # heavy ball's undamped first-moment gain, filled once
+        # heavy ball's undamped first-moment gain and its rate lr as the
+        # blend 0 * rate + lr; the geometric DstAdam row's beta1 and gain
+        # vary, so every row's are per-step arrays
         sgdm = [0, 1, 14]
-        assert batch.gain1[sgdm].ravel().tolist() == [1.0] * 3
-        assert batch.beta1[sgdm].ravel().tolist() == [0.5, 0.5, 0.0]
+        fixed, varying = batch._coefficients(1, 4)
+        assert varying["gain1"][:, sgdm].tolist() == [[[1.0]] * 3] * 4
+        assert varying["beta1"][:, sgdm].tolist() == \
+            [[[0.5], [0.5], [0.0]]] * 4
+        assert varying["scale"][:, sgdm].tolist() == [[[0.0]] * 3] * 4
+        assert varying["shift"][:, sgdm].tolist() == \
+            [[[0.1], [0.2], [0.3]]] * 4
+        assert fixed["beta2"][sgdm].ravel().tolist() == [0.5] * 3
         rng = np.random.default_rng(10)
         theta = rng.uniform(-0.5, 0.5, size=(15, 3))
         thetas = list(theta)

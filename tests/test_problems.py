@@ -658,3 +658,44 @@ class TestDatasetCsv:
         x2, y2 = load_dataset_csv(path)
         np.testing.assert_allclose(x2, x, rtol=0, atol=0)
         np.testing.assert_array_equal(y2, y)
+
+
+class TestLabelRange:
+    """A class label outside [0, k) raises where the labels enter, naming
+    the first bad row; a negative one used to pick a class from the
+    end."""
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "k"])
+    def test_forward(self, bad):
+        net = Mlp((2, 3, 2))
+        y = np.array([0, 1, bad, bad])
+        with pytest.raises(DomainError) as err:
+            net.forward(net.init_params(7), np.zeros((4, 2)), y)
+        assert str(err.value) == \
+            f"labels: label {bad} at row 2 lies outside [0, 2)"
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "k"])
+    @pytest.mark.parametrize("split", ["y_train", "y_test"])
+    def test_problem(self, bad, split):
+        net = Mlp((2, 3, 2))
+        x, y = two_cluster_dataset(8, seed=1)
+        labels = {"y_train": y, "y_test": y.copy()}
+        labels[split][5] = bad
+        with pytest.raises(DomainError) as err:
+            problems_module.MlpClassification(
+                net, x, labels["y_train"], x, labels["y_test"],
+                batch_size=4, seed=1)
+        assert str(err.value) == \
+            f"{split}: label {bad} at row 5 lies outside [0, 2)"
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "k"])
+    def test_dataset_file(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, np.zeros((4, 2)), [1, 0, 0, bad])
+        with pytest.raises(DomainError) as err:
+            load_dataset_csv(path, classes=2)
+        assert str(err.value) == \
+            f"labels: label {bad} at row 3 lies outside [0, 2)"
+        # without a class count, labels load as they are (the logistic
+        # files hold -1 and +1)
+        assert load_dataset_csv(path)[1].tolist() == [1, 0, 0, bad]

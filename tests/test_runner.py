@@ -1129,3 +1129,42 @@ def test_lu_run_reaches_its_last_step():
         write_artifacts=False)
     assert len(record.losses) == 12
     np.testing.assert_array_equal(record.final_effective_lr, 0.05)
+
+
+def _losses_patched_at(monkeypatch, step, values):
+    """Make the batch's stacked problem return ``values`` as the losses
+    of ``step``, its gradients as they are."""
+    stack = runner.stack_problems
+
+    def patched(problems):
+        problem = stack(problems)
+        oracle = problem.loss_and_grad
+
+        def loss_and_grad(t, theta):
+            loss, grad = oracle(t, theta)
+            return (np.array(values) if t == step else loss), grad
+
+        problem.loss_and_grad = loss_and_grad
+        return problem
+
+    monkeypatch.setattr(runner, "stack_problems", patched)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_batch_loss_names_its_replica(monkeypatch, bad):
+    _losses_patched_at(monkeypatch, 3, [0.5, bad, 0.25])
+    cfgs = [dataclasses.replace(quadratic_cfg(horizon=6, seed=seed),
+                                name=f"run{seed}") for seed in (3, 4, 5)]
+    with pytest.raises(DomainError) as err:
+        runner.run_batch(cfgs, write_artifacts=False)
+    assert str(err.value) == "run4: non-finite loss at step 3; run aborted"
+    assert err.value.replica == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_finite_batch_losses_with_an_overflowing_sum_pass(monkeypatch):
+    # the sum screen overflows; the exact test finds every loss finite
+    _losses_patched_at(monkeypatch, 3, [1e308, 1e308, 1e308])
+    cfgs = [quadratic_cfg(horizon=6, seed=seed) for seed in (3, 4, 5)]
+    records = runner.run_batch(cfgs, write_artifacts=False)
+    assert [r.losses[2] for r in records] == [1e308] * 3

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from transopt.errors import DomainError, HorizonError
+from transopt.optim import stack_like
 from transopt.schedule import (BoundFunctionSpec, TransitionSchedule,
-                               eval_bounds, rho_from_horizon)
+                               bound_values, eval_bounds, rho_from_horizon)
 
 
 def exp_schedule(rho, horizon=10**6, **kw):
@@ -155,17 +156,36 @@ class TestArrayEvaluations:
             s.rho_values(4)
 
     @pytest.mark.parametrize("kw", SCHEDULES)
-    def test_step_values_equal_scalar_methods(self, kw):
+    def test_block_values_equal_scalar_methods(self, kw):
         s = TransitionSchedule(horizon=300, **kw)
-        for t in range(1, 301):
-            assert s.step_values(t) == (s.beta1_at(t), s.beta2_at(t),
-                                        s.rho_at(t), s.r_at(t))
+        for start in (1, 129, 257):
+            block = np.array(s.block_values(start, 128)).T
+            ts = range(start, min(start + 128, 301))
+            # the last block stops at the horizon
+            assert block.shape == (len(ts), 4)
+            want = np.array([[s.beta1_at(t), s.beta2_at(t), s.rho_at(t),
+                              s.r_at(t)] for t in ts])
+            np.testing.assert_array_equal(block.view(np.int64),
+                                          want.view(np.int64))
 
-    def test_step_values_past_horizon(self):
+    def test_block_values_past_horizon(self):
         s = TransitionSchedule(horizon=3)
+        assert [len(x) for x in s.block_values(3, 5)] == [1] * 4
         with pytest.raises(HorizonError,
                            match="^step 4 exceeds schedule horizon 3$"):
-            s.step_values(4)
+            s.block_values(4, 5)
+
+    def test_stacked_block_values_are_columns(self):
+        lone = [TransitionSchedule(horizon=50, r_u=5.0 - k, rho=0.9 + 0.05 * k,
+                                   beta1_kind="geometric",
+                                   beta1_decay=0.99 - 0.2 * k)
+                for k in range(2)]
+        block = stack_like(lone).block_values(7, 10)
+        for r, s in enumerate(lone):
+            for got, want in zip(block, s.block_values(7, 10)):
+                assert got.shape == (10, 2, 1)
+                np.testing.assert_array_equal(got[:, r, 0].view(np.int64),
+                                              want.view(np.int64))
 
 
 class TestScheduleValidation:
@@ -265,3 +285,21 @@ class TestBoundFunctions:
             BoundFunctionSpec("adadb", alpha_star=0.1, gamma=0.0)
         with pytest.raises(DomainError):
             BoundFunctionSpec("lu", alpha_star=0.1, horizon=None)
+
+
+@pytest.mark.parametrize("spec", [
+    BoundFunctionSpec("swats", alpha_star=0.1),
+    BoundFunctionSpec("adabound", alpha_star=0.1, beta2=0.99),
+    BoundFunctionSpec("lu", alpha_star=0.05, horizon=12),
+], ids=["swats", "adabound", "lu"])
+def test_bound_values_equal_eval_bounds(spec):
+    lower, upper = bound_values(spec, 3, 12)
+    want = np.array([eval_bounds(spec, t) for t in range(3, 15)])
+    np.testing.assert_array_equal(np.array([lower, upper]).T.view(np.int64),
+                                  want.view(np.int64))
+
+
+def test_bound_values_reject_adadb():
+    spec = BoundFunctionSpec("adadb", alpha_star=0.1, gamma=1.0)
+    with pytest.raises(DomainError, match="adadb bounds need momentum"):
+        bound_values(spec, 1, 4)
