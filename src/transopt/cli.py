@@ -28,7 +28,7 @@ from pathlib import Path
 from .config import load_config, with_overrides
 from .errors import ComparisonError, ConfigError
 from .runner import (compare_csv, compare_run_dirs, group_configs,
-                     loop_key, read_conditions, run_batch, run_experiment)
+                     read_conditions, run_batch, run_experiment)
 
 
 def _summary(record) -> str:
@@ -61,7 +61,7 @@ def _expand_repeats(cfg):
 def _execute(jobs, cfgs, out_root):
     """Run cfgs in batches, printing one summary line per config in
     config order as soon as the lines before it are printed."""
-    groups = group_configs(cfgs, loop_key)
+    groups = group_configs(cfgs)
     if jobs > len(groups):
         # more workers than batches: split the batches among them
         parts = math.ceil(jobs / len(groups))

@@ -6,19 +6,19 @@ between concurrent runs; distinct stepper instances are independent.
 
 Every stepper runs one skeleton, :meth:`_AdaptiveStepper.step`: update
 the moving averages m_t, v_t of the gradient and its square in place,
-optionally de-bias them, form the rate alpha / (sqrt(v_t) + epsilon),
-blend it to scale * rate + shift, clamp it into [lower, upper],
-optionally divide by sqrt(t), and take the projected step
-theta - eta_t * m_t with the diagonal metric 1/eta_t.  The kinds differ
-only in these coefficients: :class:`Adam` neither blends nor clamps,
-:class:`ClippedTransition` clamps into its bound functions,
-:class:`DstAdam` blends with scale rho_t and shift (1 - rho_t) * r_t
-toward the decreasing SGD target r_t, and heavy-ball
-:class:`MomentumSgd` blends with scale 0 and shift lr; its first moment
-takes the gradient undamped and, reading no rate from v_t, it skips v_t
-when it steps alone.  Two rules read the state and run each step:
-AMSGrad's running max of v_t (:class:`Amsgrad`) and adadb's bound on
-|m_t|.
+optionally keep the running max of v_t, optionally de-bias them, form
+the rate alpha / (sqrt(v_t) + epsilon), blend it to scale * rate +
+shift, clamp it into [lower, upper], optionally bound it by
+base + |m_t| / (peak * (gamma * t)), optionally divide by sqrt(t), and
+take the projected step theta - eta_t * m_t with the diagonal metric
+1/eta_t.  The kinds differ only in these coefficients: :class:`Adam`
+neither blends nor clamps, :class:`Amsgrad` keeps the running max,
+:class:`ClippedTransition` clamps into its bound functions (adadb also
+bounds the rate by |m_t|), :class:`DstAdam` blends with scale rho_t and
+shift (1 - rho_t) * r_t toward the decreasing SGD target r_t, and
+heavy-ball :class:`MomentumSgd` blends with scale 0 and shift lr; its
+first moment takes the gradient undamped and, reading no rate from v_t,
+it skips v_t when it steps alone.
 
 Coefficient blocks: every coefficient depends on t alone, so a stepper
 fills the coefficients of its next ``BLOCK_STEPS`` steps in one call,
@@ -39,16 +39,12 @@ screen under a positive shift, the metric screen under a finite largest
 rate) is skipped there.
 
 A stepper steps one (d,) iterate, or the (R, d) iterates of R replicas
-at once: :func:`stack_like` merges R steppers built alike into one whose
-hyperparameters are (R, 1) columns where the replicas differ and plain
-floats where they agree, so every update below broadcasts row by row
-and gives each replica the bits it would get alone.  :func:`stack_kinds`
-goes one step further: groups of different kinds (say SGDM, Adam and
-DstAdam on one problem) share one skeleton step over all their rows,
-alpha, epsilon, the bias correction and sqrt_decay become columns where
-the groups differ, the groups' coefficient blocks are concatenated row
-by row, and each group runs on its own rows only the rules that read
-its state.
+at once: :func:`stack_kinds` merges R built steppers of any kinds (say
+SGDM, Adam and DstAdam on one problem) into one whose row r is stepper
+r.  Each row's coefficients come from its own stepper, a coefficient
+equal in every row stays one float, and the rest are (R, 1) columns, so
+every update below runs once over all rows, broadcasts row by row and
+gives each replica the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -63,9 +59,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .numkit import clamp, holds
-from .schedule import (BoundFunctionSpec, TransitionSchedule, bound_values,
-                       eval_bounds)
+from .numkit import holds
+from .schedule import BoundFunctionSpec, TransitionSchedule, bound_values
+# perfbench/tracer.py times the bound evaluations under this name
+from .schedule import eval_bounds  # noqa: F401
 
 
 def column(values: Sequence):
@@ -81,10 +78,9 @@ def stack_like(objs: Sequence):
     """One object standing for R objects built alike, field by field.
 
     Arrays stack along a new leading axis, numbers become a
-    :func:`column`, and other objects (steppers and problems, and their
-    configs, schedules and boxes) are copied with each field stacked in
-    turn.  Anything else, such as a kind string or a callable, must be
-    the same in every object.
+    :func:`column`, and other objects (step configs, boxes and problems)
+    are copied with each field stacked in turn.  Anything else, such as
+    a kind string or a callable, must be the same in every object.
     """
     first = objs[0]
     if isinstance(first, np.ndarray):
@@ -106,20 +102,17 @@ def stack_like(objs: Sequence):
     return first
 
 
-def stack_kinds(groups: Sequence[Sequence["_AdaptiveStepper"]]
+def stack_kinds(steppers: Sequence["_AdaptiveStepper"]
                 ) -> "_AdaptiveStepper":
-    """One stepper for the rows of several kind groups, group after group.
+    """One stepper whose row r steps as ``steppers[r]`` would alone.
 
-    Each group holds steppers of one kind built alike, merged by
-    :func:`stack_like`, or a lone stepper, kept as it is; so a single
-    group steps exactly as it would without this function.  Groups of
-    different kinds become one :class:`_KindBatch`.  The steppers must
-    not have stepped yet.
+    The steppers may be of any kinds, on iterates of one dimension, and
+    must not have stepped yet.  One stepper is returned as it is; more
+    become one :class:`_KindBatch`.
     """
-    parts = [g[0] if len(g) == 1 else stack_like(g) for g in groups]
-    if len(parts) == 1:
-        return parts[0]
-    return _KindBatch(parts, [o for g in groups for o in g])
+    if len(steppers) == 1:
+        return steppers[0]
+    return _KindBatch(steppers)
 
 
 def _raise_first(bad: np.ndarray, message: str) -> None:
@@ -237,6 +230,8 @@ class OptimizerState:
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.v_max: Optional[np.ndarray] = None
+        # the running max of ||m||_inf, one per replica, for adadb's bound
+        self.m_abs_peak = 0.0
         self.t = 0
         self.last_effective_lr: Optional[np.ndarray] = None
         self.last_rate_raw: Optional[np.ndarray] = None
@@ -254,18 +249,21 @@ BLOCK_STEPS = 256
 
 #: The per-step coefficients, in the order of a block's rows.  A kind
 #: sets beta1, gain1 (the first moment's gain on the gradient), beta2 and
-#: gain2, the blend scale and shift, the clamp's lower and upper; the
-#: skeleton derives the beta products, the bias-correction divisors
-#: div1 = 1 - beta1_prod and div2 = 1 - beta2_prod, and root_t = sqrt(t).
+#: gain2, the blend scale and shift, the clamp's lower and upper, whether
+#: v_t is replaced by its running max, and the base and gamma of the
+#: bound on |m_t|; the skeleton derives the beta products, the
+#: bias-correction divisors div1 = 1 - beta1_prod and
+#: div2 = 1 - beta2_prod, and root_t = sqrt(t).
 COEFFICIENTS = ("beta1", "gain1", "beta2", "gain2", "scale", "shift",
-                "lower", "upper", "div1", "div2", "root_t", "beta1_prod",
-                "beta2_prod")
+                "lower", "upper", "running_max", "base", "gamma", "div1",
+                "div2", "root_t", "beta1_prod", "beta2_prod")
 
-#: What a row of a kind batch that does not blend or clamp gets: a
-#: positive rate times 1.0 plus 0.0, or clamped into (-inf, inf), keeps
-#: its bits.
+#: What a kind that does not state a coefficient gets: a positive rate
+#: times 1.0 plus 0.0, clamped into (-inf, inf), or bounded by +inf plus
+#: any |m_t| term, keeps its bits, and v_t is not replaced.
 NEUTRAL = {"scale": 1.0, "shift": 0.0, "lower": -math.inf,
-           "upper": math.inf}
+           "upper": math.inf, "running_max": False, "base": math.inf,
+           "gamma": 1.0}
 
 
 def _products(carried, factors: np.ndarray) -> np.ndarray:
@@ -286,18 +284,12 @@ def _first(flags: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(flags)
 
 
-def _steps(x: np.ndarray) -> np.ndarray:
-    """A per-step array as (n, rows, 1): an (n,) array of values every
-    row shares becomes (n, 1, 1)."""
-    return x.reshape(-1, 1, 1) if x.ndim == 1 else x
-
-
-def _where(flag, values: np.ndarray) -> np.ndarray:
-    """values where flag holds, else 1.0, which divides a value into
-    itself.  ``flag`` is a bool, or an (R, 1) column in a batch whose
-    rows differ in it."""
+def _where(flag, values: np.ndarray, other=1.0) -> np.ndarray:
+    """values where flag holds, else ``other`` (by default 1.0, which
+    divides a value into itself).  ``flag`` is True, or an (R, 1) column
+    in a batch whose rows differ in it."""
     if isinstance(flag, np.ndarray):
-        return np.where(flag, values, 1.0)
+        return np.where(flag, values, other)
     return values
 
 
@@ -316,19 +308,21 @@ class _AdaptiveStepper:
     A kind states its coefficients in ``_coefficients(t, n)``.  By
     default they are the constant decays ``beta1`` and ``beta2`` and the
     gains ``gain1`` (1 - beta1 for every kind but heavy ball's 1.0) and
-    1 - beta2, with no blend and no clamp.  Only the rules that read the
-    state stay per step, each behind a flag: ``_second_moment(v)``
-    (AMSGrad's running max) and ``_rate(t, rate)`` (adadb's bound on
-    |m_t|).  A kind whose rate never reads the adaptive rate (heavy
-    ball) sets ``reads_v`` false: then v, its square root and the divide
-    are skipped and the rate is the blend's shift.
+    1 - beta2, with no blend and no clamp; a coefficient a kind does not
+    state takes its ``NEUTRAL`` value.  Two of them switch on a rule
+    that reads the state, run once a step over all rows: ``running_max``
+    (AMSGrad) replaces v_t by its running max, and ``base`` and
+    ``gamma`` (adadb) bound the rate by base + |m_t| / (peak * (gamma *
+    t)), where peak is the running max of ||m_t||_inf and a zero peak,
+    whose m_t is 0, counts as 1.  A kind whose rate never reads the
+    adaptive rate (heavy ball) sets ``reads_v`` false: then v, its
+    square root and the divide are skipped and the rate is the blend's
+    shift.
     """
 
     reads_v = True
-    _moment_hook = False
-    _rate_hook = False
     # rows whose blended rate must be positive: all, or an (R, 1) column
-    _blend_rows = None
+    _blend_rows = True
 
     def __init__(self, dim: int, cfg: Optional[StepConfig],
                  box: Optional[FeasibleBox], beta1: float = 0.9,
@@ -345,6 +339,8 @@ class _AdaptiveStepper:
         # the rows of the block of steps that starts at _block_start
         self._block = ()
         self._block_start = 1
+        # whether some replica's running max of ||m_t||_inf may still be 0
+        self._zero_peak = True
 
     def _check_inputs(self, theta: np.ndarray, grad: np.ndarray):
         """Reject a bad step before any state changes.
@@ -402,11 +398,12 @@ class _AdaptiveStepper:
         """
         s, cfg = self.state, self.cfg
         fixed, varying = self._coefficients(t, BLOCK_STEPS)
+        stated = {*fixed, *varying}
+        fixed = {**NEUTRAL, **fixed}
         n = min([BLOCK_STEPS, *map(len, varying.values())])
-        # a batch's per-step arrays are (n, R, 1) or (n, 1, 1)
+        # a lone stepper's per-step arrays are (n,), a batch's (n, R, 1)
         lead = (n,) if s.m.ndim == 1 else (n, 1, 1)
-        varying = {name: x[:n].reshape(lead) if x.ndim == 1 else x[:n]
-                   for name, x in varying.items()}
+        varying = {name: x[:n] for name, x in varying.items()}
 
         def steps(name):
             if name in varying:
@@ -425,37 +422,31 @@ class _AdaptiveStepper:
         if holds(cfg.sqrt_decay):
             varying["root_t"] = _where(cfg.sqrt_decay, np.sqrt(
                 np.arange(t, t + n, dtype=np.float64)).reshape(lead))
-        blends = "scale" in fixed or "scale" in varying
-        clamps = "lower" in fixed or "lower" in varying
+        blends, clamps = "scale" in stated, "lower" in stated
         # The first step of the block at which each screen can fire.  The
         # rate alpha / (sqrt(v) + epsilon) is >= 0 or NaN, and each later
         # operation is monotone in it, so a screen that the coefficients
         # show cannot fire is skipped; from that step on it runs.
         inverted_from = positive_from = n
-        # adadb's bound reads the state: its rows are always screened
-        finite_from = 0
         if clamps:
             inverted_from = _first(steps("lower") > steps("upper"))
         if blends:
             # rate * scale + shift >= shift > 0 for a scale >= 0; rows
             # that do not blend get shift 0.0 and are not screened
-            nonpositive = steps("shift") <= 0.0
-            if self._blend_rows is not None:
-                nonpositive = nonpositive & self._blend_rows
-            positive_from = _first(nonpositive)
-        if not self._rate_hook:
-            # the largest rate each step can apply, in the step's order
-            with np.errstate(over="ignore", divide="ignore",
-                             invalid="ignore"):
-                cap = np.divide(cfg.alpha, cfg.epsilon)
-                if blends:
-                    cap = (cap * steps("scale") + steps("shift")
-                           if self.reads_v else steps("shift"))
-                if clamps:
-                    cap = np.minimum(np.maximum(cap, steps("lower")),
-                                     steps("upper"))
-            finite_from = _first(~np.isfinite(np.broadcast_to(
-                cap, np.broadcast_shapes(lead, np.shape(cap)))))
+            positive_from = _first((steps("shift") <= 0.0)
+                                   & self._blend_rows)
+        # The largest rate each step can apply, in the step's order; the
+        # bound on |m_t| only lowers it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cap = np.divide(cfg.alpha, cfg.epsilon)
+            if blends:
+                cap = (cap * steps("scale") + steps("shift")
+                       if self.reads_v else steps("shift"))
+            if clamps:
+                cap = np.minimum(np.maximum(cap, steps("lower")),
+                                 steps("upper"))
+        finite_from = _first(~np.isfinite(np.broadcast_to(
+            cap, np.broadcast_shapes(lead, np.shape(cap)))))
 
         def column(name):
             if name in varying:
@@ -469,6 +460,8 @@ class _AdaptiveStepper:
         self._debias = holds(debias)
         self._decays = holds(cfg.sqrt_decay)
         self._blends, self._clamps = blends, clamps
+        self._running_max = "running_max" in stated
+        self._bounds_m = "base" in stated
         # only a zero beta2 turns an overflowed v into NaN (inf * 0)
         self._nan_v = holds(np.equal(steps("beta2"), 0.0))
         self._zero_rate = holds(cfg.epsilon == 0.0)
@@ -484,8 +477,8 @@ class _AdaptiveStepper:
         if not 0 <= k < len(self._block):
             self._fill(t)
             k = 0
-        (b1, gain1, b2, gain2, scale, shift, lower, upper, div1, div2,
-         root_t, beta1_prod, beta2_prod) = self._block[k]
+        (b1, gain1, b2, gain2, scale, shift, lower, upper, running_max, base,
+         gamma, div1, div2, root_t, beta1_prod, beta2_prod) = self._block[k]
         # in place, in the operation order of b1 * m + gain1 * g
         m = s.m
         m *= b1
@@ -504,8 +497,10 @@ class _AdaptiveStepper:
                 if bad.any():
                     _raise_first(bad, f"non-finite second moment at step "
                                       f"{t}, coordinate {{i}}")
-            if self._moment_hook:
-                v = self._second_moment(v)
+            if self._running_max:
+                # one max over all rows; the rows that keep it take it
+                v = _where(running_max,
+                           np.maximum(s.v_max, v, out=s.v_max), v)
             if self._debias:
                 v = v / div2
             rate = np.sqrt(v)
@@ -535,8 +530,8 @@ class _AdaptiveStepper:
                 raise DomainError("clamp bounds inverted (lo > hi)")
             np.maximum(rate, lower, out=rate)
             np.minimum(rate, upper, out=rate)
-        if self._rate_hook:
-            rate = self._rate(t, rate)
+        if self._bounds_m:
+            self._bound_by_momentum(t, rate, base, gamma)
         eta = rate / root_t if self._decays else rate
         # The clamp into the box is the projection under the metric
         # 1/eta for any positive diagonal metric.  Every rule gives
@@ -550,13 +545,32 @@ class _AdaptiveStepper:
         s.last_rate_raw, s.last_effective_lr = rate, eta
         return theta
 
+    def _bound_by_momentum(self, t: int, rate: np.ndarray, base,
+                           gamma) -> None:
+        """Lower rate in place to base + |m_t| / (peak * (gamma * t)),
+        adadb's upper bound, as :func:`transopt.schedule.eval_bounds`
+        gives it.  A row without the bound has base +inf; fmin keeps its
+        rate where |m_t| overflowed and the bound is NaN."""
+        s = self.state
+        m_abs = np.abs(s.m)
+        peak = s.m_abs_peak = np.maximum(
+            s.m_abs_peak, m_abs.max(axis=-1, keepdims=True))
+        if self._zero_peak:
+            # a row whose peak is 0 has m = 0, so any positive peak gives
+            # it the bound base; a peak never falls back to 0
+            zero = peak == 0.0
+            self._zero_peak = zero.any()
+            peak = np.where(zero, 1.0, peak)
+        m_abs /= peak * (gamma * t)
+        m_abs += base
+        np.fmin(rate, m_abs, out=rate)
+
     def _reject_nonpositive(self, t: int, rate: np.ndarray) -> None:
         """Raise at the first rate <= 0 of a row that blends.  Only
         rho_t = 1 with an adaptive rate of 0 (an overflowed second
         moment) reaches 0."""
         bad = rate <= 0.0
-        if self._blend_rows is not None:
-            bad &= self._blend_rows
+        bad &= self._blend_rows
         if bad.any():
             _raise_first(bad, f"eta_hat not positive at step {t}, "
                               "coordinate {i}")
@@ -605,16 +619,16 @@ class Adam(_AdaptiveStepper):
 class Amsgrad(Adam):
     """Adam with a coordinatewise running max of the second moment."""
 
-    _moment_hook = True
-
     def __init__(self, dim: int, cfg: Optional[StepConfig] = None,
                  beta1: float = 0.9, beta2: float = 0.999,
                  box: Optional[FeasibleBox] = None):
         super().__init__(dim, cfg, beta1, beta2, box)
         self.state.v_max = np.zeros(dim)
 
-    def _second_moment(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum(self.state.v_max, v, out=self.state.v_max)
+    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
+        fixed, varying = super()._coefficients(t, n)
+        fixed["running_max"] = True
+        return fixed, varying
 
 
 class ClippedTransition(_AdaptiveStepper):
@@ -622,10 +636,11 @@ class ClippedTransition(_AdaptiveStepper):
 
     With the constant (swats) bounds the rate collapses to a single SGD
     rate; with widening/narrowing bounds it interpolates between Adam
-    and SGD behaviour.  Bounds may be scalar or per-coordinate (adadb)
-    and scalars broadcast over coordinates.  The scalar bounds are
-    coefficients of the block; adadb's upper bound reads |m_t|, so its
-    clamp runs each step.
+    and SGD behaviour.  The bounds depending on t alone are coefficients
+    of the block.  adadb's upper bound, alpha_star + |m_t| / (peak *
+    (gamma * t)), is per-coordinate and reads the state: the kind states
+    its lower bound alpha_star and the bound's base alpha_star and
+    gamma, and the skeleton evaluates it each step.
     """
 
     def __init__(self, dim: int, bounds: BoundFunctionSpec,
@@ -634,26 +649,18 @@ class ClippedTransition(_AdaptiveStepper):
                  box: Optional[FeasibleBox] = None):
         super().__init__(dim, cfg, box, beta1, beta2)
         self.bounds = bounds
-        self._rate_hook = bounds.kind == "adadb"
-        # running max of ||m||_inf, for the adadb bounds: one per replica
-        self._m_abs_peak = 0.0
 
     def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
         fixed, varying = super()._coefficients(t, n)
-        if self.bounds.kind == "swats":
-            fixed["lower"] = fixed["upper"] = self.bounds.alpha_star
-        elif not self._rate_hook:
-            varying["lower"], varying["upper"] = bound_values(
-                self.bounds, t, n)
+        bounds = self.bounds
+        if bounds.kind == "swats":
+            fixed["lower"] = fixed["upper"] = bounds.alpha_star
+        elif bounds.kind == "adadb":
+            fixed.update(lower=bounds.alpha_star, base=bounds.alpha_star,
+                         gamma=bounds.gamma)
+        else:
+            varying["lower"], varying["upper"] = bound_values(bounds, t, n)
         return fixed, varying
-
-    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        m_abs = np.abs(self.state.m)
-        self._m_abs_peak = np.maximum(
-            self._m_abs_peak, m_abs.max(axis=-1, keepdims=True))
-        lower, upper = eval_bounds(self.bounds, t, momentum_abs=m_abs,
-                                   momentum_abs_peak=self._m_abs_peak)
-        return clamp(rate, lower, upper)
 
 
 class DstAdam(_AdaptiveStepper):
@@ -691,88 +698,44 @@ class DstAdam(_AdaptiveStepper):
 
 
 class _KindBatch(_AdaptiveStepper):
-    """Steppers of several kinds stepping one (R, d) batch.
+    """R steppers of any kinds stepping one (R, d) batch, one row each.
 
-    ``parts`` are the kind groups' steppers (see :func:`stack_kinds`) and
-    ``steppers`` the R lone steppers they were built from, in row order.
-    The skeleton step runs once over all rows with the rows' alpha,
-    epsilon, bias correction and sqrt_decay as columns where they
-    differ.  Each block, the parts' coefficients are concatenated into
-    (R, 1) columns (a coefficient fixed in every part) or (n, R, 1)
-    arrays, and a row whose kind does not blend or clamp gets the
-    ``NEUTRAL`` scale, shift and bounds.  Each step, a part whose rule
-    reads the state (AMSGrad's running max, adadb's bound) runs it on its
-    own rows, whose moments are views of the batch's.  Row r gets the
-    bits its stepper would get alone.
+    The skeleton step runs once over all rows, with the rows' alpha,
+    epsilon, bias correction and sqrt_decay as (R, 1) columns where they
+    differ.  Each block, row r's coefficients come from stepper r: a
+    coefficient fixed in every row becomes a :func:`column`, one float
+    where every row has the same value, and one that varies in some row
+    an (n, R, 1) array; a row gets the ``NEUTRAL`` value of a
+    coefficient its kind does not state.  Row r gets the bits its
+    stepper would get alone.
     """
 
-    def __init__(self, parts: Sequence[_AdaptiveStepper],
-                 steppers: Sequence[_AdaptiveStepper]):
+    def __init__(self, steppers: Sequence[_AdaptiveStepper]):
         dim = steppers[0].state.dim
         super().__init__(dim, stack_like([o.cfg for o in steppers]),
                          stack_like([o.box for o in steppers]))
         s = self.state
         s.m = np.zeros((len(steppers), dim))
         s.v = np.zeros((len(steppers), dim))
-        self._v_hat = np.empty_like(s.v)
-        self._parts = []
-        lo = 0
-        for part in parts:
-            hi = lo + part.state.m.size // dim
-            part.state.m, part.state.v = s.m[lo:hi], s.v[lo:hi]
-            if part.state.v_max is not None:
-                part.state.v_max = part.state.v_max.reshape(hi - lo, dim)
-            self._parts.append((lo, hi, part))
-            lo = hi
-        self.reads_v = any(part.reads_v for part in parts)
-        self._moments = [row for row in self._parts if row[2]._moment_hook]
-        self._rules = [row for row in self._parts if row[2]._rate_hook]
-        self._moment_hook = bool(self._moments)
-        self._rate_hook = bool(self._rules)
+        if any(o.state.v_max is not None for o in steppers):
+            s.v_max = np.zeros_like(s.v)
+        self.reads_v = any(o.reads_v for o in steppers)
+        self._steppers = steppers
 
     def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
-        coefficients = [part._coefficients(t, n)
-                        for _, _, part in self._parts]
+        coefficients = [o._coefficients(t, n) for o in self._steppers]
         n = min([n, *(len(x) for _, varying in coefficients
                       for x in varying.values())])
-        names = {name for fixed, varying in coefficients
-                 for name in (*fixed, *varying)}
         fixed, varying = {}, {}
-        for name in names:
+        for name in {name for f, v in coefficients for name in (*f, *v)}:
             default = NEUTRAL.get(name)
+            rows = [v[name][:n] if name in v else f.get(name, default)
+                    for f, v in coefficients]
             if any(name in v for _, v in coefficients):
-                varying[name] = np.concatenate([
-                    np.broadcast_to(_steps(v[name][:n]) if name in v
-                                    else f.get(name, default),
-                                    (n, hi - lo, 1))
-                    for (lo, hi, _), (f, v) in zip(self._parts, coefficients)
-                ], axis=1)
+                varying[name] = np.stack(
+                    [np.broadcast_to(x, n) for x in rows], axis=1)[..., None]
             else:
-                fixed[name] = np.concatenate([
-                    np.broadcast_to(f.get(name, default), (hi - lo, 1))
-                    for (lo, hi, _), (f, _) in zip(self._parts, coefficients)])
-        self._blend_rows = np.concatenate([
-            np.full((hi - lo, 1), "scale" in f or "scale" in v)
-            for (lo, hi, _), (f, v) in zip(self._parts, coefficients)])
+                fixed[name] = column(rows)
+        self._blend_rows = column([("scale" in f or "scale" in v)
+                                   for f, v in coefficients])
         return fixed, varying
-
-    def _second_moment(self, v: np.ndarray) -> np.ndarray:
-        v_hat = self._v_hat
-        v_hat[...] = v
-        for lo, hi, part in self._moments:
-            v_hat[lo:hi] = part._second_moment(v[lo:hi])
-        return v_hat
-
-    def _rate(self, t: int, rate: np.ndarray) -> np.ndarray:
-        for lo, hi, part in self._rules:
-            rows = rate[lo:hi]
-            try:
-                out = part._rate(t, rows)
-            except DomainError as exc:
-                if exc.replica is not None:
-                    exc.replica += lo
-                raise
-            if out is not rows:
-                rows[...] = out
-        return rate
-

@@ -6,18 +6,16 @@ f_t(theta_t), then update), and write the CSV artifacts into a directory
 keyed by the config hash.  Identical config text yields byte-identical
 CSVs.
 
-Configs with the same :func:`batch_key` differ at most in their float
-and bool fields, seed and name, none of which fixes an array shape or
-the code path, so ``run_batch`` steps them together: R replicas share
-one loop over (R, d) iterates, each replica's varying hyperparameters
-an (R, 1) column (see :func:`transopt.optim.stack_like` and
-:func:`transopt.problems.stack_problems`).  Configs with the same
-:func:`loop_key` may also differ in their optimizer (SGDM, Adam,
-AMSGrad, the clipped family, DstAdam): each kind group is stacked on its
-own and the groups share the loop and the skeleton step, each with its
-own rate rule (:func:`transopt.optim.stack_kinds`).  Replica r writes
-the bytes its config writes alone; ``run_experiment`` is the case R = 1,
-where every array is (d,).
+Configs with the same :func:`loop_key` differ at most in their
+optimizer (SGDM, Adam, AMSGrad, the clipped family, DstAdam, with any
+settings), their other float and bool fields, seed and name, none of
+which fixes an array shape or the loop, so ``run_batch`` steps them
+together: R replicas share one loop over (R, d) iterates.  The problems
+are stacked field by field, each replica's differing values an (R, 1)
+column (:func:`transopt.problems.stack_problems`), and each stepper is a
+row of one skeleton step (:func:`transopt.optim.stack_kinds`).  Replica
+r writes the bytes its config writes alone; ``run_experiment`` is the
+case R = 1, where every array is (d,).
 
 The step loop only copies each step's gradients, rates and iterates into
 three small preallocated (rows, R, d) buffers; a full buffer is flushed
@@ -106,13 +104,11 @@ def build_schedule(cfg: ExperimentConfig, horizon: int) -> TransitionSchedule:
             r_l=s.r_l,
             r_u=s.r_u,
             rho_kind=s.rho_kind,
-            # a value the kind does not read is left out, so that replicas
-            # of one kind stack (see batch_key)
-            rho=None if s.rho_kind == "custom" else s.rho,
+            rho=s.rho,
             rho_sequence=s.rho_sequence,
             beta1_kind=s.beta1_kind,
             beta1=cfg.optimizer.beta1,
-            beta1_decay=s.beta1_decay if s.beta1_kind == "geometric" else None,
+            beta1_decay=s.beta1_decay,
             beta2=cfg.optimizer.beta2,
         )
     except DomainError as exc:
@@ -225,38 +221,29 @@ def _make_condition_report(problem: OnlineProblem,
     return report
 
 
-def batch_key(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Configs with equal keys stack as one kind group of a batch
-    (:func:`run_batch`, :func:`transopt.optim.stack_like`).
-
-    The key is the config with every float and bool field, the seed, the
-    name, the output root and the repeat count set back to their defaults
-    (:func:`transopt.config.reset_values`).  The fields left (kinds,
-    shapes, the horizon, the stride, the hidden sizes, a custom rho
-    sequence) fix an array shape or the code path.  A built stepper or
-    problem holds each float or bool field as a number or an array, never
-    None next to one (an open box side is infinite; a value the kind does
-    not read is not passed), so the replicas' values stack as columns.
-    """
-    return reset_values(cfg, ("seed", "name", "out_dir", "repeats"))
-
-
 def loop_key(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Configs with equal keys can share one step loop (:func:`run_batch`).
+    """Configs with equal keys share one step loop (:func:`run_batch`).
 
-    The key is :func:`batch_key` with the optimizer cleared: every kind
-    runs the one skeleton step and differs only in its hooks and
-    columns.
+    The key is the config with the optimizer cleared and every float and
+    bool field, the seed, the name, the output root and the repeat count
+    set back to their defaults (:func:`transopt.config.reset_values`).
+    The fields left (the problem's kind and shapes, the horizon, the
+    stride, the batch size) fix an array shape or the loop's code path.
+    Every optimizer runs as a row of the one skeleton step, and a built
+    problem holds each float or bool field as a number or an array,
+    never None next to one (an open box side is infinite), so the
+    replicas' values stack as columns.
     """
-    return replace(batch_key(cfg), optimizer=OptimizerSpec())
+    return replace(reset_values(cfg, ("seed", "name", "out_dir", "repeats")),
+                   optimizer=OptimizerSpec())
 
 
-def group_configs(cfgs: Sequence[ExperimentConfig],
-                  key=batch_key) -> List[List[int]]:
-    """Indices of cfgs grouped by ``key``, in order of first appearance."""
+def group_configs(cfgs: Sequence[ExperimentConfig]) -> List[List[int]]:
+    """Indices of cfgs grouped by :func:`loop_key`, in order of first
+    appearance."""
     groups: Dict[ExperimentConfig, List[int]] = {}
     for index, cfg in enumerate(cfgs):
-        groups.setdefault(key(cfg), []).append(index)
+        groups.setdefault(loop_key(cfg), []).append(index)
     return list(groups.values())
 
 
@@ -280,10 +267,9 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
               keep_trajectory: bool = False) -> List[RunRecord]:
     """Execute configs that share a :func:`loop_key` as one step loop.
 
-    The rows of the loop are ordered by :func:`batch_key` group, so each
-    optimizer kind holds a contiguous slice of them.  Returns one record
-    per config, in the order given, each equal to the config's lone run
-    but for the wall clock: the batch's time is shared equally.
+    Row r of the loop is config r.  Returns one record per config, in
+    the order given, each equal to the config's lone run but for the
+    wall clock: the batch's time is shared equally.
     The monitors stream, so a run holds O(d) state plus the per-step
     losses and regret and one histogram and rate-summary row per sampled
     step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
@@ -292,11 +278,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     """
     started = time.perf_counter()
     if len({loop_key(cfg) for cfg in cfgs}) != 1:
-        raise ConfigError("a batch needs configs whose batch keys differ "
-                          "at most in the optimizer")
-    kinds = group_configs(cfgs)
-    order = [index for group in kinds for index in group]
-    cfgs = [cfgs[index] for index in order]
+        raise ConfigError("a batch needs configs with one loop key")
     problems = [build_problem(cfg) for cfg in cfgs]
     horizon = resolve_horizon(cfgs[0], problems[0].n_train)
     optimizers = [build_optimizer(cfg, p.dim, horizon, p.box)
@@ -305,8 +287,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                  for o in optimizers]
     # one replica steps the lone problem and stepper over (d,) arrays
     problem = stack_problems(problems)
-    built = iter(optimizers)
-    optimizer = stack_kinds([[next(built) for _ in group] for group in kinds])
+    optimizer = stack_kinds(optimizers)
 
     theta = np.stack([p.initial_point(cfg.problem.seed)
                       for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
@@ -398,11 +379,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         record.wall_clock = wall_clock
         if write_artifacts:
             record.run_dir = _write_artifacts(record, out_root)
-    # back to the order the configs came in
-    in_order = [None] * len(records)
-    for index, record in zip(order, records):
-        in_order[index] = record
-    return in_order
+    return records
 
 
 def run_directory(cfg: ExperimentConfig, out_root: Optional[str],

@@ -37,39 +37,11 @@ def rho_from_horizon(horizon: int, target: float = DEFAULT_RHO_TARGET) -> float:
     return target ** (1.0 / horizon)
 
 
-def _power(base, exponent):
-    """base ** exponent, for a float or an (R, 1) column of floats.
-
-    A column is raised entry by entry on Python floats: ``np.power``
-    rounds differently from ``float.__pow__`` in many last bits, and a
-    replica of a batch must get the bits of its run alone.
-    """
-    if isinstance(base, np.ndarray):
-        return np.array([b ** exponent for b in base.ravel().tolist()]
-                        ).reshape(base.shape)
-    return base ** exponent
-
-
-def _powers(base, exponents: range, ndim: int) -> np.ndarray:
-    """base ** e for each e in exponents, on Python floats as in
-    :func:`_power`, along a leading step axis: (n, R, 1) for an (R, 1)
-    column; for a float, (n,) when ``ndim`` is 1, else (n, 1, 1)."""
-    if isinstance(base, np.ndarray):
-        bases = base.ravel().tolist()
-        return np.array([[b ** e for b in bases] for e in exponents]
-                        ).reshape((len(exponents),) + base.shape)
-    out = np.array([base ** e for e in exponents])
-    return out if ndim == 1 else out[:, None, None]
-
-
-def _step_axis(t: int, stop: int, *fields) -> np.ndarray:
-    """The steps t .. stop - 1 as floats along a leading axis: (n,), or
-    (n, 1, 1) when some field is an (R, 1) column of a stacked batch, so
-    that a value derived from both is (n, R, 1)."""
-    ts = np.arange(t, stop, dtype=np.float64)
-    if any(isinstance(f, np.ndarray) for f in fields):
-        return ts[:, None, None]
-    return ts
+def _powers(base: float, exponents: range) -> np.ndarray:
+    """base ** e for each e in exponents, taken on Python floats:
+    ``np.power`` rounds differently from ``float.__pow__`` in many last
+    bits, and a block must give the bits of the scalar at each step."""
+    return np.array([base ** e for e in exponents])
 
 
 def _check_t(t: int) -> int:
@@ -154,7 +126,7 @@ class TransitionSchedule:
 
     def _rho(self, t: int) -> float:
         if self.rho_kind == "exponential":
-            return _power(self.rho, t)
+            return self.rho ** t
         if self.rho_kind == "constant":
             return self.rho
         return self.rho_sequence[t - 1]
@@ -197,7 +169,7 @@ class TransitionSchedule:
         if self.beta1_kind == "constant":
             return self.beta1
         if self.beta1_kind == "geometric":
-            return self.beta1 * _power(self.beta1_decay, t - 1)
+            return self.beta1 * self.beta1_decay ** (t - 1)
         return self.beta1 / t
 
     def beta1_values(self, horizon: int) -> np.ndarray:
@@ -221,12 +193,9 @@ class TransitionSchedule:
 
         Entry k equals ``beta1_at(t + k)``, ``beta2_at(t + k)``,
         ``rho_at(t + k)`` and ``r_at(t + k)`` bit for bit: powers are
-        taken on Python floats (:func:`_power`) and the rest is
+        taken on Python floats (:func:`_powers`) and the rest is
         elementwise arithmetic, which rounds as the scalar does.  A
-        custom rho sequence covers the horizon by construction.  In a
-        schedule stacked for a batch of runs
-        (:func:`transopt.optim.stack_like`), where a field is an (R, 1)
-        column, every array is (n, R, 1).
+        custom rho sequence covers the horizon by construction.
         """
         if t > self.horizon:
             raise HorizonError(
@@ -234,21 +203,19 @@ class TransitionSchedule:
             )
         t = _check_t(t)
         stop = min(t + n, self.horizon + 1)
-        ts = _step_axis(t, stop, self.r_l, self.r_u, self.rho, self.beta1,
-                        self.beta1_decay, self.beta2)
+        ts = np.arange(t, stop, dtype=np.float64)
         r = (self.r_u - self.r_l) * (1.0 - ts / self.horizon) + self.r_l
         if self.rho_kind == "exponential":
-            rho = _powers(self.rho, range(t, stop), ts.ndim)
+            rho = _powers(self.rho, range(t, stop))
         elif self.rho_kind == "constant":
             rho = self.rho
         else:
-            rho = np.array(self.rho_sequence[t - 1:stop - 1]
-                           ).reshape(ts.shape)
+            rho = np.array(self.rho_sequence[t - 1:stop - 1])
         if self.beta1_kind == "constant":
             beta1 = self.beta1
         elif self.beta1_kind == "geometric":
             beta1 = self.beta1 * _powers(self.beta1_decay,
-                                         range(t - 1, stop - 1), ts.ndim)
+                                         range(t - 1, stop - 1))
         else:
             beta1 = self.beta1 / ts
         return np.broadcast_arrays(beta1, self.beta2, rho, r)
@@ -310,7 +277,8 @@ def eval_bounds(
     ||m_s||_inf over s <= t; both are required only by the adadb kind.
     When the peak is exactly zero (no gradient seen yet) the data-driven
     term is defined as 0 and the upper bound falls back to alpha_star.
-    In a batch the peak is an (R, 1) column, one entry per replica.
+    This evaluates one run's bounds; the steppers evaluate adadb's over
+    all rows of a batch at once (``transopt.optim``), with these bits.
     """
     t = _check_t(t)
     a = spec.alpha_star
@@ -333,13 +301,8 @@ def eval_bounds(
         raise DomainError("adadb bounds need momentum statistics")
     if np.any(momentum_abs_peak < 0.0):
         raise DomainError("momentum peak must be >= 0")
-    zero = np.equal(momentum_abs_peak, 0.0)
-    if zero.all():
+    if np.all(momentum_abs_peak == 0.0):
         return a, a
-    if zero.any():
-        # a replica whose peak is 0 has m = 0, so any positive scale
-        # makes its term 0 and its upper bound alpha_star
-        momentum_abs_peak = np.where(zero, 1.0, momentum_abs_peak)
     upper = a + np.abs(momentum_abs) / (momentum_abs_peak * (spec.gamma * t))
     return a, upper
 
@@ -350,15 +313,21 @@ def bound_values(spec: BoundFunctionSpec, t: int, n: int
     axis, for every kind but adadb, whose upper bound reads the momentum.
 
     Entry k equals ``eval_bounds(spec, t + k)`` bit for bit: each bound is
-    elementwise arithmetic, which rounds as the scalar does.  For a spec
-    stacked for a batch, where a field is an (R, 1) column, the arrays
-    are (n, R, 1).
+    elementwise arithmetic, which rounds as the scalar does.  The lu
+    bounds cross past their horizon, so an lu block ends there, and a
+    block that would start past it raises a HorizonError.
     """
     t = _check_t(t)
     if spec.kind == "adadb":
         raise DomainError("adadb bounds need momentum statistics")
+    stop = t + n
+    if spec.kind == "lu":
+        if t > spec.horizon:
+            raise HorizonError(
+                f"step {t} exceeds lu bound horizon {spec.horizon}")
+        stop = min(stop, spec.horizon + 1)
     a = spec.alpha_star
-    ts = _step_axis(t, t + n, a, spec.beta2)
+    ts = np.arange(t, stop, dtype=np.float64)
     if spec.kind == "swats":
         lower = upper = a
     elif spec.kind == "adabound":

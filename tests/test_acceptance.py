@@ -445,9 +445,10 @@ def test_11_batched_replicas_match_lone_runs(tmp_path):
     for name, text in texts.items():
         (config_dir / f"{name}.yaml").write_text(text)
     cfgs = [parse_config(text) for text in texts.values()]
+    # one loop per problem, holding every optimizer's three replicas
     groups = group_configs(cfgs)
-    assert len(groups) == len(BATCH_PROBLEMS) * len(BATCH_OPTIMIZERS)
-    assert all(len(group) == 3 for group in groups)
+    assert len(groups) == len(BATCH_PROBLEMS)
+    assert all(len(group) == 3 * len(BATCH_OPTIMIZERS) for group in groups)
 
     lone = tmp_path / "lone"
     for cfg in cfgs:

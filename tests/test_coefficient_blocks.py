@@ -1,16 +1,16 @@
 """Coefficient blocks: a stepper that fills its t-only scalars a block of
-steps at a time steps with the bits of the per-step skeleton, lone,
-stacked and in a kind batch, across block boundaries."""
+steps at a time steps with the bits of the per-step skeleton, lone and
+as a row of a kind batch, across block boundaries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from transopt.errors import DomainError
+from transopt.errors import DomainError, HorizonError
 from transopt.optim import (BLOCK_STEPS, Adam, Amsgrad, ClippedTransition,
                             DstAdam, FeasibleBox, MomentumSgd, StepConfig,
-                            stack_kinds, stack_like)
+                            stack_kinds)
 from transopt.schedule import (BoundFunctionSpec, TransitionSchedule,
                                eval_bounds)
 
@@ -145,30 +145,36 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _assert_rows_match(stepper, lone):
+def _assert_rows_match(stepper, lone, zero_at_step_1=()):
     """Step ``stepper`` over (R, d) rows, or (d,) for one, and each lone
-    stepper's per-step reference over its row, comparing bits."""
+    stepper and its per-step reference over its row, comparing bits.
+    The rows in ``zero_at_step_1`` take a zero gradient at step 1."""
     refs = [PerStepReference(opt) for opt in lone]
     rng = np.random.default_rng(len(lone))
     theta = rng.uniform(-0.5, 0.5, size=(len(lone), DIM))
     thetas = list(theta)
+    lone_thetas = list(theta)
     if len(lone) == 1:
         theta = theta[0]
     for t in range(1, HORIZON + 1):
         grad = rng.normal(size=np.shape(theta))
+        if t == 1:
+            grad[list(zero_at_step_1)] = 0.0
         theta = stepper.step(theta, grad)
         rows = np.reshape(theta, (len(lone), DIM))
         rates = np.reshape(stepper.rate_raw(), (len(lone), DIM))
         etas = np.reshape(stepper.effective_lr(), (len(lone), DIM))
         grads = np.reshape(grad, (len(lone), DIM))
-        for r, ref in enumerate(refs):
+        for r, (opt, ref) in enumerate(zip(lone, refs)):
             thetas[r], rate, eta = ref.step(thetas[r], grads[r])
-            np.testing.assert_array_equal(_bits(rows[r]), _bits(thetas[r]),
-                                          err_msg=f"theta t={t} r={r}")
-            np.testing.assert_array_equal(_bits(rates[r]), _bits(rate),
-                                          err_msg=f"rate t={t} r={r}")
-            np.testing.assert_array_equal(_bits(etas[r]), _bits(eta),
-                                          err_msg=f"eta t={t} r={r}")
+            lone_thetas[r] = opt.step(lone_thetas[r], grads[r])
+            for want in ((thetas[r], rate, eta),
+                         (lone_thetas[r], opt.rate_raw(),
+                          opt.effective_lr())):
+                for name, got, x in zip(("theta", "rate", "eta"),
+                                        (rows[r], rates[r], etas[r]), want):
+                    np.testing.assert_array_equal(
+                        _bits(got), _bits(x), err_msg=f"{name} t={t} r={r}")
     assert stepper.state.t == HORIZON
 
 
@@ -182,16 +188,21 @@ def test_stacked_rows_step_as_the_per_step_skeleton(kind):
     def replicas():
         return [_boxed(KINDS[kind](k), k) for k in range(3)]
 
-    _assert_rows_match(stack_like(replicas()), replicas())
+    _assert_rows_match(stack_kinds(replicas()), replicas())
 
 
 def test_kind_batch_rows_step_as_the_per_step_skeleton():
-    def groups():
-        return [[_boxed(build(k), k) for k in range(2)]
-                for build in KINDS.values()]
+    # every kind twice in a row; then rows that keep AMSGrad's running
+    # max or adadb's |m_t| bound interleaved with rows that do not, their
+    # alpha and gamma differing, with row 2's adadb peak 0 at step 1
+    grouped = [(kind, k) for kind in KINDS for k in range(2)]
+    interleaved = [("amsgrad", 0), ("adam", 1), ("adadb", 0), ("amsgrad", 1),
+                   ("dstadam-exponential", 2), ("adadb", 1), ("sgdm", 0)]
+    for kinds, zero in ((grouped, []), (interleaved, [2])):
+        def rows():
+            return [_boxed(KINDS[kind](k), k) for kind, k in kinds]
 
-    lone = [opt for group in groups() for opt in group]
-    _assert_rows_match(stack_kinds(groups()), lone)
+        _assert_rows_match(stack_kinds(rows()), rows(), zero_at_step_1=zero)
 
 
 def _frozen(opt):
@@ -222,7 +233,7 @@ def test_a_rate_error_leaves_the_state_as_it_was(at, batched):
             horizon=HORIZON, rho_kind="custom", rho_sequence=rho),
             StepConfig(bias_correction=True))
 
-    opt = stack_kinds([[Adam(DIM)], [dst()]]) if batched else dst()
+    opt = stack_kinds([Adam(DIM), dst()]) if batched else dst()
     rows = (2, DIM) if batched else (DIM,)
     rng = np.random.default_rng(3)
     theta = np.zeros(rows)
@@ -242,7 +253,8 @@ def test_a_rate_error_leaves_the_state_as_it_was(at, batched):
 @pytest.mark.parametrize("horizon", [BLOCK_STEPS, BLOCK_STEPS + 50],
                          ids=["first-of-block", "mid-block"])
 def test_inverted_bounds_raise_past_the_lu_horizon(horizon):
-    # past T the lu bounds cross: the step after T raises at the clamp
+    # past T the lu bounds cross: the fill of the step after T raises,
+    # naming the step and the horizon
     opt = ClippedTransition(DIM, BoundFunctionSpec(
         "lu", alpha_star=0.05, horizon=horizon))
     rng = np.random.default_rng(5)
@@ -250,6 +262,7 @@ def test_inverted_bounds_raise_past_the_lu_horizon(horizon):
     for _ in range(horizon):
         theta = opt.step(theta, rng.normal(size=DIM))
     before = _frozen(opt)
-    with pytest.raises(DomainError, match=r"^clamp bounds inverted"):
+    with pytest.raises(HorizonError, match=(
+            rf"^step {horizon + 1} exceeds lu bound horizon {horizon}$")):
         opt.step(theta, rng.normal(size=DIM))
     _assert_unchanged(before, _frozen(opt))

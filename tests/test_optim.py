@@ -577,7 +577,7 @@ def _replica_steppers(kind, k, dim=3):
 
 
 class TestStackedSteppers:
-    """A stepper stacked from R steppers steps row r as stepper r would
+    """A batch of R steppers of one kind steps row r as stepper r would
     alone, bit for bit, with differing hyperparameters as columns."""
 
     @pytest.mark.parametrize("kind", ["sgdm", "adam", "amsgrad", "adabound",
@@ -585,7 +585,7 @@ class TestStackedSteppers:
                                       "dstadam-geometric"])
     def test_rows_step_as_lone_steppers(self, kind):
         lone = [_replica_steppers(kind, k) for k in range(3)]
-        batch = stack_like([_replica_steppers(kind, k) for k in range(3)])
+        batch = stack_kinds([_replica_steppers(kind, k) for k in range(3)])
         rng = np.random.default_rng(4)
         theta = rng.uniform(-0.5, 0.5, size=(3, 3))
         thetas = list(theta)
@@ -603,13 +603,23 @@ class TestStackedSteppers:
                                               opt.effective_lr())
 
     def test_shared_values_stay_floats(self):
-        batch = stack_like([_replica_steppers("dstadam", k)
-                            for k in range(3)])
-        assert batch.state.m.shape == (3, 3)
-        assert isinstance(batch.schedule.beta2, float)
+        # eight DstAdam rows of the criterion-02 grid: rho, r_l, r_u and
+        # sqrt_decay differ, the betas do not, so each step reads them as
+        # floats
+        pairs = [(0.005, 5.0), (0.1, 1.0), (0.5, 0.5), (0.01, 0.1)]
+        batch = stack_kinds([DstAdam(3, TransitionSchedule(
+            horizon=200, rho=[None, 0.9, 0.99][k % 3], r_l=pairs[k % 4][0],
+            r_u=pairs[k % 4][1]), StepConfig(sqrt_decay=k >= 4))
+            for k in range(8)])
+        batch.step(np.zeros((8, 3)), np.ones((8, 3)))
+        assert batch.state.m.shape == (8, 3)
         assert isinstance(batch.cfg.epsilon, float)
-        assert batch.schedule.r_u.shape == (3, 1)
-        assert batch.cfg.sqrt_decay.tolist() == [[False], [True], [False]]
+        assert batch.cfg.sqrt_decay.ravel().tolist() == \
+            [False] * 4 + [True] * 4
+        b1, gain1, b2, gain2, scale, shift = batch._block[0][:6]
+        assert [b1, gain1, b2, gain2] == [0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999]
+        assert all(type(x) is float for x in (b1, gain1, b2, gain2))
+        assert scale.shape == shift.shape == (8, 1)
 
     def test_column(self):
         assert column([0.5, 0.5]) == 0.5
@@ -617,14 +627,13 @@ class TestStackedSteppers:
 
     def test_unlike_steppers_are_rejected(self):
         with pytest.raises(DomainError, match="cannot batch"):
-            stack_like([Adam(2), Amsgrad(2)])
+            stack_like([StepConfig(), FeasibleBox.unbounded(2)])
         with pytest.raises(DomainError, match="cannot batch"):
-            stack_like([ClippedTransition(
-                2, BoundFunctionSpec(kind, alpha_star=0.1, gamma=1.0))
-                for kind in ("swats", "adadb")])
+            stack_like([BoundFunctionSpec(kind, alpha_star=0.1, gamma=1.0)
+                        for kind in ("swats", "adadb")])
 
     def test_errors_name_the_replica(self):
-        batch = stack_like([Adam(3), Adam(3)])
+        batch = stack_kinds([Adam(3), Adam(3)])
         grad = np.zeros((2, 3))
         grad[1, 2] = math.nan
         with pytest.raises(DomainError) as err:
@@ -635,34 +644,34 @@ class TestStackedSteppers:
             batch.step(np.zeros(3), np.zeros(3))
 
 
-def _kind_groups():
-    """Kind groups of a mixed batch: rows differ in alpha, epsilon, the
+def _kind_rows():
+    """The steppers of a mixed batch: rows differ in alpha, epsilon, the
     bias correction, sqrt_decay and the box, and in each rule's own
     hyperparameters."""
-    return [[_replica_steppers("adam", k) for k in range(2)],
-            [_replica_steppers("amsgrad", 0)],
-            [_replica_steppers("adadb", k) for k in range(2)],
-            [_replica_steppers("lu", k) for k in range(2)],
-            [Adam(3, StepConfig(epsilon=1e-3), box=FeasibleBox.cube(3.0, 3))],
-            [_replica_steppers("dstadam", k) for k in range(3)],
-            [_replica_steppers("dstadam-geometric", 1)]]
+    return [*(_replica_steppers("adam", k) for k in range(2)),
+            _replica_steppers("amsgrad", 0),
+            *(_replica_steppers("adadb", k) for k in range(2)),
+            *(_replica_steppers("lu", k) for k in range(2)),
+            Adam(3, StepConfig(epsilon=1e-3), box=FeasibleBox.cube(3.0, 3)),
+            *(_replica_steppers("dstadam", k) for k in range(3)),
+            _replica_steppers("dstadam-geometric", 1)]
 
 
-def _sgdm_groups():
-    """Heavy-ball kind groups: a stacked pair whose lr differs, and a
-    lone stepper with its own momentum and box."""
-    return [[_replica_steppers("sgdm", k) for k in range(2)],
-            [MomentumSgd(3, lr=0.3, momentum=0.0,
-                         box=FeasibleBox.cube(0.5, 3))]]
+def _sgdm_rows():
+    """Heavy-ball steppers: a pair whose lr differs, and one with its own
+    momentum and box."""
+    return [*(_replica_steppers("sgdm", k) for k in range(2)),
+            MomentumSgd(3, lr=0.3, momentum=0.0,
+                        box=FeasibleBox.cube(0.5, 3))]
 
 
 class TestKindBatches:
-    """stack_kinds: groups of different adaptive kinds share the skeleton
-    step, and row r steps as its stepper would alone, bit for bit."""
+    """stack_kinds: steppers of different kinds share the skeleton step,
+    and row r steps as its stepper would alone, bit for bit."""
 
     def test_rows_step_as_lone_steppers(self):
-        lone = [opt for group in _kind_groups() for opt in group]
-        batch = stack_kinds(_kind_groups())
+        lone = _kind_rows()
+        batch = stack_kinds(_kind_rows())
         assert batch.state.m.shape == (12, 3)
         assert batch.cfg.bias_correction.ravel().tolist() == \
             [True] * 3 + [False] * 9
@@ -690,17 +699,17 @@ class TestKindBatches:
 
     def test_one_group_steps_as_it_does_alone(self):
         opt = Adam(3)
-        assert stack_kinds([[opt]]) is opt
-        assert type(stack_kinds([[Adam(3), Adam(3)]])) is Adam
+        assert stack_kinds([opt]) is opt
+        assert stack_kinds([Adam(3), Adam(3)]).state.m.shape == (2, 3)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_sgdm_rows_step_as_lone_steppers(self):
-        def groups():
-            sgdm = _sgdm_groups()
-            return [sgdm[0], *_kind_groups(), sgdm[1]]
+        def rows():
+            sgdm = _sgdm_rows()
+            return [*sgdm[:2], *_kind_rows(), sgdm[2]]
 
-        lone = [opt for group in groups() for opt in group]
-        batch = stack_kinds(groups())
+        lone = rows()
+        batch = stack_kinds(rows())
         assert batch.state.m.shape == (15, 3)
         # heavy ball's undamped first-moment gain and its rate lr as the
         # blend 0 * rate + lr; the geometric DstAdam row's beta1 and gain
@@ -734,8 +743,8 @@ class TestKindBatches:
         assert batch.state.v[14, 0] == math.inf
 
     def test_errors_name_the_row(self):
-        batch = stack_kinds([[Adam(2)], [DstAdam(
-            2, TransitionSchedule(horizon=10), StepConfig(epsilon=0.0))]])
+        batch = stack_kinds([Adam(2), DstAdam(
+            2, TransitionSchedule(horizon=10), StepConfig(epsilon=0.0))])
         with pytest.raises(DomainError) as err:
             batch.step(np.zeros((2, 2)), np.zeros((2, 2)))
         assert str(err.value) == \

@@ -782,13 +782,13 @@ class TestBatches:
                 _batch_cfg("c", kind="adam"),
                 config_module.with_overrides(_batch_cfg("d"), stride=2),
                 _batch_cfg("e", seed=1)]
-        assert runner.group_configs(cfgs) == [[0, 1, 4], [2], [3]]
-        # a config that differs from another in every float and bool
-        # field, and in the seed, name, output root and repeat count,
-        # joins its group
+        assert runner.group_configs(cfgs) == [[0, 1, 2, 4], [3]]
+        # a config that differs from another in its optimizer, in every
+        # float and bool field, and in the seed, name, output root and
+        # repeat count, joins its group
         cfgs += [_batch_cfg("f", kind="generic"),
                  parse_config(_EVERY_VALUE_CHANGED)]
-        assert runner.group_configs(cfgs) == [[0, 1, 4], [2], [3], [5, 6]]
+        assert runner.group_configs(cfgs) == [[0, 1, 2, 4, 5, 6], [3]]
         pairs = [(cfgs[5], cfgs[6])]
         for a, b in pairs:
             for name, kind in config_module._FIELD_TYPES[type(a)].items():
@@ -813,7 +813,7 @@ class TestBatches:
             assert got.report == want.report
 
     def test_unlike_configs_are_not_a_batch(self):
-        with pytest.raises(ConfigError, match="batch key"):
+        with pytest.raises(ConfigError, match="one loop key"):
             runner.run_batch([_batch_cfg("a"), config_module.with_overrides(
                 _batch_cfg("d", kind="adam"), stride=2)])
 
@@ -939,7 +939,7 @@ class TestMixedBatches:
                              f"optimizer: {opt}\nhorizon: 3000\nstride: 1\n"
                              f"name: cycle-{kind}\n")
                 for kind, opt in CYCLE_TRIO.items()]
-        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2]]
+        assert runner.group_configs(cfgs) == [[0, 1, 2]]
         batch = runner.run_batch(cfgs, write_artifacts=False,
                                  keep_trajectory=True)
         for cfg, got in zip(cfgs, batch):
@@ -951,7 +951,7 @@ class TestMixedBatches:
         cfgs = [config_module.load_config(root / f"mlp_{kind}.yaml")
                 for kind in ("adabound", "adam", "dstadam", "sgdm")]
         # the four optimizers of the MLP comparison share one loop
-        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
+        assert runner.group_configs(cfgs) == [[0, 1, 2, 3]]
         batch = runner.run_batch(cfgs, write_artifacts=False,
                                  keep_trajectory=True)
         for cfg, got in zip(cfgs, batch):
@@ -962,7 +962,7 @@ class TestMixedBatches:
         cfgs = [_batch_cfg("a"), _batch_cfg("b", kind="adam"),
                 _batch_cfg("c", kind="dstadam"),
                 _batch_cfg("d", seed=9, lr=0.2)]
-        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
+        assert runner.group_configs(cfgs) == [[0, 1, 2, 3]]
         batch = runner.run_batch(cfgs, write_artifacts=False,
                                  keep_trajectory=True)
         for cfg, got in zip(cfgs, batch):
@@ -970,7 +970,7 @@ class TestMixedBatches:
                 cfg, write_artifacts=False, keep_trajectory=True))
         # a stride fixes the loop's buffers: SGDM at another stride does
         # not join
-        with pytest.raises(ConfigError, match="batch keys"):
+        with pytest.raises(ConfigError, match="one loop key"):
             runner.run_batch(cfgs[1:3] + [config_module.with_overrides(
                 cfgs[0], stride=2)])
 
@@ -984,13 +984,14 @@ class TestMixedBatches:
             return loss, g
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad", nan_in_row_1)
-        # the rows are ordered by kind: a, c, then b
+        # row r of the loop is config r
         cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
                 _mixed_cfg("c", "adam", seed=4)]
         with pytest.raises(DomainError) as err:
             runner.run_batch(cfgs, write_artifacts=False)
         assert str(err.value) == \
-            "c: non-finite gradient at step 6, coordinate 2"
+            "b: non-finite gradient at step 6, coordinate 2"
+        assert err.value.replica == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_an_error_in_one_groups_rule_names_its_config(self, monkeypatch):
@@ -1005,8 +1006,7 @@ class TestMixedBatches:
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
                             overflow_in_row_4)
         # with rho_t = 1 DstAdam's rate is Adam's, which the overflowed
-        # second moment makes 0; e's custom schedule is a kind group of
-        # its own, so the rows are a, c, b, d, e
+        # second moment makes 0; row 4 of the loop is config e
         ones = ", ".join(["1.0"] * 20)
         rule = (f", schedule: {{rho_kind: custom, rho_sequence: [{ones}]}}")
         cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
@@ -1042,7 +1042,8 @@ class TestMixedBatches:
                     (lone.run_dir / name).read_bytes(), (line, name)
 
 
-#: A config and, for each kind, shape or tuple field, one change of it.
+#: A config and, for each kind, shape or tuple field of its problem and
+#: loop, one change of it.
 _KEY_BASE = """
 problem: {kind: quadratic, dim: 3, seed: 7, hidden: [4]}
 optimizer:
@@ -1054,23 +1055,35 @@ stride: 1
 batch_size: 8
 """
 _KEY_SPLITS = [("kind: quadratic", "kind: logistic"),
-               ("kind: generic", "kind: adabound"),
-               ("kind: adadb", "kind: swats"),
-               ("rho_kind: exponential", "rho_kind: constant"),
-               ("beta1_kind: constant", "beta1_kind: harmonic"),
                ("dim: 3", "dim: 4"), ("horizon: 20", "horizon: 21"),
                ("stride: 1", "stride: 2"), ("batch_size: 8", "batch_size: 9"),
-               ("hidden: [4]", "hidden: [4, 4]"),
-               ("rho_sequence: [0.5]", "rho_sequence: [0.25]")]
+               ("hidden: [4]", "hidden: [4, 4]")]
+
+#: For each kind or tuple field of the optimizer, one change of it.
+_OPTIMIZER_CHANGES = [("kind: generic", "kind: adabound"),
+                      ("kind: adadb", "kind: swats"),
+                      ("rho_kind: exponential", "rho_kind: constant"),
+                      ("beta1_kind: constant", "beta1_kind: harmonic"),
+                      ("rho_sequence: [0.5]", "rho_sequence: [0.25]")]
 
 
 class TestBatchKey:
+    """Which configs share one loop: :func:`runner.loop_key`."""
+
     @pytest.mark.parametrize("old, new", _KEY_SPLITS)
     def test_a_kind_shape_or_tuple_field_splits_the_key(self, old, new):
         assert old in _KEY_BASE
         base = parse_config(_KEY_BASE)
         changed = parse_config(_KEY_BASE.replace(old, new))
-        assert runner.batch_key(base) != runner.batch_key(changed)
+        assert runner.loop_key(base) != runner.loop_key(changed)
+
+    @pytest.mark.parametrize("old, new", _OPTIMIZER_CHANGES)
+    def test_an_optimizer_field_keeps_the_key(self, old, new):
+        # every optimizer runs as a row of the one skeleton step
+        assert old in _KEY_BASE
+        base = parse_config(_KEY_BASE)
+        changed = parse_config(_KEY_BASE.replace(old, new))
+        assert runner.loop_key(base) == runner.loop_key(changed)
 
     def test_mlp_boxes_epsilon_and_bias_correction_share_one_group(self):
         def cfg(seed, box, epsilon, bias_correction):
@@ -1084,7 +1097,6 @@ class TestBatchKey:
         cfgs = [cfg(4, None, 0.0, "true"), cfg(5, 0.3, 1.0e-8, "false"),
                 cfg(4, 0.5, 1.0e-3, "true"), cfg(6, None, 1.0e-8, "false")]
         assert runner.group_configs(cfgs) == [[0, 1, 2, 3]]
-        assert runner.group_configs(cfgs, runner.loop_key) == [[0, 1, 2, 3]]
         batch = runner.run_batch(cfgs, write_artifacts=False,
                                  keep_trajectory=True)
         for cfg, got in zip(cfgs, batch):

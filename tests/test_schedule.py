@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from transopt.errors import DomainError, HorizonError
-from transopt.optim import stack_like
 from transopt.schedule import (BoundFunctionSpec, TransitionSchedule,
                                bound_values, eval_bounds, rho_from_horizon)
 
@@ -175,18 +174,6 @@ class TestArrayEvaluations:
                            match="^step 4 exceeds schedule horizon 3$"):
             s.block_values(4, 5)
 
-    def test_stacked_block_values_are_columns(self):
-        lone = [TransitionSchedule(horizon=50, r_u=5.0 - k, rho=0.9 + 0.05 * k,
-                                   beta1_kind="geometric",
-                                   beta1_decay=0.99 - 0.2 * k)
-                for k in range(2)]
-        block = stack_like(lone).block_values(7, 10)
-        for r, s in enumerate(lone):
-            for got, want in zip(block, s.block_values(7, 10)):
-                assert got.shape == (10, 2, 1)
-                np.testing.assert_array_equal(got[:, r, 0].view(np.int64),
-                                              want.view(np.int64))
-
 
 class TestScheduleValidation:
     def test_rho_out_of_range(self):
@@ -290,7 +277,8 @@ class TestBoundFunctions:
 @pytest.mark.parametrize("spec", [
     BoundFunctionSpec("swats", alpha_star=0.1),
     BoundFunctionSpec("adabound", alpha_star=0.1, beta2=0.99),
-    BoundFunctionSpec("lu", alpha_star=0.05, horizon=12),
+    # steps 3 .. 14 end at the horizon, where lower is alpha_star itself
+    BoundFunctionSpec("lu", alpha_star=0.05, horizon=14),
 ], ids=["swats", "adabound", "lu"])
 def test_bound_values_equal_eval_bounds(spec):
     lower, upper = bound_values(spec, 3, 12)

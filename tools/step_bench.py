@@ -7,19 +7,22 @@ Usage, from the repository root::
     python3 tools/step_bench.py --steps 20 --repeats 1
 
 For each stepper kind at d = 1, 10 and 354 (the cycle, the long
-quadratic and the MLP), and for the criterion-05 cycle trio (Adam and
-AMSGrad with beta1 0 and beta2 0.1, and DstAdam, built from their
-configs) stepping as one kind batch, a fresh stepper takes ``--steps``
-steps on a fixed stream of gradients.  The time of the loop over
-``step`` alone, divided by the steps, is printed as the best of
-``--repeats`` runs.  A fresh stepper per run keeps the coefficient
-fills inside the time.  Only the public constructors are used, so the
+quadratic and the MLP), and for three kind batches, a fresh stepper
+takes ``--steps`` steps on a fixed stream of gradients.  The batches
+are the criterion-05 cycle trio (Adam and AMSGrad with beta1 0 and
+beta2 0.1, and DstAdam, built from their configs) and, at d = 10, eight
+AMSGrad replicas that differ in alpha and eight adadb replicas that
+differ in alpha and gamma.  The time of the loop over ``step`` alone,
+divided by the steps, is printed as the best of ``--repeats`` runs.  A
+fresh stepper per run keeps the coefficient fills inside the time.
+Only the public constructors and ``stack_kinds`` are used, so the
 script runs unchanged on older checkouts for comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -45,6 +48,10 @@ CYCLE_TRIO = ("{kind: adam, beta1: 0.0, beta2: 0.1}",
               "{kind: amsgrad, beta1: 0.0, beta2: 0.1}",
               "{kind: dstadam}")
 
+#: Replicas of the AMSGrad and adadb batches, and their dimension.
+REPLICAS = 8
+BATCH_DIM = 10
+
 
 def kinds(horizon: int) -> Dict[str, Callable[[int], object]]:
     """Builders of one stepper of each kind on d coordinates."""
@@ -68,15 +75,41 @@ def kinds(horizon: int) -> Dict[str, Callable[[int], object]]:
     }
 
 
+def batch(steppers: Sequence[object]):
+    """One stepper whose row r is steppers[r].  An older checkout's
+    ``stack_kinds`` takes kind groups, as its runner formed them: each
+    run of steppers of one type is a group."""
+    try:
+        return stack_kinds(steppers)
+    except TypeError:
+        return stack_kinds([list(group) for _, group
+                            in itertools.groupby(steppers, type)])
+
+
 def cycle_trio(horizon: int):
-    """The cycle trio's steppers, stacked as the runner stacks them."""
+    """The cycle trio's steppers, batched as the runner batches them."""
     optimizers = []
     for opt in CYCLE_TRIO:
         cfg = parse_config("problem: {kind: reddi, c: 3.0}\n"
                            f"optimizer: {opt}\nhorizon: {horizon}\n")
         box = runner.build_problem(cfg).box
-        optimizers.append([runner.build_optimizer(cfg, 1, horizon, box)])
-    return stack_kinds(optimizers)
+        optimizers.append(runner.build_optimizer(cfg, 1, horizon, box))
+    return batch(optimizers)
+
+
+def batches() -> Dict[str, Callable[[], object]]:
+    """Builders of the eight-replica AMSGrad and adadb batches."""
+    def cfg(k):
+        return StepConfig(alpha=0.001 * (k + 1))
+
+    return {
+        f"amsgrad-x{REPLICAS}": lambda: batch([
+            Amsgrad(BATCH_DIM, cfg(k)) for k in range(REPLICAS)]),
+        f"adadb-x{REPLICAS}": lambda: batch([
+            ClippedTransition(BATCH_DIM, BoundFunctionSpec(
+                "adadb", alpha_star=0.01, gamma=1.0 + k), cfg(k))
+            for k in range(REPLICAS)]),
+    }
 
 
 def us_per_step(build: Callable[[], object], grads: np.ndarray,
@@ -94,7 +127,8 @@ def us_per_step(build: Callable[[], object], grads: np.ndarray,
 
 
 def rows(steps: int, repeats: int) -> List[tuple]:
-    """(name, d, us per step) for every kind and dimension and the trio."""
+    """(name, d, us per step) for every kind and dimension and for the
+    batches."""
     rng = np.random.default_rng(0)
     out = []
     for d in DIMS:
@@ -105,6 +139,9 @@ def rows(steps: int, repeats: int) -> List[tuple]:
     grads = rng.normal(scale=0.1, size=(steps, 3, 1))
     out.append(("cycle-trio", 1,
                 us_per_step(lambda: cycle_trio(steps), grads, repeats)))
+    grads = rng.normal(scale=0.1, size=(steps, REPLICAS, BATCH_DIM))
+    for name, build in batches().items():
+        out.append((name, BATCH_DIM, us_per_step(build, grads, repeats)))
     return out
 
 
