@@ -13,6 +13,12 @@ Subcommands:
 
 The output root comes from --out, else the TRANSOPT_OUT environment
 variable, else the config's out_dir.
+
+Exit codes: 0 on success; 1 when ``sweep`` finds no config or
+``check-conditions`` an inverse-rate bound violated; 2 for a bad config,
+incomparable runs or a missing file; 3 when a run fails on its data (a
+DomainError naming the run, step and coordinate).  Errors print as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_config, with_overrides
-from .errors import ComparisonError, ConfigError
+from .errors import ComparisonError, ConfigError, DomainError
 from .runner import (compare_csv, compare_run_dirs, group_configs,
                      read_conditions, run_batch, run_experiment)
 
@@ -177,9 +183,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ComparisonError, FileNotFoundError) as exc:
+    except (ConfigError, ComparisonError, FileNotFoundError,
+            DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

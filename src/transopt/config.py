@@ -317,14 +317,11 @@ def config_hash(cfg: ExperimentConfig, text: Optional[str] = None) -> str:
 
 
 def with_overrides(cfg: ExperimentConfig, *, seed: Optional[int] = None,
-                   out_dir: Optional[str] = None,
                    stride: Optional[int] = None) -> ExperimentConfig:
     """Functional update used by the CLI flags."""
     changes = {}
     if seed is not None:
         changes["problem"] = replace(cfg.problem, seed=seed)
-    if out_dir is not None:
-        changes["out_dir"] = out_dir
     if stride is not None:
         changes["stride"] = stride
     return replace(cfg, **changes) if changes else cfg

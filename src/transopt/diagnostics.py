@@ -9,6 +9,7 @@ C2, the v recursion and prefix sum of g^2 for zeta, the running max of
 first violation).  :class:`RunMonitor` feeds them all from the step
 buffers of one step loop; ``check_c2``, ``estimate_zeta`` and
 ``eta_bound_check`` feed a whole (T, d) array as one block of one run.
+The C2 and inverse-rate tests allow the one tolerance :data:`TOL`.
 
 The monitors never enforce anything; they report.  Whether a run
 satisfies the convergence hypotheses is an empirical question answered
@@ -33,6 +34,9 @@ from .errors import DomainError
 HIST_BINS = 60
 HIST_LO = 1e-8
 HIST_HI = 1e3
+
+#: Slack of the C2 test and of the inverse-rate cap.
+TOL = 1e-12
 
 #: Distinct histogram rows whose CSV text ``LrHistogram.to_csv`` keeps.
 TEXT_CACHE_ROWS = 64
@@ -62,7 +66,8 @@ def row_blocks(n_rows: int, width: int):
 
 
 class LrHistogram:
-    """Per-iteration histogram of effective learning rates on a log grid.
+    """Per-iteration histogram of effective learning rates on the shared
+    log grid: HIST_BINS bins from HIST_LO to HIST_HI.
 
     Every coordinate of every recorded iteration lands in exactly one
     bin; values off the grid go to the underflow/overflow counters, so
@@ -70,14 +75,12 @@ class LrHistogram:
     block at a time: one counter row per recorded step.
     """
 
-    def __init__(self, n_bins: int = HIST_BINS, lo: float = HIST_LO,
-                 hi: float = HIST_HI):
-        if n_bins < 1 or not 0.0 < lo < hi:
-            raise DomainError("need n_bins >= 1 and 0 < lo < hi")
-        self.edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
+    def __init__(self):
+        self.edges = np.logspace(math.log10(HIST_LO), math.log10(HIST_HI),
+                                 HIST_BINS + 1)
         # slot 0 is underflow (below edges[0]), slot k holds
         # [edges[k-1], edges[k]), and the last slot is overflow (>= edges[-1])
-        self._width = n_bins + 2
+        self._width = HIST_BINS + 2
         self._steps: List[np.ndarray] = []
         self._blocks: List[np.ndarray] = []
 
@@ -158,11 +161,11 @@ class C2Monitor:
     Keeps, per run, the number of violations and the (t, i) of the first
     (t is 1-based, i 0-based), and carries only sqrt(t)/eta_hat of the
     last step fed, so a block's first row is compared with the previous
-    block's last.
+    block's last.  A step violates C2 where its sqrt(t)/eta_hat falls
+    more than :data:`TOL` below the previous step's.
     """
 
-    def __init__(self, replicas: int = 1, tol: float = 1e-12):
-        self.tol = tol
+    def __init__(self, replicas: int = 1):
         self.count = np.zeros(replicas, dtype=np.int64)
         self.first: List[Optional[Tuple[int, int]]] = [None] * replicas
         self._t = 0
@@ -176,14 +179,14 @@ class C2Monitor:
         t0, self._t = self._t, self._t + n
         # q[j + 1] = sqrt(t)/eta_hat_t of step t = t0 + j + 1, and q[0]
         # that of the step before, so the test of step t reads
-        # q[j + 1] < q[j] - tol
+        # q[j + 1] < q[j] - TOL
         q = np.empty((n + 1, *rows.shape[1:]))
         q[0] = self._last
         t = np.arange(t0 + 1, t0 + n + 1, dtype=np.float64)[:, None, None]
         with np.errstate(over="ignore"):  # a subnormal rate makes q inf
             np.divide(np.sqrt(t), rows, out=q[1:])
         self._last = q[-1].copy()
-        bad = q[1:] < q[:-1] - self.tol
+        bad = q[1:] < q[:-1] - TOL
         counts = np.count_nonzero(bad, axis=(0, 2))
         for r in np.flatnonzero((counts > 0) & (self.count == 0)).tolist():
             k, i = divmod(int(np.argmax(bad[:, r])), bad.shape[2])
@@ -192,16 +195,15 @@ class C2Monitor:
         return bad
 
 
-def check_c2(rate_rows: Sequence[np.ndarray],
-             tol: float = 1e-12) -> List[Tuple[int, int]]:
+def check_c2(rate_rows: Sequence[np.ndarray]) -> List[Tuple[int, int]]:
     """Violations of sqrt(t)/rate_t >= sqrt(t-1)/rate_{t-1} per coordinate.
 
     ``rate_rows[k]`` is the eta-hat vector of step k+1.  Returns (t, i)
     pairs (t is 1-based, i 0-based) where the inverse-rate monotonicity
-    fails beyond the tolerance, ordered by t and then i; the pairs of one
-    step share one t object.
+    fails by more than :data:`TOL`, ordered by t and then i; the pairs of
+    one step share one t object.
     """
-    bad = C2Monitor(1, tol).update(_as_rows(rate_rows)[:, None])
+    bad = C2Monitor(1).update(_as_rows(rate_rows)[:, None])
     steps, coords = np.nonzero(bad[:, 0])
     ts = (steps + 1).tolist()
     shared = dict(zip(ts, ts))
@@ -335,20 +337,19 @@ class InverseRateMonitor:
         return low
 
 
-def inverse_rate_bounded(inverse_max: float, r_l: float, rho: float,
-                         tol: float = 1e-12) -> bool:
-    """True iff a max of 1/eta_hat is <= 1/(r_l (1 - rho)) + tol."""
+def inverse_rate_bounded(inverse_max: float, r_l: float, rho: float) -> bool:
+    """True iff a max of 1/eta_hat is <= 1/(r_l (1 - rho)) + TOL."""
     if not 0.0 < rho < 1.0 or r_l <= 0.0:
         raise DomainError("need r_l > 0 and rho in (0, 1)")
-    return bool(inverse_max <= 1.0 / (r_l * (1.0 - rho)) + tol)
+    return bool(inverse_max <= 1.0 / (r_l * (1.0 - rho)) + TOL)
 
 
-def eta_bound_check(rate_rows: Sequence[np.ndarray], r_l: float, rho: float,
-                    tol: float = 1e-12) -> bool:
-    """True iff every 1/eta_hat entry is <= 1/(r_l (1 - rho)) + tol."""
+def eta_bound_check(rate_rows: Sequence[np.ndarray], r_l: float,
+                    rho: float) -> bool:
+    """True iff every 1/eta_hat entry is <= 1/(r_l (1 - rho)) + TOL."""
     monitor = InverseRateMonitor()
     monitor.update(_as_rows(rate_rows)[:, None])
-    return inverse_rate_bounded(float(monitor.max[0]), r_l, rho, tol)
+    return inverse_rate_bounded(float(monitor.max[0]), r_l, rho)
 
 
 def sampled_steps(horizon: int, stride: int) -> np.ndarray:
@@ -374,13 +375,6 @@ def buffer_rows(horizon: int, dim: int) -> int:
     return min(horizon, rows, HIST_ELEMENTS // (HIST_BINS + 2))
 
 
-def step_buffers(horizon: int, shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
-    """The step loop's three (rows, *shape) buffers, shape being (R, d):
-    gradients, raw rates and iterates."""
-    rows = buffer_rows(horizon, int(np.prod(shape)))
-    return tuple(np.empty((rows, *shape)) for _ in range(3))
-
-
 class RunMonitor:
     """Every streamed monitor of the R runs of one step loop, fed a block
     of steps at a time; a lone run is R = 1.
@@ -390,9 +384,9 @@ class RunMonitor:
     a schedule, which gets no zeta) and whether its effective rate is
     eta-hat divided by sqrt(t).  The step loop copies step t's gradients,
     raw rates eta-hat and iterates, (R, d) or (d,), into row k of the
-    three (rows, R, d) ``buffers`` (grads, rates, thetas) and calls
-    ``flush(k + 1)`` when they are full and ``finish(k)`` after the last
-    step.  A flush reduces the whole block over its coordinate axis, so
+    three (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
+    :func:`buffer_rows`) and calls ``flush(k + 1)`` when they are full
+    and ``finish(k)`` after the last step.  A flush reduces the whole block over its coordinate axis, so
     it makes one call per monitor whatever R is: a raw rate that is not
     positive raises, naming the run, step and coordinate, at any stride;
     the min/median/max of the sampled steps' raw rates go to
@@ -408,7 +402,9 @@ class RunMonitor:
                  box: Sequence, beta2: Sequence[Optional[float]],
                  sqrt_decay: Sequence[bool], keep_trajectory: bool = False):
         replicas = len(box)
-        self.buffers = step_buffers(horizon, (replicas, dim))
+        rows = buffer_rows(horizon, replicas * dim)
+        self.buffers = tuple(np.empty((rows, replicas, dim))
+                             for _ in range(3))
         self.steps = sampled_steps(horizon, stride)
         self.histograms = [LrHistogram() for _ in range(replicas)]
         self.rate_summary = np.empty((replicas, len(self.steps), 3))

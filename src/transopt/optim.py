@@ -59,7 +59,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .numkit import holds
 from .schedule import BoundFunctionSpec, TransitionSchedule, bound_values
 # perfbench/tracer.py times the bound evaluations under this name
 from .schedule import eval_bounds  # noqa: F401
@@ -282,6 +281,12 @@ def _first(flags: np.ndarray) -> int:
     block's length; ``flags`` has a leading step axis."""
     hits = np.flatnonzero(flags.reshape(len(flags), -1).any(axis=1))
     return int(hits[0]) if len(hits) else len(flags)
+
+
+def holds(flag) -> bool:
+    """A bool, or whether any entry of a bool array holds.  Cheaper than
+    ``np.any`` when ``flag`` comes from comparing scalars."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
 
 
 def _where(flag, values: np.ndarray, other=1.0) -> np.ndarray:

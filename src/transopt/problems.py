@@ -27,7 +27,6 @@ import numpy as np
 
 from .diagnostics import row_blocks
 from .errors import DimensionError, DomainError, SequenceError
-from .numkit import norms
 from .optim import FeasibleBox, stack_like
 
 
@@ -314,6 +313,11 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
             raise DimensionError("features must be (n, d) and labels (n,)")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise DomainError("labels must be -1 or +1")
+        # before the comparator descent, which a non-finite feature breaks
+        if not np.isfinite(features).all():
+            row, col = np.argwhere(~np.isfinite(features))[0]
+            raise DomainError(f"features: {features[row, col]} at row {row}, "
+                              f"column {col} is not finite")
         n, dim = features.shape
         self.features = features
         self.labels = labels
@@ -391,7 +395,7 @@ def logistic_comparator(features: np.ndarray, labels: np.ndarray,
     for _ in range(max_iter):
         grad = full_logistic_grad(theta, features, labels)
         nxt = box.project(theta - step * grad)
-        gap = norms(theta - nxt).linf / step
+        gap = float(np.max(np.abs(theta - nxt))) / step
         theta = nxt
         if gap < tol:
             break
@@ -665,11 +669,6 @@ class MlpClassification(_MinibatchMixin, OnlineProblem):
         return (np.take(self.x_train, idx, axis=0),
                 np.take(self.y_train, idx, axis=0))
 
-    def loss_at(self, t: int, theta: np.ndarray) -> float:
-        x, y = self._batch(t)
-        loss, _ = self.net.forward(np.asarray(theta, dtype=np.float64), x, y)
-        return loss
-
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         x, y = self._batch(t)
@@ -730,9 +729,3 @@ def load_dataset_csv(path, classes: Optional[int] = None
         check_labels(labels, classes)
     return features, labels
 
-
-def load_vector_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        return np.array([float(v) for v in next(reader)])

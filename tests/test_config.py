@@ -215,8 +215,8 @@ class TestOverrides:
 
     def test_out_and_stride_override(self):
         cfg = parse_config(MINIMAL)
-        out = with_overrides(cfg, out_dir="elsewhere", stride=10)
-        assert out.out_dir == "elsewhere" and out.stride == 10
+        out = with_overrides(cfg, stride=10)
+        assert out.out_dir == cfg.out_dir and out.stride == 10
 
 
 def _workload_texts():

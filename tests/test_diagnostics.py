@@ -120,7 +120,7 @@ class TestLrHistogram:
             map(str, [t, *counts.tolist(), under, over])).encode()
 
     def test_csv_export(self, tmp_path):
-        hist = LrHistogram(n_bins=4, lo=1e-2, hi=1e2)
+        hist = LrHistogram()
         hist.record(1, np.array([0.5, 60.0]))
         path = tmp_path / "hist.csv"
         hist.to_csv(path)
@@ -128,6 +128,8 @@ class TestLrHistogram:
         assert len(lines) == 2
         assert lines[0].startswith("t,")
         assert lines[0].endswith("underflow,overflow")
+        # t, the bins of the shared grid, underflow and overflow
+        assert len(lines[1].split(",")) == diagnostics.HIST_BINS + 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from transopt.errors import DimensionError, DomainError, SequenceError
 from transopt.optim import FeasibleBox
 from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
                                RegretLedger, full_logistic_grad,
-                               load_dataset_csv, load_vector_csv,
+                               load_dataset_csv,
                                make_logistic, make_mlp_problem,
                                make_quadratic, make_reddi, save_dataset_csv,
                                stack_problems, two_cluster_dataset)
@@ -117,7 +117,8 @@ class TestLogistic:
 
     def test_golden_comparator_reproduced(self):
         prob = make_logistic(200, 5, seed=42)
-        golden = load_vector_csv(DATA / "logistic_n200_d5_seed42_theta_star.csv")
+        golden = np.loadtxt(DATA / "logistic_n200_d5_seed42_theta_star.csv",
+                            delimiter=",", skiprows=1)
         np.testing.assert_allclose(prob.theta_star, golden, atol=1e-9)
 
     def test_golden_dataset_reproduced(self):
@@ -176,6 +177,18 @@ class TestLogistic:
             b = rng.uniform(-2, 2, size=3)
             mid = prob.loss_at(t, (a + b) / 2)
             assert mid <= (prob.loss_at(t, a) + prob.loss_at(t, b)) / 2 + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("with_star", [False, True])
+    def test_non_finite_feature_named_where_it_enters(self, bad, with_star):
+        features = np.ones((6, 3))
+        features[4, 1] = bad
+        star = np.zeros(3) if with_star else None
+        with pytest.raises(DomainError) as err:
+            LogisticMinibatch(features, np.ones(6), batch_size=2, seed=0,
+                              box=FeasibleBox.cube(1.0, 3), theta_star=star)
+        assert str(err.value) == \
+            f"features: {bad} at row 4, column 1 is not finite"
 
     def test_declared_gradient_bound_holds(self):
         prob = make_logistic(80, 4, seed=9, batch_size=20)

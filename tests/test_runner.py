@@ -720,6 +720,40 @@ repeats: 3
                  for d in run_dirs}
         assert seeds == {3, 4, 5}
 
+    #: c = 1e200 overflows Adam's second moment at step 1, leaving a rate
+    #: of 0.
+    OVERFLOW = ("problem: {kind: reddi, c: 1.0e+200}\n"
+                "optimizer: {kind: adam}\nhorizon: 300\n")
+
+    def _assert_data_error(self, code, capsys, out_root):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "error: reddi-adam: raw rate 0.0 at step 1, coordinate 0: a "
+            "rate must stay positive (an overflowed second moment leaves 0)")
+        assert not out_root.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_run_that_fails_on_its_data_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "overflow.yaml"
+        cfg_path.write_text(self.OVERFLOW)
+        out_root = tmp_path / "runs"
+        code = cli_main(["run", str(cfg_path), "--out", str(out_root)])
+        self._assert_data_error(code, capsys, out_root)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_sweep_that_fails_on_its_data_exits_3(self, tmp_path, capsys):
+        # a healthy run of the same loop is not written either
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        (sweep_dir / "a.yaml").write_text(self.OVERFLOW)
+        (sweep_dir / "b.yaml").write_text(
+            self.OVERFLOW.replace("1.0e+200", "3.0").replace("adam", "sgdm"))
+        out_root = tmp_path / "runs"
+        code = cli_main(["sweep", str(sweep_dir), "--out", str(out_root)])
+        self._assert_data_error(code, capsys, out_root)
+
 
 class TestOverflowedSecondMoment:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

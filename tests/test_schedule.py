@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transopt.errors import DomainError, HorizonError
-from transopt.schedule import (BoundFunctionSpec, TransitionSchedule,
-                               bound_values, eval_bounds, rho_from_horizon)
+from transopt.optim import BLOCK_STEPS
+from transopt.schedule import (BETA1_KINDS, RHO_KINDS, BoundFunctionSpec,
+                               TransitionSchedule, bound_values, eval_bounds,
+                               rho_from_horizon)
 
 
 def exp_schedule(rho, horizon=10**6, **kw):
@@ -126,7 +132,7 @@ class TestBeta1At:
 
 
 class TestArrayEvaluations:
-    """rho_values/beta1_values agree with the per-step methods."""
+    """block_values agrees with the per-step methods."""
 
     SCHEDULES = [
         dict(rho_kind="exponential", rho=0.999),
@@ -135,24 +141,6 @@ class TestArrayEvaluations:
         dict(beta1_kind="geometric", beta1_decay=0.99),
         dict(beta1_kind="harmonic"),
     ]
-
-    @pytest.mark.parametrize("kw", SCHEDULES)
-    def test_match_scalar_methods(self, kw):
-        s = TransitionSchedule(horizon=300, **kw)
-        ts = range(1, 301)
-        # numpy's pow may round the last bit differently from Python's
-        np.testing.assert_allclose(s.rho_values(300),
-                                   [s.rho_at(t) for t in ts],
-                                   rtol=4 * np.finfo(float).eps, atol=0)
-        np.testing.assert_allclose(s.beta1_values(300),
-                                   [s.beta1_at(t) for t in ts],
-                                   rtol=4 * np.finfo(float).eps, atol=0)
-
-    def test_custom_sequence_too_short(self):
-        s = TransitionSchedule(horizon=3, rho_kind="custom",
-                               rho_sequence=(0.5, 0.5, 0.5))
-        with pytest.raises(HorizonError):
-            s.rho_values(4)
 
     @pytest.mark.parametrize("kw", SCHEDULES)
     def test_block_values_equal_scalar_methods(self, kw):
@@ -173,6 +161,50 @@ class TestArrayEvaluations:
         with pytest.raises(HorizonError,
                            match="^step 4 exceeds schedule horizon 3$"):
             s.block_values(4, 5)
+
+
+def _open_unit():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def schedules(draw):
+    """Any schedule TransitionSchedule accepts, over horizons that cross
+    BLOCK_STEPS; a custom rho sequence may hold 0 and 1."""
+    horizon = draw(st.integers(1, 600))
+    r_l = draw(st.floats(1e-8, 1e3))
+    r_u = draw(st.just(r_l) | st.floats(r_l, 1e4))
+    rho_kind = draw(st.sampled_from(RHO_KINDS))
+    rho = rho_sequence = None
+    if rho_kind == "custom":
+        pattern = draw(st.lists(st.sampled_from([0.0, 1.0])
+                                | st.floats(0.0, 1.0), min_size=1, max_size=8))
+        rho_sequence = pattern * math.ceil(horizon / len(pattern))
+    else:
+        rho = draw(st.none() | _open_unit())
+    beta1_kind = draw(st.sampled_from(BETA1_KINDS))
+    return TransitionSchedule(
+        horizon=horizon, r_l=r_l, r_u=r_u, rho_kind=rho_kind, rho=rho,
+        rho_sequence=rho_sequence, beta1_kind=beta1_kind,
+        beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta1_decay=draw(_open_unit()) if beta1_kind == "geometric" else None)
+
+
+class TestTheoremBounds:
+    """The condition report's rho_bounded, r_ordered and beta1_bounded
+    rows rest on these bounds holding for every accepted schedule."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(schedules())
+    def test_stepper_blocks_stay_within_the_bounds(self, s):
+        rho_sup = s.rho_sup()
+        for t in range(1, s.horizon + 1, BLOCK_STEPS):
+            # the blocks a stepper fills, as it fills them
+            beta1, _, rho, r = s.block_values(t, BLOCK_STEPS)
+            assert len(r) == min(BLOCK_STEPS, s.horizon + 1 - t)
+            assert np.all(rho <= rho_sup)
+            assert np.all(beta1 <= s.beta1)
+            assert np.all((s.r_l <= r) & (r <= s.r_u))
 
 
 class TestScheduleValidation:

@@ -15,14 +15,14 @@ AMSGrad replicas that differ in alpha and eight adadb replicas that
 differ in alpha and gamma.  The time of the loop over ``step`` alone,
 divided by the steps, is printed as the best of ``--repeats`` runs.  A
 fresh stepper per run keeps the coefficient fills inside the time.
-Only the public constructors and ``stack_kinds`` are used, so the
-script runs unchanged on older checkouts for comparison.
+Only the public constructors and ``stack_kinds``, called with one
+stepper a row, are used, so the script runs unchanged on any checkout
+whose ``stack_kinds`` takes that flat list, for comparison.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 from pathlib import Path
@@ -75,17 +75,6 @@ def kinds(horizon: int) -> Dict[str, Callable[[int], object]]:
     }
 
 
-def batch(steppers: Sequence[object]):
-    """One stepper whose row r is steppers[r].  An older checkout's
-    ``stack_kinds`` takes kind groups, as its runner formed them: each
-    run of steppers of one type is a group."""
-    try:
-        return stack_kinds(steppers)
-    except TypeError:
-        return stack_kinds([list(group) for _, group
-                            in itertools.groupby(steppers, type)])
-
-
 def cycle_trio(horizon: int):
     """The cycle trio's steppers, batched as the runner batches them."""
     optimizers = []
@@ -94,7 +83,7 @@ def cycle_trio(horizon: int):
                            f"optimizer: {opt}\nhorizon: {horizon}\n")
         box = runner.build_problem(cfg).box
         optimizers.append(runner.build_optimizer(cfg, 1, horizon, box))
-    return batch(optimizers)
+    return stack_kinds(optimizers)
 
 
 def batches() -> Dict[str, Callable[[], object]]:
@@ -103,9 +92,9 @@ def batches() -> Dict[str, Callable[[], object]]:
         return StepConfig(alpha=0.001 * (k + 1))
 
     return {
-        f"amsgrad-x{REPLICAS}": lambda: batch([
+        f"amsgrad-x{REPLICAS}": lambda: stack_kinds([
             Amsgrad(BATCH_DIM, cfg(k)) for k in range(REPLICAS)]),
-        f"adadb-x{REPLICAS}": lambda: batch([
+        f"adadb-x{REPLICAS}": lambda: stack_kinds([
             ClippedTransition(BATCH_DIM, BoundFunctionSpec(
                 "adadb", alpha_star=0.01, gamma=1.0 + k), cfg(k))
             for k in range(REPLICAS)]),
