@@ -81,6 +81,8 @@ class ScheduleSpec:
             raise ConfigError(
                 f"optimizer.schedule.rho_kind: unknown kind {self.rho_kind!r}"
             )
+        for name in ("r_l", "r_u"):
+            _check_positive(f"optimizer.schedule.{name}", getattr(self, name))
         if not 0.0 < self.r_l <= self.r_u:
             raise ConfigError(
                 "optimizer.schedule: need 0 < r_l <= r_u, got "

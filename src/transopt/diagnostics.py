@@ -9,7 +9,9 @@ C2, the v recursion and prefix sum of g^2 for zeta, the running max of
 first violation).  :class:`RunMonitor` feeds them all from the step
 buffers of one step loop; ``check_c2``, ``estimate_zeta`` and
 ``eta_bound_check`` feed a whole (T, d) array as one block of one run.
-The C2 and inverse-rate tests allow the one tolerance :data:`TOL`.
+:func:`buffer_rows` is the one block rule of a pass over the steps (the
+step buffers and ``QuadraticTracking.star_losses``), and :data:`TOL` the
+one tolerance of every check.
 
 The monitors never enforce anything; they report.  Whether a run
 satisfies the convergence hypotheses is an empirical question answered
@@ -35,34 +37,12 @@ HIST_BINS = 60
 HIST_LO = 1e-8
 HIST_HI = 1e3
 
-#: Slack of the C2 test and of the inverse-rate cap.
+#: Slack of every check: C2, the inverse-rate cap, the gradient bound
+#: and the box (iterates and comparator).
 TOL = 1e-12
 
 #: Distinct histogram rows whose CSV text ``LrHistogram.to_csv`` keeps.
 TEXT_CACHE_ROWS = 64
-
-
-#: Elements per block of a blocked pass over a (T, d) array, so that its
-#: temporaries stay bounded whatever T and d are.  The one such pass is
-#: ``QuadraticTracking.star_losses``; the CSV writer blocks by
-#: ``runner.WRITE_ROWS``.  Small blocks keep the allocator's high-water
-#: mark down: when the writer and the condition checks also ran in these
-#: blocks, a sweep of 24 runs of 200 steps rose in peak RSS over per-row
-#: loops by 1.0 MB at 32768 elements, by 0.4 MB at 2048 and by 0.1 MB at
-#: 1024.
-BLOCK_ELEMENTS = 1024
-
-
-def block_rows(width: int) -> int:
-    """Rows of ``width`` elements in one block; at least one."""
-    return max(1, BLOCK_ELEMENTS // max(1, width))
-
-
-def row_blocks(n_rows: int, width: int):
-    """Consecutive (lo, hi) row ranges of about BLOCK_ELEMENTS elements each."""
-    step = block_rows(width)
-    for lo in range(0, n_rows, step):
-        yield lo, min(n_rows, lo + step)
 
 
 class LrHistogram:
@@ -369,8 +349,8 @@ MIN_STREAM_ROWS = 64
 
 
 def buffer_rows(horizon: int, dim: int) -> int:
-    """Rows of a run's step buffers; ``dim`` counts every replica's
-    coordinates in a batch."""
+    """Rows of a run's step buffers, and of any other pass over a run's
+    steps; ``dim`` counts every replica's coordinates in a batch."""
     rows = max(MIN_STREAM_ROWS, STREAM_ELEMENTS // dim)
     return min(horizon, rows, HIST_ELEMENTS // (HIST_BINS + 2))
 
@@ -571,7 +551,7 @@ def bound_corollary2(grads: np.ndarray, rate_final: np.ndarray,
     return term1 + term2 + term3 + term4
 
 
-def lemma_a1_holds(values: Sequence[float], tol: float = 1e-12) -> bool:
+def lemma_a1_holds(values: Sequence[float], tol: float = TOL) -> bool:
     """Check sum_i a_i / sqrt(prefix_i) <= 2 sqrt(total) for nonnegative a.
 
     Terms with a zero prefix sum (only possible while every a seen so far

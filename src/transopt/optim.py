@@ -16,9 +16,9 @@ neither blends nor clamps, :class:`Amsgrad` keeps the running max,
 :class:`ClippedTransition` clamps into its bound functions (adadb also
 bounds the rate by |m_t|), :class:`DstAdam` blends with scale rho_t and
 shift (1 - rho_t) * r_t toward the decreasing SGD target r_t, and
-heavy-ball :class:`MomentumSgd` blends with scale 0 and shift lr; its
-first moment takes the gradient undamped and, reading no rate from v_t,
-it skips v_t when it steps alone.
+heavy-ball :class:`MomentumSgd` has gain 1.0 on the gradient and blends
+with scale 0 and shift lr; a scale of 0.0 for the whole run tells the
+skeleton to skip v_t.
 
 Coefficient blocks: every coefficient depends on t alone, so a stepper
 fills the coefficients of its next ``BLOCK_STEPS`` steps in one call,
@@ -180,18 +180,16 @@ class FeasibleBox:
     def is_bounded(self) -> bool:
         return bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
-    def contains(self, theta: np.ndarray, tol: float = 0.0) -> bool:
-        """Whether theta lies in the box grown by tol; False on NaN."""
-        if tol:
-            return self.widened(tol).contains(theta)
+    def contains(self, theta: np.ndarray) -> bool:
+        """Whether theta lies in the box; False on NaN."""
         return bool((theta >= self.lo).all() and (theta <= self.hi).all())
 
     def widened(self, tol: float) -> "FeasibleBox":
         """The box grown by tol >= 0 on every bounded side."""
         return FeasibleBox(self.lo - tol, self.hi + tol)
 
-    def project(self, y: np.ndarray, metric=None) -> np.ndarray:
-        return project_box(y, self, metric)
+    def project(self, y: np.ndarray) -> np.ndarray:
+        return project_box(y, self)
 
     def clamp_into(self, y: np.ndarray) -> np.ndarray:
         """Clamp the float64 array y into the box in place; returns y."""
@@ -228,7 +226,7 @@ class OptimizerState:
         # (d,), or (R, d) once stacked with its replicas' states
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
-        self.v_max: Optional[np.ndarray] = None
+        self.v_max = np.zeros(dim)
         # the running max of ||m||_inf, one per replica, for adadb's bound
         self.m_abs_peak = 0.0
         self.t = 0
@@ -312,20 +310,18 @@ class _AdaptiveStepper:
 
     A kind states its coefficients in ``_coefficients(t, n)``.  By
     default they are the constant decays ``beta1`` and ``beta2`` and the
-    gains ``gain1`` (1 - beta1 for every kind but heavy ball's 1.0) and
-    1 - beta2, with no blend and no clamp; a coefficient a kind does not
-    state takes its ``NEUTRAL`` value.  Two of them switch on a rule
-    that reads the state, run once a step over all rows: ``running_max``
-    (AMSGrad) replaces v_t by its running max, and ``base`` and
-    ``gamma`` (adadb) bound the rate by base + |m_t| / (peak * (gamma *
-    t)), where peak is the running max of ||m_t||_inf and a zero peak,
-    whose m_t is 0, counts as 1.  A kind whose rate never reads the
-    adaptive rate (heavy ball) sets ``reads_v`` false: then v, its
-    square root and the divide are skipped and the rate is the blend's
-    shift.
+    gains 1 - beta1 and 1 - beta2, with no blend and no clamp; a
+    coefficient a kind does not state takes its ``NEUTRAL`` value.  Two
+    of them switch on a rule that reads the state, run once a step over
+    all rows: ``running_max`` (AMSGrad) replaces v_t by its running max,
+    and ``base`` and ``gamma`` (adadb) bound the rate by base + |m_t| /
+    (peak * (gamma * t)), where peak is the running max of ||m_t||_inf
+    and a zero peak, whose m_t is 0, counts as 1.  A blend whose scale
+    is 0.0 in every row for the whole run (heavy ball) never reads the
+    adaptive rate: then v, its square root and the divide are skipped
+    and the rate is the blend's shift.
     """
 
-    reads_v = True
     # rows whose blended rate must be positive: all, or an (R, 1) column
     _blend_rows = True
 
@@ -340,7 +336,6 @@ class _AdaptiveStepper:
                 raise DomainError(f"{name} must lie in [0, 1), got {value}")
         self.beta1 = beta1
         self.beta2 = beta2
-        self.gain1 = 1.0 - beta1
         # the rows of the block of steps that starts at _block_start
         self._block = ()
         self._block_start = 1
@@ -392,7 +387,7 @@ class _AdaptiveStepper:
         the whole run, ``varying`` to an array along a leading step axis
         of at most n entries (fewer where the run's horizon ends).
         """
-        return {"beta1": self.beta1, "gain1": self.gain1,
+        return {"beta1": self.beta1, "gain1": 1.0 - self.beta1,
                 "beta2": self.beta2, "gain2": 1.0 - self.beta2}, {}
 
     def _fill(self, t: int) -> None:
@@ -428,6 +423,8 @@ class _AdaptiveStepper:
             varying["root_t"] = _where(cfg.sqrt_decay, np.sqrt(
                 np.arange(t, t + n, dtype=np.float64)).reshape(lead))
         blends, clamps = "scale" in stated, "lower" in stated
+        # v_t is unread under a scale of 0.0 in every row for the run
+        adaptive = "scale" in varying or holds(fixed["scale"] != 0.0)
         # The first step of the block at which each screen can fire.  The
         # rate alpha / (sqrt(v) + epsilon) is >= 0 or NaN, and each later
         # operation is monotone in it, so a screen that the coefficients
@@ -446,7 +443,7 @@ class _AdaptiveStepper:
             cap = np.divide(cfg.alpha, cfg.epsilon)
             if blends:
                 cap = (cap * steps("scale") + steps("shift")
-                       if self.reads_v else steps("shift"))
+                       if adaptive else steps("shift"))
             if clamps:
                 cap = np.minimum(np.maximum(cap, steps("lower")),
                                  steps("upper"))
@@ -465,6 +462,7 @@ class _AdaptiveStepper:
         self._debias = holds(debias)
         self._decays = holds(cfg.sqrt_decay)
         self._blends, self._clamps = blends, clamps
+        self._adaptive = adaptive
         self._running_max = "running_max" in stated
         self._bounds_m = "base" in stated
         # only a zero beta2 turns an overflowed v into NaN (inf * 0)
@@ -488,7 +486,7 @@ class _AdaptiveStepper:
         m = s.m
         m *= b1
         m += gain1 * grad
-        if self.reads_v:
+        if self._adaptive:
             # b2 * v + (1 - b2) * g * g, in place
             v = s.v
             v *= b2
@@ -513,9 +511,9 @@ class _AdaptiveStepper:
             # sqrt(v) >= 0, so only epsilon == 0 can leave a zero
             # denominator
             if self._zero_rate and (rate == 0.0).any():
-                _raise_first(rate == 0.0, "zero second moment with "
-                                          "epsilon=0; supply a positive "
-                                          "epsilon")
+                _raise_first(rate == 0.0, f"zero second moment at step {t}, "
+                                          "coordinate {i} with epsilon=0; "
+                                          "supply a positive epsilon")
             rate = np.divide(cfg.alpha, rate, out=rate)
             if self._blends:
                 rate *= scale
@@ -544,7 +542,9 @@ class _AdaptiveStepper:
         # +inf (fmax skips NaN); dividing by sqrt(t) >= 1 keeps a finite
         # rate finite.
         if k >= self._finite_from and np.fmax.reduce(eta, None) == math.inf:
-            raise DomainError("projection metric must be positive")
+            _raise_first(eta == math.inf, f"infinite rate at step {t}, "
+                                          "coordinate {i}: the projection "
+                                          "metric must be positive")
         theta = self.box.clamp_into(theta - eta * m)
         s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
         s.last_rate_raw, s.last_effective_lr = rate, eta
@@ -585,14 +585,11 @@ class MomentumSgd(_AdaptiveStepper):
     """Heavy-ball SGD: m <- momentum * m + g; theta <- theta - lr * m.
 
     The skeleton with an undamped first moment (gain 1.0, and 1.0 * g is
-    g exactly) and the rate eta = lr, the blend 0 * rate + lr.  Its rate
-    never reads the second moment, which a lone stepper therefore skips;
-    in a kind batch with adaptive rows its rows' v is updated but unread,
-    and a beta2 in (0, 1) keeps an overflowed one inf, never NaN, so its
-    rows' adaptive rate is finite and 0 * rate is 0.0.
+    g exactly) and the rate eta = lr, the blend 0 * rate + lr, which a
+    lone stepper or an all-SGDM batch runs without v; beside adaptive
+    rows its rows' v is updated but unread, and a beta2 in (0, 1) keeps
+    an overflowed one inf, never NaN, so 0 * rate is 0.0.
     """
-
-    reads_v = False
 
     def __init__(self, dim: int, lr: float = 0.1, momentum: float = 0.9,
                  box: Optional[FeasibleBox] = None):
@@ -601,12 +598,11 @@ class MomentumSgd(_AdaptiveStepper):
         if not 0.0 <= momentum < 1.0:
             raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
         super().__init__(dim, None, box, beta1=momentum, beta2=0.5)
-        self.gain1 = 1.0
         self.lr = lr
 
     def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
         fixed, varying = super()._coefficients(t, n)
-        fixed.update(scale=0.0, shift=self.lr)
+        fixed.update(gain1=1.0, scale=0.0, shift=self.lr)
         return fixed, varying
 
 
@@ -623,12 +619,6 @@ class Adam(_AdaptiveStepper):
 
 class Amsgrad(Adam):
     """Adam with a coordinatewise running max of the second moment."""
-
-    def __init__(self, dim: int, cfg: Optional[StepConfig] = None,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 box: Optional[FeasibleBox] = None):
-        super().__init__(dim, cfg, beta1, beta2, box)
-        self.state.v_max = np.zeros(dim)
 
     def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
         fixed, varying = super()._coefficients(t, n)
@@ -716,15 +706,10 @@ class _KindBatch(_AdaptiveStepper):
     """
 
     def __init__(self, steppers: Sequence[_AdaptiveStepper]):
-        dim = steppers[0].state.dim
-        super().__init__(dim, stack_like([o.cfg for o in steppers]),
+        super().__init__(steppers[0].state.dim,
+                         stack_like([o.cfg for o in steppers]),
                          stack_like([o.box for o in steppers]))
-        s = self.state
-        s.m = np.zeros((len(steppers), dim))
-        s.v = np.zeros((len(steppers), dim))
-        if any(o.state.v_max is not None for o in steppers):
-            s.v_max = np.zeros_like(s.v)
-        self.reads_v = any(o.reads_v for o in steppers)
+        self.state = stack_like([o.state for o in steppers])
         self._steppers = steppers
 
     def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:

@@ -5,10 +5,10 @@ feasible set, together with a fixed comparator theta_star where one
 exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
 which returns the loss and the gradient from one pass over the data;
 ``loss_at`` gives the loss alone (for the comparator and the final
-train loss) and ``grad_at`` the gradient alone.  ``star_losses`` gives
-the comparator's loss at every step of a run at once.  Oracles are pure
-functions of (t, theta), so runs are bit-reproducible given the
-construction seed.
+train loss) and ``grad_at`` the gradient alone.  A problem with a
+comparator gives its loss at every step of a run at once, ``star_losses``.
+Oracles are pure functions of (t, theta), so runs are bit-reproducible
+given the construction seed.
 
 The oracles take one (d,) iterate, or the (R, d) iterates of a batch:
 :func:`stack_problems` merges R problems built alike into one whose
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import row_blocks
+from .diagnostics import TOL, buffer_rows
 from .errors import DimensionError, DomainError, SequenceError
 from .optim import FeasibleBox, stack_like
 
@@ -53,7 +53,8 @@ class OnlineProblem:
         self.theta_star = None if theta_star is None else np.asarray(
             theta_star, dtype=np.float64)
         self.grad_bound = float(grad_bound)
-        if self.theta_star is not None and not box.contains(self.theta_star, tol=1e-12):
+        if self.theta_star is not None and \
+                not box.widened(TOL).contains(self.theta_star):
             raise DomainError("comparator lies outside the feasible box")
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
@@ -71,12 +72,6 @@ class OnlineProblem:
         if self.theta_star is None:
             raise DomainError(f"{self.name} problem has no comparator")
         return self.loss_at(t, self.theta_star)
-
-    def star_losses(self, horizon: int) -> np.ndarray:
-        """``star_loss_at(t)`` for t = 1..horizon, bit for bit."""
-        return np.fromiter((self.star_loss_at(t)
-                            for t in range(1, horizon + 1)),
-                           dtype=np.float64, count=horizon)
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         """Deterministic feasible starting point."""
@@ -150,9 +145,10 @@ class QuadraticTracking(OnlineProblem):
     def star_losses(self, horizon: int) -> np.ndarray:
         self._center(horizon)  # past the problem horizon raises here too
         out = np.empty(horizon)
-        for lo, hi in row_blocks(horizon, self.dim):
-            diff = self.theta_star - self.centers[lo:hi]
-            out[lo:hi] = np.vecdot(diff, diff)
+        rows = buffer_rows(horizon, self.dim)
+        for lo in range(0, horizon, rows):
+            diff = self.theta_star - self.centers[lo:min(horizon, lo + rows)]
+            out[lo:lo + rows] = np.vecdot(diff, diff)
         out *= 0.5
         return out
 
@@ -313,11 +309,7 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
             raise DimensionError("features must be (n, d) and labels (n,)")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise DomainError("labels must be -1 or +1")
-        # before the comparator descent, which a non-finite feature breaks
-        if not np.isfinite(features).all():
-            row, col = np.argwhere(~np.isfinite(features))[0]
-            raise DomainError(f"features: {features[row, col]} at row {row}, "
-                              f"column {col} is not finite")
+        _check_features(features)
         n, dim = features.shape
         self.features = features
         self.labels = labels
@@ -379,25 +371,38 @@ def full_logistic_grad(theta: np.ndarray, features: np.ndarray,
     return features.T @ weights / len(labels)
 
 
+def _check_features(features: np.ndarray) -> None:
+    """Raise a DomainError naming the first non-finite feature."""
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise DomainError(f"features: {features[row, col]} at row {row}, "
+                          f"column {col} is not finite")
+
+
+COMPARATOR_TOL = 1e-9
+COMPARATOR_STEPS = 2_000_000
+
+
 def logistic_comparator(features: np.ndarray, labels: np.ndarray,
-                        box: FeasibleBox, tol: float = 1e-9,
-                        max_iter: int = 2_000_000) -> np.ndarray:
-    """Full-batch projected gradient descent to a tiny projected-gradient norm.
+                        box: FeasibleBox) -> np.ndarray:
+    """Full-batch projected gradient descent until a step moves theta by
+    less than COMPARATOR_TOL * step, within COMPARATOR_STEPS steps.
 
     The box keeps the minimizer finite even for separable data.  The step
     size is 1/L with L the exact Lipschitz constant of the gradient
     (lambda_max(X^T X) / (4 n)).
     """
+    _check_features(features)
     n, dim = features.shape
     lipschitz = float(np.linalg.eigvalsh(features.T @ features / (4.0 * n))[-1])
     step = 1.0 / max(lipschitz, 1e-12)
     theta = np.zeros(dim)
-    for _ in range(max_iter):
+    for _ in range(COMPARATOR_STEPS):
         grad = full_logistic_grad(theta, features, labels)
         nxt = box.project(theta - step * grad)
         gap = float(np.max(np.abs(theta - nxt))) / step
         theta = nxt
-        if gap < tol:
+        if gap < COMPARATOR_TOL:
             break
     else:
         raise DomainError("comparator descent did not reach the tolerance")
@@ -627,13 +632,12 @@ def _one_hot(classes: int) -> np.ndarray:
     return rows
 
 
-def two_cluster_dataset(n: int, seed: int,
-                        spread: float = 0.9) -> Tuple[np.ndarray, np.ndarray]:
-    """2-D gaussian blobs at (-1,-1) and (+1,+1), half the points each."""
+def two_cluster_dataset(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Half the points near (-1,-1), half near (+1,+1), gaussian with sd 0.9."""
     rng = np.random.default_rng(seed)
     half = n // 2
-    x0 = rng.normal(loc=(-1.0, -1.0), scale=spread, size=(half, 2))
-    x1 = rng.normal(loc=(1.0, 1.0), scale=spread, size=(n - half, 2))
+    x0 = rng.normal(loc=(-1.0, -1.0), scale=0.9, size=(half, 2))
+    x1 = rng.normal(loc=(1.0, 1.0), scale=0.9, size=(n - half, 2))
     x = np.concatenate([x0, x1])
     y = np.concatenate([np.zeros(half, dtype=np.int64),
                         np.ones(n - half, dtype=np.int64)])

@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import (ExperimentConfig, OptimizerSpec, config_hash,
                      reset_values, serialize_config)
-from .diagnostics import (ConditionReport, LrHistogram, RunMonitor,
+from .diagnostics import (TOL, ConditionReport, LrHistogram, RunMonitor,
                           inverse_rate_bounded, sampled_steps)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
@@ -200,7 +200,7 @@ def _make_condition_report(problem: OnlineProblem,
         inverse_rate_max=float(monitor.inverse_rate.max[replica]))
     if math.isfinite(problem.grad_bound):
         report.grad_bound_ok = bool(
-            monitor.grad_abs_max[replica] <= problem.grad_bound + 1e-12)
+            monitor.grad_abs_max[replica] <= problem.grad_bound + TOL)
     if problem.box.is_bounded:
         report.diameter_ok = bool(monitor.iterates_feasible[replica])
     if schedule is not None:
@@ -296,7 +296,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         or bool(np.isfinite(row).all()))
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
-        [p.box.widened(1e-12) for p in problems],
+        [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory)
     # views of the monitor's (rows, R, d) buffers whose rows take a step's

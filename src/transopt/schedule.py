@@ -76,10 +76,9 @@ class TransitionSchedule:
     def __post_init__(self):
         if self.horizon < 1:
             raise DomainError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 < self.r_l <= self.r_u:
-            raise DomainError(
-                f"need 0 < r_l <= r_u, got r_l={self.r_l}, r_u={self.r_u}"
-            )
+        if not 0.0 < self.r_l <= self.r_u < np.inf:
+            raise DomainError(f"need 0 < r_l <= r_u < inf, got "
+                              f"r_l={self.r_l}, r_u={self.r_u}")
         if self.rho_kind not in RHO_KINDS:
             raise DomainError(f"unknown rho_kind {self.rho_kind!r}")
         if self.rho_kind == "custom":

@@ -42,7 +42,9 @@ class PerStepReference:
         if isinstance(opt, DstAdam):
             b1 = opt.schedule.beta1_at(t)
             return b1, opt.schedule.beta2_at(t), 1.0 - b1
-        return opt.beta1, opt.beta2, opt.gain1
+        # heavy ball takes the gradient undamped
+        gain1 = 1.0 if isinstance(opt, MomentumSgd) else 1.0 - opt.beta1
+        return opt.beta1, opt.beta2, gain1
 
     def step(self, theta, grad):
         opt, cfg = self.opt, self.opt.cfg
@@ -203,6 +205,24 @@ def test_kind_batch_rows_step_as_the_per_step_skeleton():
             return [_boxed(KINDS[kind](k), k) for kind, k in kinds]
 
         _assert_rows_match(stack_kinds(rows()), rows(), zero_at_step_1=zero)
+
+
+@pytest.mark.parametrize("rows", [
+    [("sgdm", 0), ("adam", 1)], [("dstadam-zeros", 1)]],
+    ids=["sgdm-and-adam", "dstadam-all-zeros-rho"])
+def test_a_scale_that_may_be_nonzero_reads_the_second_moment(rows):
+    # an Adam row's scale is 1.0, and a custom rho sequence is read a
+    # block at a time, so even an all-zeros one may be nonzero later
+    kinds = {**KINDS, "dstadam-zeros": lambda k: DstAdam(
+        DIM, _schedule(k, rho_kind="custom", rho_sequence=(0.0,) * HORIZON),
+        _cfg(k))}
+
+    def steppers():
+        return [_boxed(kinds[kind](k), k) for kind, k in rows]
+
+    stepper = stack_kinds(steppers())
+    _assert_rows_match(stepper, steppers())
+    assert np.all(stepper.state.v != 0.0)
 
 
 def _frozen(opt):

@@ -54,6 +54,16 @@ horizon: 100
         with pytest.raises(ConfigError, match="r_l"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("r_u", ".inf"), ("r_l", ".inf"), ("r_l", ".nan"), ("r_u", "-.inf")])
+    def test_a_non_finite_schedule_rate_names_its_key(self, key, value):
+        text = MINIMAL.replace("kind: dstadam", "kind: dstadam\n  schedule: "
+                               f"{{{key}: {value}}}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(
+            f"optimizer.schedule.{key}: must be finite, got ")
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="optimizer.turbo"):
             parse_config(MINIMAL.replace("kind: dstadam",

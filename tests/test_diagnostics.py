@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from transopt.diagnostics import (BLOCK_ELEMENTS, C2Monitor, ConditionReport,
-                                  LrHistogram, TheoryParams, block_rows,
-                                  bound_corollary1, bound_corollary2,
-                                  check_c2, estimate_zeta, eta_bound_check,
-                                  lemma_a1_holds)
+from transopt.diagnostics import (C2Monitor, ConditionReport, LrHistogram,
+                                  TheoryParams, bound_corollary1,
+                                  bound_corollary2, check_c2, estimate_zeta,
+                                  eta_bound_check, lemma_a1_holds)
 from transopt import diagnostics
 from transopt.errors import DomainError
 from transopt.optim import DstAdam, FeasibleBox, StepConfig
@@ -72,7 +71,7 @@ class TestLrHistogram:
 
     def test_rows_span_counter_blocks(self):
         hist = LrHistogram()
-        n = 2 * block_rows(len(hist.edges) + 1) + 3
+        n = 35
         for t in range(1, n + 1):
             hist.record(t, np.array([10.0 ** (t % 11 - 8)]))
         rows = hist.rows
@@ -181,10 +180,10 @@ def loop_eta_bound_check(rate_rows, r_l, rho, tol=1e-12):
     return True
 
 
-#: (T, d) shapes where T straddles a block boundary, and where d is so
-#: large that a block holds a single row.
-BLOCK_SHAPES = [(2 * block_rows(10) + 5, 10), (block_rows(3) + 1, 3),
-                (5, BLOCK_ELEMENTS + 7)]
+#: (T, d) shapes of a few hundred steps at widths on either side of
+#: SCALAR_RECURSION_DIM, where the zeta recursion changes its loop, and
+#: a few steps at a large width.
+BLOCK_SHAPES = [(209, 10), (342, 3), (5, 1031)]
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES)

@@ -135,6 +135,17 @@ class TestMomentumSgd:
         np.testing.assert_array_equal(opt.state.v, 0.0)
         np.testing.assert_array_equal(opt.effective_lr(), 0.1)
 
+    def test_an_sgdm_batch_skips_the_second_moment(self):
+        # every row's blend scale is 0.0 for the whole run, so no row
+        # reads v, whatever the rows' lr and momentum
+        batch = stack_kinds([MomentumSgd(2, lr=0.1, momentum=0.5),
+                             MomentumSgd(2, lr=0.2, momentum=0.0)])
+        grad = np.array([[1e300, 1.0], [1.0, 1e300]])
+        theta = batch.step(np.zeros((2, 2)), grad)
+        np.testing.assert_array_equal(theta, -(np.array([[0.1], [0.2]])
+                                               * grad))
+        np.testing.assert_array_equal(batch.state.v, 0.0)
+
 
 class TestAdam:
     def test_first_step_is_signed_alpha(self):
@@ -475,7 +486,8 @@ class TestCheckParity:
         opt = adaptive(kind, StepConfig(epsilon=0.0))
         self.assert_rejected(
             opt, np.zeros(2), np.zeros(2), DomainError,
-            "zero second moment with epsilon=0; supply a positive epsilon")
+            "zero second moment at step 1, coordinate 0 with epsilon=0; "
+            "supply a positive epsilon")
 
     def test_step_past_the_horizon(self):
         opt = adaptive("dstadam", horizon=3)
@@ -496,6 +508,7 @@ class TestCheckParity:
         else:
             opt = adaptive(kind, StepConfig(alpha=1e300, epsilon=1e-10))
         self.assert_rejected(opt, np.zeros(2), np.zeros(2), DomainError,
+                             "infinite rate at step 1, coordinate 0: the "
                              "projection metric must be positive")
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -747,9 +760,39 @@ class TestKindBatches:
             2, TransitionSchedule(horizon=10), StepConfig(epsilon=0.0))])
         with pytest.raises(DomainError) as err:
             batch.step(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert str(err.value) == \
-            "zero second moment with epsilon=0; supply a positive epsilon"
+        assert str(err.value) == ("zero second moment at step 1, coordinate "
+                                  "0 with epsilon=0; supply a positive "
+                                  "epsilon")
         assert err.value.replica == 1
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["lone", "batch"])
+def test_a_zero_second_moment_names_step_and_coordinate(batched):
+    # beta2 = 0 makes v the last squared gradient, so epsilon = 0 leaves a
+    # zero denominator where step 2's gradient is 0
+    def bare():
+        return Adam(2, StepConfig(alpha=0.1, epsilon=0.0), beta2=0.0)
+
+    opt = stack_kinds([Adam(2), bare()]) if batched else bare()
+    rows = (2, 2) if batched else (2,)
+    theta = opt.step(np.zeros(rows), np.ones(rows))
+    with pytest.raises(DomainError) as err:
+        opt.step(theta, np.broadcast_to([1.0, 0.0], rows))
+    assert str(err.value) == ("zero second moment at step 2, coordinate 1 "
+                              "with epsilon=0; supply a positive epsilon")
+    assert err.value.replica == (1 if batched else None)
+    assert opt.state.t == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_an_infinite_rate_names_its_replica():
+    batch = stack_kinds([Adam(2), Adam(2, StepConfig(alpha=1e300,
+                                                     epsilon=1e-10))])
+    with pytest.raises(DomainError) as err:
+        batch.step(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert str(err.value) == ("infinite rate at step 1, coordinate 0: the "
+                              "projection metric must be positive")
+    assert err.value.replica == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

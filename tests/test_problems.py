@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from transopt import problems as problems_module
-from transopt.diagnostics import block_rows
+from transopt.diagnostics import buffer_rows
 from transopt.errors import DimensionError, DomainError, SequenceError
 from transopt.optim import FeasibleBox
 from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
                                RegretLedger, full_logistic_grad,
-                               load_dataset_csv,
+                               load_dataset_csv, logistic_comparator,
                                make_logistic, make_mlp_problem,
                                make_quadratic, make_reddi, save_dataset_csv,
                                stack_problems, two_cluster_dataset)
@@ -189,6 +189,15 @@ class TestLogistic:
                               box=FeasibleBox.cube(1.0, 3), theta_star=star)
         assert str(err.value) == \
             f"features: {bad} at row 4, column 1 is not finite"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_the_comparator_names_a_non_finite_feature(self, bad):
+        features = np.random.default_rng(2).normal(size=(20, 3))
+        features[7, 2] = bad
+        with pytest.raises(DomainError) as err:
+            logistic_comparator(features, np.ones(20), FeasibleBox.cube(1.0, 3))
+        assert str(err.value) == \
+            f"features: {bad} at row 7, column 2 is not finite"
 
     def test_declared_gradient_bound_holds(self):
         prob = make_logistic(80, 4, seed=9, batch_size=20)
@@ -545,8 +554,10 @@ class TestStarLosses:
 
     @pytest.mark.parametrize("dim", [1, 3, 10, 1100])
     def test_quadratic_across_block_boundaries(self, dim):
-        horizon = 2 * block_rows(dim) + 5
+        # two full blocks of a long run's rows and part of a third
+        horizon = 2 * buffer_rows(10 ** 6, dim) + 5
         prob = make_quadratic(dim, horizon, seed=dim)
+        assert buffer_rows(horizon, dim) < horizon / 2
         self.assert_per_step(prob, horizon)
         self.assert_per_step(prob, horizon - 1)
 
@@ -574,7 +585,7 @@ class TestStarLosses:
         prob = make_mlp_problem(seed=3, hidden=(4,), n_train=16, n_test=8,
                                 batch_size=8)
         with pytest.raises(DomainError, match="no comparator"):
-            prob.star_losses(2)
+            prob.star_loss_at(2)
 
 
 class TestStackedOracles:

@@ -754,6 +754,26 @@ repeats: 3
         code = cli_main(["sweep", str(sweep_dir), "--out", str(out_root)])
         self._assert_data_error(code, capsys, out_root)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_an_infinite_rate_names_only_its_run(self, tmp_path, capsys):
+        # one loop: alpha / epsilon overflows the DstAdam row's rate
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        for name, optimizer in (("huge-alpha",
+                                 "{kind: dstadam, alpha: 1.0e+308}"),
+                                ("healthy", "{kind: adam}")):
+            (sweep_dir / f"{name}.yaml").write_text(
+                f"name: {name}\nproblem: {{kind: reddi}}\n"
+                f"optimizer: {optimizer}\nhorizon: 10\n")
+        out_root = tmp_path / "runs"
+        code = cli_main(["sweep", str(sweep_dir), "--out", str(out_root)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines()[-1] == (
+            "error: huge-alpha: infinite rate at step 1, coordinate 0: the "
+            "projection metric must be positive")
+        assert "healthy" not in err
+
 
 class TestOverflowedSecondMoment:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

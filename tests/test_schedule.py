@@ -216,6 +216,14 @@ class TestScheduleValidation:
         with pytest.raises(DomainError):
             TransitionSchedule(horizon=10, r_l=5.0, r_u=0.005)
 
+    @pytest.mark.parametrize("r_l, r_u", [(0.005, math.inf),
+                                          (math.inf, math.inf),
+                                          (0.005, math.nan)])
+    def test_a_non_finite_rate_is_rejected(self, r_l, r_u):
+        # r_T = inf * 0 would be NaN
+        with pytest.raises(DomainError, match=r"r_l <= r_u < inf"):
+            TransitionSchedule(horizon=10, r_l=r_l, r_u=r_u)
+
     def test_autofill_matches_formula(self):
         s = TransitionSchedule(horizon=78200)
         assert s.rho == pytest.approx(rho_from_horizon(78200), rel=1e-15)
