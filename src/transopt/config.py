@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Tuple
 
 import yaml
 
-from .errors import ConfigError
-from .schedule import BETA1_KINDS, BOUND_KINDS, RHO_KINDS
+from .errors import ConfigError, DomainError
+from .schedule import BETA1_KINDS, BOUND_KINDS, RHO_KINDS, TransitionSchedule
 
 PROBLEM_KINDS = ("quadratic", "reddi", "logistic", "mlp")
 OPTIMIZER_KINDS = ("sgdm", "adam", "amsgrad", "adabound", "generic", "dstadam")
@@ -50,6 +50,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"problem.seed: must be >= 0, got {self.seed}")
         if self.box_halfwidth is not None:
             _check_positive("problem.box_halfwidth", self.box_halfwidth)
         if not math.isfinite(self.c):
@@ -92,6 +94,13 @@ class ScheduleSpec:
             raise ConfigError(
                 f"optimizer.schedule.beta1_kind: unknown kind {self.beta1_kind!r}"
             )
+        # rho, rho_sequence and beta1_decay by the schedule's own checks;
+        # the build checks the sequence's length against the run's horizon
+        try:
+            TransitionSchedule(horizon=len(self.rho_sequence or ()) or 1,
+                               **vars(self))
+        except DomainError as exc:
+            raise ConfigError(f"optimizer.schedule: {exc}") from exc
 
 
 @dataclass(frozen=True)

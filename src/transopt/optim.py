@@ -38,13 +38,14 @@ at a step (the NaN screen under a positive beta2, the positive-rate
 screen under a positive shift, the metric screen under a finite largest
 rate) is skipped there.
 
-A stepper steps one (d,) iterate, or the (R, d) iterates of R replicas
-at once: :func:`stack_kinds` merges R built steppers of any kinds (say
-SGDM, Adam and DstAdam on one problem) into one whose row r is stepper
-r.  Each row's coefficients come from its own stepper, a coefficient
-equal in every row stays one float, and the rest are (R, 1) columns, so
-every update below runs once over all rows, broadcasts row by row and
-gives each replica the bits it would get alone.
+A stepper steps the rows of the steppers it was built from: a lone
+stepper is a batch of one row, its own, over a (d,) iterate, and
+:func:`stack_kinds` merges R steppers of any kinds (say SGDM, Adam and
+DstAdam on one problem) into one whose row r is stepper r, over (R, d)
+iterates.  One merge takes each row's coefficients from its stepper: a
+coefficient equal in every row stays one float, the rest are (R, 1)
+columns, so every update below runs once over all rows, broadcasts row
+by row and gives each replica the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -106,12 +107,22 @@ def stack_kinds(steppers: Sequence["_AdaptiveStepper"]
     """One stepper whose row r steps as ``steppers[r]`` would alone.
 
     The steppers may be of any kinds, on iterates of one dimension, and
-    must not have stepped yet.  One stepper is returned as it is; more
-    become one :class:`_KindBatch`.
+    must not have stepped yet.  One stepper is returned as it is.  More
+    become one skeleton stepper over (R, d) iterates whose rows are the
+    steppers: their configs, boxes and states are stacked
+    (:func:`stack_like`), so the rows' alpha, epsilon, bias correction
+    and sqrt_decay are (R, 1) columns where they differ, and each block
+    merges the rows' coefficients.  Row r gets the bits its stepper
+    would get alone.
     """
     if len(steppers) == 1:
         return steppers[0]
-    return _KindBatch(steppers)
+    batch = _AdaptiveStepper(steppers[0].state.dim,
+                             stack_like([o.cfg for o in steppers]),
+                             stack_like([o.box for o in steppers]))
+    batch.state = stack_like([o.state for o in steppers])
+    batch._rows = tuple(steppers)
+    return batch
 
 
 def _raise_first(bad: np.ndarray, message: str) -> None:
@@ -322,9 +333,6 @@ class _AdaptiveStepper:
     and the rate is the blend's shift.
     """
 
-    # rows whose blended rate must be positive: all, or an (R, 1) column
-    _blend_rows = True
-
     def __init__(self, dim: int, cfg: Optional[StepConfig],
                  box: Optional[FeasibleBox], beta1: float = 0.9,
                  beta2: float = 0.999):
@@ -336,6 +344,9 @@ class _AdaptiveStepper:
                 raise DomainError(f"{name} must lie in [0, 1), got {value}")
         self.beta1 = beta1
         self.beta2 = beta2
+        # the steppers whose coefficients the replicas take, one each:
+        # this one alone, or a batch's (stack_kinds)
+        self._rows = (self,)
         # the rows of the block of steps that starts at _block_start
         self._block = ()
         self._block_start = 1
@@ -383,9 +394,9 @@ class _AdaptiveStepper:
         """The kind's coefficients of the steps t .. t + n - 1.
 
         Returns (fixed, varying): ``fixed`` maps a name of
-        ``COEFFICIENTS`` to a float or an (R, 1) column that holds for
-        the whole run, ``varying`` to an array along a leading step axis
-        of at most n entries (fewer where the run's horizon ends).
+        ``COEFFICIENTS`` to a number (or bool) that holds for the whole
+        run, ``varying`` to an array along a leading step axis of at
+        most n entries (fewer where the run's horizon ends).
         """
         return {"beta1": self.beta1, "gain1": 1.0 - self.beta1,
                 "beta2": self.beta2, "gain2": 1.0 - self.beta2}, {}
@@ -393,24 +404,36 @@ class _AdaptiveStepper:
     def _fill(self, t: int) -> None:
         """Compute the rows of the block of steps that starts at t.
 
-        Nothing changes if this raises, so a rejected step leaves the
-        stepper as it was.
+        Replica r's coefficients come from ``self._rows[r]``: one fixed in
+        every replica becomes a :func:`column`, one that varies in some
+        replica an (n, R, 1) array, and a replica gets the ``NEUTRAL``
+        value of one its kind does not state.  Nothing changes if this
+        raises, so a rejected step leaves the stepper as it was.
         """
         s, cfg = self.state, self.cfg
-        fixed, varying = self._coefficients(t, BLOCK_STEPS)
+        rows = [o._coefficients(t, BLOCK_STEPS) for o in self._rows]
+        n = min([BLOCK_STEPS, *(len(x) for _, v in rows for x in v.values())])
+        lead = (n, 1, 1)
+        fixed, varying = {}, {}
+        for name in {name for f, v in rows for name in (*f, *v)}:
+            values = [v[name][:n] if name in v
+                      else f.get(name, NEUTRAL.get(name)) for f, v in rows]
+            if any(name in v for _, v in rows):
+                varying[name] = np.stack(
+                    [np.broadcast_to(x, n) for x in values], axis=1)[..., None]
+            else:
+                fixed[name] = column(values)
+        # replicas whose blended rate must be positive: all, or a column
+        blend_rows = column([("scale" in f or "scale" in v) for f, v in rows])
         stated = {*fixed, *varying}
         fixed = {**NEUTRAL, **fixed}
-        n = min([BLOCK_STEPS, *map(len, varying.values())])
-        # a lone stepper's per-step arrays are (n,), a batch's (n, R, 1)
-        lead = (n,) if s.m.ndim == 1 else (n, 1, 1)
-        varying = {name: x[:n] for name, x in varying.items()}
+
+        def over(x):
+            # x over the block's steps and the replicas
+            return np.broadcast_to(x, np.broadcast_shapes(lead, np.shape(x)))
 
         def steps(name):
-            if name in varying:
-                return varying[name]
-            x = fixed[name]
-            return np.broadcast_to(x, (n,) + np.shape(x) if np.ndim(x)
-                                   else lead)
+            return varying[name] if name in varying else over(fixed[name])
 
         prods = [_products(s.beta1_prod, steps("beta1")),
                  _products(s.beta2_prod, steps("beta2"))]
@@ -435,8 +458,7 @@ class _AdaptiveStepper:
         if blends:
             # rate * scale + shift >= shift > 0 for a scale >= 0; rows
             # that do not blend get shift 0.0 and are not screened
-            positive_from = _first((steps("shift") <= 0.0)
-                                   & self._blend_rows)
+            positive_from = _first((steps("shift") <= 0.0) & blend_rows)
         # The largest rate each step can apply, in the step's order; the
         # bound on |m_t| only lowers it.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -447,18 +469,18 @@ class _AdaptiveStepper:
             if clamps:
                 cap = np.minimum(np.maximum(cap, steps("lower")),
                                  steps("upper"))
-        finite_from = _first(~np.isfinite(np.broadcast_to(
-            cap, np.broadcast_shapes(lead, np.shape(cap)))))
+        finite_from = _first(~np.isfinite(over(cap)))
 
-        def column(name):
+        def entries(name):
             if name in varying:
                 x = varying[name]
                 # floats where the step's value is one number
                 return x.ravel().tolist() if x[0].size == 1 else list(x)
             return itertools.repeat(fixed.get(name), n)
 
-        self._block = list(zip(*map(column, COEFFICIENTS)))
+        self._block = list(zip(*map(entries, COEFFICIENTS)))
         self._block_start = t
+        self._blend_rows = blend_rows
         self._debias = holds(debias)
         self._decays = holds(cfg.sqrt_decay)
         self._blends, self._clamps = blends, clamps
@@ -689,43 +711,4 @@ class DstAdam(_AdaptiveStepper):
         else:
             varying["scale"] = rho
         varying["shift"] = (1.0 - rho) * r
-        return fixed, varying
-
-
-class _KindBatch(_AdaptiveStepper):
-    """R steppers of any kinds stepping one (R, d) batch, one row each.
-
-    The skeleton step runs once over all rows, with the rows' alpha,
-    epsilon, bias correction and sqrt_decay as (R, 1) columns where they
-    differ.  Each block, row r's coefficients come from stepper r: a
-    coefficient fixed in every row becomes a :func:`column`, one float
-    where every row has the same value, and one that varies in some row
-    an (n, R, 1) array; a row gets the ``NEUTRAL`` value of a
-    coefficient its kind does not state.  Row r gets the bits its
-    stepper would get alone.
-    """
-
-    def __init__(self, steppers: Sequence[_AdaptiveStepper]):
-        super().__init__(steppers[0].state.dim,
-                         stack_like([o.cfg for o in steppers]),
-                         stack_like([o.box for o in steppers]))
-        self.state = stack_like([o.state for o in steppers])
-        self._steppers = steppers
-
-    def _coefficients(self, t: int, n: int) -> Tuple[dict, dict]:
-        coefficients = [o._coefficients(t, n) for o in self._steppers]
-        n = min([n, *(len(x) for _, varying in coefficients
-                      for x in varying.values())])
-        fixed, varying = {}, {}
-        for name in {name for f, v in coefficients for name in (*f, *v)}:
-            default = NEUTRAL.get(name)
-            rows = [v[name][:n] if name in v else f.get(name, default)
-                    for f, v in coefficients]
-            if any(name in v for _, v in coefficients):
-                varying[name] = np.stack(
-                    [np.broadcast_to(x, n) for x in rows], axis=1)[..., None]
-            else:
-                fixed[name] = column(rows)
-        self._blend_rows = column([("scale" in f or "scale" in v)
-                                   for f, v in coefficients])
         return fixed, varying

@@ -93,20 +93,10 @@ def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
 
 
 def build_schedule(cfg: ExperimentConfig, horizon: int) -> TransitionSchedule:
-    s = cfg.optimizer.schedule
+    o = cfg.optimizer
     try:
-        return TransitionSchedule(
-            horizon=horizon,
-            r_l=s.r_l,
-            r_u=s.r_u,
-            rho_kind=s.rho_kind,
-            rho=s.rho,
-            rho_sequence=s.rho_sequence,
-            beta1_kind=s.beta1_kind,
-            beta1=cfg.optimizer.beta1,
-            beta1_decay=s.beta1_decay,
-            beta2=cfg.optimizer.beta2,
-        )
+        return TransitionSchedule(horizon=horizon, beta1=o.beta1,
+                                  beta2=o.beta2, **vars(o.schedule))
     except DomainError as exc:
         # surface schedule/horizon mismatches before any step runs
         raise ConfigError(f"optimizer.schedule: {exc}") from exc
@@ -308,24 +298,31 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     k = 0
 
     try:
-        for t in range(1, horizon + 1):
-            loss, g = problem.loss_and_grad(t, theta)
-            if not finite(loss):
-                bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
-                raise DomainError(f"non-finite loss at step {t}; run aborted",
-                                  replica=int(bad[0]))
-            losses[t - 1] = loss
-            # the stepper rejects a non-finite gradient before it changes
-            # state
-            theta = optimizer.step(theta, g)
-            grads[k] = g
-            rates[k] = state.last_rate_raw
-            thetas[k] = theta
-            k += 1
-            if k == rows:
-                monitor.flush(k)
-                k = 0
-        monitor.finish(k)
+        # numpy's overflow, divide and invalid-value warnings are off: each
+        # value they flag is screened in this loop and raised as one
+        # DomainError naming its step (the loss and gradient screens, the
+        # stepper's NaN-v, zero-rate and infinite-rate screens, and the
+        # monitor's positive-rate screen).
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for t in range(1, horizon + 1):
+                loss, g = problem.loss_and_grad(t, theta)
+                if not finite(loss):
+                    bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
+                    raise DomainError(
+                        f"non-finite loss at step {t}; run aborted",
+                        replica=int(bad[0]))
+                losses[t - 1] = loss
+                # the stepper rejects a non-finite gradient before it
+                # changes state
+                theta = optimizer.step(theta, g)
+                grads[k] = g
+                rates[k] = state.last_rate_raw
+                thetas[k] = theta
+                k += 1
+                if k == rows:
+                    monitor.flush(k)
+                    k = 0
+            monitor.finish(k)
     except DomainError as exc:
         names = [run_stem(cfg) for cfg in cfgs]
         who = (", ".join(names) if exc.replica is None

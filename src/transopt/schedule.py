@@ -121,9 +121,6 @@ class TransitionSchedule:
                 f"custom rho sequence has {len(self.rho_sequence)} entries, "
                 f"step {t} requested"
             )
-        return self._rho(t)
-
-    def _rho(self, t: int) -> float:
         if self.rho_kind == "exponential":
             return self.rho ** t
         if self.rho_kind == "constant":
@@ -143,15 +140,10 @@ class TransitionSchedule:
             raise HorizonError(
                 f"step {t} exceeds declared horizon {self.horizon}"
             )
-        return self._r(t)
-
-    def _r(self, t: int) -> float:
         return (self.r_u - self.r_l) * (1.0 - t / self.horizon) + self.r_l
 
     def beta1_at(self, t: int) -> float:
-        return self._beta1(_check_t(t))
-
-    def _beta1(self, t: int) -> float:
+        t = _check_t(t)
         if self.beta1_kind == "constant":
             return self.beta1
         if self.beta1_kind == "geometric":

@@ -64,6 +64,41 @@ horizon: 100
         assert str(err.value).startswith(
             f"optimizer.schedule.{key}: must be finite, got ")
 
+    @pytest.mark.parametrize("schedule, message", [
+        ("{rho: 1.5}", "rho must lie in (0, 1), got 1.5"),
+        ("{rho_kind: constant, rho: 0.0}", "rho must lie in (0, 1), got 0.0"),
+        ("{rho_kind: custom}", "custom rho_kind requires rho_sequence"),
+        ("{rho_kind: custom, rho_sequence: [0.5, 1.5]}",
+         "custom rho entries must lie in [0, 1]"),
+        ("{beta1_kind: geometric}",
+         "geometric beta1 requires beta1_decay in (0, 1), got None"),
+        ("{beta1_kind: geometric, beta1_decay: 1.0}",
+         "geometric beta1 requires beta1_decay in (0, 1), got 1.0"),
+    ])
+    def test_a_bad_schedule_value_fails_at_parse(self, schedule, message):
+        text = MINIMAL.replace("kind: dstadam",
+                               f"kind: dstadam\n  schedule: {schedule}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"optimizer.schedule: {message}"
+
+    def test_a_bad_schedule_value_stops_a_sweep_before_any_run(
+            self, tmp_path, capsys):
+        # the good config's loop would run first
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        (sweep_dir / "1-good.yaml").write_text(
+            "name: good\nproblem: {kind: reddi}\noptimizer: {kind: adam}\n"
+            "horizon: 50\n")
+        (sweep_dir / "2-bad-rho.yaml").write_text(
+            "name: bad-rho\nproblem: {kind: quadratic}\n"
+            "optimizer: {kind: dstadam, schedule: {rho: 1.5}}\nhorizon: 50\n")
+        out_root = tmp_path / "runs"
+        assert cli_main(["sweep", str(sweep_dir), "--out", str(out_root)]) == 2
+        assert capsys.readouterr().err == \
+            "error: optimizer.schedule: rho must lie in (0, 1), got 1.5\n"
+        assert not out_root.exists()
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="optimizer.turbo"):
             parse_config(MINIMAL.replace("kind: dstadam",
@@ -145,7 +180,7 @@ horizon: 100
         ("quadratic", "dim", "0"), ("logistic", "dim", "-2"),
         ("logistic", "n_samples", "0"), ("mlp", "n_train", "0"),
         ("mlp", "n_test", "0"), ("mlp", "hidden", "[0]"),
-        ("mlp", "hidden", "[16, -1]"),
+        ("mlp", "hidden", "[16, -1]"), ("logistic", "seed", "-1"),
     ])
     def test_a_bad_problem_value_names_its_field(self, kind, field, value):
         text = MINIMAL.replace("kind: quadratic",
@@ -180,6 +215,15 @@ horizon: 100
                          str(tmp_path / "runs")]) == 2
         field = line.split(":")[0]
         assert capsys.readouterr().err.startswith(f"error: problem.{field}")
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_rejects_a_negative_seed_flag(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(MINIMAL)
+        assert cli_main(["run", str(path), "--seed", "-1", "--out",
+                         str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == \
+            "error: problem.seed: must be >= 0, got -1\n"
         assert not (tmp_path / "runs").exists()
 
 

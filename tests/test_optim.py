@@ -5,9 +5,9 @@ import pytest
 
 from transopt.errors import (DimensionError, DomainError, HorizonError,
                              StateError)
-from transopt.optim import (Adam, Amsgrad, ClippedTransition, DstAdam,
-                            FeasibleBox, MomentumSgd, StepConfig, column,
-                            project_box, stack_kinds, stack_like)
+from transopt.optim import (COEFFICIENTS, Adam, Amsgrad, ClippedTransition,
+                            DstAdam, FeasibleBox, MomentumSgd, StepConfig,
+                            column, project_box, stack_kinds, stack_like)
 from transopt.schedule import BoundFunctionSpec, TransitionSchedule
 
 
@@ -633,6 +633,13 @@ class TestStackedSteppers:
         assert [b1, gain1, b2, gain2] == [0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999]
         assert all(type(x) is float for x in (b1, gain1, b2, gain2))
         assert scale.shape == shift.shape == (8, 1)
+        # a lone DstAdam is a batch of one row: every value of its steps is
+        # a float
+        lone = DstAdam(3, TransitionSchedule(horizon=200, rho=0.9),
+                       StepConfig(bias_correction=True, sqrt_decay=True))
+        lone.step(np.zeros(3), np.ones(3))
+        assert [type(x) for x in lone._block[0]] == \
+            [bool if name == "running_max" else float for name in COEFFICIENTS]
 
     def test_column(self):
         assert column([0.5, 0.5]) == 0.5
@@ -678,6 +685,14 @@ def _sgdm_rows():
                         box=FeasibleBox.cube(0.5, 3))]
 
 
+def _merged(stepper, names, steps=4):
+    """The coefficients ``names`` of the stepper's first steps, each a
+    list over the steps, as the merged block of step 1 holds them."""
+    stepper._fill(1)
+    return [[row[COEFFICIENTS.index(name)] for row in stepper._block[:steps]]
+            for name in names]
+
+
 class TestKindBatches:
     """stack_kinds: steppers of different kinds share the skeleton step,
     and row r steps as its stepper would alone, bit for bit."""
@@ -691,9 +706,10 @@ class TestKindBatches:
         # the lu rows' constant betas: beta2 is one (R, 1) column for the
         # run, and beta1 a per-step array, as the geometric DstAdam row's
         # beta1 varies
-        fixed, varying = batch._coefficients(1, 4)
-        assert fixed["beta2"][5:7].ravel().tolist() == [0.99, 0.9]
-        assert varying["beta1"][:, 5:7].tolist() == [[[0.5], [0.6]]] * 4
+        beta1, beta2 = _merged(batch, ("beta1", "beta2"))
+        assert beta2[0] is beta2[3]
+        assert beta2[0][5:7].ravel().tolist() == [0.99, 0.9]
+        assert [x[5:7].tolist() for x in beta1] == [[[0.5], [0.6]]] * 4
         rng = np.random.default_rng(9)
         theta = rng.uniform(-0.5, 0.5, size=(12, 3))
         thetas = list(theta)
@@ -728,14 +744,15 @@ class TestKindBatches:
         # blend 0 * rate + lr; the geometric DstAdam row's beta1 and gain
         # vary, so every row's are per-step arrays
         sgdm = [0, 1, 14]
-        fixed, varying = batch._coefficients(1, 4)
-        assert varying["gain1"][:, sgdm].tolist() == [[[1.0]] * 3] * 4
-        assert varying["beta1"][:, sgdm].tolist() == \
-            [[[0.5], [0.5], [0.0]]] * 4
-        assert varying["scale"][:, sgdm].tolist() == [[[0.0]] * 3] * 4
-        assert varying["shift"][:, sgdm].tolist() == \
-            [[[0.1], [0.2], [0.3]]] * 4
-        assert fixed["beta2"][sgdm].ravel().tolist() == [0.5] * 3
+        gain1, beta1, scale, shift, beta2 = (
+            [x[sgdm].tolist() for x in steps]
+            for steps in _merged(batch, ("gain1", "beta1", "scale", "shift",
+                                         "beta2")))
+        assert gain1 == [[[1.0]] * 3] * 4
+        assert beta1 == [[[0.5], [0.5], [0.0]]] * 4
+        assert scale == [[[0.0]] * 3] * 4
+        assert shift == [[[0.1], [0.2], [0.3]]] * 4
+        assert beta2 == [[[0.5]] * 3] * 4
         rng = np.random.default_rng(10)
         theta = rng.uniform(-0.5, 0.5, size=(15, 3))
         thetas = list(theta)
@@ -764,6 +781,38 @@ class TestKindBatches:
                                   "0 with epsilon=0; supply a positive "
                                   "epsilon")
         assert err.value.replica == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_an_overflowed_momentum_keeps_the_rate_of_a_row_without_the_bound():
+    # an SGDM row beside an adadb row has base +inf; its undamped m
+    # overflows to inf at step 2, its term |m| / peak to inf / inf = NaN,
+    # and fmin keeps its rate lr
+    def rows():
+        box = FeasibleBox.cube(5.0, 3)
+        return [ClippedTransition(3, BoundFunctionSpec(
+                    "adadb", alpha_star=0.01, gamma=1e-3),
+                    StepConfig(alpha=0.1), box=box),
+                MomentumSgd(3, lr=0.1, momentum=0.9, box=box)]
+
+    lone, batch = rows(), stack_kinds(rows())
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-0.5, 0.5, size=(2, 3))
+    thetas = list(theta)
+    for t in range(1, 8):
+        grad = rng.normal(size=(2, 3))
+        grad[1, 0] = 1e308
+        theta = batch.step(theta, grad)
+        assert (batch.state.m[1, 0] == math.inf) == (t >= 2)
+        for r, opt in enumerate(lone):
+            thetas[r] = opt.step(thetas[r], grad[r])
+            assert theta[r].tobytes() == thetas[r].tobytes(), (t, r)
+            assert batch.rate_raw()[r].tobytes() == \
+                opt.rate_raw().tobytes(), (t, r)
+            assert batch.effective_lr()[r].tobytes() == \
+                opt.effective_lr().tobytes(), (t, r)
+    assert batch.rate_raw()[1].tolist() == [0.1] * 3
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["lone", "batch"])

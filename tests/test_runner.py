@@ -109,8 +109,6 @@ batch_size: 32
         record = run_experiment(cfg, write_artifacts=False)
         assert record.horizon == math.ceil(100 / 32) * 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_loss_aborts_with_step_index(self):
         cfg = parse_config("""
 problem: {kind: mlp, n_train: 32, n_test: 16, seed: 1}
@@ -734,7 +732,6 @@ repeats: 3
             "rate must stay positive (an overflowed second moment leaves 0)")
         assert not out_root.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_run_that_fails_on_its_data_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "overflow.yaml"
         cfg_path.write_text(self.OVERFLOW)
@@ -742,7 +739,6 @@ repeats: 3
         code = cli_main(["run", str(cfg_path), "--out", str(out_root)])
         self._assert_data_error(code, capsys, out_root)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_sweep_that_fails_on_its_data_exits_3(self, tmp_path, capsys):
         # a healthy run of the same loop is not written either
         sweep_dir = tmp_path / "configs"
@@ -754,7 +750,6 @@ repeats: 3
         code = cli_main(["sweep", str(sweep_dir), "--out", str(out_root)])
         self._assert_data_error(code, capsys, out_root)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_an_infinite_rate_names_only_its_run(self, tmp_path, capsys):
         # one loop: alpha / epsilon overflows the DstAdam row's rate
         sweep_dir = tmp_path / "configs"
@@ -776,7 +771,6 @@ repeats: 3
 
 
 class TestOverflowedSecondMoment:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_zero_rate_at_an_unsampled_step_raises(self, monkeypatch):
         # g = 1e308 at step 5 overflows v to inf for good: from then on
         # the rate of every coordinate is 0, while stride 10 samples only
@@ -889,7 +883,6 @@ class TestBatches:
         assert str(err.value) == \
             "second: non-finite gradient at step 6, coordinate 2"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_a_replica_zero_rate_names_its_config(self, monkeypatch):
         step = QuadraticTracking.loss_and_grad
 
@@ -1047,7 +1040,6 @@ class TestMixedBatches:
             "b: non-finite gradient at step 6, coordinate 2"
         assert err.value.replica == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_an_error_in_one_groups_rule_names_its_config(self, monkeypatch):
         step = QuadraticTracking.loss_and_grad
 
@@ -1227,7 +1219,6 @@ def test_a_non_finite_batch_loss_names_its_replica(monkeypatch, bad):
     assert err.value.replica == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_finite_batch_losses_with_an_overflowing_sum_pass(monkeypatch):
     # the sum screen overflows; the exact test finds every loss finite
     _losses_patched_at(monkeypatch, 3, [1e308, 1e308, 1e308])
