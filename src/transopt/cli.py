@@ -16,9 +16,10 @@ variable, else the config's out_dir.
 
 Exit codes: 0 on success; 1 when ``sweep`` finds no config or
 ``check-conditions`` an inverse-rate bound violated; 2 for a bad config,
-incomparable runs or a missing file; 3 when a run fails on its data (a
-DomainError naming the run, step and coordinate).  Errors print as one
-``error:`` line on stderr.
+incomparable runs, a missing file or an output root or artifact that
+cannot be written (checked before a loop's first step); 3 when a run
+fails on its data (a DomainError naming the run, step and coordinate).
+Errors print as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ def _summary(record) -> str:
 
 
 def _run_group(args):
-    cfgs, out_root = args
+    cfgs, out_root, loops = args
     # a lone config keeps run_experiment's entry point, whose spans
     # perfbench/tracer.py times; it runs the same loop as a batch of one
     if len(cfgs) == 1:
-        records = [run_experiment(cfgs[0], out_root=out_root)]
+        records = [run_experiment(cfgs[0], out_root=out_root, loops=loops)]
     else:
-        records = run_batch(cfgs, out_root)
+        records = run_batch(cfgs, out_root, loops=loops)
     return [_summary(record) for record in records]
 
 
@@ -73,10 +74,12 @@ def _execute(jobs, cfgs, out_root):
         parts = math.ceil(jobs / len(groups))
         groups = [g[i::parts] for g in groups for i in range(parts)
                   if g[i::parts]]
-    tasks = [([cfgs[i] for i in group], out_root) for group in groups]
+    parallel = jobs > 1 and len(groups) > 1
+    # the step loops running at once, each in its own worker
+    loops = min(jobs, len(groups)) if parallel else 1
+    tasks = [([cfgs[i] for i in group], out_root, loops) for group in groups]
     lines = [None] * len(cfgs)
     printed = 0
-    parallel = jobs > 1 and len(tasks) > 1
     with (ProcessPoolExecutor(max_workers=jobs) if parallel
           else contextlib.nullcontext()) as pool:
         results = (pool.map if parallel else map)(_run_group, tasks)
@@ -183,8 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ComparisonError, FileNotFoundError,
-            DomainError) as exc:
+    except (ConfigError, ComparisonError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, DomainError) else 2
 

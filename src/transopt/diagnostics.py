@@ -61,8 +61,9 @@ class LrHistogram:
         # slot 0 is underflow (below edges[0]), slot k holds
         # [edges[k-1], edges[k]), and the last slot is overflow (>= edges[-1])
         self._width = HIST_BINS + 2
-        self._steps: List[np.ndarray] = []
-        self._blocks: List[np.ndarray] = []
+        # one entry per recorded block: its steps and its counter rows
+        self.steps: List[np.ndarray] = []
+        self.counts: List[np.ndarray] = []
 
     def record(self, t: int, lrs: np.ndarray) -> None:
         """Bin the rates of step t; see :meth:`record_rows`."""
@@ -92,41 +93,52 @@ class LrHistogram:
         counts = np.bincount(slots.ravel(), minlength=n * self._width)
         # a counter never exceeds the dimension, so the smallest unsigned
         # type that holds d holds it (one byte a counter below d = 256)
-        self._blocks.append(counts.reshape(n, self._width).astype(
+        self.counts.append(counts.reshape(n, self._width).astype(
             np.min_scalar_type(rows.shape[1])))
-        self._steps.append(np.array(ts, dtype=np.int64))
+        self.steps.append(np.array(ts, dtype=np.int64))
 
     @property
     def rows(self) -> List[Tuple[int, np.ndarray, int, int]]:
         """(t, bin counts, underflow, overflow) of every recorded step."""
         return [(t, s[1:-1].astype(np.int64), int(s[0]), int(s[-1]))
-                for ts, slots in zip(self._steps, self._blocks)
+                for ts, slots in zip(self.steps, self.counts)
                 for t, s in zip(ts.tolist(), slots)]
 
-    def to_csv(self, path) -> None:
+    def csv_header(self) -> str:
+        """The CSV header line: t, each bin's log10 lower edge, then
+        underflow and overflow."""
+        edges = [f"{math.log10(e):.17g}" for e in self.edges[:-1]]
+        return ",".join(["t", *edges, "underflow", "overflow"]) + "\r\n"
+
+    def csv_lines(self, ts: np.ndarray, counts: np.ndarray,
+                  texts: Dict[bytes, str]) -> str:
+        """The CSV lines of counter rows ``counts`` of steps ``ts``.
+
+        Formatting dominates, and runs repeat counter rows (at d = 1
+        there are at most width distinct ones), so each distinct row is
+        formatted once and kept in ``texts``, a cache shared by the calls
+        that write one file and capped to keep memory bounded.
+        """
         # CSV column order: the bins, then underflow and overflow
-        order = np.r_[1:self._width - 1, 0, self._width - 1]
-        # Formatting dominates, and runs repeat counter rows (at d = 1
-        # there are at most width distinct ones), so each distinct row is
-        # formatted once; the cache is capped to keep memory bounded.
+        slots = counts[:, np.r_[1:self._width - 1, 0, self._width - 1]]
+        data, size = slots.tobytes(), slots.itemsize * self._width
+        lines = []
+        for k, t in enumerate(ts.tolist()):
+            key = data[k * size:(k + 1) * size]
+            text = texts.get(key)
+            if text is None:
+                text = ",".join(map(str, slots[k].tolist()))
+                if len(texts) < TEXT_CACHE_ROWS:
+                    texts[key] = text
+            lines.append(f"{t},{text}\r\n")
+        return "".join(lines)
+
+    def to_csv(self, path) -> None:
         texts: Dict[bytes, str] = {}
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            header = ["t"] + [f"{math.log10(e):.17g}" for e in self.edges[:-1]]
-            writer.writerow(header + ["underflow", "overflow"])
-            for ts, slots in zip(self._steps, self._blocks):
-                slots = slots[:, order]
-                data, size = slots.tobytes(), slots.itemsize * self._width
-                lines = []
-                for k, t in enumerate(ts.tolist()):
-                    key = data[k * size:(k + 1) * size]
-                    text = texts.get(key)
-                    if text is None:
-                        text = ",".join(map(str, slots[k].tolist()))
-                        if len(texts) < TEXT_CACHE_ROWS:
-                            texts[key] = text
-                    lines.append(f"{t},{text}\r\n")
-                f.write("".join(lines))
+            f.write(self.csv_header())
+            for ts, counts in zip(self.steps, self.counts):
+                f.write(self.csv_lines(ts, counts, texts))
 
 
 def _as_rows(rate_rows) -> np.ndarray:
@@ -410,8 +422,9 @@ class RunMonitor:
         if keep_trajectory:
             self.grads = np.empty((replicas, horizon, dim))
             self.rate_rows = np.empty((replicas, horizon, dim))
-        self._t = 0
-        self._sampled = 0
+        # steps flushed so far, and how many of them are sampled steps
+        self.t = 0
+        self.sampled = 0
 
     @property
     def zeta_min(self) -> List[Optional[float]]:
@@ -429,10 +442,10 @@ class RunMonitor:
         """Hand the first n buffer rows, the steps after the last flush,
         to the monitors."""
         grads, rates, thetas = (b[:n] for b in self.buffers)
-        t0, self._t = self._t, self._t + n
+        t0, self.t = self.t, self.t + n
         if self.grads is not None:
-            self.grads[:, t0:self._t] = grads.swapaxes(0, 1)
-            self.rate_rows[:, t0:self._t] = rates.swapaxes(0, 1)
+            self.grads[:, t0:self.t] = grads.swapaxes(0, 1)
+            self.rate_rows[:, t0:self.t] = rates.swapaxes(0, 1)
         if (self.inverse_rate.update(rates) <= 0.0).any():
             # fmin skips NaN, as InverseRateMonitor does
             k, r, i = np.unravel_index(
@@ -441,8 +454,8 @@ class RunMonitor:
                 f"raw rate {float(rates[k, r, i])!r} at step {t0 + k + 1}, "
                 f"coordinate {i}: a rate must stay positive (an overflowed "
                 "second moment leaves 0)", replica=int(r))
-        lo = self._sampled
-        self._sampled = hi = int(self.steps.searchsorted(self._t, "right"))
+        lo = self.sampled
+        self.sampled = hi = int(self.steps.searchsorted(self.t, "right"))
         if hi > lo:
             ts = self.steps[lo:hi]
             sampled = rates[ts - (t0 + 1)] if hi - lo < n else rates

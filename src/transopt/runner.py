@@ -24,26 +24,34 @@ as one block to the loop's one streamed monitor
 coordinate axis for all R replicas at once.  So run memory is O(R d)
 besides the per-step losses and the per-sampled-step histogram rows.
 The regret is one cumulative sum after the loop.
+
+The artifacts are written by a writer process forked per loop
+(:class:`transopt.writer.ArtifactWriter`; it needs POSIX ``fork``),
+which appends each flushed block's CSV rows while the loop steps on and
+publishes a run directory only when it is complete.  When the loops
+running at once leave no core to spare, the loop's process runs the
+same writing code itself.  Every monitor, screen and DomainError stays
+in the loop's process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .config import (ExperimentConfig, OptimizerSpec, config_hash,
-                     reset_values, serialize_config)
+from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
+                     config_hash, reset_values, serialize_config)
 from .diagnostics import (TOL, ConditionReport, LrHistogram, RunMonitor,
-                          inverse_rate_bounded, sampled_steps)
+                          inverse_rate_bounded)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
@@ -53,6 +61,9 @@ from .problems import (MlpClassification, OnlineProblem, make_logistic,
                        make_mlp_problem, make_quadratic, make_reddi,
                        stack_problems)
 from .schedule import BoundFunctionSpec, TransitionSchedule
+
+if TYPE_CHECKING:
+    from .writer import ArtifactWriter
 
 #: Environment variable overriding the output root directory.
 OUT_ENV_VAR = "TRANSOPT_OUT"
@@ -75,20 +86,37 @@ def resolve_horizon(cfg: ExperimentConfig, n_train: Optional[int]) -> int:
     return per_epoch * cfg.epochs
 
 
+#: The fields each problem kind's builder reads: its ProblemSpec fields
+#: and, for a dataset, the config's batch size.  :func:`build_problem`
+#: hands the builder only these, and :func:`loop_key` resets every other
+#: one, so configs that differ only there share a loop.
+PROBLEM_FIELDS = {
+    "quadratic": ("seed", "dim", "box_halfwidth"),
+    "reddi": ("c",),
+    "logistic": ("seed", "dim", "box_halfwidth", "n_samples", "batch_size"),
+    "mlp": ("seed", "box_halfwidth", "hidden", "n_train", "n_test",
+            "batch_size"),
+}
+
+
 def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
-    p = cfg.problem
-    if p.kind == "quadratic":
+    kind = cfg.problem.kind
+    given = {**vars(cfg.problem), "batch_size": cfg.batch_size}
+    # a field PROBLEM_FIELDS does not name is an AttributeError here
+    p = SimpleNamespace(**{name: given[name]
+                           for name in PROBLEM_FIELDS[kind]})
+    if kind == "quadratic":
         return make_quadratic(p.dim, resolve_horizon(cfg, None), p.seed,
                               box_halfwidth=p.box_halfwidth or 2.0)
-    if p.kind == "reddi":
+    if kind == "reddi":
         return make_reddi(p.c)
-    if p.kind == "logistic":
+    if kind == "logistic":
         return make_logistic(p.n_samples, p.dim, p.seed,
-                             batch_size=min(cfg.batch_size, p.n_samples),
+                             batch_size=min(p.batch_size, p.n_samples),
                              box_halfwidth=p.box_halfwidth or 5.0)
     return make_mlp_problem(p.seed, hidden=p.hidden, n_train=p.n_train,
                             n_test=p.n_test,
-                            batch_size=min(cfg.batch_size, p.n_train),
+                            batch_size=min(p.batch_size, p.n_train),
                             box_halfwidth=p.box_halfwidth)
 
 
@@ -208,16 +236,24 @@ def loop_key(cfg: ExperimentConfig) -> ExperimentConfig:
     """Configs with equal keys share one step loop (:func:`run_batch`).
 
     The key is the config with the optimizer cleared and every float and
-    bool field, the seed, the name, the output root and the repeat count
-    set back to their defaults (:func:`transopt.config.reset_values`).
-    The fields left (the problem's kind and shapes, the horizon, the
-    stride, the batch size) fix an array shape or the loop's code path.
+    bool field, the seed, the name, the output root, the repeat count and
+    the fields its problem kind's builder does not read
+    (:data:`PROBLEM_FIELDS`) set back to their defaults
+    (:func:`transopt.config.reset_values`).  The fields left (the
+    problem's kind and the shapes it reads, the horizon, the stride, a
+    dataset's batch size) fix an array shape or the loop's code path.
     Every optimizer runs as a row of the one skeleton step, and a built
     problem holds each float or bool field as a number or an array,
     never None next to one (an open box side is infinite), so the
     replicas' values stack as columns.
     """
-    return replace(reset_values(cfg, ("seed", "name", "out_dir", "repeats")),
+    read = PROBLEM_FIELDS[cfg.problem.kind]
+    unread = [f.name for f in fields(ProblemSpec)
+              if f.name != "kind" and f.name not in read]
+    if "batch_size" not in read:
+        unread.append("batch_size")
+    return replace(reset_values(cfg, ("seed", "name", "out_dir", "repeats",
+                                      *unread)),
                    optimizer=OptimizerSpec())
 
 
@@ -238,16 +274,18 @@ def run_stem(cfg: ExperimentConfig) -> str:
 def run_experiment(cfg: ExperimentConfig,
                    out_root: Optional[str] = None,
                    write_artifacts: bool = True, *,
-                   keep_trajectory: bool = False) -> RunRecord:
+                   keep_trajectory: bool = False,
+                   loops: int = 1) -> RunRecord:
     """Execute one config: :func:`run_batch` with one replica."""
     return run_batch([cfg], out_root, write_artifacts,
-                     keep_trajectory=keep_trajectory)[0]
+                     keep_trajectory=keep_trajectory, loops=loops)[0]
 
 
 def run_batch(cfgs: Sequence[ExperimentConfig],
               out_root: Optional[str] = None,
               write_artifacts: bool = True, *,
-              keep_trajectory: bool = False) -> List[RunRecord]:
+              keep_trajectory: bool = False,
+              loops: int = 1) -> List[RunRecord]:
     """Execute configs that share a :func:`loop_key` as one step loop.
 
     Row r of the loop is config r.  Returns one record per config, in
@@ -258,6 +296,9 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
     as the (T, d) arrays ``grads`` and ``rate_rows`` of each record.
     A DomainError raised by a step names the config it belongs to.
+    ``loops`` is the number of step loops running at once, this one
+    included: the artifacts get a writer process only when the machine
+    has a core to spare beside them (:func:`transopt.writer.spare_core`).
     """
     started = time.perf_counter()
     if len({loop_key(cfg) for cfg in cfgs}) != 1:
@@ -296,79 +337,104 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     rows = len(grads)
     state = optimizer.state
     k = 0
+    writer = None
+    if write_artifacts:
+        # the writer's module (and multiprocessing) load with the first
+        # loop that writes
+        from .writer import ArtifactWriter, spare_core
+
+        texts = [serialize_config(cfg) for cfg in cfgs]
+        writer = ArtifactWriter(
+            texts, [run_directory(cfg, out_root, text)
+                    for cfg, text in zip(cfgs, texts)], stars,
+            fork=spare_core(loops))
 
     try:
-        # numpy's overflow, divide and invalid-value warnings are off: each
-        # value they flag is screened in this loop and raised as one
-        # DomainError naming its step (the loss and gradient screens, the
-        # stepper's NaN-v, zero-rate and infinite-rate screens, and the
-        # monitor's positive-rate screen).
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for t in range(1, horizon + 1):
-                loss, g = problem.loss_and_grad(t, theta)
-                if not finite(loss):
-                    bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
-                    raise DomainError(
-                        f"non-finite loss at step {t}; run aborted",
-                        replica=int(bad[0]))
-                losses[t - 1] = loss
-                # the stepper rejects a non-finite gradient before it
-                # changes state
-                theta = optimizer.step(theta, g)
-                grads[k] = g
-                rates[k] = state.last_rate_raw
-                thetas[k] = theta
-                k += 1
-                if k == rows:
-                    monitor.flush(k)
-                    k = 0
-            monitor.finish(k)
-    except DomainError as exc:
-        names = [run_stem(cfg) for cfg in cfgs]
-        who = (", ".join(names) if exc.replica is None
-               else names[exc.replica])
-        raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
-    del grads, rates, thetas  # the monitor lets go of them too
+        try:
+            # numpy's overflow, divide and invalid-value warnings are off:
+            # each value they flag is screened in this loop and raised as
+            # one DomainError naming its step (the loss and gradient
+            # screens, the stepper's NaN-v, zero-rate and infinite-rate
+            # screens, and the monitor's positive-rate screen).
+            with np.errstate(over="ignore", divide="ignore",
+                             invalid="ignore"):
+                for t in range(1, horizon + 1):
+                    loss, g = problem.loss_and_grad(t, theta)
+                    if not finite(loss):
+                        bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
+                        raise DomainError(
+                            f"non-finite loss at step {t}; run aborted",
+                            replica=int(bad[0]))
+                    losses[t - 1] = loss
+                    # the stepper rejects a non-finite gradient before it
+                    # changes state
+                    theta = optimizer.step(theta, g)
+                    grads[k] = g
+                    rates[k] = state.last_rate_raw
+                    thetas[k] = theta
+                    k += 1
+                    if k == rows:
+                        monitor.flush(k)
+                        if writer is not None:
+                            writer.block(losses, monitor)
+                        k = 0
+                monitor.finish(k)
+        except DomainError as exc:
+            names = [run_stem(cfg) for cfg in cfgs]
+            who = (", ".join(names) if exc.replica is None
+                   else names[exc.replica])
+            raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
+        del grads, rates, thetas  # the monitor lets go of them too
+        if writer is not None:
+            writer.block(losses, monitor, last=True)
 
-    records = []
-    final_lr = optimizer.effective_lr()
-    for r, (cfg, p, schedule, star) in enumerate(
-            zip(cfgs, problems, schedules, stars)):
-        # replica r's column of the batch; a lone run's arrays as they are
-        run_losses = np.ascontiguousarray(losses.reshape(horizon, -1)[:, r])
-        run_theta = theta.reshape(-1, p.dim)[r]
-        regret = None
-        if star is not None:
-            # R(t) by the sequential sums of a per-step ledger; adding 0.0
-            # first turns a -0.0 difference into the ledger's 0.0 + -0.0
-            regret = np.subtract(run_losses, star, out=star)
-            regret[0] += 0.0
-            np.add.accumulate(regret, out=regret)
-        record = RunRecord(
-            config=cfg,
-            run_dir=None,
-            horizon=horizon,
-            losses=run_losses,
-            regret=regret,
-            rate_summary=monitor.rate_summary[r],
-            report=_make_condition_report(p, schedule, monitor, r),
-            final_theta=run_theta,
-            final_effective_lr=final_lr.reshape(-1, p.dim)[r],
-            histogram=monitor.histograms[r],
-            wall_clock=0.0,
-            grads=None if monitor.grads is None else monitor.grads[r],
-            rate_rows=(None if monitor.rate_rows is None
-                       else monitor.rate_rows[r]),
-        )
-        if isinstance(p, MlpClassification):
-            record.train_loss = p.train_loss(run_theta)
-            record.test_accuracy = p.test_accuracy(run_theta)
-        records.append(record)
-    wall_clock = (time.perf_counter() - started) / len(cfgs)
-    for record in records:
-        record.wall_clock = wall_clock
-        if write_artifacts:
-            record.run_dir = _write_artifacts(record, out_root)
+        records = []
+        final_lr = optimizer.effective_lr()
+        for r, (cfg, p, schedule, star) in enumerate(
+                zip(cfgs, problems, schedules, stars)):
+            # replica r's column of the batch; a lone run's arrays as they
+            # are
+            run_losses = np.ascontiguousarray(
+                losses.reshape(horizon, -1)[:, r])
+            run_theta = theta.reshape(-1, p.dim)[r]
+            regret = None
+            if star is not None:
+                # R(t) by the sequential sums of a per-step ledger; adding
+                # 0.0 first turns a -0.0 difference into the ledger's
+                # 0.0 + -0.0
+                regret = np.subtract(run_losses, star, out=star)
+                regret[0] += 0.0
+                np.add.accumulate(regret, out=regret)
+            record = RunRecord(
+                config=cfg,
+                run_dir=None,
+                horizon=horizon,
+                losses=run_losses,
+                regret=regret,
+                rate_summary=monitor.rate_summary[r],
+                report=_make_condition_report(p, schedule, monitor, r),
+                final_theta=run_theta,
+                final_effective_lr=final_lr.reshape(-1, p.dim)[r],
+                histogram=monitor.histograms[r],
+                wall_clock=0.0,
+                grads=None if monitor.grads is None else monitor.grads[r],
+                rate_rows=(None if monitor.rate_rows is None
+                           else monitor.rate_rows[r]),
+            )
+            if isinstance(p, MlpClassification):
+                record.train_loss = p.train_loss(run_theta)
+                record.test_accuracy = p.test_accuracy(run_theta)
+            records.append(record)
+        wall_clock = (time.perf_counter() - started) / len(cfgs)
+        for r, record in enumerate(records):
+            record.wall_clock = wall_clock
+            if writer is not None:
+                record.run_dir = _write_artifacts(record, writer, r)
+        if writer is not None:
+            writer.close()
+    finally:
+        if writer is not None:
+            writer.stop()
     return records
 
 
@@ -379,80 +445,12 @@ def run_directory(cfg: ExperimentConfig, out_root: Optional[str],
     return Path(root) / f"{run_stem(cfg)}-{config_hash(cfg, text)}"
 
 
-#: Rows of the per-step CSVs formatted at once.  Each distinct value of a
-#: block is formatted once (a 30k-step cycle run's losses hold 46
-#: distinct ones); at 2048 rows the writer's own peak stayed near 1 MB.
-WRITE_ROWS = 2048
-
-
-def _texts(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each float, as an object array shaped like
-    ``values``; each distinct bit pattern is formatted once, so -0.0 and
-    0.0 keep their own text."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(["%.17g" % x for x in bits.view(np.float64).tolist()],
-                    dtype=object)[index.reshape(values.shape)]
-
-
-def _csv_lines(columns: Sequence[np.ndarray]) -> str:
-    """CSV lines of equally long text columns, each ending in the csv
-    module's CRLF terminator."""
-    line = ",".join(["%s"] * len(columns)) + "\r\n"
-    cells = np.column_stack(columns).ravel().tolist()
-    return line * len(columns[0]) % tuple(cells)
-
-
-def _write_step_csvs(record: RunRecord, run_dir: Path) -> None:
-    """loss.csv, regret.csv and record.csv, one sampled step a row,
-    written together a block of rows at a time so that each block's
-    columns are formatted once for every file that holds them."""
-    ts = sampled_steps(record.horizon, record.config.stride)
-    regret = record.regret
-    headers = {"loss.csv": ["t", "loss"],
-               "regret.csv": ["t", "regret", "avg_regret",
-                              "regret_over_sqrt_t"],
-               "record.csv": ["t", "loss", "regret", "lr_min", "lr_median",
-                              "lr_max"]}
-    with contextlib.ExitStack() as stack:
-        loss_csv, regret_csv, record_csv = files = [
-            stack.enter_context(open(run_dir / name, "w", newline=""))
-            for name in headers]
-        for f, header in zip(files, headers.values()):
-            csv.writer(f).writerow(header)
-        for lo in range(0, len(ts), WRITE_ROWS):
-            t = ts[lo:lo + WRITE_ROWS]
-            t_text = np.array([str(x) for x in t.tolist()], dtype=object)
-            loss = _texts(record.losses[t - 1])
-            loss_csv.write(_csv_lines([t_text, loss]))
-            if regret is None:
-                regret_text = np.full(len(t), "", dtype=object)
-            else:
-                r = regret[t - 1]
-                regret_text = _texts(r)
-                t_float = t.astype(np.float64)
-                regret_csv.write(_csv_lines(
-                    [t_text, regret_text, _texts(r / t_float),
-                     _texts(r / np.sqrt(t_float))]))
-            # lr_min, lr_median and lr_max formatted at once: at d = 1
-            # all three are equal
-            summary = _texts(record.rate_summary[lo:lo + WRITE_ROWS])
-            record_csv.write(_csv_lines([t_text, loss, regret_text,
-                                         *summary.T]))
-
-
-def _write_artifacts(record: RunRecord, out_root: Optional[str]) -> Path:
-    cfg = record.config
-    text = serialize_config(cfg)
-    run_dir = run_directory(cfg, out_root, text)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    (run_dir / "config.yaml").write_text(text)
-    _write_step_csvs(record, run_dir)
-    record.histogram.to_csv(run_dir / "lr_hist.csv")
-    record.report.to_csv(run_dir / "conditions.csv")
-    (run_dir / "meta.json").write_text(
-        json.dumps(run_summary(record), indent=2) + "\n")
-    return run_dir
+def _write_artifacts(record: RunRecord, writer: ArtifactWriter,
+                     replica: int) -> Path:
+    """Hand run ``replica``'s scalars to its loop's writer, which writes
+    its conditions.csv and meta.json; returns its run directory."""
+    return writer.run(replica, record.report,
+                      json.dumps(run_summary(record), indent=2) + "\n")
 
 
 def run_summary(record: RunRecord) -> Dict[str, object]:

@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,8 @@ from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
                              compare_records, compare_run_dirs, read_conditions,
                              resolve_horizon, run_experiment)
 from transopt import runner
+from transopt import writer as writer_module
+from transopt.writer import ArtifactWriter
 
 
 def quadratic_cfg(optimizer="dstadam", horizon=300, seed=7, extra=""):
@@ -770,6 +776,218 @@ repeats: 3
         assert "healthy" not in err
 
 
+def _entries(root):
+    """Every path under root, as sorted names relative to it."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestArtifactWriter:
+    """Each loop's artifacts are written by a forked writer process, which
+    publishes a run directory only when it is complete."""
+
+    HEALTHY = ("problem: {kind: reddi, c: 3.0}\n"
+               "optimizer: {kind: sgdm}\nhorizon: 300\n")
+
+    @pytest.fixture(autouse=True)
+    def _no_writer_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_an_unwritable_root_fails_before_step_1(self, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg_path = tmp_path / "a.yaml"
+        cfg_path.write_text(self.HEALTHY)
+        (tmp_path / "file").write_text("")
+        steps = []
+        monkeypatch.setattr(
+            runner.RunMonitor, "flush",
+            lambda monitor, n: steps.append(n))
+        code = cli_main(["run", str(cfg_path), "--out",
+                         str(tmp_path / "file" / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: [Errno 20] Not a directory: "
+            f"'{tmp_path / 'file' / 'x'}'"]
+        assert steps == []
+        assert _entries(tmp_path) == ["a.yaml", "file"]
+
+    def test_a_failing_batch_leaves_no_entry_and_keeps_earlier_runs(
+            self, tmp_path):
+        out_root = tmp_path / "runs"
+        healthy = parse_config(self.HEALTHY)
+        earlier = run_experiment(healthy, str(out_root))
+        before = {name: (earlier.run_dir / name).read_bytes()
+                  for name in _entries(earlier.run_dir)}
+        cfgs = [parse_config(TestCli.OVERFLOW), healthy]
+        with pytest.raises(DomainError, match="at step 1, coordinate 0"):
+            runner.run_batch(cfgs, str(out_root))
+        assert _entries(out_root) == [earlier.run_dir.name] + [
+            f"{earlier.run_dir.name}/{name}" for name in sorted(before)]
+        assert {name: (earlier.run_dir / name).read_bytes()
+                for name in before} == before
+        # a fresh root is not left behind either
+        with pytest.raises(DomainError):
+            runner.run_batch(cfgs, str(tmp_path / "fresh" / "runs"))
+        assert not (tmp_path / "fresh").exists()
+
+    def test_a_rerun_republishes_the_same_bytes(self, tmp_path):
+        cfg = parse_config(self.HEALTHY)
+        first = run_experiment(cfg, str(tmp_path))
+        texts = {name: (first.run_dir / name).read_bytes()
+                 for name in CSV_ARTIFACTS}
+        second = run_experiment(cfg, str(tmp_path))
+        assert second.run_dir == first.run_dir
+        assert _entries(tmp_path) == [first.run_dir.name] + [
+            f"{first.run_dir.name}/{name}" for name in sorted(
+                (*CSV_ARTIFACTS, "config.yaml", "meta.json"))]
+        assert {name: (first.run_dir / name).read_bytes()
+                for name in CSV_ARTIFACTS} == texts
+
+    @pytest.mark.parametrize("where", ["report", "block"])
+    def test_a_write_error_leaves_no_entry(self, tmp_path, monkeypatch,
+                                           where):
+        # the writer is forked, so it inherits the patched name
+        def fail(*args):
+            raise OSError("disk full")
+
+        if where == "report":
+            monkeypatch.setattr(diagnostics.ConditionReport, "to_csv", fail)
+        else:
+            monkeypatch.setattr("transopt.writer._csv_lines", fail)
+        cfg = parse_config(self.HEALTHY.replace("300", "3000"))
+        with pytest.raises(OSError, match="^writing artifacts: disk full$"):
+            run_experiment(cfg, str(tmp_path / "runs"))
+        assert _entries(tmp_path) == []
+
+    def test_a_closed_pipe_ends_the_writer(self, tmp_path):
+        # as when the loop's process is killed: no end message, and the
+        # writer deletes its temporary directory and exits
+        cfg = parse_config(self.HEALTHY)
+        text = serialize_config(cfg)
+        writer = ArtifactWriter(
+            [text], [runner.run_directory(cfg, str(tmp_path / "runs"), text)],
+            [build_problem(cfg).star_losses(300)])
+        try:
+            temp, = (tmp_path / "runs").iterdir()
+        finally:
+            writer._conn.close()
+            writer._process.join(timeout=30)
+            stuck = writer._process.is_alive()
+            if stuck:
+                writer._process.kill()
+                writer._process.join()
+        assert temp.name.endswith(".tmp")
+        assert not stuck and writer._process.exitcode == 0
+        assert _entries(tmp_path) == []
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_the_files_hold_the_records_rows(self, tmp_path, stride):
+        # many flushes of a batch: at stride 7 several go in one hand-off
+        cfgs = [dataclasses.replace(_mixed_cfg(name, kind), horizon=3000,
+                                    stride=stride)
+                for name, kind in (("a", "adam"), ("b", "dstadam"))]
+        for record in runner.run_batch(cfgs, str(tmp_path)):
+            ts = sampled_steps(record.horizon, stride)
+            # each file's lines after its header, as lists: a failure
+            # reports the first row that differs
+            text = {name: (record.run_dir / name).read_bytes().decode()
+                    .split("\n")[1:-1] for name in CSV_ARTIFACTS}
+
+            def lines(*columns):
+                return [",".join(row) + "\r" for row in zip(*columns)]
+
+            fmt = np.vectorize(lambda x: "%.17g" % x, otypes=[object])
+            regret = record.regret[ts - 1]
+            assert text["loss.csv"] == lines(
+                ts.astype(str), fmt(record.losses[ts - 1]))
+            assert text["regret.csv"] == lines(
+                ts.astype(str), fmt(regret), fmt(regret / ts),
+                fmt(regret / np.sqrt(ts)))
+            assert text["record.csv"] == lines(
+                ts.astype(str), fmt(record.losses[ts - 1]), fmt(regret),
+                *fmt(record.rate_summary).T)
+            record.histogram.to_csv(tmp_path / "lr_hist.csv")
+            assert text["lr_hist.csv"] == (tmp_path / "lr_hist.csv") \
+                .read_bytes().decode().split("\n")[1:-1]
+
+    def test_a_spare_core_is_one_beside_the_loops(self):
+        cores = len(os.sched_getaffinity(0))
+        assert not writer_module.spare_core(cores)
+        assert writer_module.spare_core(cores - 1) == (cores > 1)
+
+    def test_without_a_spare_core_the_loop_writes_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        cfgs = [dataclasses.replace(_mixed_cfg(name, kind), horizon=3000,
+                                    stride=1)
+                for name, kind in (("a", "adam"), ("b", "dstadam"))]
+        forked = runner.run_batch(cfgs, str(tmp_path / "forked"))
+
+        def no_fork(*args):
+            raise AssertionError("a writer process was forked")
+
+        monkeypatch.setattr(writer_module.multiprocessing, "get_context",
+                            no_fork)
+        cores = len(os.sched_getaffinity(0))
+        inline = runner.run_batch(cfgs, str(tmp_path / "inline"),
+                                  loops=cores)
+        assert _entries(tmp_path / "inline") == _entries(tmp_path / "forked")
+        for a, b in zip(forked, inline):
+            for name in (*CSV_ARTIFACTS, "config.yaml"):
+                assert (a.run_dir / name).read_bytes() == \
+                    (b.run_dir / name).read_bytes(), name
+
+    def test_without_a_spare_core_a_failure_leaves_no_entry(
+            self, tmp_path, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        out_root = tmp_path / "runs"
+        healthy = parse_config(self.HEALTHY)
+        earlier = run_experiment(healthy, str(out_root), loops=cores)
+        before = {name: (earlier.run_dir / name).read_bytes()
+                  for name in _entries(earlier.run_dir)}
+        with pytest.raises(DomainError, match="at step 1, coordinate 0"):
+            runner.run_batch([parse_config(TestCli.OVERFLOW), healthy],
+                             str(out_root), loops=cores)
+        assert {name: (earlier.run_dir / name).read_bytes()
+                for name in _entries(earlier.run_dir)} == before
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("transopt.writer._csv_lines", fail)
+        with pytest.raises(OSError, match="^writing artifacts: disk full$"):
+            run_experiment(healthy, str(tmp_path / "fresh" / "runs"),
+                           loops=cores)
+        assert _entries(tmp_path) == ["runs"] + [
+            f"runs/{earlier.run_dir.name}"] + [
+            f"runs/{earlier.run_dir.name}/{name}" for name in sorted(before)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_sweep_to_a_file_prints_each_line_once(self, tmp_path, jobs):
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        # two loops: the second writer forks after the first line is
+        # printed into a block-buffered stdout
+        (sweep_dir / "a.yaml").write_text(self.HEALTHY)
+        (sweep_dir / "b.yaml").write_text(
+            "problem: {kind: quadratic, dim: 2}\n"
+            "optimizer: {kind: adam}\nhorizon: 50\n")
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w") as f:
+            subprocess.run(
+                [sys.executable, "-m", "transopt.cli", "sweep",
+                 str(sweep_dir), "--out", str(tmp_path / "runs"),
+                 "--jobs", jobs],
+                stdout=f, check=True, env=dict(
+                    os.environ, PYTHONPATH=str(Path(runner.__file__)
+                                               .parents[1])))
+        lines = stdout.read_text().splitlines()
+        assert len(lines) == 2
+        assert [Path(line.split()[0]).name.split("-")[0]
+                for line in lines] == ["reddi", "quadratic"]
+
+
 class TestOverflowedSecondMoment:
     def test_zero_rate_at_an_unsampled_step_raises(self, monkeypatch):
         # g = 1e308 at step 5 overflows v to inf for good: from then on
@@ -1089,7 +1307,7 @@ class TestMixedBatches:
 
 
 #: A config and, for each kind, shape or tuple field of its problem and
-#: loop, one change of it.
+#: loop, one change of it, made on a problem kind that reads the field.
 _KEY_BASE = """
 problem: {kind: quadratic, dim: 3, seed: 7, hidden: [4]}
 optimizer:
@@ -1100,10 +1318,15 @@ horizon: 20
 stride: 1
 batch_size: 8
 """
-_KEY_SPLITS = [("kind: quadratic", "kind: logistic"),
-               ("dim: 3", "dim: 4"), ("horizon: 20", "horizon: 21"),
-               ("stride: 1", "stride: 2"), ("batch_size: 8", "batch_size: 9"),
-               ("hidden: [4]", "hidden: [4, 4]")]
+_KEY_SPLITS = [pytest.param(old, new, kind, id=f"{old}-{new}")
+               for old, new, kind in (
+                   ("kind: quadratic", "kind: logistic", "quadratic"),
+                   ("dim: 3", "dim: 4", "quadratic"),
+                   ("horizon: 20", "horizon: 21", "quadratic"),
+                   ("stride: 1", "stride: 2", "quadratic"),
+                   # fields that only a dataset kind reads, on such a kind
+                   ("batch_size: 8", "batch_size: 9", "mlp"),
+                   ("hidden: [4]", "hidden: [4, 4]", "mlp"))]
 
 #: For each kind or tuple field of the optimizer, one change of it.
 _OPTIMIZER_CHANGES = [("kind: generic", "kind: adabound"),
@@ -1116,12 +1339,34 @@ _OPTIMIZER_CHANGES = [("kind: generic", "kind: adabound"),
 class TestBatchKey:
     """Which configs share one loop: :func:`runner.loop_key`."""
 
-    @pytest.mark.parametrize("old, new", _KEY_SPLITS)
-    def test_a_kind_shape_or_tuple_field_splits_the_key(self, old, new):
-        assert old in _KEY_BASE
-        base = parse_config(_KEY_BASE)
-        changed = parse_config(_KEY_BASE.replace(old, new))
+    @pytest.mark.parametrize("old, new, kind", _KEY_SPLITS)
+    def test_a_kind_shape_or_tuple_field_splits_the_key(self, old, new,
+                                                        kind):
+        text = _KEY_BASE.replace("kind: quadratic", f"kind: {kind}")
+        assert old in text
+        base = parse_config(text)
+        changed = parse_config(text.replace(old, new))
         assert runner.loop_key(base) != runner.loop_key(changed)
+
+    def test_fields_a_kind_never_reads_keep_the_key(self, tmp_path):
+        quadratic = ("problem: {kind: quadratic, dim: 2, seed: 3%s}\n"
+                     "optimizer: {kind: adam}\nhorizon: 30\n")
+        reddi = ("problem: {kind: reddi, seed: 3%s}\n"
+                 "optimizer: {kind: dstadam}\nhorizon: 30\n")
+        cfgs = [parse_config(text % extra) for text, extra in (
+            (quadratic, ", hidden: [4]"),
+            (quadratic + "batch_size: 9\n", ", hidden: [4, 4]"),
+            (reddi, ""), (reddi, ", n_train: 64"))]
+        assert runner.group_configs(cfgs) == [[0, 1], [2, 3]]
+        for group in ([0, 1], [2, 3]):
+            batch = runner.run_batch([cfgs[i] for i in group],
+                                     str(tmp_path / "batch"))
+            for i, got in zip(group, batch):
+                lone = run_experiment(cfgs[i], str(tmp_path / f"lone{i}"))
+                assert got.run_dir.name == lone.run_dir.name
+                for name in (*CSV_ARTIFACTS, "config.yaml"):
+                    assert (got.run_dir / name).read_bytes() == \
+                        (lone.run_dir / name).read_bytes(), (i, name)
 
     @pytest.mark.parametrize("old, new", _OPTIMIZER_CHANGES)
     def test_an_optimizer_field_keeps_the_key(self, old, new):
