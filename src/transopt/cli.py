@@ -15,11 +15,11 @@ The output root comes from --out, else the TRANSOPT_OUT environment
 variable, else the config's out_dir.
 
 Exit codes: 0 on success; 1 when ``sweep`` finds no config or
-``check-conditions`` an inverse-rate bound violated; 2 for a bad config,
-incomparable runs, a missing file or an output root or artifact that
-cannot be written (checked before a loop's first step); 3 when a run
-fails on its data (a DomainError naming the run, step and coordinate).
-Errors print as one ``error:`` line on stderr.
+``check-conditions`` an inverse-rate bound violated; 2 for a ``--jobs``
+below 1, a bad config, incomparable runs, a missing file or an output
+root or artifact that cannot be written (checked before a loop's first
+step); 3 when a run fails on its data (a DomainError naming the run,
+step and coordinate).  Errors print as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _execute(jobs, cfgs, out_root):
     tasks = [([cfgs[i] for i in group], out_root, loops) for group in groups]
     lines = [None] * len(cfgs)
     printed = 0
-    with (ProcessPoolExecutor(max_workers=jobs) if parallel
+    # a fork-started pool forks all its workers at once: one per loop
+    with (ProcessPoolExecutor(max_workers=loops) if parallel
           else contextlib.nullcontext()) as pool:
         results = (pool.map if parallel else map)(_run_group, tasks)
         for group, group_lines in zip(groups, results):
@@ -184,6 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ConfigError, ComparisonError, OSError, DomainError) as exc:

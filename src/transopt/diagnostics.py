@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
+from .optim import first_non_finite, screen_gradients
 
 #: Shared log10 grid so histograms of different optimizers line up.
 HIST_BINS = 60
@@ -374,20 +375,26 @@ class RunMonitor:
     ``box``, ``beta2`` and ``sqrt_decay`` hold one entry per run: its
     feasible box, the constant decay of its zeta (None for a run without
     a schedule, which gets no zeta) and whether its effective rate is
-    eta-hat divided by sqrt(t).  The step loop copies step t's gradients,
-    raw rates eta-hat and iterates, (R, d) or (d,), into row k of the
-    three (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
+    eta-hat divided by sqrt(t).  The step loop writes step t's losses
+    into row t - 1 of the (T, R) ``losses``, copies its gradients, raw
+    rates eta-hat and iterates, (R, d) or (d,), into row k of the three
+    (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
     :func:`buffer_rows`) and calls ``flush(k + 1)`` when they are full
-    and ``finish(k)`` after the last step.  A flush reduces the whole block over its coordinate axis, so
-    it makes one call per monitor whatever R is: a raw rate that is not
-    positive raises, naming the run, step and coordinate, at any stride;
-    the min/median/max of the sampled steps' raw rates go to
-    ``rate_summary`` (R, sampled steps, 3), and their effective rates to
-    each run's own ``histograms[r]``; the iterates are tested against
-    the boxes, and the C2, inverse-rate, |g| and zeta state are (R,)
-    arrays.  The runs keep O(R d) state besides the per-sampled-step
-    histogram and summary rows; ``grads`` and ``rate_rows`` hold the
-    (R, T, d) trajectories only with ``keep_trajectory``.
+    and ``finish(k)`` after the last step.
+
+    A flush first screens the block's losses and gradients
+    (:meth:`screen`), so no non-finite one reaches a monitor, a
+    histogram or the artifacts.  Then it reduces the whole block over
+    its coordinate axis, so it makes one call per monitor whatever R
+    is: a raw rate that is not positive raises, naming the run, step and
+    coordinate, at any stride; the min/median/max of the sampled steps'
+    raw rates go to ``rate_summary`` (R, sampled steps, 3), and their
+    effective rates to each run's own ``histograms[r]``; the iterates
+    are tested against the boxes, and the C2, inverse-rate, |g| and
+    zeta state are (R,) arrays.  The runs keep O(R d) state besides the
+    per-step losses and the per-sampled-step histogram and summary
+    rows; ``grads`` and ``rate_rows`` hold the (R, T, d) trajectories
+    only with ``keep_trajectory``.
     """
 
     def __init__(self, dim: int, horizon: int, stride: int,
@@ -395,6 +402,7 @@ class RunMonitor:
                  sqrt_decay: Sequence[bool], keep_trajectory: bool = False):
         replicas = len(box)
         rows = buffer_rows(horizon, replicas * dim)
+        self.losses = np.zeros((horizon, replicas))
         self.buffers = tuple(np.empty((rows, replicas, dim))
                              for _ in range(3))
         self.steps = sampled_steps(horizon, stride)
@@ -438,9 +446,29 @@ class RunMonitor:
             self.flush(n)
         self.buffers = ()
 
+    def screen(self, n: int) -> None:
+        """Raise DomainError at the first non-finite loss or gradient of
+        the n steps after the last flush (the first n buffer rows).
+
+        The error names the first bad step; at one step a bad loss comes
+        before a bad gradient, and then the first bad run and
+        coordinate, as a screen at each step would.
+        """
+        t0 = self.t
+        losses = self.losses[t0:t0 + n]
+        k = first_non_finite(losses)
+        grads = self.buffers[0][:k]
+        # a lone run's gradients are (d,), whose error names no run
+        screen_gradients(grads[:, 0] if grads.shape[1] == 1 else grads, t0)
+        if k < n:
+            raise DomainError(
+                f"non-finite loss at step {t0 + k + 1}; run aborted",
+                replica=int(np.argmax(~np.isfinite(losses[k]))))
+
     def flush(self, n: int) -> None:
-        """Hand the first n buffer rows, the steps after the last flush,
-        to the monitors."""
+        """Screen the first n buffer rows, the steps after the last flush,
+        and hand them to the monitors."""
+        self.screen(n)
         grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self.t = self.t, self.t + n
         if self.grads is not None:

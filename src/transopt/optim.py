@@ -30,13 +30,19 @@ carried product, and the rest is elementwise arithmetic, which rounds as
 the scalar does, so every step keeps the bits it had when each scalar
 was computed at its own step.
 
-Bad inputs raise before any state changes; a NaN second moment (an
-overflowed one times a zero beta2) or a bad derived rate raises after
-the in-place moment update, before t, the beta products and the last
-rates advance.  A screen that the block's coefficients show cannot fire
-at a step (the NaN screen under a positive beta2, the positive-rate
-screen under a positive shift, the metric screen under a finite largest
-rate) is skipped there.
+A direct call to ``step`` rejects a bad input (a wrong shape or a
+non-finite gradient, :func:`screen_gradients`) before any state
+changes.  The step loop of :func:`transopt.runner.run_batch` clears its
+stepper's ``screens_inputs`` and screens each buffer of steps once
+instead (:meth:`transopt.diagnostics.RunMonitor.screen`), so there a
+non-finite gradient enters m, v and theta, and the run fails at the end
+of its buffer (64 to 528 steps), naming the step where it appeared.  A
+NaN second moment (an overflowed one times a zero beta2) or a bad
+derived rate raises after the in-place moment update, before t, the
+beta products and the last rates advance.  A screen that the block's
+coefficients show cannot fire at a step (the NaN screen under a
+positive beta2, the positive-rate screen under a positive shift, the
+metric screen under a finite largest rate) is skipped there.
 
 A stepper steps the rows of the steppers it was built from: a lone
 stepper is a batch of one row, its own, over a (d,) iterate, and
@@ -123,6 +129,29 @@ def stack_kinds(steppers: Sequence["_AdaptiveStepper"]
     batch.state = stack_like([o.state for o in steppers])
     batch._rows = tuple(steppers)
     return batch
+
+
+def first_non_finite(block: np.ndarray) -> int:
+    """The first index along the leading (step) axis of block at which
+    some entry is not finite, or the block's length.  The sum screens
+    the block in one reduction; the exact test runs only when the sum is
+    not finite, which large finite values can reach by overflow."""
+    if math.isfinite(np.add.reduce(block, None)):
+        return len(block)
+    return _first(~np.isfinite(block))
+
+
+def screen_gradients(grads: np.ndarray, t0: int) -> None:
+    """Raise DomainError at the first non-finite gradient of a block.
+
+    ``grads`` holds the gradients of steps t0 + 1, t0 + 2, ... along its
+    leading axis, each (d,) or, in a batch, (R, d); the error names the
+    first bad step, then its first bad replica and coordinate.
+    """
+    k = first_non_finite(grads)
+    if k < len(grads):
+        _raise_first(~np.isfinite(grads[k]), f"non-finite gradient at step "
+                                             f"{t0 + k + 1}, coordinate {{i}}")
 
 
 def _raise_first(bad: np.ndarray, message: str) -> None:
@@ -352,15 +381,19 @@ class _AdaptiveStepper:
         self._block_start = 1
         # whether some replica's running max of ||m_t||_inf may still be 0
         self._zero_peak = True
+        # whether step screens its inputs (_check_inputs)
+        self.screens_inputs = True
 
     def _check_inputs(self, theta: np.ndarray, grad: np.ndarray):
-        """Reject a bad step before any state changes.
+        """Reject a bad step of a direct caller before any state changes.
 
         A non-finite gradient would otherwise pass into m, v and theta
         (``np.maximum`` and the rate blend propagate NaN), so it raises
-        naming the step and the first bad coordinate.  The sum screens
-        it in one reduction; the exact test runs only when the sum is
-        not finite, which a finite gradient can reach by overflow.
+        naming the step and the first bad coordinate: the gradient
+        screen of a block of one step.  A stepper whose
+        ``screens_inputs`` is cleared skips this; its caller screens the
+        shapes and values (the step loop of
+        :func:`transopt.runner.run_batch`).
         """
         shape = self.state.m.shape
         # np.shape, which costs more than the attribute, only for inputs
@@ -372,11 +405,7 @@ class _AdaptiveStepper:
         if getattr(grad, "shape", None) != shape and np.shape(grad) != shape:
             raise DimensionError(
                 f"grad has shape {np.shape(grad)}, expected {shape}")
-        if not math.isfinite(np.add.reduce(grad, None)):
-            bad = ~np.isfinite(grad)
-            if bad.any():
-                _raise_first(bad, f"non-finite gradient at step "
-                                  f"{self.state.t + 1}, coordinate {{i}}")
+        screen_gradients(np.asarray(grad)[None], self.state.t)
 
     def effective_lr(self) -> np.ndarray:
         """Per-coordinate rate applied at the most recent step."""
@@ -495,7 +524,8 @@ class _AdaptiveStepper:
         self._finite_from = finite_from
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self._check_inputs(theta, grad)
+        if self.screens_inputs:
+            self._check_inputs(theta, grad)
         s, cfg = self.state, self.cfg
         t = s.t + 1
         k = t - self._block_start
@@ -516,7 +546,7 @@ class _AdaptiveStepper:
             # A finite gradient can overflow v to inf, which only zeroes
             # that coordinate's rate while b2 > 0 (the run monitors reject
             # that rate); b2 = 0 turns it into NaN at the next step, and
-            # NaN would reach theta.  Screened as in _check_inputs.
+            # NaN would reach theta.  Screened as in screen_gradients.
             if self._nan_v and not math.isfinite(np.add.reduce(v, None)):
                 bad = np.isnan(v)
                 if bad.any():

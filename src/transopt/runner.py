@@ -17,13 +17,23 @@ row of one skeleton step (:func:`transopt.optim.stack_kinds`).  Replica
 r writes the bytes its config writes alone; ``run_experiment`` is the
 case R = 1, where every array is (d,).
 
-The step loop only copies each step's gradients, rates and iterates into
-three small preallocated (rows, R, d) buffers; a full buffer is flushed
-as one block to the loop's one streamed monitor
-(:class:`~transopt.diagnostics.RunMonitor`), which reduces it over the
-coordinate axis for all R replicas at once.  So run memory is O(R d)
+The step loop only copies each step's losses into a (T, R) array and
+its gradients, rates and iterates into three small preallocated
+(rows, R, d) buffers; a full buffer is flushed as one block to the
+loop's one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`),
+which screens the block's losses and gradients and then reduces it over
+the coordinate axis for all R replicas at once.  So run memory is O(R d)
 besides the per-step losses and the per-sampled-step histogram rows.
 The regret is one cumulative sum after the loop.
+
+The loop screens its inputs a buffer at a time, not a step at a time:
+its stepper skips the per-step input screens, and a non-finite loss or
+gradient raises at the end of its buffer, or when a screen inside the
+step fires first, naming the step, replica and coordinate a screen at
+each step would name.  Until then the run steps on with the bad value
+in theta and the optimizer state, for at most one buffer
+(:func:`~transopt.diagnostics.buffer_rows`, 64 to 528 steps); no
+monitor, histogram or artifact sees it.
 
 The artifacts are written by a writer process forked per loop
 (:class:`transopt.writer.ArtifactWriter`; it needs POSIX ``fork``),
@@ -312,26 +322,24 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     # one replica steps the lone problem and stepper over (d,) arrays
     problem = stack_problems(problems)
     optimizer = stack_kinds(optimizers)
+    # the monitor screens the inputs a buffer of steps at a time
+    # (RunMonitor.screen), so the loop's stepper skips its own screens
+    optimizer.screens_inputs = False
 
     theta = np.stack([p.initial_point(cfg.problem.seed)
                       for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
     # The comparators' losses, which step t's regret subtracts
     stars = [p.star_losses(horizon) if p.theta_star is not None else None
              for p in problems]
-    # (T,) for one replica, whose loss is a float; (T, R) for a batch
-    losses = np.empty((horizon, *problem.shape[:-1]))
-    # a batch's losses screened by their sum, as the stepper screens a
-    # gradient; the exact test runs only when the sum is not finite
-    finite = math.isfinite if len(cfgs) == 1 else (
-        lambda row: math.isfinite(np.add.reduce(row, None))
-        or bool(np.isfinite(row).all()))
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
         [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory)
-    # views of the monitor's (rows, R, d) buffers whose rows take a step's
-    # arrays as they are: a broadcast (d,) -> (1, d) copy costs more
+    # views of the monitor's (T, R) losses and (rows, R, d) buffers whose
+    # rows take a step's values as they are: (T,) for one replica, whose
+    # loss is a float; a broadcast (d,) -> (1, d) copy costs more
+    losses = monitor.losses.reshape(horizon, *problem.shape[:-1])
     grads, rates, thetas = (b.reshape(len(b), *problem.shape)
                             for b in monitor.buffers)
     rows = len(grads)
@@ -353,22 +361,22 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         try:
             # numpy's overflow, divide and invalid-value warnings are off:
             # each value they flag is screened in this loop and raised as
-            # one DomainError naming its step (the loss and gradient
-            # screens, the stepper's NaN-v, zero-rate and infinite-rate
-            # screens, and the monitor's positive-rate screen).
+            # one DomainError naming its step (the monitor's loss and
+            # gradient screens and positive-rate screen, and the
+            # stepper's NaN-v, zero-rate and infinite-rate screens).
             with np.errstate(over="ignore", divide="ignore",
                              invalid="ignore"):
                 for t in range(1, horizon + 1):
                     loss, g = problem.loss_and_grad(t, theta)
-                    if not finite(loss):
-                        bad = np.flatnonzero(~np.isfinite(np.ravel(loss)))
-                        raise DomainError(
-                            f"non-finite loss at step {t}; run aborted",
-                            replica=int(bad[0]))
                     losses[t - 1] = loss
-                    # the stepper rejects a non-finite gradient before it
-                    # changes state
-                    theta = optimizer.step(theta, g)
+                    try:
+                        theta = optimizer.step(theta, g)
+                    except DomainError:
+                        # a bad loss or gradient of this step or an
+                        # earlier one of the buffer raises first
+                        grads[k] = g
+                        monitor.screen(k + 1)
+                        raise
                     grads[k] = g
                     rates[k] = state.last_rate_raw
                     thetas[k] = theta

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transopt import cli
 from transopt.cli import main as cli_main
 from transopt import config as config_module
 from transopt import diagnostics
@@ -694,6 +695,39 @@ horizon: {horizon}
                          "--jobs", "2"]) == 0
         assert len(list(out_root.iterdir())) == 2
 
+    def test_a_pool_forks_one_worker_per_loop(self, tmp_path, monkeypatch):
+        # a fork-started pool forks all its workers at once, so --jobs 500
+        # over two configs, one loop each once split among the workers,
+        # must build a pool of 2
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        self.write_cfg(sweep_dir, name="a.yaml", optimizer="adam")
+        self.write_cfg(sweep_dir, name="b.yaml", optimizer="sgdm")
+        sizes = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                assert max_workers == 2
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        out_root = tmp_path / "runs"
+        assert cli_main(["sweep", str(sweep_dir), "--out", str(out_root),
+                         "--jobs", "500"]) == 0
+        assert sizes == [2]
+        assert len(list(out_root.iterdir())) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_exit_2(self, tmp_path, capsys, jobs):
+        cfg_path = self.write_cfg(tmp_path)
+        out_root = tmp_path / "runs"
+        assert cli_main(["run", str(cfg_path), "--out", str(out_root),
+                         "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out_root.exists()
+
     def test_seed_flag_changes_run_dir(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out_root = tmp_path / "runs"
@@ -962,6 +996,40 @@ class TestArtifactWriter:
         assert _entries(tmp_path) == ["runs"] + [
             f"runs/{earlier.run_dir.name}"] + [
             f"runs/{earlier.run_dir.name}/{name}" for name in sorted(before)]
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_a_nan_gradient_reaches_no_artifact(self, tmp_path, monkeypatch,
+                                                fork):
+        # stride 10 samples step 20, whose NaN rates would fail the
+        # histogram ("only positive finite rates can be binned") if the
+        # block screen let them through
+        oracle = QuadraticTracking.loss_and_grad
+
+        def nan_at_step_20(self, t, theta):
+            loss, g = oracle(self, t, theta)
+            if t == 20:
+                g[..., 1] = math.nan
+            return loss, g
+
+        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
+                            nan_at_step_20)
+        loops = 1
+        if not fork:
+            def no_fork(*args):
+                raise AssertionError("a writer process was forked")
+
+            monkeypatch.setattr(writer_module.multiprocessing, "get_context",
+                                no_fork)
+            loops = len(os.sched_getaffinity(0))
+        cfgs = [dataclasses.replace(_mixed_cfg(name, kind), horizon=300,
+                                    stride=10)
+                for name, kind in (("a", "adam"), ("b", "dstadam"))]
+        with pytest.raises(DomainError) as err:
+            runner.run_batch(cfgs, str(tmp_path / "runs"), loops=loops)
+        assert str(err.value) == \
+            "a: non-finite gradient at step 20, coordinate 1"
+        assert _entries(tmp_path) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_sweep_to_a_file_prints_each_line_once(self, tmp_path, jobs):
