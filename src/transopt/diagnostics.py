@@ -7,8 +7,13 @@ axis and carries O(R d) state between blocks (the previous rate row for
 C2, the v recursion and prefix sum of g^2 for zeta, the running max of
 1/eta_hat for the inverse-rate cap, and per run C2's violation count and
 first violation).  :class:`RunMonitor` feeds them all from the step
-buffers of one step loop; ``check_c2``, ``estimate_zeta`` and
-``eta_bound_check`` feed a whole (T, d) array as one block of one run.
+buffers of one step loop: the screens, the inverse-rate max, the rate
+summaries and the histograms in the loop's process, and the reductions
+that never raise (:class:`ConditionMonitors`: zeta, C2, the box test and
+the |g| max) there too, or, for a long loop with a writer process, in
+that process (:mod:`transopt.writer`).  ``check_c2``, ``estimate_zeta``
+and ``eta_bound_check`` feed a whole (T, d) array as one block of one
+run.
 :func:`buffer_rows` is the one block rule of a pass over the steps (the
 step buffers and ``QuadraticTracking.star_losses``), and :data:`TOL` the
 one tolerance of every check.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -92,11 +98,16 @@ class LrHistogram:
         slots = self.edges.searchsorted(rows, side="right")
         slots += np.arange(0, n * self._width, self._width)[:, None]
         counts = np.bincount(slots.ravel(), minlength=n * self._width)
-        # a counter never exceeds the dimension, so the smallest unsigned
-        # type that holds d holds it (one byte a counter below d = 256)
         self.counts.append(counts.reshape(n, self._width).astype(
-            np.min_scalar_type(rows.shape[1])))
+            self.counter_type(rows.shape[1])))
         self.steps.append(np.array(ts, dtype=np.int64))
+
+    @staticmethod
+    def counter_type(dim: int) -> np.dtype:
+        """The type of the counters of rows of ``dim`` rates: a counter
+        never exceeds the dimension, so the smallest unsigned type that
+        holds d holds it (one byte a counter below d = 256)."""
+        return np.min_scalar_type(dim)
 
     @property
     def rows(self) -> List[Tuple[int, np.ndarray, int, int]]:
@@ -368,6 +379,99 @@ def buffer_rows(horizon: int, dim: int) -> int:
     return min(horizon, rows, HIST_ELEMENTS // (HIST_BINS + 2))
 
 
+#: numpy's error handling in the step loop and in the reductions of its
+#: blocks, wherever they run: overflow, divide and invalid-value warnings
+#: off.  Each value they flag in the loop is screened there and raised as
+#: one DomainError naming its step (the monitor's loss and gradient
+#: screens and positive-rate screen, and the stepper's NaN-v, zero-rate
+#: and infinite-rate screens); a reduction reports what it meets, as the
+#: zeta sums that a big finite gradient's square overflows to inf.
+STEP_ERRSTATE = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+class ConditionMonitors:
+    """The streamed reductions of R runs' condition reports that never
+    raise: C2, zeta, the box test of the iterates and the max of |g|,
+    fed the (n, R, d) gradient, raw-rate and iterate rows of consecutive
+    steps.
+
+    ``box`` and ``beta2`` hold one entry per run, as for
+    :class:`RunMonitor`.  A step loop runs them in its writer process
+    when it has one (:mod:`transopt.writer`), which sends their final
+    state back pickled, and otherwise at its flushes; either way under
+    :data:`STEP_ERRSTATE`.
+    """
+
+    def __init__(self, dim: int, box: Sequence,
+                 beta2: Sequence[Optional[float]]):
+        replicas = len(box)
+        self.c2 = C2Monitor(replicas)
+        self._beta2 = list(beta2)
+        zeta_rows = [r for r, b in enumerate(beta2) if b is not None]
+        self._zeta_rows = (slice(None) if len(zeta_rows) == replicas
+                           else zeta_rows)
+        self.zeta = (ZetaMonitor(dim, [beta2[r] for r in zeta_rows])
+                     if zeta_rows else None)
+        # runs without a finite side have no iterate to test
+        self._lo = np.stack([b.lo for b in box])
+        self._hi = np.stack([b.hi for b in box])
+        self._boxed = bool(np.isfinite(self._lo).any()
+                           or np.isfinite(self._hi).any())
+        self.grad_abs_max = np.zeros(replicas)
+        self.iterates_feasible = np.ones(replicas, dtype=bool)
+
+    @property
+    def zeta_min(self) -> List[Optional[float]]:
+        """Each run's zeta; None for a run fed no beta2."""
+        values = iter(self.zeta.value if self.zeta else ())
+        return [None if b is None else next(values) for b in self._beta2]
+
+    def update(self, grads: np.ndarray, rates: np.ndarray,
+               thetas: np.ndarray) -> None:
+        if self._boxed and self.iterates_feasible.any():
+            self.iterates_feasible &= np.all(
+                (thetas >= self._lo) & (thetas <= self._hi), axis=(0, 2))
+        self.c2.update(rates)
+        if self.zeta is not None:
+            self.zeta.update(grads[:, self._zeta_rows])
+        np.maximum(self.grad_abs_max, np.max(grads, axis=(0, 2)),
+                   out=self.grad_abs_max)
+        np.maximum(self.grad_abs_max, -np.min(grads, axis=(0, 2)),
+                   out=self.grad_abs_max)
+
+
+#: Fewest buffers of steps whose reductions a loop's writer process runs.
+#: The loop waits for the reductions of its last block, and with few
+#: blocks that wait (a wake-up and the writer's backlog) costs more than
+#: the overlap saves: the criterion-02 grid, three loops of 8 runs of 200
+#: steps in 3 buffers each, waited about 6 ms a loop for them and took
+#: 7% longer in all.
+WRITER_BLOCKS = 8
+
+#: The step slots of a monitor whose writer process reduces them: two,
+#: so that the loop fills one while the writer reduces the other, and
+#: more while they hold at most SLOT_BYTES together, up to MAX_SLOTS.  A
+#: writer woken under SCHED_BATCH can wait about a scheduler tick for a
+#: CPU, longer than the 100k-step quadratic takes to fill a slot (204
+#: steps, about 3 ms): with two slots its loop waited for a free slot
+#: for 1-5% of a sweep, with four almost never.  An MLP batch's slots
+#: are megabytes each, so it gets two.
+SLOT_BYTES = 2 ** 18
+MAX_SLOTS = 4
+
+
+def shared_slots(size: int) -> int:
+    """Step slots of a monitor whose writer reduces them, with buffers
+    of ``size`` elements each (rows * R * d)."""
+    return min(MAX_SLOTS, max(2, SLOT_BYTES // (3 * 8 * size)))
+
+
+def _shared_zeros(shape: Tuple[int, ...]) -> np.ndarray:
+    """A float64 array of zeros in its own anonymous shared mapping: a
+    process forked after it is made sees every later write to it."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+
+
 class RunMonitor:
     """Every streamed monitor of the R runs of one step loop, fed a block
     of steps at a time; a lone run is R = 1.
@@ -389,43 +493,51 @@ class RunMonitor:
     is: a raw rate that is not positive raises, naming the run, step and
     coordinate, at any stride; the min/median/max of the sampled steps'
     raw rates go to ``rate_summary`` (R, sampled steps, 3), and their
-    effective rates to each run's own ``histograms[r]``; the iterates
-    are tested against the boxes, and the C2, inverse-rate, |g| and
-    zeta state are (R,) arrays.  The runs keep O(R d) state besides the
-    per-step losses and the per-sampled-step histogram and summary
-    rows; ``grads`` and ``rate_rows`` hold the (R, T, d) trajectories
-    only with ``keep_trajectory``.
+    effective rates to each run's own ``histograms[r]``.  The reductions
+    that never raise (``conditions``: C2, zeta, the box test and |g|)
+    run at the flush too, unless ``writer_reduces``.
+
+    A ``shared`` monitor keeps its losses and rate summaries in anonymous
+    shared mappings, for the loop's writer process forked after it to
+    read.  When the run spans at least :data:`WRITER_BLOCKS` buffers of
+    steps, the writer also runs the reductions (``writer_reduces``): the
+    buffers are ``slots[slot]``, one of :func:`shared_slots` slots of one
+    more shared mapping, and the writer reduces each flushed slot while
+    the loop fills the next.
+
+    The runs keep O(R d) state besides the per-step losses and the
+    per-sampled-step histogram and summary rows; ``grads`` and
+    ``rate_rows`` hold the (R, T, d) trajectories only with
+    ``keep_trajectory``.
     """
 
     def __init__(self, dim: int, horizon: int, stride: int,
                  box: Sequence, beta2: Sequence[Optional[float]],
-                 sqrt_decay: Sequence[bool], keep_trajectory: bool = False):
+                 sqrt_decay: Sequence[bool], keep_trajectory: bool = False,
+                 shared: bool = False):
         replicas = len(box)
         rows = buffer_rows(horizon, replicas * dim)
-        self.losses = np.zeros((horizon, replicas))
-        self.buffers = tuple(np.empty((rows, replicas, dim))
-                             for _ in range(3))
+        self.dim = dim
+        self.writer_reduces = shared and horizon > (WRITER_BLOCKS - 1) * rows
+        zeros = _shared_zeros if shared else np.zeros
+        self.losses = zeros((horizon, replicas))
+        # (slots, grads/rates/thetas, rows, R, d)
+        if self.writer_reduces:
+            self.slots = _shared_zeros((shared_slots(rows * replicas * dim),
+                                        3, rows, replicas, dim))
+        else:
+            self.slots = np.zeros((1, 3, rows, replicas, dim))
+        self.slot = 0
+        # the grads, rates and thetas buffers the loop fills
+        self.buffers = tuple(self.slots[0])
         self.steps = sampled_steps(horizon, stride)
         self.histograms = [LrHistogram() for _ in range(replicas)]
-        self.rate_summary = np.empty((replicas, len(self.steps), 3))
-        self.c2 = C2Monitor(replicas)
+        self.rate_summary = zeros((replicas, len(self.steps), 3))
         self.inverse_rate = InverseRateMonitor(replicas)
-        self._beta2 = list(beta2)
-        zeta_rows = [r for r, b in enumerate(beta2) if b is not None]
-        self._zeta_rows = (slice(None) if len(zeta_rows) == replicas
-                           else zeta_rows)
-        self.zeta = (ZetaMonitor(dim, [beta2[r] for r in zeta_rows])
-                     if zeta_rows else None)
+        self.conditions = ConditionMonitors(dim, box, beta2)
         # effective rate = raw / divisor, with a divisor of 1 (exact) for
         # the runs without sqrt_decay
         self._sqrt_decay = np.array(sqrt_decay, dtype=bool)[:, None]
-        # runs without a finite side have no iterate to test
-        self._lo = np.stack([b.lo for b in box])
-        self._hi = np.stack([b.hi for b in box])
-        self._boxed = bool(np.isfinite(self._lo).any()
-                           or np.isfinite(self._hi).any())
-        self.grad_abs_max = np.zeros(replicas)
-        self.iterates_feasible = np.ones(replicas, dtype=bool)
         self.grads = self.rate_rows = None
         if keep_trajectory:
             self.grads = np.empty((replicas, horizon, dim))
@@ -434,17 +546,17 @@ class RunMonitor:
         self.t = 0
         self.sampled = 0
 
-    @property
-    def zeta_min(self) -> List[Optional[float]]:
-        """Each run's zeta; None for a run fed no beta2."""
-        values = iter(self.zeta.value if self.zeta else ())
-        return [None if b is None else next(values) for b in self._beta2]
+    def next_slot(self) -> int:
+        """Fill the next step slot; returns it."""
+        self.slot = (self.slot + 1) % len(self.slots)
+        self.buffers = tuple(self.slots[self.slot])
+        return self.slot
 
     def finish(self, n: int) -> None:
         """Flush the last n rows, if any, and let go of the buffers."""
         if n:
             self.flush(n)
-        self.buffers = ()
+        self.slots = self.buffers = None
 
     def screen(self, n: int) -> None:
         """Raise DomainError at the first non-finite loss or gradient of
@@ -494,20 +606,20 @@ class RunMonitor:
                     self._sqrt_decay, np.sqrt(ts)[:, None, None], 1.0)
             for r, histogram in enumerate(self.histograms):
                 histogram.record_rows(ts, effective[:, r])
+            # min, median and max of one sort; the histogram has screened
+            # every rate finite, and np.median's mean of the two middle
+            # values of an even count is (a + b) / 2
+            ordered = np.sort(sampled, axis=2)
+            half = ordered.shape[2] // 2
+            median = ordered[..., half]
+            if not ordered.shape[2] % 2:
+                median = (ordered[..., half - 1] + median) / 2
             summary = self.rate_summary[:, lo:hi]
-            summary[..., 0] = np.min(sampled, axis=2).T
-            summary[..., 1] = np.median(sampled, axis=2).T
-            summary[..., 2] = np.max(sampled, axis=2).T
-        if self._boxed and self.iterates_feasible.any():
-            self.iterates_feasible &= np.all(
-                (thetas >= self._lo) & (thetas <= self._hi), axis=(0, 2))
-        self.c2.update(rates)
-        if self.zeta is not None:
-            self.zeta.update(grads[:, self._zeta_rows])
-        np.maximum(self.grad_abs_max, np.max(grads, axis=(0, 2)),
-                   out=self.grad_abs_max)
-        np.maximum(self.grad_abs_max, -np.min(grads, axis=(0, 2)),
-                   out=self.grad_abs_max)
+            summary[..., 0] = ordered[..., 0].T
+            summary[..., 1] = median.T
+            summary[..., 2] = ordered[..., -1].T
+        if not self.writer_reduces:
+            self.conditions.update(grads, rates, thetas)
 
 
 @dataclass(frozen=True)

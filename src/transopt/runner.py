@@ -24,7 +24,9 @@ loop's one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`),
 which screens the block's losses and gradients and then reduces it over
 the coordinate axis for all R replicas at once.  So run memory is O(R d)
 besides the per-step losses and the per-sampled-step histogram rows.
-The regret is one cumulative sum after the loop.
+The regret is one cumulative sum after the loop; a sum that passes the
+largest double raises a DomainError naming the run and the first step
+whose R(t) is not finite.
 
 The loop screens its inputs a buffer at a time, not a step at a time:
 its stepper skips the per-step input screens, and a non-finite loss or
@@ -38,10 +40,14 @@ monitor, histogram or artifact sees it.
 The artifacts are written by a writer process forked per loop
 (:class:`transopt.writer.ArtifactWriter`; it needs POSIX ``fork``),
 which appends each flushed block's CSV rows while the loop steps on and
-publishes a run directory only when it is complete.  When the loops
-running at once leave no core to spare, the loop's process runs the
-same writing code itself.  Every monitor, screen and DomainError stays
-in the loop's process.
+publishes a run directory only when it is complete.  In a loop of at
+least :data:`~transopt.diagnostics.WRITER_BLOCKS` buffers the writer
+also runs the condition report's reductions that never raise (zeta, C2,
+the box test and the |g| max), reading the step buffers from slots of a
+shared mapping.  When the loops running at once leave no core to spare,
+the loop's process runs the same writing code itself, and the monitor
+runs every reduction at its flushes.  The screens, the rate summaries
+and histograms, and every DomainError stay in the loop's process.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ import numpy as np
 
 from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
                      config_hash, reset_values, serialize_config)
-from .diagnostics import (TOL, ConditionReport, LrHistogram, RunMonitor,
-                          inverse_rate_bounded)
+from .diagnostics import (STEP_ERRSTATE, TOL, ConditionReport, LrHistogram,
+                          RunMonitor, inverse_rate_bounded)
 # perfbench/tracer.py times the whole-array checks under these names
 from .diagnostics import check_c2, estimate_zeta, eta_bound_check  # noqa: F401
 from .errors import ComparisonError, ConfigError, DomainError
@@ -222,17 +228,18 @@ def _make_condition_report(problem: OnlineProblem,
                            schedule: Optional[TransitionSchedule],
                            monitor: RunMonitor,
                            replica: int) -> ConditionReport:
+    conditions = monitor.conditions
     report = ConditionReport(
-        c2_violation_count=int(monitor.c2.count[replica]),
-        c2_first_violation=monitor.c2.first[replica],
+        c2_violation_count=int(conditions.c2.count[replica]),
+        c2_first_violation=conditions.c2.first[replica],
         inverse_rate_max=float(monitor.inverse_rate.max[replica]))
     if math.isfinite(problem.grad_bound):
         report.grad_bound_ok = bool(
-            monitor.grad_abs_max[replica] <= problem.grad_bound + TOL)
+            conditions.grad_abs_max[replica] <= problem.grad_bound + TOL)
     if problem.box.is_bounded:
-        report.diameter_ok = bool(monitor.iterates_feasible[replica])
+        report.diameter_ok = bool(conditions.iterates_feasible[replica])
     if schedule is not None:
-        report.zeta_min = monitor.zeta_min[replica]
+        report.zeta_min = conditions.zeta_min[replica]
         # every schedule TransitionSchedule accepts meets these three
         report.rho_bounded = report.r_ordered = report.beta1_bounded = True
         rho_sup = schedule.rho_sup()
@@ -331,41 +338,44 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     # The comparators' losses, which step t's regret subtracts
     stars = [p.star_losses(horizon) if p.theta_star is not None else None
              for p in problems]
-    monitor = RunMonitor(
-        problem.dim, horizon, cfgs[0].stride,
-        [p.box.widened(TOL) for p in problems],
-        [None if s is None else s.beta2 for s in schedules],
-        [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory)
-    # views of the monitor's (T, R) losses and (rows, R, d) buffers whose
-    # rows take a step's values as they are: (T,) for one replica, whose
-    # loss is a float; a broadcast (d,) -> (1, d) copy costs more
-    losses = monitor.losses.reshape(horizon, *problem.shape[:-1])
-    grads, rates, thetas = (b.reshape(len(b), *problem.shape)
-                            for b in monitor.buffers)
-    rows = len(grads)
-    state = optimizer.state
-    k = 0
-    writer = None
+    fork = False
     if write_artifacts:
         # the writer's module (and multiprocessing) load with the first
         # loop that writes
         from .writer import ArtifactWriter, spare_core
 
+        fork = spare_core(loops)
+    # a forked writer reads the monitor's arrays, so they are shared
+    # before the fork
+    monitor = RunMonitor(
+        problem.dim, horizon, cfgs[0].stride,
+        [p.box.widened(TOL) for p in problems],
+        [None if s is None else s.beta2 for s in schedules],
+        [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
+        shared=fork)
+    # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
+    # buffers whose rows take a step's values as they are: (T,) for one
+    # replica, whose loss is a float; a broadcast (d,) -> (1, d) copy
+    # costs more
+    losses = monitor.losses.reshape(horizon, *problem.shape[:-1])
+    views = [[b.reshape(len(b), *problem.shape) for b in slot]
+             for slot in monitor.slots]
+    grads, rates, thetas = views[monitor.slot]
+    rows = len(grads)
+    state = optimizer.state
+    k = 0
+    writer = None
+    if write_artifacts:
         texts = [serialize_config(cfg) for cfg in cfgs]
         writer = ArtifactWriter(
             texts, [run_directory(cfg, out_root, text)
                     for cfg, text in zip(cfgs, texts)], stars,
-            fork=spare_core(loops))
+            fork=fork, monitor=monitor)
 
     try:
         try:
-            # numpy's overflow, divide and invalid-value warnings are off:
-            # each value they flag is screened in this loop and raised as
-            # one DomainError naming its step (the monitor's loss and
-            # gradient screens and positive-rate screen, and the
-            # stepper's NaN-v, zero-rate and infinite-rate screens).
-            with np.errstate(over="ignore", divide="ignore",
-                             invalid="ignore"):
+            # numpy's warnings are off: the loop screens what they flag
+            with np.errstate(**STEP_ERRSTATE):
                 for t in range(1, horizon + 1):
                     loss, g = problem.loss_and_grad(t, theta)
                     losses[t - 1] = loss
@@ -384,7 +394,8 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                     if k == rows:
                         monitor.flush(k)
                         if writer is not None:
-                            writer.block(losses, monitor)
+                            writer.block(monitor)
+                            grads, rates, thetas = views[monitor.slot]
                         k = 0
                 monitor.finish(k)
         except DomainError as exc:
@@ -392,9 +403,9 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             who = (", ".join(names) if exc.replica is None
                    else names[exc.replica])
             raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
-        del grads, rates, thetas  # the monitor lets go of them too
+        del grads, rates, thetas, views  # the monitor lets go of them too
         if writer is not None:
-            writer.block(losses, monitor, last=True)
+            writer.block(monitor, last=True)
 
         records = []
         final_lr = optimizer.effective_lr()
@@ -410,9 +421,17 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                 # R(t) by the sequential sums of a per-step ledger; adding
                 # 0.0 first turns a -0.0 difference into the ledger's
                 # 0.0 + -0.0
-                regret = np.subtract(run_losses, star, out=star)
-                regret[0] += 0.0
-                np.add.accumulate(regret, out=regret)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    regret = np.subtract(run_losses, star, out=star)
+                    regret[0] += 0.0
+                    np.add.accumulate(regret, out=regret)
+                # the losses are finite, so R(t) stays finite until a sum
+                # passes the largest double, and stays inf or NaN after
+                if not math.isfinite(regret[-1]):
+                    t = int(np.argmax(~np.isfinite(regret))) + 1
+                    raise DomainError(f"{run_stem(cfg)}: non-finite regret "
+                                      f"at step {t}; run aborted",
+                                      replica=r)
             record = RunRecord(
                 config=cfg,
                 run_dir=None,

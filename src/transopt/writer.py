@@ -1,20 +1,34 @@
 """The writer process of a step loop: the artifacts' CSV rows are
-formatted and written beside the loop, on another core.
+formatted and written beside the loop, on another core, and a long
+loop's condition reductions run there too.
 
 :class:`ArtifactWriter` is the loop's end.  It is built after the loop's
 build and before its first step, and forks the writer, which inherits
-the configs and the comparators' losses, so it needs POSIX ``fork``.
-When the machine has no core to spare beside the loops running at once
-(:func:`spare_core`) it forks nothing and the loop's process handles
-each message itself, with the same code.  The loop hands the writer each
-flushed block's losses, sampled rate summaries and histogram counter
-rows; the writer appends their rows to ``loss.csv``, ``regret.csv``,
+the configs, the comparators' losses and the loop's monitor, so it needs
+POSIX ``fork``.  When the machine has no core to spare beside the loops
+running at once (:func:`spare_core`) it forks nothing and the loop's
+process handles each message itself, with the same code.
+
+At each flush the loop sends one small message: its slot of step rows,
+its range of steps and sampled steps, and the bytes of its histogram
+counter rows.  The writer reads the steps' losses and rate summaries
+from the monitor's shared mappings.  When the monitor's
+``writer_reduces`` (a run of at least
+:data:`~transopt.diagnostics.WRITER_BLOCKS` buffers), the writer runs
+the reductions that never raise (zeta, C2, the box test and the |g|
+max) on the slot under the loop's ``np.errstate`` and releases the slot
+before it formats the block's rows; the loop fills the next slot and
+waits only for one the writer has not released.  After the last block
+it sends the reductions' final state back in one reply.  The loss and
+gradient screens, the rate screens, the rate summaries and histograms,
+and every DomainError stay in the loop's process.
+
+The writer appends each block's rows to ``loss.csv``, ``regret.csv``,
 ``record.csv`` and ``lr_hist.csv`` of each run's temporary directory,
 carrying the regret's running sum from block to block.  After the loop
 it writes each run's ``conditions.csv`` and ``meta.json`` from the
 scalars the loop sends and renames each temporary directory to its run
-directory, so a run directory appears only when it is complete.  Every
-monitor, screen and DomainError stays in the loop's process.
+directory, so a run directory appears only when it is complete.
 """
 
 from __future__ import annotations
@@ -23,13 +37,16 @@ import contextlib
 import multiprocessing
 import os
 import shutil
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence)
 
 import numpy as np
 
-from .diagnostics import ConditionReport, LrHistogram, RunMonitor
+from .diagnostics import (HIST_BINS, STEP_ERRSTATE, ConditionReport,
+                          LrHistogram, RunMonitor)
 
 
 def _texts(values: np.ndarray) -> np.ndarray:
@@ -76,14 +93,24 @@ class _RunFiles:
 
 
 class _LoopFiles:
-    """Everything the writer process of one step loop writes: it appends
-    each handed-over block's rows to every run's step CSVs and, at the
-    end, writes each run's scalars and publishes its directory."""
+    """Everything the writer process of one step loop does: it reduces
+    each handed-over slot of step rows (when the loop's monitor
+    ``writer_reduces``), appends each block's rows to every run's step
+    CSVs and, at the end, writes each run's scalars and publishes its
+    directory."""
 
-    def __init__(self, runs: List[_RunFiles], made: List[Path]):
+    def __init__(self, runs: List[_RunFiles], made: List[Path],
+                 monitor: Optional[RunMonitor]):
         self.runs = runs
         self.made = made            # root directories this loop created
         self.histogram = LrHistogram()
+        # the loop's monitor (a forked writer's copy, which reads the
+        # loop's later writes to its shared arrays) and, per step slot it
+        # reduces, the semaphore released once the slot is reduced
+        self.monitor = monitor
+        self.free: List[multiprocessing.synchronize.Semaphore] = []
+        # the blocks reduced whose rows are not all written yet
+        self.queued: Deque[Iterator[bool]] = deque()
 
     def start(self) -> None:
         """Write each run's config.yaml and its step CSVs' headers."""
@@ -92,34 +119,56 @@ class _LoopFiles:
             run.append({**STEP_HEADERS,
                         "lr_hist.csv": self.histogram.csv_header()})
 
-    def handle(self, message) -> bool:
-        """Act on one message of the loop: write a block's rows or a
-        run's scalars, or at the end message publish every run directory
+    def handle(self, message, reply: Callable[[object], None]) -> bool:
+        """Act on one message of the loop: reduce a block's slot, release
+        it and queue the block's rows (for :meth:`write`); reply with the
+        reductions' state; write a run's scalars; or at the end message
+        write the queued rows, publish every run directory, reply None
         and return True."""
         if message[0] == "block":
-            self.block(*message[1:])
+            _, slot, *rows = message
+            if self.monitor.writer_reduces:
+                t0, t1 = rows[:2]
+                with np.errstate(**STEP_ERRSTATE):
+                    self.monitor.conditions.update(
+                        *self.monitor.slots[slot, :, :t1 - t0])
+                self.free[slot].release()
+            self.queued.append(self.block(*rows))
+        elif message[0] == "conditions":
+            reply(self.monitor.conditions)
         elif message[0] == "run":
             _, r, report, meta = message
             report.to_csv(self.runs[r].temp / "conditions.csv")
             (self.runs[r].temp / "meta.json").write_text(meta)
         else:
+            self.write()
             for run in self.runs:
                 _publish(run.temp, run.run_dir)
+            reply(None)
             return True
         return False
 
+    def write(self, waiting: Callable[[], bool] = lambda: False) -> None:
+        """Append the queued blocks' rows, oldest first and a run at a
+        time, until none is left or ``waiting()`` says a message waits."""
+        while self.queued and not waiting():
+            if not next(self.queued[0], False):
+                self.queued.popleft()
+
     def serve(self, conn, parent_end) -> None:
         """The writer process: handle what ``conn`` hands over until the
-        end message.  A pipe that closes first, or an error, leaves no
-        entry behind; an error is sent back as its message."""
+        end message, writing queued rows while no message waits, so a
+        block is reduced and a request answered without waiting for the
+        rows before them.  A pipe that closes first, or an error, leaves
+        no entry behind; an error is sent back as its message."""
         parent_end.close()
+        _batch_policy()
         published = False
         try:
             self.start()
-            while not self.handle(conn.recv()):
-                pass
+            while not self.handle(conn.recv(), conn.send):
+                self.write(conn.poll)
             published = True
-            conn.send(None)
         except EOFError:
             pass  # the loop stopped before its end message
         except Exception as exc:
@@ -130,14 +179,19 @@ class _LoopFiles:
             if not published:
                 self.remove()
 
-    def block(self, t0: int, losses: np.ndarray, ts: np.ndarray,
-              summary: np.ndarray, counts: List[np.ndarray]) -> None:
-        """Append the rows of the n steps after step ``t0``: their
-        losses (n, R), and the (R, m, 3) rate summary and each run's
-        (m, width) histogram counters of the m sampled steps ``ts``
-        among them."""
-        t1 = t0 + len(losses)
-        losses = losses.reshape(len(losses), -1)
+    def block(self, t0: int, t1: int, lo: int, hi: int,
+              counts: bytes) -> Iterator[bool]:
+        """Append the rows of steps t0 + 1 .. t1: their losses, and the
+        rate summaries and histogram rows of the sampled steps among
+        them, sampled steps lo .. hi - 1, whose (R, m, width) histogram
+        counters are the bytes ``counts``; yields True after each run's
+        rows."""
+        monitor = self.monitor
+        losses = monitor.losses[t0:t1]
+        ts = monitor.steps[lo:hi]
+        summary = monitor.rate_summary[:, lo:hi]
+        counts = np.frombuffer(counts, LrHistogram.counter_type(
+            monitor.dim)).reshape(len(self.runs), hi - lo, HIST_BINS + 2)
         t_text = np.array([str(x) for x in ts.tolist()], dtype=object)
         t_float = ts.astype(np.float64)
         at = ts - (t0 + 1)
@@ -146,10 +200,12 @@ class _LoopFiles:
             if run.star is not None:
                 # R(t) carried from the last block: the same sequential
                 # sums as one accumulate over the run, whose first term
-                # adds 0.0
-                regret = np.subtract(losses[:, r], run.star[t0:t1])
-                regret[0] += run.regret
-                np.add.accumulate(regret, out=regret)
+                # adds 0.0; a sum past the largest double is inf here,
+                # and the loop raises it as a DomainError
+                with np.errstate(over="ignore", invalid="ignore"):
+                    regret = np.subtract(losses[:, r], run.star[t0:t1])
+                    regret[0] += run.regret
+                    np.add.accumulate(regret, out=regret)
                 run.regret = regret[-1]
             if not len(ts):
                 continue
@@ -170,6 +226,7 @@ class _LoopFiles:
             texts["lr_hist.csv"] = self.histogram.csv_lines(
                 ts, counts[r], run.hist_texts)
             run.append(texts)
+            yield True
 
     def remove(self) -> None:
         """Delete every temporary directory, then each root directory
@@ -195,21 +252,20 @@ def _publish(temp: Path, run_dir: Path) -> None:
         temp.rmdir()
 
 
-#: CSV rows (sampled steps times replicas) that the loop gathers before it
-#: hands a block to its writer.  Each hand-off wakes the writer, which
-#: cost the loop about 0.1 ms a time on a 2-vCPU VM whatever its size: on
-#: the 100k-step quadratic at stride 100, which flushes 491 times with two
-#: sampled steps each, handing every flush over took 3% of the run.  A
-#: stride-1 flush of the cycle trio holds 1584 rows and goes alone.
-HANDOFF_ROWS = 512
-
-
 def spare_core(loops: int) -> bool:
     """Whether this machine has a core besides those of ``loops`` step
-    loops running at once, for a writer process to format beside them.
+    loops running at once, for a writer process to work beside them.
     Without one a writer only adds its fork and hand-offs to the loop:
     with ``--jobs 2`` on two cores the grid sweep took 18% longer."""
     return len(os.sched_getaffinity(0)) > loops
+
+
+def _batch_policy() -> None:
+    """Put this process under ``SCHED_BATCH`` where the system lets it,
+    so that a writer woken by a hand-off does not preempt the loop on
+    the loop's own CPU."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
 
 
 class ArtifactWriter:
@@ -218,19 +274,21 @@ class ArtifactWriter:
     Built after the loop's build and before its first step, it creates
     each run's temporary directory beside its run directory, so an
     output root that cannot be written fails before any step.  With
-    ``fork`` it forks the writer process, which inherits the configs and
-    the comparators' losses; without, the loop's process writes each
-    message itself, with the same code.  ``block`` hands the writer the
-    steps flushed since the last block (a few flushes at a time when
-    they are small), ``run`` a run's scalars and ``close`` the end
-    message, after which it waits until every run directory is
-    published.  ``stop`` closes the pipe and joins the writer; without
-    the end message the temporary directories are deleted.  A write
-    error raises OSError.
+    ``fork`` it forks the writer process, which inherits the configs, the
+    comparators' losses and the loop's ``monitor``
+    (:class:`~transopt.diagnostics.RunMonitor`, which must be ``shared``
+    then); without, the loop's process writes each message itself, with
+    the same code.  ``block`` hands the writer the steps of the monitor's
+    last flush, ``run`` a run's scalars and ``close`` the end message,
+    after which it waits until every run directory is published.
+    ``stop`` closes the pipe and joins the writer; unless every run
+    directory was published, the temporary directories are deleted.  A
+    write error, or a writer that stops, raises OSError.
     """
 
     def __init__(self, texts: Sequence[str], run_dirs: Sequence[Path],
-                 stars: Sequence[Optional[np.ndarray]], fork: bool = True):
+                 stars: Sequence[Optional[np.ndarray]], fork: bool = True,
+                 monitor: Optional[RunMonitor] = None):
         """Run r's config text is ``texts[r]``, its run directory
         ``run_dirs[r]`` and its comparator's per-step losses ``stars[r]``
         (None without a comparator)."""
@@ -245,10 +303,10 @@ class ArtifactWriter:
                 made.append(root)
                 root = root.parent
         made.sort(key=lambda path: len(path.parts), reverse=True)
-        self._files = _LoopFiles(runs, made)
+        self._files = _LoopFiles(runs, made, monitor)
         self._conn = self._process = None
         self._published = False
-        self._t = self._sampled = self._blocks = 0
+        self._t = self._sampled = 0
         try:
             for run in runs:
                 run.run_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -259,6 +317,10 @@ class ArtifactWriter:
                 self._files.start()
                 return
             context = multiprocessing.get_context("fork")
+            if monitor is not None and monitor.writer_reduces:
+                # the loop fills slot 0 first
+                self._files.free = [context.Semaphore(int(slot > 0))
+                                    for slot in range(len(monitor.slots))]
             self._conn, child_end = context.Pipe()
             # start() flushes stdout and stderr before it forks, so the
             # writer never prints a copy of the loop's buffered lines
@@ -275,23 +337,26 @@ class ArtifactWriter:
             self._files.remove()
             raise
 
-    def block(self, losses: np.ndarray, monitor: RunMonitor,
-              last: bool = False) -> None:
-        """Hand over the steps the monitor flushed since the last block,
-        once they hold HANDOFF_ROWS CSV rows or the loop has ended
-        (``last``); ``losses`` holds every step's losses so far."""
+    def block(self, monitor: RunMonitor, last: bool = False) -> None:
+        """Hand over the steps of the monitor's last flush, unless handed
+        over already: their slot of step rows, their range of steps and
+        sampled steps, and the histogram rows of those.  When the writer
+        reduces the slots, the monitor then fills its next slot, once the
+        writer has released it, and after the loop's end (``last``) gets
+        back its reductions' final state."""
         t0, t1 = self._t, monitor.t
-        lo, hi = self._sampled, monitor.sampled
-        histograms = monitor.histograms
-        if t1 == t0 or (hi - lo) * len(histograms) < HANDOFF_ROWS and not last:
-            return
-        self._t, self._sampled = t1, hi
-        new = len(histograms[0].counts) - self._blocks
-        self._blocks += new
-        counts = [np.concatenate(h.counts[-new:]) if new else None
-                  for h in histograms]
-        self._send(("block", t0, losses[t0:t1], monitor.steps[lo:hi],
-                    monitor.rate_summary[:, lo:hi], counts))
+        if t1 > t0:
+            lo, hi = self._sampled, monitor.sampled
+            self._t, self._sampled = t1, hi
+            # a flush with sampled steps recorded one block of them; bytes
+            # pickle faster than arrays
+            counts = b"".join(h.counts[-1].tobytes()
+                              for h in monitor.histograms) if hi > lo else b""
+            self._send(("block", monitor.slot, t0, t1, lo, hi, counts))
+            if monitor.writer_reduces and not last:
+                self._take(monitor.next_slot())
+        if last and monitor.writer_reduces:
+            monitor.conditions = self._request(("conditions",))
 
     def run(self, replica: int, report: ConditionReport, meta: str) -> Path:
         """Hand over a run's condition report and meta.json text; returns
@@ -302,36 +367,57 @@ class ArtifactWriter:
     def close(self) -> None:
         """Send the end message and wait until every run directory is
         published."""
-        self._send(("end",))
-        if self._process is None:
-            return
-        try:
-            failure = self._conn.recv()
-        except EOFError:
-            raise self._failure() from None
-        if failure is not None:
-            raise OSError(failure)
+        self._request(("end",))
+        self._published = True
 
     def stop(self) -> None:
-        if self._process is None:
-            if not self._published:
-                self._files.remove()
-            return
-        self._conn.close()
-        self._process.join()
+        """Join the writer, if forked; unless every run directory was
+        published, delete the temporary directories."""
+        if self._process is not None:
+            self._conn.close()
+            self._process.join()
+        if not self._published:
+            self._files.remove()
 
-    def _send(self, message) -> None:
+    def _send(self, message):
+        """Hand a message to the writer; without a writer process, handle
+        it and return its reply, if any."""
         if self._process is None:
+            replies = []
             try:
-                self._published = self._files.handle(message)
+                self._files.handle(message, replies.append)
+                self._files.write()
             except Exception as exc:
                 raise OSError(f"writing artifacts: {exc}") from exc
-            return
+            return replies[0] if replies else None
         try:
             self._conn.send(message)
         except OSError:
             # the writer stopped reading: it failed, or was killed
             raise self._failure() from None
+        return None
+
+    def _request(self, message):
+        """Hand over a message that asks for a reply; return the reply."""
+        if self._process is None:
+            return self._send(message)
+        self._send(message)
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            raise self._failure() from None
+        if isinstance(reply, str):
+            # the writer failed, and says why
+            self.stop()
+            raise OSError(reply)
+        return reply
+
+    def _take(self, slot: int) -> None:
+        """Wait until the writer process has released step slot ``slot``;
+        a writer that stops first raises OSError."""
+        while not self._files.free[slot].acquire(timeout=0.05):
+            if not self._process.is_alive():
+                raise self._failure()
 
     def _failure(self) -> OSError:
         try:

@@ -3,13 +3,15 @@ time (``RunMonitor.screen``), and raises the error a screen at every
 step would raise: the same message, step, replica and coordinate."""
 
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transopt import runner
+from transopt import runner, writer
 from transopt.config import parse_config
 from transopt.errors import DomainError
 
@@ -172,3 +174,32 @@ def test_big_finite_gradients_overflow_the_sum_and_pass(monkeypatch):
     record = runner.run_batch(_cfgs(["dst"], 50), write_artifacts=False)[0]
     assert record.report.grad_bound_ok is False
     assert np.isfinite(record.losses).all()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_big_finite_gradients_pass_the_writers_reductions(monkeypatch,
+                                                          tmp_path, fork):
+    # the scenario above, written: 4000 steps fill eight 528-row buffers,
+    # so a forked writer runs zeta, C2, the box test and |g|, and must
+    # run them under the loop's errstate, as the loop does without one
+    _inject(monkeypatch, [(t, "grad", 0, i, BIG)
+                          for t in (3, 4) for i in range(DIM)])
+    cfgs = _cfgs(["dst"], 4000)
+    want = runner.run_batch(cfgs, write_artifacts=False)[0].report
+    loops = 1
+    if fork:
+        monkeypatch.setattr(writer, "spare_core", lambda loops: True)
+    else:
+        def no_fork(*args):
+            raise AssertionError("a writer process was forked")
+
+        monkeypatch.setattr(writer.multiprocessing, "get_context", no_fork)
+        loops = len(os.sched_getaffinity(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = runner.run_batch(cfgs, str(tmp_path), loops=loops)[0]
+    assert record.report.grad_bound_ok is False
+    assert repr(record.report) == repr(want)
+    want.to_csv(tmp_path / "want.csv")
+    assert (record.run_dir / "conditions.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()

@@ -4,8 +4,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1054,6 +1057,116 @@ class TestArtifactWriter:
         assert len(lines) == 2
         assert [Path(line.split()[0]).name.split("-")[0]
                 for line in lines] == ["reddi", "quadratic"]
+
+    @staticmethod
+    def _writer(monkeypatch, fork):
+        """Make the next loops fork their writers, or fork none (any fork
+        raises); returns the ``loops`` argument that does so."""
+        if fork:
+            monkeypatch.setattr(writer_module, "spare_core",
+                                lambda loops: True)
+            return 1
+
+        def no_fork(*args):
+            raise AssertionError("a writer process was forked")
+
+        monkeypatch.setattr(writer_module.multiprocessing, "get_context",
+                            no_fork)
+        return len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_a_long_runs_reductions_run_in_its_writer(self, tmp_path,
+                                                       monkeypatch, fork):
+        # 5000 steps of d = 3 fill ten 528-row buffers, and stride 2000
+        # leaves blocks without a sampled step
+        cfg = quadratic_cfg(horizon=5000, extra="stride: 2000\n")
+        want = run_experiment(cfg, write_artifacts=False)
+        loop = []
+        update = diagnostics.ConditionMonitors.update
+        monkeypatch.setattr(diagnostics.ConditionMonitors, "update",
+                            lambda *args: loop.append(1) or update(*args))
+        loops = self._writer(monkeypatch, fork)
+        record = run_experiment(cfg, str(tmp_path), loops=loops)
+        # a forked writer's reductions are not the loop's
+        assert bool(loop) is not fork
+        assert repr(record.report) == repr(want.report)
+        _assert_records_equal(record, want)
+        ts = sampled_steps(5000, 2000)
+        lines = (record.run_dir / "record.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            [str(t) for t in ts]
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_an_overflowing_regret_names_its_step(self, tmp_path,
+                                                  monkeypatch, fork):
+        # each loss is finite, but R(6) passes the largest double; 4000
+        # steps fill eight buffers, so the loop waits for a forked
+        # writer's reductions, and hears if the writer failed on R(6)
+        stack = runner.stack_problems
+
+        def patched(problems):
+            problem = stack(problems)
+            oracle = problem.loss_and_grad
+
+            def loss_and_grad(t, theta):
+                loss, grad = oracle(t, theta)
+                return (1e308 if 5 <= t <= 7 else loss), grad
+
+            problem.loss_and_grad = loss_and_grad
+            return problem
+
+        monkeypatch.setattr(runner, "stack_problems", patched)
+        loops = self._writer(monkeypatch, fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                run_experiment(quadratic_cfg(horizon=4000),
+                               str(tmp_path / "runs"), loops=loops)
+        assert str(err.value) == \
+            "quadratic-dstadam: non-finite regret at step 6; run aborted"
+        assert _entries(tmp_path) == []
+
+    def test_a_killed_writer_fails_the_loop(self, tmp_path, monkeypatch):
+        # 5000 steps fill ten buffers, so the writer reduces them; it is
+        # killed at the first, and the loop waits for that slot
+        loop = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != loop, "the loop ran a reduction"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(diagnostics.ConditionMonitors, "update", killed)
+        self._writer(monkeypatch, fork=True)
+        cfg = parse_config(self.HEALTHY.replace("300", "5000"))
+        with pytest.raises(OSError, match=f"exit code -{signal.SIGKILL}$"):
+            run_experiment(cfg, str(tmp_path / "runs"))
+        assert _entries(tmp_path) == []
+
+    def test_no_hand_off_carries_a_step_buffer(self, tmp_path, monkeypatch):
+        # the MLP batch's shape: four runs at d = 354, whose (64, 4, 354)
+        # step buffers hold 725 KB each
+        sizes = []
+        send = ArtifactWriter._send
+
+        def recorded(self, message):
+            sizes.append((message[0], len(pickle.dumps(message))))
+            return send(self, message)
+
+        monkeypatch.setattr(ArtifactWriter, "_send", recorded)
+        self._writer(monkeypatch, fork=True)
+        cfgs = [parse_config(f"problem: {{kind: mlp, seed: 5}}\n"
+                             f"optimizer: {opt}\nepochs: 200\n"
+                             f"batch_size: 128\nstride: 10\nname: {kind}\n")
+                for kind, opt in (("adabound", "{kind: adabound}"),
+                                  ("adam", "{kind: adam}"),
+                                  ("dstadam", "{kind: dstadam}"),
+                                  ("sgdm", "{kind: sgdm}"))]
+        records = runner.run_batch(cfgs, str(tmp_path))
+        assert records[0].final_theta.shape == (354,)
+        kinds = [kind for kind, _ in sizes]
+        assert kinds.count("block") == 800 // 64 + 1
+        assert kinds.count("conditions") == 1
+        assert max(size for _, size in sizes) < 64 * 1024, sizes
 
 
 class TestOverflowedSecondMoment:
