@@ -14,12 +14,21 @@ Subcommands:
 The output root comes from --out, else the TRANSOPT_OUT environment
 variable, else the config's out_dir.
 
+``run`` and ``sweep`` step their batches' loops in a fork-started
+process pool, one worker per loop up to the usable cores
+(``os.sched_getaffinity``), each loop a whole task; a single loop, or a
+single usable core, runs in the command's process.  ``--jobs N`` sets
+the worker count instead, and splits the loops among the workers when
+they outnumber them; ``--jobs 1`` runs serially.  A worker exits when
+the command's process dies.
+
 Exit codes: 0 on success; 1 when ``sweep`` finds no config or
 ``check-conditions`` an inverse-rate bound violated; 2 for a ``--jobs``
 below 1, a bad config, incomparable runs, a missing file or an output
 root or artifact that cannot be written (checked before a loop's first
 step); 3 when a run fails on its data (a DomainError naming the run,
-step and coordinate).  Errors print as one ``error:`` line on stderr.
+step and coordinate), after every other loop has run and printed its
+lines.  Errors print as one ``error:`` line each on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +37,10 @@ import argparse
 import contextlib
 import json
 import math
+import multiprocessing
+import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -48,14 +60,34 @@ def _summary(record) -> str:
 
 
 def _run_group(args):
+    """A loop's summary lines, or the message of the DomainError it
+    failed with."""
     cfgs, out_root, loops = args
-    # a lone config keeps run_experiment's entry point, whose spans
-    # perfbench/tracer.py times; it runs the same loop as a batch of one
-    if len(cfgs) == 1:
-        records = [run_experiment(cfgs[0], out_root=out_root, loops=loops)]
-    else:
-        records = run_batch(cfgs, out_root, loops=loops)
+    try:
+        # a lone config keeps run_experiment's entry point, whose spans
+        # perfbench/tracer.py times; it runs the same loop as a batch of
+        # one
+        if len(cfgs) == 1:
+            records = [run_experiment(cfgs[0], out_root=out_root,
+                                      loops=loops)]
+        else:
+            records = run_batch(cfgs, out_root, loops=loops)
+    except DomainError as exc:
+        return str(exc)
     return [_summary(record) for record in records]
+
+
+def _exit_with_parent():
+    """A pool worker's initializer: end the worker once the command's
+    process is gone, killed even, rather than let it finish its loop
+    and wait for tasks forever."""
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _expand_repeats(cfg):
@@ -65,38 +97,60 @@ def _expand_repeats(cfg):
             for i in range(cfg.repeats)]
 
 
-def _execute(jobs, cfgs, out_root):
-    """Run cfgs in batches, printing one summary line per config in
-    config order as soon as the lines before it are printed."""
+def _execute(jobs, cfgs, out_root) -> int:
+    """Run cfgs loop by loop (:func:`group_configs`), printing one
+    summary line per run in config order as soon as the lines before it
+    are printed; a loop that fails on its data prints no line, and after
+    the last loop each such loop prints one ``error:`` line, in config
+    order.  Returns 3 if a loop failed so, else 0.
+
+    Without ``jobs`` each loop is one task of a fork-started pool of one
+    worker per loop, up to the usable cores; one loop or one core runs
+    in this process.  ``jobs`` workers split the loops among them when
+    they outnumber them.
+    """
     groups = group_configs(cfgs)
-    if jobs > len(groups):
+    if jobs is not None and jobs > len(groups):
         # more workers than batches: split the batches among them
         parts = math.ceil(jobs / len(groups))
         groups = [g[i::parts] for g in groups for i in range(parts)
                   if g[i::parts]]
-    parallel = jobs > 1 and len(groups) > 1
-    # the step loops running at once, each in its own worker
-    loops = min(jobs, len(groups)) if parallel else 1
+    # the step loops running at once, each in its own worker; without
+    # --jobs, at most one per usable core, counted as writer.spare_core
+    # counts them
+    loops = min(len(groups), jobs or len(os.sched_getaffinity(0)))
     tasks = [([cfgs[i] for i in group], out_root, loops) for group in groups]
     lines = [None] * len(cfgs)
+    errors = []
     printed = 0
-    # a fork-started pool forks all its workers at once: one per loop
-    with (ProcessPoolExecutor(max_workers=loops) if parallel
+    # a fork-started pool forks all its workers at once, one per loop,
+    # before it starts a thread; a spawned worker would import numpy and
+    # transopt again before its first loop
+    with (ProcessPoolExecutor(
+            loops, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent) if loops > 1
           else contextlib.nullcontext()) as pool:
-        results = (pool.map if parallel else map)(_run_group, tasks)
-        for group, group_lines in zip(groups, results):
-            for index, line in zip(group, group_lines):
+        results = (pool.map if loops > 1 else map)(_run_group, tasks)
+        for group, result in zip(groups, results):
+            if isinstance(result, str):
+                # the loop failed on its data: its runs print no line
+                errors.append(result)
+                result = [""] * len(group)
+            for index, line in zip(group, result):
                 lines[index] = line
             while printed < len(lines) and lines[printed] is not None:
-                print(lines[printed])
+                if lines[printed]:
+                    print(lines[printed])
                 printed += 1
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
-    _execute(args.jobs, _expand_repeats(cfg), args.out)
-    return 0
+    return _execute(args.jobs, _expand_repeats(cfg), args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -110,8 +164,7 @@ def cmd_sweep(args) -> int:
         cfg = load_config(path)
         cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
         cfgs.extend(_expand_repeats(cfg))
-    _execute(args.jobs, cfgs, args.out)
-    return 0
+    return _execute(args.jobs, cfgs, args.out)
 
 
 def cmd_compare(args) -> int:
@@ -157,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one experiment config")
     run.add_argument("config")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=None)
     run.add_argument("--out", default=None)
     run.add_argument("--stride", type=int, default=None)
     run.set_defaults(func=cmd_run)
@@ -165,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run every config in a directory")
     sweep.add_argument("config_dir")
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=None)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--stride", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
@@ -185,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     try:

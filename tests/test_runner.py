@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -709,10 +711,10 @@ horizon: {horizon}
         sizes = []
 
         class Recording(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 assert max_workers == 2
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
         out_root = tmp_path / "runs"
@@ -720,6 +722,169 @@ horizon: {horizon}
                          "--jobs", "500"]) == 0
         assert sizes == [2]
         assert len(list(out_root.iterdir())) == 2
+
+    @staticmethod
+    def write_loops(sweep_dir, horizon=60):
+        """Configs a to d in three loops: a and b share one."""
+        sweep_dir.mkdir()
+        for name, problem, kind in (("a", "quadratic, dim: 2", "adam"),
+                                    ("b", "quadratic, dim: 2", "sgdm"),
+                                    ("c", "quadratic, dim: 3", "adam"),
+                                    ("d", "reddi", "adam")):
+            (sweep_dir / f"{name}.yaml").write_text(
+                f"name: {name}\nproblem: {{kind: {problem}}}\n"
+                f"optimizer: {{kind: {kind}}}\nhorizon: {horizon}\n")
+
+    def test_a_default_sweep_of_one_loop_builds_no_pool(self, tmp_path,
+                                                         monkeypatch):
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        self.write_cfg(sweep_dir, name="a.yaml", optimizer="adam")
+        self.write_cfg(sweep_dir, name="b.yaml", optimizer="sgdm")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = []
+        get_context = writer_module.multiprocessing.get_context
+
+        def recording(method=None):
+            forks.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(writer_module.multiprocessing, "get_context",
+                            recording)
+        out_root = tmp_path / "runs"
+        assert cli_main(["sweep", str(sweep_dir), "--out",
+                         str(out_root)]) == 0
+        # the lone loop keeps a core to spare for its writer
+        assert forks == ["fork"]
+        assert len(list(out_root.iterdir())) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_default_sweep_runs_whole_loops_one_worker_per_core(
+            self, tmp_path, capsys, monkeypatch):
+        self.write_loops(tmp_path / "configs")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        sizes, tasks = [], []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, iterable):
+                items = list(iterable)
+                tasks.extend(([cfg.name for cfg in cfgs], loops)
+                             for cfgs, _, loops in items)
+                return super().map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        out_root = tmp_path / "runs"
+        assert cli_main(["sweep", str(tmp_path / "configs"), "--out",
+                         str(out_root)]) == 0
+        assert sizes == [2]
+        assert tasks == [(["a", "b"], 2), (["c"], 2), (["d"], 2)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [Path(line.split()[0]).name[0] for line in lines] == \
+            ["a", "b", "c", "d"]
+        assert multiprocessing.active_children() == []
+
+    def test_a_default_sweep_writes_the_bytes_of_a_serial_one(
+            self, tmp_path, capsys, monkeypatch):
+        # the criterion-11 configs: one loop per problem kind
+        from test_acceptance import _artifacts, _batch_configs
+
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        texts = _batch_configs()
+        for name, text in texts.items():
+            (config_dir / f"{name}.yaml").write_text(text)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pools = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        stdout = {}
+        for out, jobs in (("default", []), ("serial", ["--jobs", "1"])):
+            assert cli_main(["sweep", str(config_dir), "--out",
+                             str(tmp_path / out), *jobs]) == 0
+            stdout[out] = capsys.readouterr().out.replace(
+                str(tmp_path / out), "<out>")
+        assert pools == [2]
+        assert stdout["default"] == stdout["serial"]
+        assert len(stdout["serial"].splitlines()) == len(texts)
+        assert _artifacts(tmp_path / "default") == \
+            _artifacts(tmp_path / "serial")
+
+    def test_a_pooled_write_failure_exits_2_and_leaves_no_worker(
+            self, tmp_path, capsys):
+        self.write_loops(tmp_path / "configs")
+        (tmp_path / "file").write_text("")
+        code = cli_main(["sweep", str(tmp_path / "configs"), "--out",
+                         str(tmp_path / "file" / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: [Errno 20] Not a directory: "
+            f"'{tmp_path / 'file' / 'x'}'"]
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _holding(text):
+        """The ids of the processes whose command line holds text."""
+        pids = []
+        for entry in Path("/proc").iterdir():
+            if entry.name.isdigit():
+                try:
+                    if text.encode() in (entry / "cmdline").read_bytes():
+                        pids.append(int(entry.name))
+                except OSError:
+                    pass  # it ended
+        return pids
+
+    # the default pools its loops wherever two cores are usable
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+    def test_a_killed_sweep_leaves_no_worker(self, tmp_path, jobs):
+        # three loops of a few seconds each, two at a time
+        self.write_loops(tmp_path / "configs", horizon=100000)
+        out_root = tmp_path / "runs"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "transopt.cli", "sweep",
+             str(tmp_path / "configs"), "--out", str(out_root), *jobs],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=dict(os.environ,
+                     PYTHONPATH=str(Path(runner.__file__).parents[1])))
+        left = []
+        try:
+            # each loop makes its runs' temporary directories before its
+            # first step
+            deadline = time.monotonic() + 60
+            while not (out_root.exists() and
+                       len(list(out_root.iterdir())) >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while True:
+                left = self._holding(str(out_root))
+                if not left or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert left == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in left:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_1_exit_2(self, tmp_path, capsys, jobs):
@@ -811,6 +976,35 @@ repeats: 3
             "error: huge-alpha: infinite rate at step 1, coordinate 0: the "
             "projection metric must be positive")
         assert "healthy" not in err
+
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"], ["--jobs", "2"]])
+    def test_a_failing_loop_keeps_its_siblings_lines(self, tmp_path, capsys,
+                                                     jobs):
+        # three loops: the middle one fails at step 1
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        for name, text in (
+                ("a", "problem: {kind: quadratic, dim: 2}\n"
+                      "optimizer: {kind: adam}\nhorizon: 60\n"),
+                ("bad", self.OVERFLOW),
+                ("c", "problem: {kind: quadratic, dim: 3}\n"
+                      "optimizer: {kind: adam}\nhorizon: 60\n")):
+            (sweep_dir / f"{name}.yaml").write_text(f"name: {name}\n{text}")
+        out_root = tmp_path / "runs"
+        code = cli_main(["sweep", str(sweep_dir), "--out", str(out_root),
+                         *jobs])
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert [Path(line.split()[0]).name for line in lines] == \
+            sorted(p.name for p in out_root.iterdir())
+        assert [name.split("-")[0] for name in
+                sorted(p.name for p in out_root.iterdir())] == ["a", "c"]
+        assert captured.err.splitlines() == [
+            "error: bad: raw rate 0.0 at step 1, coordinate 0: a rate must "
+            "stay positive (an overflowed second moment leaves 0)"]
+        assert multiprocessing.active_children() == []
 
 
 def _entries(root):
