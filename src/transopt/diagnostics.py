@@ -15,8 +15,8 @@ that process (:mod:`transopt.writer`).  ``check_c2``, ``estimate_zeta``
 and ``eta_bound_check`` feed a whole (T, d) array as one block of one
 run.
 :func:`buffer_rows` is the one block rule of a pass over the steps (the
-step buffers and ``QuadraticTracking.star_losses``), and :data:`TOL` the
-one tolerance of every check.
+step buffers and the problems' blocks of per-step data), and :data:`TOL`
+the one tolerance of every check.
 
 The monitors never enforce anything; they report.  Whether a run
 satisfies the convergence hypotheses is an empirical question answered
@@ -480,11 +480,13 @@ class RunMonitor:
     feasible box, the constant decay of its zeta (None for a run without
     a schedule, which gets no zeta) and whether its effective rate is
     eta-hat divided by sqrt(t).  The step loop writes step t's losses
-    into row t - 1 of the (T, R) ``losses``, copies its gradients, raw
-    rates eta-hat and iterates, (R, d) or (d,), into row k of the three
-    (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
-    :func:`buffer_rows`) and calls ``flush(k + 1)`` when they are full
-    and ``finish(k)`` after the last step.
+    into row t - 1 of the (T, R) ``losses``, and with ``comparator`` the
+    comparators' losses of each block of steps into the (R, T)
+    ``stars``; it copies its gradients, raw rates eta-hat and iterates,
+    (R, d) or (d,), into row k of the three (rows, R, d) ``buffers``
+    (grads, rates, thetas; rows from :func:`buffer_rows`) and calls
+    ``flush(k + 1)`` when they are full and ``finish(k)`` after the last
+    step.
 
     A flush first screens the block's losses and gradients
     (:meth:`screen`), so no non-finite one reaches a monitor, a
@@ -497,13 +499,13 @@ class RunMonitor:
     that never raise (``conditions``: C2, zeta, the box test and |g|)
     run at the flush too, unless ``writer_reduces``.
 
-    A ``shared`` monitor keeps its losses and rate summaries in anonymous
-    shared mappings, for the loop's writer process forked after it to
-    read.  When the run spans at least :data:`WRITER_BLOCKS` buffers of
-    steps, the writer also runs the reductions (``writer_reduces``): the
-    buffers are ``slots[slot]``, one of :func:`shared_slots` slots of one
-    more shared mapping, and the writer reduces each flushed slot while
-    the loop fills the next.
+    A ``shared`` monitor keeps its losses, comparator losses and rate
+    summaries in anonymous shared mappings, for the loop's writer
+    process forked after it to read.  When the run spans at least
+    :data:`WRITER_BLOCKS` buffers of steps, the writer also runs the
+    reductions (``writer_reduces``): the buffers are ``slots[slot]``,
+    one of :func:`shared_slots` slots of one more shared mapping, and
+    the writer reduces each flushed slot while the loop fills the next.
 
     The runs keep O(R d) state besides the per-step losses and the
     per-sampled-step histogram and summary rows; ``grads`` and
@@ -514,13 +516,14 @@ class RunMonitor:
     def __init__(self, dim: int, horizon: int, stride: int,
                  box: Sequence, beta2: Sequence[Optional[float]],
                  sqrt_decay: Sequence[bool], keep_trajectory: bool = False,
-                 shared: bool = False):
+                 shared: bool = False, comparator: bool = False):
         replicas = len(box)
         rows = buffer_rows(horizon, replicas * dim)
         self.dim = dim
         self.writer_reduces = shared and horizon > (WRITER_BLOCKS - 1) * rows
         zeros = _shared_zeros if shared else np.zeros
         self.losses = zeros((horizon, replicas))
+        self.stars = zeros((replicas, horizon)) if comparator else None
         # (slots, grads/rates/thetas, rows, R, d)
         if self.writer_reduces:
             self.slots = _shared_zeros((shared_slots(rows * replicas * dim),

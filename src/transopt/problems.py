@@ -5,18 +5,30 @@ feasible set, together with a fixed comparator theta_star where one
 exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
 which returns the loss and the gradient from one pass over the data;
 ``loss_at`` gives the loss alone (for the comparator and the final
-train loss) and ``grad_at`` the gradient alone.  A problem with a
-comparator gives its loss at every step of a run at once, ``star_losses``.
-Oracles are pure functions of (t, theta), so runs are bit-reproducible
-given the construction seed.
+train loss) and ``grad_at`` the gradient alone.  Oracles are pure
+functions of (t, theta), so runs are bit-reproducible given the
+construction seed.
+
+A problem hands out its per-step data a block of steps at a time:
+``block(t0, n)`` loads the data of steps t0 + 1 .. t0 + n, which the
+oracles read until the next block, and returns the comparator's losses
+at those steps.  The quadratic's block is its centers, drawn from its
+seeded generator; the logistic kind's is the epoch orders the block
+spans, each built once for the steps and the comparator alike (the
+MLP, without a comparator, builds each epoch's order as its steps
+reach it); the reddi cycle's is its slopes, a closed form of t.  The step loop loads one block per buffer of steps
+(:func:`~transopt.diagnostics.buffer_rows`), so a run holds O(d) problem
+data besides the per-step losses.  An oracle asked for a step outside
+the loaded block loads the block that starts there.
 
 The oracles take one (d,) iterate, or the (R, d) iterates of a batch:
 :func:`stack_problems` merges R problems built alike into one whose
-oracles answer row r as problem r would alone, bit for bit.
+oracles and blocks answer row r as problem r would alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import math
@@ -73,6 +85,40 @@ class OnlineProblem:
             raise DomainError(f"{self.name} problem has no comparator")
         return self.loss_at(t, self.theta_star)
 
+    def block(self, t0: int, n: int) -> Optional[np.ndarray]:
+        """Load the data of steps t0 + 1 .. t0 + n, which the oracles read
+        until another block is loaded, and return ``star_loss_at`` at
+        those steps, bit for bit: (n,), or (R, n) once stacked; None
+        without a comparator."""
+        self._load(t0, n)
+        if self.theta_star is None:
+            return None
+        return self._star_block(t0, n).reshape(self.shape[:-1] + (n,))
+
+    def star_losses(self, horizon: int) -> np.ndarray:
+        """``star_loss_at`` for t = 1..horizon, a block at a time."""
+        if self.theta_star is None:
+            raise DomainError(f"{self.name} problem has no comparator")
+        out = np.empty(self.shape[:-1] + (horizon,))
+        rows = buffer_rows(horizon, math.prod(self.shape))
+        for t0 in range(0, horizon, rows):
+            n = min(rows, horizon - t0)
+            out[..., t0:t0 + n] = self.block(t0, n)
+        return out
+
+    def _load(self, t0: int, n: int) -> None:
+        """Load the data of steps t0 + 1 .. t0 + n; a kind whose data is
+        a closed form of t loads nothing."""
+        if t0 < 0:
+            raise DomainError(f"step index starts at 1, got {t0 + 1}")
+
+    def _star_block(self, t0: int, n: int) -> np.ndarray:
+        """The comparator's losses at the loaded steps t0 + 1 .. t0 + n."""
+        raise NotImplementedError
+
+    def _unload(self) -> None:
+        """Drop the loaded block."""
+
     def initial_point(self, seed: int = 0) -> np.ndarray:
         """Deterministic feasible starting point."""
         rng = np.random.default_rng([int(seed), 0xA11CE])
@@ -98,19 +144,47 @@ def stack_problems(problems: Sequence[OnlineProblem]) -> OnlineProblem:
     data and scalars (seeds, centers, datasets, the box, the reddi
     slope).  Row r of a stacked oracle's loss and gradient equals
     problem r's, bit for bit.  A single problem is returned as it is.
-    Only the step oracle ``loss_and_grad`` is stacked: the comparator,
-    the box checks and the final MLP metrics stay with each problem.
+    Only the step oracle ``loss_and_grad`` and ``block`` are stacked: the
+    comparator, the box checks and the final MLP metrics stay with each
+    problem.  The problems are left as they are; their loaded blocks are
+    not carried over.
     """
     if len(problems) == 1:
         return problems[0]
-    out = stack_like(problems)
+    bare = []
+    for p in problems:
+        p = copy.copy(p)
+        p._unload()
+        bare.append(p)
+    out = stack_like(bare)
     out.shape = (len(problems), out.dim)
     out._stacked()
     return out
 
 
+#: Elements of each block of a seeded quadratic's build pass.
+BUILD_ELEMENTS = 2 ** 16
+
+
+def _stream(seed: int, skip: int) -> np.random.Generator:
+    """``default_rng(seed)`` after ``skip`` doubles: a uniform double
+    takes one 64-bit draw of PCG64."""
+    bits = np.random.PCG64(seed)
+    bits.advance(skip)
+    return np.random.Generator(bits)
+
+
+def _per_replica(value, replicas: int) -> list:
+    """A stacked field (one value, or an (R, 1) column) as R values."""
+    return np.broadcast_to(np.ravel(value), (replicas,)).tolist()
+
+
 class QuadraticTracking(OnlineProblem):
-    """f_t(theta) = 0.5 * ||theta - c_t||^2 with bounded random centers."""
+    """f_t(theta) = 0.5 * ||theta - c_t||^2 with bounded random centers.
+
+    The centers are a (T, d) array, or (:meth:`seeded`) the rows of one
+    seeded uniform draw, of which a block holds only the loaded steps.
+    """
 
     name = "quadratic"
 
@@ -118,22 +192,105 @@ class QuadraticTracking(OnlineProblem):
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2:
             raise DimensionError("centers must be a (T, d) array")
-        dim = centers.shape[1]
-        theta_star = box.project(centers.mean(axis=0))
+        self._setup(box, centers.shape[0], centers.mean(axis=0),
+                    centers.min(axis=0), centers.max(axis=0), centers, None)
+
+    @classmethod
+    def seeded(cls, dim: int, horizon: int, seed: int,
+               box: FeasibleBox) -> "QuadraticTracking":
+        """The quadratic on the centers
+        ``default_rng(seed).uniform(-1, 1, size=(horizon, dim))``, whose
+        blocks draw their rows from the seeded generator, bit for bit.
+
+        A build pass draws the rows BUILD_ELEMENTS at a time, once, for
+        the comparator and the gradient bound.  ``centers.mean(axis=0)``
+        adds the rows one after another when d >= 2, so the sum carried
+        from block to block, added into a block's first row before the
+        block's own sum, gives its bits.  A min and a max are exact in
+        any order: the pass keeps each row's running min and max over
+        the blocks, elementwise, and reduces them once at its end.  At
+        d = 1 numpy sums the contiguous column pairwise, so the draw is
+        kept as the (T, 1) centers of the explicit problem, O(T) as the
+        per-step losses are.
+        """
+        if dim == 1:
+            return cls(np.random.default_rng(seed).uniform(
+                -1.0, 1.0, size=(horizon, 1)), box)
+        stream = np.random.default_rng(seed)
+        rows = max(1, BUILD_ELEMENTS // dim)
+        total = lo = hi = None
+        for t0 in range(0, horizon, rows):
+            block = stream.uniform(-1.0, 1.0,
+                                   size=(min(rows, horizon - t0), dim))
+            if total is None:
+                lo, hi = block.copy(), block.copy()
+            else:
+                n = len(block)
+                np.minimum(lo[:n], block, out=lo[:n])
+                np.maximum(hi[:n], block, out=hi[:n])
+                block[0] += total
+            total = np.add.reduce(block, axis=0)
+        problem = cls.__new__(cls)
+        problem._setup(box, horizon, total / horizon, lo.min(axis=0),
+                       hi.max(axis=0), None, seed)
+        return problem
+
+    def _setup(self, box: FeasibleBox, horizon: int, mean: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray,
+               centers: Optional[np.ndarray], seed: Optional[int]) -> None:
+        """Finish a problem whose centers have the mean, min and max given
+        over their ``horizon`` rows."""
         # Largest |theta_i - c_{t,i}| over the box and all centers.
-        g_inf = float(np.max(np.maximum(box.hi - centers.min(axis=0),
-                                        centers.max(axis=0) - box.lo)))
-        super().__init__(dim, box, theta_star, g_inf)
+        g_inf = float(np.max(np.maximum(box.hi - lo, hi - box.lo)))
+        super().__init__(len(mean), box, box.project(mean), g_inf)
         self.centers = centers
-        self.horizon = centers.shape[0]
+        self.seed = seed
+        self.horizon = horizon
+        self._unload()
+
+    def _unload(self) -> None:
+        # the loaded rows, steps _t0 + 1 .. _t0 + _n, and per distinct
+        # seed the generator standing at the row after step _drawn
+        self._t0 = self._n = self._drawn = 0
+        self._centers = self._streams = None
+
+    def _stacked(self) -> None:
+        if self.centers is None:
+            self.seed = _per_replica(self.seed, self.shape[0])
+
+    def _load(self, t0: int, n: int) -> None:
+        if t0 < 0 or t0 + n > self.horizon:
+            step = t0 + 1 if t0 < 0 else max(t0, self.horizon) + 1
+            raise DomainError(
+                f"step {step} outside the problem horizon {self.horizon}")
+        self._centers = self._draw(t0, n)
+        self._t0, self._n = t0, n
+
+    def _draw(self, t0: int, n: int) -> np.ndarray:
+        """Rows t0 .. t0 + n - 1 of the centers: (n, d), or (R, n, d)."""
+        if self.centers is not None:
+            return self.centers[..., t0:t0 + n, :]
+        seeds = self.seed if isinstance(self.seed, list) else [self.seed]
+        if self._streams is None or t0 != self._drawn:
+            # one stream per distinct seed: replicas may share a seed
+            self._streams = {seed: _stream(seed, t0 * self.dim)
+                             for seed in dict.fromkeys(seeds)}
+        rows = {seed: stream.uniform(-1.0, 1.0, size=(n, self.dim))
+                for seed, stream in self._streams.items()}
+        self._drawn = t0 + n
+        if isinstance(self.seed, list):
+            return np.stack([rows[seed] for seed in seeds])
+        return rows[self.seed]
 
     def _center(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.horizon:
-            raise DomainError(
-                f"step {t} outside the problem horizon {self.horizon}"
-            )
-        # centers are (T, d), or (R, T, d) when stacked
-        return self.centers[..., t - 1, :]
+        k = t - 1 - self._t0
+        if not 0 <= k < self._n:
+            # a step outside the loaded block loads the block from it
+            self._load(t - 1, max(1, buffer_rows(self.horizon - t + 1,
+                                                 math.prod(self.shape))))
+            k = 0
+        # the loaded rows are (n, d), or (R, n, d) when stacked
+        return self._centers[..., k, :]
 
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -142,27 +299,21 @@ class QuadraticTracking(OnlineProblem):
         # vecdot takes the dot product of each row as np.dot would
         return 0.5 * np.vecdot(diff, diff), diff
 
-    def star_losses(self, horizon: int) -> np.ndarray:
-        self._center(horizon)  # past the problem horizon raises here too
-        out = np.empty(horizon)
-        rows = buffer_rows(horizon, self.dim)
-        for lo in range(0, horizon, rows):
-            diff = self.theta_star - self.centers[lo:min(horizon, lo + rows)]
-            out[lo:lo + rows] = np.vecdot(diff, diff)
-        out *= 0.5
-        return out
+    def _star_block(self, t0: int, n: int) -> np.ndarray:
+        diff = self.theta_star[..., None, :] - self._centers
+        return 0.5 * np.vecdot(diff, diff)
 
 
 def make_quadratic(dim: int, horizon: int, seed: int,
                    box_halfwidth: float = 2.0) -> QuadraticTracking:
-    """Random-centers quadratic: centers uniform in [-1, 1]^d."""
+    """Random-centers quadratic: centers uniform in [-1, 1]^d, streamed
+    from the seeded generator (:meth:`QuadraticTracking.seeded`)."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-1.0, 1.0, size=(horizon, dim))
-    return QuadraticTracking(centers, FeasibleBox.cube(box_halfwidth, dim))
+    return QuadraticTracking.seeded(dim, horizon, seed,
+                                    FeasibleBox.cube(box_halfwidth, dim))
 
 
 class ReddiCycle(OnlineProblem):
@@ -170,7 +321,9 @@ class ReddiCycle(OnlineProblem):
 
     f_t(theta) = C * theta when t = 1, 4, 7, ...  and -theta otherwise,
     over [-1, 1].  One full 3-cycle sums to (C - 2) * theta, so for C > 2
-    the comparator is theta_star = -1.
+    the comparator is theta_star = -1.  Its block data are its slopes, a
+    closed form of t: the oracle takes a step's slope from t, and
+    ``block`` the comparator's losses from the block's slopes.
     """
 
     name = "reddi"
@@ -202,9 +355,12 @@ class ReddiCycle(OnlineProblem):
         # one slope per replica, as theta[..., 0] has one entry per replica
         self.c = np.ravel(self.c)
 
-    def star_losses(self, horizon: int) -> np.ndarray:
-        slopes = np.where(np.arange(1, horizon + 1) % 3 == 1, self.c, -1.0)
-        return slopes * float(self.theta_star[0])
+    def _star_block(self, t0: int, n: int) -> np.ndarray:
+        # (n,), or (R, n) with a slope column and a comparator per replica
+        up = np.arange(t0 + 1, t0 + n + 1) % 3 == 1
+        slopes = np.where(up, np.reshape(self.c, np.shape(self.c) + (1,)),
+                          -1.0)
+        return slopes * self.theta_star[..., :1]
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         return np.array([0.0])
@@ -222,9 +378,14 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 class _MinibatchMixin:
     """Deterministic minibatch selection by step index, reshuffled per epoch.
 
-    Only the current epoch's permutation is kept; an earlier epoch asked
-    for again is recomputed, since the order is a pure function of
-    (seed, epoch).
+    A block's data are the sample orders of the epochs its steps span.
+    Loading a block keeps the orders of the last one that it still
+    spans, so the step loop builds each epoch's permutation once, and
+    the comparator's losses read the same orders as the steps.  Without
+    a comparator (the MLP) a block loads nothing.  A step outside the
+    loaded orders loads its own epoch's order alone; an earlier epoch
+    asked for again is recomputed, since the order is a pure function
+    of (seed, epoch).
 
     A subclass names its per-sample arrays in ``_data``.  Stacked, they
     are concatenated, replica r's samples at rows r * n .. (r + 1) * n - 1,
@@ -242,16 +403,31 @@ class _MinibatchMixin:
         self.n_train = n
         self._batch_size = batch_size
         self._order_seed = seed
-        self._orders: dict = {}
         self.batches_per_epoch = math.ceil(n / batch_size)
+        self._unload()
+
+    def _unload(self) -> None:
+        self._orders: dict = {}
 
     def _stacked(self) -> None:
         for name in self._data:
             rows = getattr(self, name)
             setattr(self, name, rows.reshape(-1, *rows.shape[2:]))
         # one seed per replica; replicas that share it share a column entry
-        self._order_seed = np.broadcast_to(
-            np.ravel(self._order_seed), self.shape[:1]).tolist()
+        self._order_seed = _per_replica(self._order_seed, self.shape[0])
+
+    def _load(self, t0: int, n: int) -> None:
+        super()._load(t0, n)
+        if self.theta_star is None:
+            # no comparator reads the block at once, so the steps load
+            # each epoch's order as they reach it, and hold one
+            return
+        per = self.batches_per_epoch
+        loaded = self._orders
+        self._orders = {
+            epoch: loaded[epoch] if epoch in loaded
+            else self._epoch_orders(epoch)
+            for epoch in range(t0 // per, (t0 + n - 1) // per + 1)}
 
     def _epoch_orders(self, epoch: int) -> np.ndarray:
         """The epoch's sample order: (n,), or (R, n) into stacked data."""
@@ -337,30 +513,38 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
         grad = np.matmul(x.mT, weights[..., None])[..., 0]
         return loss, grad / y.shape[-1]
 
-    def star_losses(self, horizon: int) -> np.ndarray:
-        """``star_loss_at`` for t = 1..horizon: one pass per epoch.
+    def _star_block(self, t0: int, n: int) -> np.ndarray:
+        """The loaded epoch orders' comparator losses, per replica.
 
-        The epoch's full batches go through one stacked product and mean,
-        which take each batch's rows as ``loss_at`` does; a partial last
-        batch goes alone.
+        The block's full batches of an epoch go through one stacked
+        product and mean, which take each batch's rows as ``loss_at``
+        does; a partial last batch goes alone.
         """
-        n, b = self.n_train, self._batch_size
-        full = n // b
-        out = np.empty(horizon)
-        for lo in range(0, horizon, self.batches_per_epoch):
-            order = _epoch_order(self._order_seed,
-                                 lo // self.batches_per_epoch, n)
-            hi = min(horizon, lo + self.batches_per_epoch)
-            k = min(hi - lo, full)
-            x = self.features[order[:k * b]].reshape(k, b, self.dim)
-            y = self.labels[order[:k * b]].reshape(k, b)
-            margins = y * np.matmul(x, self.theta_star)
-            out[lo:lo + k] = _mean_of_rows(np.logaddexp(0.0, -margins))
-            if lo + k < hi:
-                idx = order[k * b:]
-                out[lo + k] = np.mean(np.logaddexp(
-                    0.0, -self.labels[idx] * (self.features[idx]
-                                              @ self.theta_star)))
+        b, per = self._batch_size, self.batches_per_epoch
+        full = self.n_train // b
+        thetas = self.theta_star.reshape(-1, self.dim)
+        out = np.empty((len(thetas), n))
+        for epoch, orders in self._orders.items():
+            # the epoch's batch slots lo .. hi - 1 are the block's steps
+            # at .. at + hi - lo - 1
+            start = epoch * per
+            lo, hi = max(t0, start) - start, min(t0 + n, start + per) - start
+            at = start + lo - t0
+            k = max(0, min(hi, full) - lo)
+            for row, order, theta in zip(
+                    out, orders.reshape(len(thetas), -1), thetas):
+                if k:
+                    idx = order[lo * b:(lo + k) * b]
+                    x = self.features[idx].reshape(k, b, self.dim)
+                    y = self.labels[idx].reshape(k, b)
+                    margins = y * np.matmul(x, theta)
+                    row[at:at + k] = _mean_of_rows(
+                        np.logaddexp(0.0, -margins))
+                if hi > full:
+                    idx = order[full * b:]
+                    row[at + hi - 1 - lo] = np.mean(np.logaddexp(
+                        0.0, -self.labels[idx] * (self.features[idx]
+                                                  @ theta)))
         return out
 
 

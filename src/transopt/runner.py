@@ -22,8 +22,13 @@ its gradients, rates and iterates into three small preallocated
 (rows, R, d) buffers; a full buffer is flushed as one block to the
 loop's one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`),
 which screens the block's losses and gradients and then reduces it over
-the coordinate axis for all R replicas at once.  So run memory is O(R d)
-besides the per-step losses and the per-sampled-step histogram rows.
+the coordinate axis for all R replicas at once.  At the start of each
+buffer the loop loads the problem's data for the buffer's steps
+(:meth:`~transopt.problems.OnlineProblem.block`: the quadratic's
+centers, a logistic problem's epoch orders), which the oracle reads, and
+writes the comparators' losses at those steps into the monitor's (R, T)
+``stars``.  So run memory is O(R d) besides the per-step losses and
+comparator losses and the per-sampled-step histogram rows.
 The regret is one cumulative sum after the loop; a sum that passes the
 largest double raises a DomainError naming the run and the first step
 whose R(t) is not finite.
@@ -308,7 +313,8 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     Row r of the loop is config r.  Returns one record per config, in
     the order given, each equal to the config's lone run but for the
     wall clock: the batch's time is shared equally.
-    The monitors stream, so a run holds O(d) state plus the per-step
+    The problem's data and the monitors stream a buffer of steps at a
+    time, so a run holds O(d) state plus the per-step losses, comparator
     losses and regret and one histogram and rate-summary row per sampled
     step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
     as the (T, d) arrays ``grads`` and ``rate_rows`` of each record.
@@ -335,9 +341,6 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
 
     theta = np.stack([p.initial_point(cfg.problem.seed)
                       for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
-    # The comparators' losses, which step t's regret subtracts
-    stars = [p.star_losses(horizon) if p.theta_star is not None else None
-             for p in problems]
     fork = False
     if write_artifacts:
         # the writer's module (and multiprocessing) load with the first
@@ -352,7 +355,10 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
-        shared=fork)
+        shared=fork, comparator=problem.theta_star is not None)
+    # the comparators' losses, which step t's regret subtracts, filled a
+    # block at a time
+    stars = monitor.stars
     # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
     # buffers whose rows take a step's values as they are: (T,) for one
     # replica, whose loss is a float; a broadcast (d,) -> (1, d) copy
@@ -369,13 +375,22 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         texts = [serialize_config(cfg) for cfg in cfgs]
         writer = ArtifactWriter(
             texts, [run_directory(cfg, out_root, text)
-                    for cfg, text in zip(cfgs, texts)], stars,
+                    for cfg, text in zip(cfgs, texts)],
+            [None] * len(cfgs) if stars is None else list(stars),
             fork=fork, monitor=monitor)
+
+    def load(t0: int) -> None:
+        """Load the problem's block of the buffer of steps from t0 + 1."""
+        n = min(rows, horizon - t0)
+        star = problem.block(t0, n)
+        if star is not None:
+            stars[:, t0:t0 + n] = star
 
     try:
         try:
             # numpy's warnings are off: the loop screens what they flag
             with np.errstate(**STEP_ERRSTATE):
+                load(0)
                 for t in range(1, horizon + 1):
                     loss, g = problem.loss_and_grad(t, theta)
                     losses[t - 1] = loss
@@ -397,6 +412,8 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                             writer.block(monitor)
                             grads, rates, thetas = views[monitor.slot]
                         k = 0
+                        if t < horizon:
+                            load(t)
                 monitor.finish(k)
         except DomainError as exc:
             names = [run_stem(cfg) for cfg in cfgs]
@@ -409,20 +426,21 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
 
         records = []
         final_lr = optimizer.effective_lr()
-        for r, (cfg, p, schedule, star) in enumerate(
-                zip(cfgs, problems, schedules, stars)):
+        for r, (cfg, p, schedule) in enumerate(
+                zip(cfgs, problems, schedules)):
             # replica r's column of the batch; a lone run's arrays as they
             # are
             run_losses = np.ascontiguousarray(
                 losses.reshape(horizon, -1)[:, r])
             run_theta = theta.reshape(-1, p.dim)[r]
             regret = None
-            if star is not None:
+            if stars is not None:
                 # R(t) by the sequential sums of a per-step ledger; adding
                 # 0.0 first turns a -0.0 difference into the ledger's
-                # 0.0 + -0.0
+                # 0.0 + -0.0; the writer has read the comparators'
+                # losses, which take R(t) in their place
                 with np.errstate(over="ignore", invalid="ignore"):
-                    regret = np.subtract(run_losses, star, out=star)
+                    regret = np.subtract(run_losses, stars[r], out=stars[r])
                     regret[0] += 0.0
                     np.add.accumulate(regret, out=regret)
                 # the losses are finite, so R(t) stays finite until a sum

@@ -4,15 +4,16 @@ loop's condition reductions run there too.
 
 :class:`ArtifactWriter` is the loop's end.  It is built after the loop's
 build and before its first step, and forks the writer, which inherits
-the configs, the comparators' losses and the loop's monitor, so it needs
-POSIX ``fork``.  When the machine has no core to spare beside the loops
-running at once (:func:`spare_core`) it forks nothing and the loop's
-process handles each message itself, with the same code.
+the configs and the loop's monitor, so it needs POSIX ``fork``.  When
+the machine has no core to spare beside the loops running at once
+(:func:`spare_core`) it forks nothing and the loop's process handles
+each message itself, with the same code.
 
 At each flush the loop sends one small message: its slot of step rows,
 its range of steps and sampled steps, and the bytes of its histogram
-counter rows.  The writer reads the steps' losses and rate summaries
-from the monitor's shared mappings.  When the monitor's
+counter rows.  The writer reads the steps' losses, the comparators'
+losses (which the loop fills a buffer of steps at a time) and the rate
+summaries from the monitor's shared mappings.  When the monitor's
 ``writer_reduces`` (a run of at least
 :data:`~transopt.diagnostics.WRITER_BLOCKS` buffers), the writer runs
 the reductions that never raise (zeta, C2, the box test and the |g|
@@ -122,9 +123,9 @@ class _LoopFiles:
     def handle(self, message, reply: Callable[[object], None]) -> bool:
         """Act on one message of the loop: reduce a block's slot, release
         it and queue the block's rows (for :meth:`write`); reply with the
-        reductions' state; write a run's scalars; or at the end message
-        write the queued rows, publish every run directory, reply None
-        and return True."""
+        reductions' state (None when the loop reduces); write a run's
+        scalars; or at the end message write the queued rows, publish
+        every run directory, reply None and return True."""
         if message[0] == "block":
             _, slot, *rows = message
             if self.monitor.writer_reduces:
@@ -135,7 +136,8 @@ class _LoopFiles:
                 self.free[slot].release()
             self.queued.append(self.block(*rows))
         elif message[0] == "conditions":
-            reply(self.monitor.conditions)
+            reply(self.monitor.conditions if self.monitor.writer_reduces
+                  else None)
         elif message[0] == "run":
             _, r, report, meta = message
             report.to_csv(self.runs[r].temp / "conditions.csv")
@@ -181,22 +183,17 @@ class _LoopFiles:
 
     def block(self, t0: int, t1: int, lo: int, hi: int,
               counts: bytes) -> Iterator[bool]:
-        """Append the rows of steps t0 + 1 .. t1: their losses, and the
-        rate summaries and histogram rows of the sampled steps among
-        them, sampled steps lo .. hi - 1, whose (R, m, width) histogram
-        counters are the bytes ``counts``; yields True after each run's
-        rows."""
-        monitor = self.monitor
-        losses = monitor.losses[t0:t1]
-        ts = monitor.steps[lo:hi]
-        summary = monitor.rate_summary[:, lo:hi]
-        counts = np.frombuffer(counts, LrHistogram.counter_type(
-            monitor.dim)).reshape(len(self.runs), hi - lo, HIST_BINS + 2)
-        t_text = np.array([str(x) for x in ts.tolist()], dtype=object)
-        t_float = ts.astype(np.float64)
-        at = ts - (t0 + 1)
+        """Sum each run's R(t) over steps t0 + 1 .. t1 now, so the
+        comparators' losses of a block are read before a later message
+        is answered, and return the generator that appends the block's
+        rows: the steps' losses, and the rate summaries and histogram
+        rows of the sampled steps among them, sampled steps lo .. hi - 1,
+        whose (R, m, width) histogram counters are the bytes ``counts``;
+        it yields True after each run's rows."""
+        losses = self.monitor.losses[t0:t1]
+        regrets = []
         for r, run in enumerate(self.runs):
-            texts = {}
+            regret = None
             if run.star is not None:
                 # R(t) carried from the last block: the same sequential
                 # sums as one accumulate over the run, whose first term
@@ -207,11 +204,26 @@ class _LoopFiles:
                     regret[0] += run.regret
                     np.add.accumulate(regret, out=regret)
                 run.regret = regret[-1]
-            if not len(ts):
-                continue
-            loss = _texts(losses[at, r])
+            regrets.append(regret)
+        return self._rows(t0, lo, hi, counts, regrets)
+
+    def _rows(self, t0: int, lo: int, hi: int, counts: bytes,
+              regrets: List[Optional[np.ndarray]]) -> Iterator[bool]:
+        monitor = self.monitor
+        ts = monitor.steps[lo:hi]
+        if not len(ts):
+            return
+        summary = monitor.rate_summary[:, lo:hi]
+        counts = np.frombuffer(counts, LrHistogram.counter_type(
+            monitor.dim)).reshape(len(self.runs), hi - lo, HIST_BINS + 2)
+        t_text = np.array([str(x) for x in ts.tolist()], dtype=object)
+        t_float = ts.astype(np.float64)
+        at = ts - (t0 + 1)
+        for r, (run, regret) in enumerate(zip(self.runs, regrets)):
+            texts = {}
+            loss = _texts(monitor.losses[t0 + at, r])
             texts["loss.csv"] = _csv_lines([t_text, loss])
-            if run.star is None:
+            if regret is None:
                 regret_text = np.full(len(ts), "", dtype=object)
             else:
                 sampled = regret[at]
@@ -277,8 +289,9 @@ class ArtifactWriter:
     ``fork`` it forks the writer process, which inherits the configs, the
     comparators' losses and the loop's ``monitor``
     (:class:`~transopt.diagnostics.RunMonitor`, which must be ``shared``
-    then); without, the loop's process writes each message itself, with
-    the same code.  ``block`` hands the writer the steps of the monitor's
+    then, as must comparators' losses that the loop fills later);
+    without, the loop's process writes each message itself, with the
+    same code.  ``block`` hands the writer the steps of the monitor's
     last flush, ``run`` a run's scalars and ``close`` the end message,
     after which it waits until every run directory is published.
     ``stop`` closes the pipe and joins the writer; unless every run
@@ -291,7 +304,8 @@ class ArtifactWriter:
                  monitor: Optional[RunMonitor] = None):
         """Run r's config text is ``texts[r]``, its run directory
         ``run_dirs[r]`` and its comparator's per-step losses ``stars[r]``
-        (None without a comparator)."""
+        (None without a comparator), of which the writer reads a block's
+        steps after the block is handed over."""
         runs = []
         for r, (text, run_dir, star) in enumerate(
                 zip(texts, run_dirs, stars)):
@@ -342,8 +356,10 @@ class ArtifactWriter:
         over already: their slot of step rows, their range of steps and
         sampled steps, and the histogram rows of those.  When the writer
         reduces the slots, the monitor then fills its next slot, once the
-        writer has released it, and after the loop's end (``last``) gets
-        back its reductions' final state."""
+        writer has released it.  After the loop's end (``last``) a forked
+        writer answers once it has handled every block: with its
+        reductions' final state, which the monitor takes when the writer
+        reduces."""
         t0, t1 = self._t, monitor.t
         if t1 > t0:
             lo, hi = self._sampled, monitor.sampled
@@ -355,8 +371,12 @@ class ArtifactWriter:
             self._send(("block", monitor.slot, t0, t1, lo, hi, counts))
             if monitor.writer_reduces and not last:
                 self._take(monitor.next_slot())
-        if last and monitor.writer_reduces:
-            monitor.conditions = self._request(("conditions",))
+        if last and self._process is not None:
+            # the writer answers after it has handled every block, and so
+            # read every comparator loss, which the loop may then reuse
+            conditions = self._request(("conditions",))
+            if monitor.writer_reduces:
+                monitor.conditions = conditions
 
     def run(self, replica: int, report: ConditionReport, meta: str) -> Path:
         """Hand over a run's condition report and meta.json text; returns

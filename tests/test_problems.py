@@ -22,6 +22,12 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_TINY_NET_LOSS = 0.86597312205458088
 
 
+def single_draw(dim, horizon, seed):
+    """The centers make_quadratic streams, drawn as one (T, d) array."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                               size=(horizon, dim))
+
+
 def directional_fd(problem, t, theta, direction, h=1e-6):
     up = problem.loss_at(t, theta + h * direction)
     down = problem.loss_at(t, theta - h * direction)
@@ -507,7 +513,8 @@ class TestFusedOracle:
         prob = make_quadratic(4, horizon=6, seed=2)
         theta = np.array([0.3, -1.2, 0.7, 1.9])
         for t in (1, 4, 6):
-            self.assert_fused(prob, t, theta, theta - prob.centers[t - 1])
+            self.assert_fused(prob, t, theta,
+                              theta - single_draw(4, 6, seed=2)[t - 1])
 
     def test_reddi(self):
         prob = make_reddi(3.0)
@@ -586,6 +593,76 @@ class TestStarLosses:
                                 batch_size=8)
         with pytest.raises(DomainError, match="no comparator"):
             prob.star_loss_at(2)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestStreamedQuadratic:
+    """make_quadratic streams its centers a block at a time; every value
+    it gives equals the problem on one (T, d) draw, bit for bit."""
+
+    @staticmethod
+    def horizon(dim):
+        # two build blocks and part of a third (a block of the step loop
+        # is at most 528 rows, so those end inside the horizon too)
+        return 2 * max(1, problems_module.BUILD_ELEMENTS // dim) + 7
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 200])
+    def test_build_pass_and_comparator_losses(self, dim):
+        horizon = self.horizon(dim)
+        streamed = make_quadratic(dim, horizon, seed=dim)
+        whole = QuadraticTracking(single_draw(dim, horizon, seed=dim),
+                                  FeasibleBox.cube(2.0, dim))
+        assert (dim == 1) == (streamed.centers is not None)
+        np.testing.assert_array_equal(bits(streamed.theta_star),
+                                      bits(whole.theta_star))
+        assert bits(streamed.grad_bound) == bits(whole.grad_bound)
+        for t in (horizon, horizon - 1):
+            np.testing.assert_array_equal(bits(streamed.star_losses(t)),
+                                          bits(whole.star_losses(t)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 200])
+    def test_stacked_oracle_either_side_of_a_block_boundary(self, dim):
+        horizon = 2 * buffer_rows(10 ** 6, 3 * dim) + 5
+        seeds = (4, 9, 4)
+        streamed = stack_problems([make_quadratic(dim, horizon, seed=s)
+                                   for s in seeds])
+        whole = stack_problems([
+            QuadraticTracking(single_draw(dim, horizon, seed=s),
+                              FeasibleBox.cube(2.0, dim)) for s in seeds])
+        rows = buffer_rows(horizon, 3 * dim)
+        assert rows < horizon / 2
+        theta = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, dim))
+        # blocks loaded as the step loop loads them, then a step that
+        # jumps back and one past the loaded block
+        for t0 in range(0, horizon, rows):
+            n = min(rows, horizon - t0)
+            np.testing.assert_array_equal(bits(streamed.block(t0, n)),
+                                          bits(whole.block(t0, n)))
+            for t in (t0 + 1, t0 + n):
+                for got, want in zip(streamed.loss_and_grad(t, theta),
+                                     whole.loss_and_grad(t, theta)):
+                    np.testing.assert_array_equal(bits(got), bits(want))
+        for t in (rows, rows + 1, 2 * rows + 1, horizon):
+            for got, want in zip(streamed.loss_and_grad(t, theta),
+                                 whole.loss_and_grad(t, theta)):
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_blocks_hold_the_loaded_steps_only(self):
+        prob = make_quadratic(4, 1000, seed=3)
+        assert prob.centers is None
+        prob.block(200, 50)
+        assert prob._centers.shape == (50, 4)
+        prob.loss_and_grad(900, np.zeros(4))
+        assert prob._centers.shape == (buffer_rows(101, 4), 4)
+        with pytest.raises(DomainError,
+                           match="step 1001 outside the problem horizon"):
+            prob.loss_and_grad(1001, np.zeros(4))
+        with pytest.raises(DomainError,
+                           match="step 0 outside the problem horizon"):
+            prob.loss_and_grad(0, np.zeros(4))
 
 
 class TestStackedOracles:

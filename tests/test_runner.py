@@ -34,6 +34,13 @@ from transopt import writer as writer_module
 from transopt.writer import ArtifactWriter
 
 
+def single_draw_centers(cfg):
+    """The centers of cfg's quadratic, drawn as one (T, d) array, as the
+    problem streams them."""
+    return np.random.default_rng(cfg.problem.seed).uniform(
+        -1.0, 1.0, size=(cfg.horizon, cfg.problem.dim))
+
+
 def quadratic_cfg(optimizer="dstadam", horizon=300, seed=7, extra=""):
     return parse_config(f"""
 problem:
@@ -141,7 +148,7 @@ batch_size: 32
 
         def build_nan_problem(cfg):
             p = build_problem(cfg)
-            return NanAtStep(p.centers, p.box)
+            return NanAtStep(single_draw_centers(cfg), p.box)
 
         monkeypatch.setattr(runner, "build_problem", build_nan_problem)
         with pytest.raises(DomainError, match="step 7, coordinate 1"):
@@ -352,22 +359,52 @@ class TestStreamedMonitors:
         assert record.sup_sqrt_regret_tail() == max(ratios[250:])
         assert record.sup_sqrt_regret_tail(400) == max(ratios[399:])
 
-    def test_quadratic_d200_run_stays_small(self):
+    def test_quadratic_d200_run_stays_small(self, monkeypatch):
+        # the peak may grow with T only by the per-step losses and the
+        # comparators' losses (8 bytes each; the regret takes the
+        # latter's place) and the sampled steps' rows: at most 64 bytes
+        # a step, where a (T, d) array would add 1600.  The build's peak
+        # and the loop's are bounded apart, since at these horizons the
+        # build's fixed blocks would hide the loop's growth.
         import tracemalloc
-        cfg = parse_config("""
-problem: {kind: quadratic, dim: 200, seed: 3}
-optimizer: {kind: dstadam}
-horizon: 20000
+
+        build = runner.build_problem
+
+        def build_then_reset(cfg):
+            problem = build(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return problem
+
+        monkeypatch.setattr(runner, "build_problem", build_then_reset)
+
+        def run(horizon):
+            cfg = parse_config(f"""
+problem: {{kind: quadratic, dim: 200, seed: 3}}
+optimizer: {{kind: dstadam}}
+horizon: {horizon}
 stride: 100
 """)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg, write_artifacts=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the problem's own (T, d) centers are 32 MB of it
-        assert peak < 50 * 2 ** 20, peak / 2 ** 20
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, write_artifacts=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        peaks = []
+        short, long = 2000, 8000
+        run(100)  # allocations made once per process
+        peaks.clear()
+        run(short)
+        run(long)
+        build_short, loop_short, build_long, loop_long = peaks
+        for low, high in ((build_short, build_long),
+                          (max(build_short, loop_short),
+                           max(build_long, loop_long)),
+                          (loop_short, loop_long)):
+            per_step = (high - low) / (long - short)
+            assert per_step <= 64, (per_step, peaks)
 
     def test_meta_and_check_conditions_report_streamed_values(
             self, tmp_path, capsys):
@@ -384,6 +421,88 @@ stride: 100
             in out
         t, i = meta["c2_first_violation"]
         assert f"c2_first_violation   t={t} i={i}\n" in out
+
+
+class TestStreamedProblems:
+    """A loop reads each problem's data a block at a time: a run on a
+    streamed quadratic equals its run on the one (T, d) draw, and a
+    minibatch loop builds each epoch's permutation once."""
+
+    CONFIGS = [("dstadam", 5), ("adam", 5), ("sgdm", 8)]
+
+    def cfgs(self, horizon=1000):
+        return [parse_config(f"""
+problem: {{kind: quadratic, dim: 4, seed: {seed}}}
+optimizer: {{kind: {kind}}}
+horizon: {horizon}
+stride: 7
+name: {kind}-{seed}
+""") for kind, seed in self.CONFIGS]
+
+    def assert_same_record(self, got, want):
+        for name in ("losses", "regret", "rate_summary", "final_theta"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        assert_same_rows(got.histogram.rows, want.histogram.rows)
+        assert got.report == want.report
+
+    def explicit(self, monkeypatch):
+        def build_whole(cfg):
+            p = build_problem(cfg)
+            return QuadraticTracking(single_draw_centers(cfg), p.box)
+
+        monkeypatch.setattr(runner, "build_problem", build_whole)
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_a_streamed_run_equals_its_explicit_array_run(
+            self, monkeypatch, replicas):
+        cfgs = self.cfgs()[:replicas]
+        streamed = runner.run_batch(cfgs, write_artifacts=False)
+        assert build_problem(cfgs[0]).centers is None
+        self.explicit(monkeypatch)
+        whole = runner.run_batch(cfgs, write_artifacts=False)
+        for got, want in zip(streamed, whole):
+            self.assert_same_record(got, want)
+
+    def test_streamed_and_explicit_artifacts_are_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        # a forked writer reads the comparators' losses as the loop fills
+        # them; 4000 steps of 3 replicas make the writer reduce too
+        cfgs = self.cfgs(4000)
+        streamed = runner.run_batch(cfgs, str(tmp_path / "streamed"))
+        self.explicit(monkeypatch)
+        whole = runner.run_batch(cfgs, str(tmp_path / "whole"))
+        for got, want in zip(streamed, whole):
+            self.assert_same_record(got, want)
+            for name in CSV_ARTIFACTS:
+                assert (got.run_dir / name).read_bytes() == \
+                    (want.run_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("problem", [
+        # 4 batches an epoch, blocks of 227 steps
+        "{kind: logistic, n_samples: 30, dim: 3, seed: %d}\nbatch_size: 8",
+        # 3 batches an epoch, blocks of 64 steps
+        "{kind: mlp, n_train: 24, n_test: 8, hidden: [4], seed: %d}\n"
+        "batch_size: 8"])
+    def test_a_loop_builds_each_epoch_order_once(self, monkeypatch,
+                                                 problem):
+        from transopt import problems as problems_module
+
+        seeds = (5, 5, 3)
+        cfgs = [parse_config(f"problem: {problem % seed}\n"
+                             f"optimizer: {{kind: adam, alpha: {alpha}}}\n"
+                             "horizon: 500\n")
+                for seed, alpha in zip(seeds, (0.001, 0.01, 0.001))]
+        calls = []
+        order = problems_module._epoch_order
+        monkeypatch.setattr(problems_module, "_epoch_order",
+                            lambda *args: calls.append(args[:2])
+                            or order(*args))
+        runner.run_batch(cfgs, write_artifacts=False)
+        per_epoch = build_problem(cfgs[0]).batches_per_epoch
+        epochs = range(math.ceil(500 / per_epoch))
+        assert sorted(calls) == sorted(
+            (seed, epoch) for seed in (5, 3) for epoch in epochs)
 
 
 def assert_same_rows(got, want):
@@ -1375,7 +1494,7 @@ class TestOverflowedSecondMoment:
 
         def build_overflow_problem(cfg):
             p = build_problem(cfg)
-            return OverflowAtStep(p.centers, p.box)
+            return OverflowAtStep(single_draw_centers(cfg), p.box)
 
         monkeypatch.setattr(runner, "build_problem", build_overflow_problem)
         cfg = quadratic_cfg("adam", horizon=8, extra="  beta2: 0.999\n")
