@@ -481,16 +481,18 @@ class RunMonitor:
     a schedule, which gets no zeta) and whether its effective rate is
     eta-hat divided by sqrt(t).  The step loop writes step t's losses
     into row t - 1 of the (T, R) ``losses``, and with ``comparator`` the
-    comparators' losses of each block of steps into the (R, T)
-    ``stars``; it copies its gradients, raw rates eta-hat and iterates,
-    (R, d) or (d,), into row k of the three (rows, R, d) ``buffers``
-    (grads, rates, thetas; rows from :func:`buffer_rows`) and calls
-    ``flush(k + 1)`` when they are full and ``finish(k)`` after the last
-    step.
+    comparators' losses of each block of steps into the same columns of
+    the (R, T) ``regret``; it copies its gradients, raw rates eta-hat and
+    iterates, (R, d) or (d,), into row k of the three (rows, R, d)
+    ``buffers`` (grads, rates, thetas; rows from :func:`buffer_rows`) and
+    calls ``flush(k + 1)`` when they are full and ``finish(k)`` after the
+    last step.
 
     A flush first screens the block's losses and gradients
     (:meth:`screen`), so no non-finite one reaches a monitor, a
-    histogram or the artifacts.  Then it reduces the whole block over
+    histogram or the artifacts.  It then turns the block's comparator
+    losses into R(t) in place: ``regret[r, t - 1]`` is R(t) of run r
+    once step t is flushed.  Then it reduces the whole block over
     its coordinate axis, so it makes one call per monitor whatever R
     is: a raw rate that is not positive raises, naming the run, step and
     coordinate, at any stride; the min/median/max of the sampled steps'
@@ -499,16 +501,16 @@ class RunMonitor:
     that never raise (``conditions``: C2, zeta, the box test and |g|)
     run at the flush too, unless ``writer_reduces``.
 
-    A ``shared`` monitor keeps its losses, comparator losses and rate
-    summaries in anonymous shared mappings, for the loop's writer
-    process forked after it to read.  When the run spans at least
+    A ``shared`` monitor keeps its losses, regrets and rate summaries
+    in anonymous shared mappings, for the loop's writer process forked
+    after it to read.  When the run spans at least
     :data:`WRITER_BLOCKS` buffers of steps, the writer also runs the
     reductions (``writer_reduces``): the buffers are ``slots[slot]``,
     one of :func:`shared_slots` slots of one more shared mapping, and
     the writer reduces each flushed slot while the loop fills the next.
 
-    The runs keep O(R d) state besides the per-step losses and the
-    per-sampled-step histogram and summary rows; ``grads`` and
+    The runs keep O(R d) state besides the per-step losses and regrets
+    and the per-sampled-step histogram and summary rows; ``grads`` and
     ``rate_rows`` hold the (R, T, d) trajectories only with
     ``keep_trajectory``.
     """
@@ -523,7 +525,7 @@ class RunMonitor:
         self.writer_reduces = shared and horizon > (WRITER_BLOCKS - 1) * rows
         zeros = _shared_zeros if shared else np.zeros
         self.losses = zeros((horizon, replicas))
-        self.stars = zeros((replicas, horizon)) if comparator else None
+        self.regret = zeros((replicas, horizon)) if comparator else None
         # (slots, grads/rates/thetas, rows, R, d)
         if self.writer_reduces:
             self.slots = _shared_zeros((shared_slots(rows * replicas * dim),
@@ -582,10 +584,19 @@ class RunMonitor:
 
     def flush(self, n: int) -> None:
         """Screen the first n buffer rows, the steps after the last flush,
-        and hand them to the monitors."""
+        sum their R(t) and hand them to the monitors."""
         self.screen(n)
         grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self.t = self.t, self.t + n
+        if self.regret is not None:
+            # the sequential sums of a per-step ledger, carried on from
+            # R(t0); the first block's 0.0 turns a -0.0 difference into
+            # the ledger's 0.0 + -0.0.  A sum past the largest double is
+            # inf here, and the runner raises it as a DomainError
+            regret = self.regret[:, t0:self.t]
+            np.subtract(self.losses[t0:self.t].T, regret, out=regret)
+            regret[:, 0] += self.regret[:, t0 - 1] if t0 else 0.0
+            np.add.accumulate(regret, axis=1, out=regret)
         if self.grads is not None:
             self.grads[:, t0:self.t] = grads.swapaxes(0, 1)
             self.rate_rows[:, t0:self.t] = rates.swapaxes(0, 1)

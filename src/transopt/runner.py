@@ -27,11 +27,11 @@ buffer the loop loads the problem's data for the buffer's steps
 (:meth:`~transopt.problems.OnlineProblem.block`: the quadratic's
 centers, a logistic problem's epoch orders), which the oracle reads, and
 writes the comparators' losses at those steps into the monitor's (R, T)
-``stars``.  So run memory is O(R d) besides the per-step losses and
-comparator losses and the per-sampled-step histogram rows.
-The regret is one cumulative sum after the loop; a sum that passes the
-largest double raises a DomainError naming the run and the first step
-whose R(t) is not finite.
+``regret``, which the monitor's flush turns into R(t) in place.  So run
+memory is O(R d) besides the per-step losses and regrets and the
+per-sampled-step histogram rows.  A regret whose sum passes the largest
+double raises a DomainError after the loop, naming the run and the
+first step whose R(t) is not finite.
 
 The loop screens its inputs a buffer at a time, not a step at a time:
 its stepper skips the per-step input screens, and a non-finite loss or
@@ -224,6 +224,9 @@ class RunRecord:
             return None
         if start is None:
             start = self.horizon // 2
+        if start > self.horizon:
+            raise DomainError(f"tail start {start} is past the horizon "
+                              f"{self.horizon}")
         lo = max(start, 1) - 1
         t = np.arange(lo + 1, self.horizon + 1, dtype=np.float64)
         return float(np.max(self.regret[lo:] / np.sqrt(t)))
@@ -314,9 +317,9 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
     the order given, each equal to the config's lone run but for the
     wall clock: the batch's time is shared equally.
     The problem's data and the monitors stream a buffer of steps at a
-    time, so a run holds O(d) state plus the per-step losses, comparator
-    losses and regret and one histogram and rate-summary row per sampled
-    step.  ``keep_trajectory`` also keeps every gradient and eta-hat row,
+    time, so a run holds O(d) state plus the per-step losses and regret
+    and one histogram and rate-summary row per sampled step.
+    ``keep_trajectory`` also keeps every gradient and eta-hat row,
     as the (T, d) arrays ``grads`` and ``rate_rows`` of each record.
     A DomainError raised by a step names the config it belongs to.
     ``loops`` is the number of step loops running at once, this one
@@ -356,9 +359,6 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
         shared=fork, comparator=problem.theta_star is not None)
-    # the comparators' losses, which step t's regret subtracts, filled a
-    # block at a time
-    stars = monitor.stars
     # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
     # buffers whose rows take a step's values as they are: (T,) for one
     # replica, whose loss is a float; a broadcast (d,) -> (1, d) copy
@@ -376,7 +376,6 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         writer = ArtifactWriter(
             texts, [run_directory(cfg, out_root, text)
                     for cfg, text in zip(cfgs, texts)],
-            [None] * len(cfgs) if stars is None else list(stars),
             fork=fork, monitor=monitor)
 
     def load(t0: int) -> None:
@@ -384,7 +383,9 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         n = min(rows, horizon - t0)
         star = problem.block(t0, n)
         if star is not None:
-            stars[:, t0:t0 + n] = star
+            # the comparators' losses, which the monitor's flush turns
+            # into R(t) in place
+            monitor.regret[:, t0:t0 + n] = star
 
     try:
         try:
@@ -433,23 +434,13 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             run_losses = np.ascontiguousarray(
                 losses.reshape(horizon, -1)[:, r])
             run_theta = theta.reshape(-1, p.dim)[r]
-            regret = None
-            if stars is not None:
-                # R(t) by the sequential sums of a per-step ledger; adding
-                # 0.0 first turns a -0.0 difference into the ledger's
-                # 0.0 + -0.0; the writer has read the comparators'
-                # losses, which take R(t) in their place
-                with np.errstate(over="ignore", invalid="ignore"):
-                    regret = np.subtract(run_losses, stars[r], out=stars[r])
-                    regret[0] += 0.0
-                    np.add.accumulate(regret, out=regret)
-                # the losses are finite, so R(t) stays finite until a sum
-                # passes the largest double, and stays inf or NaN after
-                if not math.isfinite(regret[-1]):
-                    t = int(np.argmax(~np.isfinite(regret))) + 1
-                    raise DomainError(f"{run_stem(cfg)}: non-finite regret "
-                                      f"at step {t}; run aborted",
-                                      replica=r)
+            regret = None if monitor.regret is None else monitor.regret[r]
+            # the losses are finite, so R(t) stays finite until a sum
+            # passes the largest double, and stays inf or NaN after
+            if regret is not None and not math.isfinite(regret[-1]):
+                t = int(np.argmax(~np.isfinite(regret))) + 1
+                raise DomainError(f"{run_stem(cfg)}: non-finite regret at "
+                                  f"step {t}; run aborted", replica=r)
             record = RunRecord(
                 config=cfg,
                 run_dir=None,

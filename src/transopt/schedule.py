@@ -128,9 +128,10 @@ class TransitionSchedule:
         return self.rho_sequence[t - 1]
 
     def rho_sup(self) -> float:
-        """Smallest rho with rho_t <= rho for all t (the theorem's rho)."""
+        """Smallest rho with rho_t <= rho for all t <= horizon (the
+        theorem's rho); entries past the horizon are never stepped."""
         if self.rho_kind == "custom":
-            return max(self.rho_sequence)
+            return max(self.rho_sequence[:self.horizon])
         return self.rho
 
     def r_at(self, t: int) -> float:

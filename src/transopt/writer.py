@@ -11,10 +11,10 @@ each message itself, with the same code.
 
 At each flush the loop sends one small message: its slot of step rows,
 its range of steps and sampled steps, and the bytes of its histogram
-counter rows.  The writer reads the steps' losses, the comparators'
-losses (which the loop fills a buffer of steps at a time) and the rate
-summaries from the monitor's shared mappings.  When the monitor's
-``writer_reduces`` (a run of at least
+counter rows.  The writer reads the steps' losses, their R(t) (which
+the monitor's flush sums before the hand-off and never writes again)
+and the rate summaries from the monitor's shared mappings.  When the
+monitor's ``writer_reduces`` (a run of at least
 :data:`~transopt.diagnostics.WRITER_BLOCKS` buffers), the writer runs
 the reductions that never raise (zeta, C2, the box test and the |g|
 max) on the slot under the loop's ``np.errstate`` and releases the slot
@@ -25,11 +25,11 @@ gradient screens, the rate screens, the rate summaries and histograms,
 and every DomainError stay in the loop's process.
 
 The writer appends each block's rows to ``loss.csv``, ``regret.csv``,
-``record.csv`` and ``lr_hist.csv`` of each run's temporary directory,
-carrying the regret's running sum from block to block.  After the loop
-it writes each run's ``conditions.csv`` and ``meta.json`` from the
-scalars the loop sends and renames each temporary directory to its run
-directory, so a run directory appears only when it is complete.
+``record.csv`` and ``lr_hist.csv`` of each run's temporary directory.
+After the loop it writes each run's ``conditions.csv`` and
+``meta.json`` from the scalars the loop sends and renames each
+temporary directory to its run directory, so a run directory appears
+only when it is complete.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ class _RunFiles:
     text: str                 # the config's serialized text
     run_dir: Path
     temp: Path                # the directory published as run_dir
-    star: Optional[np.ndarray]  # the comparator's per-step losses
-    regret: float = 0.0       # R(t) at the last step written
     hist_texts: Dict[bytes, str] = field(default_factory=dict)
 
     def append(self, texts: Dict[str, str]) -> None:
@@ -123,21 +121,19 @@ class _LoopFiles:
     def handle(self, message, reply: Callable[[object], None]) -> bool:
         """Act on one message of the loop: reduce a block's slot, release
         it and queue the block's rows (for :meth:`write`); reply with the
-        reductions' state (None when the loop reduces); write a run's
-        scalars; or at the end message write the queued rows, publish
-        every run directory, reply None and return True."""
+        reductions' state; write a run's scalars; or at the end message
+        write the queued rows, publish every run directory, reply None
+        and return True."""
         if message[0] == "block":
-            _, slot, *rows = message
+            _, slot, t0, t1, lo, hi, counts = message
             if self.monitor.writer_reduces:
-                t0, t1 = rows[:2]
                 with np.errstate(**STEP_ERRSTATE):
                     self.monitor.conditions.update(
                         *self.monitor.slots[slot, :, :t1 - t0])
                 self.free[slot].release()
-            self.queued.append(self.block(*rows))
+            self.queued.append(self._rows(lo, hi, counts))
         elif message[0] == "conditions":
-            reply(self.monitor.conditions if self.monitor.writer_reduces
-                  else None)
+            reply(self.monitor.conditions)
         elif message[0] == "run":
             _, r, report, meta = message
             report.to_csv(self.runs[r].temp / "conditions.csv")
@@ -181,34 +177,11 @@ class _LoopFiles:
             if not published:
                 self.remove()
 
-    def block(self, t0: int, t1: int, lo: int, hi: int,
-              counts: bytes) -> Iterator[bool]:
-        """Sum each run's R(t) over steps t0 + 1 .. t1 now, so the
-        comparators' losses of a block are read before a later message
-        is answered, and return the generator that appends the block's
-        rows: the steps' losses, and the rate summaries and histogram
-        rows of the sampled steps among them, sampled steps lo .. hi - 1,
-        whose (R, m, width) histogram counters are the bytes ``counts``;
-        it yields True after each run's rows."""
-        losses = self.monitor.losses[t0:t1]
-        regrets = []
-        for r, run in enumerate(self.runs):
-            regret = None
-            if run.star is not None:
-                # R(t) carried from the last block: the same sequential
-                # sums as one accumulate over the run, whose first term
-                # adds 0.0; a sum past the largest double is inf here,
-                # and the loop raises it as a DomainError
-                with np.errstate(over="ignore", invalid="ignore"):
-                    regret = np.subtract(losses[:, r], run.star[t0:t1])
-                    regret[0] += run.regret
-                    np.add.accumulate(regret, out=regret)
-                run.regret = regret[-1]
-            regrets.append(regret)
-        return self._rows(t0, lo, hi, counts, regrets)
-
-    def _rows(self, t0: int, lo: int, hi: int, counts: bytes,
-              regrets: List[Optional[np.ndarray]]) -> Iterator[bool]:
+    def _rows(self, lo: int, hi: int, counts: bytes) -> Iterator[bool]:
+        """Append the rows of sampled steps lo .. hi - 1: their losses,
+        R(t), rate summaries and histogram rows, whose (R, m, width)
+        counters are the bytes ``counts``; yield True after each run's
+        rows."""
         monitor = self.monitor
         ts = monitor.steps[lo:hi]
         if not len(ts):
@@ -218,15 +191,14 @@ class _LoopFiles:
             monitor.dim)).reshape(len(self.runs), hi - lo, HIST_BINS + 2)
         t_text = np.array([str(x) for x in ts.tolist()], dtype=object)
         t_float = ts.astype(np.float64)
-        at = ts - (t0 + 1)
-        for r, (run, regret) in enumerate(zip(self.runs, regrets)):
+        for r, run in enumerate(self.runs):
             texts = {}
-            loss = _texts(monitor.losses[t0 + at, r])
+            loss = _texts(monitor.losses[ts - 1, r])
             texts["loss.csv"] = _csv_lines([t_text, loss])
-            if regret is None:
+            if monitor.regret is None:
                 regret_text = np.full(len(ts), "", dtype=object)
             else:
-                sampled = regret[at]
+                sampled = monitor.regret[r, ts - 1]
                 regret_text = _texts(sampled)
                 texts["regret.csv"] = _csv_lines(
                     [t_text, regret_text, _texts(sampled / t_float),
@@ -286,31 +258,26 @@ class ArtifactWriter:
     Built after the loop's build and before its first step, it creates
     each run's temporary directory beside its run directory, so an
     output root that cannot be written fails before any step.  With
-    ``fork`` it forks the writer process, which inherits the configs, the
-    comparators' losses and the loop's ``monitor``
-    (:class:`~transopt.diagnostics.RunMonitor`, which must be ``shared``
-    then, as must comparators' losses that the loop fills later);
-    without, the loop's process writes each message itself, with the
-    same code.  ``block`` hands the writer the steps of the monitor's
-    last flush, ``run`` a run's scalars and ``close`` the end message,
-    after which it waits until every run directory is published.
-    ``stop`` closes the pipe and joins the writer; unless every run
-    directory was published, the temporary directories are deleted.  A
-    write error, or a writer that stops, raises OSError.
+    ``fork`` it forks the writer process, which inherits the configs and
+    the loop's ``monitor`` (:class:`~transopt.diagnostics.RunMonitor`,
+    which must be ``shared`` then); without, the loop's process writes
+    each message itself, with the same code.  ``block`` hands the writer
+    the steps of the monitor's last flush, ``run`` a run's scalars and
+    ``close`` the end message, after which it waits until every run
+    directory is published.  ``stop`` closes the pipe and joins the
+    writer; unless every run directory was published, the temporary
+    directories are deleted.  A write error, or a writer that stops,
+    raises OSError.
     """
 
     def __init__(self, texts: Sequence[str], run_dirs: Sequence[Path],
-                 stars: Sequence[Optional[np.ndarray]], fork: bool = True,
-                 monitor: Optional[RunMonitor] = None):
-        """Run r's config text is ``texts[r]``, its run directory
-        ``run_dirs[r]`` and its comparator's per-step losses ``stars[r]``
-        (None without a comparator), of which the writer reads a block's
-        steps after the block is handed over."""
+                 fork: bool = True, monitor: Optional[RunMonitor] = None):
+        """Run r's config text is ``texts[r]`` and its run directory
+        ``run_dirs[r]``."""
         runs = []
-        for r, (text, run_dir, star) in enumerate(
-                zip(texts, run_dirs, stars)):
+        for r, (text, run_dir) in enumerate(zip(texts, run_dirs)):
             temp = run_dir.with_name(f".{run_dir.name}.{os.getpid()}-{r}.tmp")
-            runs.append(_RunFiles(text, run_dir, temp, star))
+            runs.append(_RunFiles(text, run_dir, temp))
         made = []
         for root in dict.fromkeys(run.run_dir.parent for run in runs):
             while not root.exists() and root not in made:
@@ -356,10 +323,9 @@ class ArtifactWriter:
         over already: their slot of step rows, their range of steps and
         sampled steps, and the histogram rows of those.  When the writer
         reduces the slots, the monitor then fills its next slot, once the
-        writer has released it.  After the loop's end (``last``) a forked
-        writer answers once it has handled every block: with its
-        reductions' final state, which the monitor takes when the writer
-        reduces."""
+        writer has released it.  After the loop's end (``last``) a writer
+        that reduces answers once it has handled every block, with its
+        reductions' final state, which the monitor takes."""
         t0, t1 = self._t, monitor.t
         if t1 > t0:
             lo, hi = self._sampled, monitor.sampled
@@ -371,12 +337,8 @@ class ArtifactWriter:
             self._send(("block", monitor.slot, t0, t1, lo, hi, counts))
             if monitor.writer_reduces and not last:
                 self._take(monitor.next_slot())
-        if last and self._process is not None:
-            # the writer answers after it has handled every block, and so
-            # read every comparator loss, which the loop may then reuse
-            conditions = self._request(("conditions",))
-            if monitor.writer_reduces:
-                monitor.conditions = conditions
+        if last and monitor.writer_reduces:
+            monitor.conditions = self._request(("conditions",))
 
     def run(self, replica: int, report: ConditionReport, meta: str) -> Path:
         """Hand over a run's condition report and meta.json text; returns

@@ -344,20 +344,61 @@ class TestStreamedMonitors:
                               write_artifacts=False, keep_trajectory=True)
         assert kept.grads.shape == kept.rate_rows.shape == (30, 3)
 
-    def test_regret_matches_a_per_step_ledger_bit_for_bit(self):
-        cfg = quadratic_cfg(horizon=500)
-        record = run_experiment(cfg, write_artifacts=False)
-        problem = build_problem(cfg)
-        star = problem.star_losses(record.horizon)
-        ledger = RegretLedger()
-        for t in range(1, record.horizon + 1):
-            ledger.update(t, record.losses.item(t - 1), star.item(t - 1))
-        assert record.regret.tolist() == [r for _, r in ledger.series]
-        assert record.final_regret == ledger.regret
-        ratios = [r / math.sqrt(t) for t, r in ledger.series]
-        assert record.sup_sqrt_regret == max(ratios)
-        assert record.sup_sqrt_regret_tail() == max(ratios[250:])
-        assert record.sup_sqrt_regret_tail(400) == max(ratios[399:])
+    @pytest.mark.parametrize("kinds, horizon, fork", [
+        # one 500-row buffer
+        pytest.param(("dstadam",), 500, None, id="lone"),
+        # two runs of d = 3 fill six 341-row buffers, written by a forked
+        # writer, by the loop's process, or not at all
+        pytest.param(("dstadam", "adam"), 2000, None, id="batch"),
+        pytest.param(("dstadam", "adam"), 2000, True, id="batch-forked"),
+        pytest.param(("dstadam", "adam"), 2000, False, id="batch-inline"),
+    ])
+    def test_regret_matches_a_per_step_ledger_bit_for_bit(
+            self, tmp_path, monkeypatch, kinds, horizon, fork):
+        cfgs = [quadratic_cfg(kind, horizon=horizon) for kind in kinds]
+        loops = 1
+        if fork is not None:
+            loops = TestArtifactWriter._writer(monkeypatch, fork)
+        records = runner.run_batch(cfgs, str(tmp_path), fork is not None,
+                                   loops=loops)
+        for cfg, record in zip(cfgs, records):
+            problem = build_problem(cfg)
+            star = problem.star_losses(record.horizon)
+            ledger = RegretLedger()
+            for t in range(1, record.horizon + 1):
+                ledger.update(t, record.losses.item(t - 1), star.item(t - 1))
+            assert record.regret.tolist() == [r for _, r in ledger.series]
+            assert record.final_regret == ledger.regret
+            ratios = [r / math.sqrt(t) for t, r in ledger.series]
+            assert record.sup_sqrt_regret == max(ratios)
+            assert record.sup_sqrt_regret_tail() == \
+                max(ratios[horizon // 2:])
+            assert record.sup_sqrt_regret_tail(horizon - 100) == \
+                max(ratios[horizon - 101:])
+            with pytest.raises(DomainError, match=(
+                    f"^tail start {horizon + 1} is past the horizon "
+                    f"{horizon}$")):
+                record.sup_sqrt_regret_tail(horizon + 1)
+            if fork is not None:
+                lines = (record.run_dir / "regret.csv").read_text() \
+                    .splitlines()[1:]
+                assert [line.split(",")[:2] for line in lines] == [
+                    [str(t), "%.17g" % r] for t, r in ledger.series]
+
+    def test_rho_entries_past_the_horizon_leave_the_report_alone(self):
+        # the schedule steps only the first three entries of the longer
+        # sequence, so both runs step alike and report alike
+        records = [run_experiment(parse_config(f"""
+problem: {{kind: reddi}}
+optimizer:
+  kind: dstadam
+  schedule: {{rho_kind: custom, rho_sequence: {rho}}}
+horizon: 3
+"""), write_artifacts=False) for rho in ("[0.5, 0.4, 0.3, 1.0, 1.0]",
+                                          "[0.5, 0.4, 0.3]")]
+        for record in records:
+            assert record.report.inverse_rate_max == 157.16203434263477
+            assert record.report.eta_inverse_bounded is True
 
     def test_quadratic_d200_run_stays_small(self, monkeypatch):
         # the peak may grow with T only by the per-step losses and the
@@ -1217,8 +1258,7 @@ class TestArtifactWriter:
         cfg = parse_config(self.HEALTHY)
         text = serialize_config(cfg)
         writer = ArtifactWriter(
-            [text], [runner.run_directory(cfg, str(tmp_path / "runs"), text)],
-            [build_problem(cfg).star_losses(300)])
+            [text], [runner.run_directory(cfg, str(tmp_path / "runs"), text)])
         try:
             temp, = (tmp_path / "runs").iterdir()
         finally:
@@ -1414,7 +1454,7 @@ class TestArtifactWriter:
                                                   monkeypatch, fork):
         # each loss is finite, but R(6) passes the largest double; 4000
         # steps fill eight buffers, so the loop waits for a forked
-        # writer's reductions, and hears if the writer failed on R(6)
+        # writer's reductions, and hears if the writer failed
         stack = runner.stack_problems
 
         def patched(problems):
@@ -1454,6 +1494,24 @@ class TestArtifactWriter:
         with pytest.raises(OSError, match=f"exit code -{signal.SIGKILL}$"):
             run_experiment(cfg, str(tmp_path / "runs"))
         assert _entries(tmp_path) == []
+
+    @pytest.mark.parametrize("horizon, asked", [(2000, 0), (5000, 1)])
+    def test_only_a_reducing_writer_is_asked_for_its_conditions(
+            self, tmp_path, monkeypatch, horizon, asked):
+        # 2000 steps of d = 3 fill four 528-row buffers, fewer than
+        # WRITER_BLOCKS, so the loop reduces them; 5000 steps fill ten
+        kinds = []
+        send = ArtifactWriter._send
+
+        def recorded(self, message):
+            kinds.append(message[0])
+            return send(self, message)
+
+        monkeypatch.setattr(ArtifactWriter, "_send", recorded)
+        self._writer(monkeypatch, fork=True)
+        run_experiment(quadratic_cfg(horizon=horizon), str(tmp_path))
+        assert kinds.count("conditions") == asked
+        assert set(kinds) - {"conditions"} == {"block", "run", "end"}
 
     def test_no_hand_off_carries_a_step_buffer(self, tmp_path, monkeypatch):
         # the MLP batch's shape: four runs at d = 354, whose (64, 4, 354)
