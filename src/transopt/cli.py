@@ -24,18 +24,17 @@ the command's process dies.
 
 Exit codes: 0 on success; 1 when ``sweep`` finds no config or
 ``check-conditions`` an inverse-rate bound violated; 2 for a ``--jobs``
-below 1, a bad config, incomparable runs, a missing file or an output
-root or artifact that cannot be written (checked before a loop's first
-step); 3 when a run fails on its data (a DomainError naming the run,
-step and coordinate), after every other loop has run and printed its
-lines.  Errors print as one ``error:`` line each on stderr.
+below 1, a bad config, incomparable runs, a missing or bad file, or an
+output root or artifact that cannot be written (checked before a loop's
+first step); 3 when a run fails on its data (a DomainError naming the
+run, step and coordinate), after every other loop has run and printed
+its lines.  Errors print as one ``error:`` line each on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import multiprocessing
 import os
@@ -47,7 +46,8 @@ from pathlib import Path
 from .config import load_config, with_overrides
 from .errors import ComparisonError, ConfigError, DomainError
 from .runner import (compare_csv, compare_run_dirs, group_configs,
-                     read_conditions, run_batch, run_experiment)
+                     load_run_summary, read_conditions, run_batch,
+                     run_experiment)
 
 
 def _summary(record) -> str:
@@ -180,9 +180,8 @@ def cmd_compare(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     conditions = read_conditions(args.run_dir)
-    meta_path = Path(args.run_dir) / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+    if (Path(args.run_dir) / "meta.json").exists():
+        meta = load_run_summary(args.run_dir)
         if "c2_first_violation" in meta:
             first = meta["c2_first_violation"]
             conditions["c2_first_violation"] = (

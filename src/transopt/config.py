@@ -193,6 +193,11 @@ class ExperimentConfig:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
         if self.repeats < 1:
             raise ConfigError(f"repeats: must be >= 1, got {self.repeats}")
+        # the run directory is <name>-<hash> inside the output root
+        if self.name is not None and (self.name in (".", "..")
+                                      or "/" in self.name):
+            raise ConfigError("name: must be a file name, not a path, got "
+                              f"{self.name!r}")
 
 
 #: libyaml's loader and dumper when pyyaml was built with it; they read

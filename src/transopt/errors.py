@@ -34,4 +34,5 @@ class ConfigError(ValueError):
 
 
 class ComparisonError(ValueError):
-    """Run records are not comparable (different problems or seeds)."""
+    """Run records are not comparable (different problems or seeds), or a
+    run directory's ``meta.json`` or ``conditions.csv`` is malformed."""

@@ -4,8 +4,8 @@ Every problem exposes oracles indexed by the step t (1-based) over a box
 feasible set, together with a fixed comparator theta_star where one
 exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
 which returns the loss and the gradient from one pass over the data;
-``loss_at`` gives the loss alone (for the comparator and the final
-train loss) and ``grad_at`` the gradient alone.  Oracles are pure
+``loss_at`` gives the loss alone and ``grad_at`` the gradient alone;
+the comparator's losses come from ``block`` (below).  Oracles are pure
 functions of (t, theta), so runs are bit-reproducible given the
 construction seed.
 
@@ -29,7 +29,6 @@ oracles and blocks answer row r as problem r would alone, bit for bit.
 from __future__ import annotations
 
 import copy
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -94,17 +93,6 @@ class OnlineProblem:
         if self.theta_star is None:
             return None
         return self._star_block(t0, n).reshape(self.shape[:-1] + (n,))
-
-    def star_losses(self, horizon: int) -> np.ndarray:
-        """``star_loss_at`` for t = 1..horizon, a block at a time."""
-        if self.theta_star is None:
-            raise DomainError(f"{self.name} problem has no comparator")
-        out = np.empty(self.shape[:-1] + (horizon,))
-        rows = buffer_rows(horizon, math.prod(self.shape))
-        for t0 in range(0, horizon, rows):
-            n = min(rows, horizon - t0)
-            out[..., t0:t0 + n] = self.block(t0, n)
-        return out
 
     def _load(self, t0: int, n: int) -> None:
         """Load the data of steps t0 + 1 .. t0 + n; a kind whose data is
@@ -477,8 +465,7 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
     _data = ("features", "labels")
 
     def __init__(self, features: np.ndarray, labels: np.ndarray,
-                 batch_size: int, seed: int, box: FeasibleBox,
-                 theta_star: Optional[np.ndarray] = None):
+                 batch_size: int, seed: int, box: FeasibleBox):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
@@ -490,12 +477,11 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
         self.features = features
         self.labels = labels
         self._init_batching(n, batch_size, seed)
-        if theta_star is None:
-            theta_star = logistic_comparator(features, labels, box)
         # |grad_i| <= mean over the batch of |x_i| since the sigmoid factor
         # is in (0, 1); max |X| bounds that for every possible batch.
         g_inf = float(np.max(np.abs(features)))
-        super().__init__(dim, box, theta_star, g_inf)
+        super().__init__(dim, box, logistic_comparator(features, labels, box),
+                         g_inf)
 
     def _batch(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         idx = self.batch_indices(t)
@@ -754,8 +740,7 @@ class Mlp:
         Every label of ``y`` must lie in [0, classes).  That is not
         checked here, as this runs every step: a negative label would
         pick a class from the end.  Labels are checked where they enter
-        (:class:`MlpClassification`, :func:`load_dataset_csv` with
-        ``classes``, :meth:`forward`).
+        (:class:`MlpClassification`, :meth:`forward`).
         """
         loss, _, cache = self._forward_cached(theta, x, y)
         layers, activations, log_probs, labels = cache
@@ -885,35 +870,3 @@ def make_mlp_problem(seed: int, hidden: Sequence[int] = (16, 16),
         FeasibleBox.cube(box_halfwidth, net.n_params)
     return MlpClassification(net, x_train, y_train, x_test, y_test,
                              batch_size, seed, box=box)
-
-
-# ---------------------------------------------------------------------------
-# Dataset files
-# ---------------------------------------------------------------------------
-
-def save_dataset_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
-    """One row per sample: features, then an integer label."""
-    features = np.asarray(features, dtype=np.float64)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"x{i}" for i in range(features.shape[1])] + ["label"])
-        for row, label in zip(features, labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
-
-
-def load_dataset_csv(path, classes: Optional[int] = None
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Features and integer labels from a file ``save_dataset_csv`` wrote.
-    With ``classes``, a label outside [0, classes) raises a DomainError
-    naming its row."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = list(reader)
-    dim = len(header) - 1
-    features = np.array([[float(v) for v in row[:dim]] for row in rows])
-    labels = np.array([int(row[dim]) for row in rows], dtype=np.int64)
-    if classes is not None:
-        check_labels(labels, classes)
-    return features, labels
-

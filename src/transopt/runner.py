@@ -516,11 +516,15 @@ COMPARE_COLUMNS = ("optimizer", "final_loss", "final_regret",
                    "test_accuracy", "sup_sqrt_regret")
 
 
-def _compare_rows(summaries: Sequence[Dict[str, object]]
-                  ) -> List[Dict[str, object]]:
+def _compare_rows(summaries: Sequence[Dict[str, object]],
+                  sources: Sequence) -> List[Dict[str, object]]:
     """One comparison row per run summary; all must share problem and seed."""
     if len(summaries) < 2:
         raise ComparisonError("need at least two runs to compare")
+    for source, summary in zip(sources, summaries):
+        for key in ("problem", "seed") + COMPARE_COLUMNS:
+            if key not in summary:
+                raise ComparisonError(f"{source} has no key {key!r}")
     problems = {(s["problem"], s["seed"]) for s in summaries}
     if len(problems) != 1:
         raise ComparisonError(
@@ -530,7 +534,8 @@ def _compare_rows(summaries: Sequence[Dict[str, object]]
 
 
 def compare_records(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
-    return _compare_rows([run_summary(r) for r in records])
+    return _compare_rows([run_summary(r) for r in records],
+                         [run_stem(r.config) for r in records])
 
 
 def compare_csv(rows: Sequence[Dict[str, object]]) -> str:
@@ -550,23 +555,33 @@ def compare_csv(rows: Sequence[Dict[str, object]]) -> str:
 
 
 def load_run_summary(run_dir) -> Dict[str, object]:
-    run_dir = Path(run_dir)
-    meta_path = run_dir / "meta.json"
+    """A run's ``meta.json``, which must hold a JSON object."""
+    meta_path = Path(run_dir) / "meta.json"
     if not meta_path.exists():
         raise ComparisonError(f"{run_dir} has no meta.json")
-    return json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise ComparisonError(f"{meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ComparisonError(f"{meta_path} is not a JSON object")
+    return meta
 
 
 def compare_run_dirs(run_dirs: Sequence) -> List[Dict[str, object]]:
-    return _compare_rows([load_run_summary(d) for d in run_dirs])
+    return _compare_rows([load_run_summary(d) for d in run_dirs],
+                         [Path(d) / "meta.json" for d in run_dirs])
 
 
 def read_conditions(run_dir) -> Dict[str, str]:
+    """A run's ``conditions.csv``: a key,value header, then its rows."""
     path = Path(run_dir) / "conditions.csv"
-    out: Dict[str, str] = {}
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for key, value in reader:
-            out[key] = value
-    return out
+        rows = list(csv.reader(f))
+    if rows[:1] != [["key", "value"]] or len(rows) < 2:
+        raise ComparisonError(f"{path} has no key,value header and rows")
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != 2:
+            raise ComparisonError(
+                f"{path}: line {line} has {len(row)} cells, not 2")
+    return dict(rows[1:])

@@ -217,6 +217,28 @@ horizon: 100
         assert capsys.readouterr().err.startswith(f"error: problem.{field}")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped/x", "a/b", "x/", ".",
+                                      ".."])
+    def test_a_name_must_not_leave_the_output_root(self, name):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"name: {name!r}\n")
+        assert str(err.value) == \
+            f"name: must be a file name, not a path, got {name!r}"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_path_name_writes_nothing(self, command, tmp_path, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        path = config_dir / "exp.yaml"
+        path.write_text(MINIMAL + "name: ../escaped/x\n")
+        out_root = tmp_path / "nm" / "runs"
+        target = path if command == "run" else config_dir
+        assert cli_main([command, str(target), "--out", str(out_root)]) == 2
+        assert capsys.readouterr().err == ("error: name: must be a file "
+                                           "name, not a path, got "
+                                           "'../escaped/x'\n")
+        assert not (tmp_path / "nm").exists()
+
     def test_run_rejects_a_negative_seed_flag(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text(MINIMAL)

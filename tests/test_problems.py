@@ -10,9 +10,8 @@ from transopt.errors import DimensionError, DomainError, SequenceError
 from transopt.optim import FeasibleBox
 from transopt.problems import (LogisticMinibatch, Mlp, QuadraticTracking,
                                RegretLedger, full_logistic_grad,
-                               load_dataset_csv, logistic_comparator,
-                               make_logistic, make_mlp_problem,
-                               make_quadratic, make_reddi, save_dataset_csv,
+                               logistic_comparator, make_logistic,
+                               make_mlp_problem, make_quadratic, make_reddi,
                                stack_problems, two_cluster_dataset)
 
 DATA = Path(__file__).parent / "data"
@@ -129,9 +128,12 @@ class TestLogistic:
 
     def test_golden_dataset_reproduced(self):
         prob = make_logistic(200, 5, seed=42)
-        x, y = load_dataset_csv(DATA / "logistic_n200_d5_seed42.csv")
-        np.testing.assert_allclose(x, prob.features, rtol=0, atol=0)
-        np.testing.assert_array_equal(y == 1, prob.labels > 0)
+        # feature columns, then an integer label in {0, 1}
+        data = np.loadtxt(DATA / "logistic_n200_d5_seed42.csv",
+                          delimiter=",", skiprows=1)
+        np.testing.assert_allclose(data[:, :-1], prob.features, rtol=0,
+                                   atol=0)
+        np.testing.assert_array_equal(data[:, -1] == 1, prob.labels > 0)
 
     def test_comparator_gradient_is_tiny(self):
         prob = make_logistic(200, 5, seed=42)
@@ -185,14 +187,12 @@ class TestLogistic:
             assert mid <= (prob.loss_at(t, a) + prob.loss_at(t, b)) / 2 + 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("with_star", [False, True])
-    def test_non_finite_feature_named_where_it_enters(self, bad, with_star):
+    def test_non_finite_feature_named_where_it_enters(self, bad):
         features = np.ones((6, 3))
         features[4, 1] = bad
-        star = np.zeros(3) if with_star else None
         with pytest.raises(DomainError) as err:
             LogisticMinibatch(features, np.ones(6), batch_size=2, seed=0,
-                              box=FeasibleBox.cube(1.0, 3), theta_star=star)
+                              box=FeasibleBox.cube(1.0, 3))
         assert str(err.value) == \
             f"features: {bad} at row 4, column 1 is not finite"
 
@@ -550,14 +550,32 @@ class TestFusedOracle:
             np.testing.assert_array_equal(prob.net.backward(theta, x, y), ref)
 
 
-class TestStarLosses:
-    """star_losses equals star_loss_at at every step, bit for bit."""
+def block_losses(prob, horizon, rows):
+    """The comparator's losses at steps 1 .. horizon from ``block``, loaded
+    ``rows`` steps at a time as the step loop loads its buffers."""
+    out = np.empty(prob.shape[:-1] + (horizon,))
+    for t0 in range(0, horizon, rows):
+        n = min(rows, horizon - t0)
+        out[..., t0:t0 + n] = prob.block(t0, n)
+    return out
 
-    def assert_per_step(self, prob, horizon):
-        got = prob.star_losses(horizon)
-        assert got.dtype == np.float64 and got.shape == (horizon,)
-        ref = [prob.star_loss_at(t) for t in range(1, horizon + 1)]
-        np.testing.assert_array_equal(got, ref)
+
+class TestStarLosses:
+    """The comparator's losses that ``block`` returns equal star_loss_at
+    at every step, bit for bit, in blocks of one step, of seven, of the
+    step loop's buffer and of the whole horizon."""
+
+    def assert_per_step(self, problems, horizon):
+        # one problem alone, or the rows of several stacked
+        prob = stack_problems(problems)
+        want = [[p.star_loss_at(t) for t in range(1, horizon + 1)]
+                for p in problems]
+        for rows in (1, 7, buffer_rows(horizon, math.prod(prob.shape)),
+                     horizon):
+            got = block_losses(prob, horizon, rows)
+            assert got.shape == prob.shape[:-1] + (horizon,)
+            np.testing.assert_array_equal(
+                bits(got.reshape(len(problems), horizon)), bits(want))
 
     @pytest.mark.parametrize("dim", [1, 3, 10, 1100])
     def test_quadratic_across_block_boundaries(self, dim):
@@ -565,19 +583,20 @@ class TestStarLosses:
         horizon = 2 * buffer_rows(10 ** 6, dim) + 5
         prob = make_quadratic(dim, horizon, seed=dim)
         assert buffer_rows(horizon, dim) < horizon / 2
-        self.assert_per_step(prob, horizon)
-        self.assert_per_step(prob, horizon - 1)
+        self.assert_per_step([prob], horizon)
+        self.assert_per_step([prob], horizon - 1)
 
     def test_quadratic_past_its_horizon(self):
-        with pytest.raises(DomainError, match="outside the problem horizon"):
-            make_quadratic(2, 5, seed=1).star_losses(6)
+        with pytest.raises(DomainError, match=(
+                "^step 6 outside the problem horizon 5$")):
+            make_quadratic(2, 5, seed=1).block(5, 1)
 
     def test_reddi(self):
-        self.assert_per_step(make_reddi(3.5), 100)
+        self.assert_per_step([make_reddi(3.5)], 100)
 
     def test_logistic(self):
         prob = make_logistic(50, 3, seed=8, batch_size=16)
-        self.assert_per_step(prob, 3 * prob.batches_per_epoch + 1)
+        self.assert_per_step([prob], 3 * prob.batches_per_epoch + 1)
 
     @pytest.mark.parametrize("n, batch", [(96, 32), (100, 32), (200, 7)])
     def test_logistic_epochs_with_a_partial_last_batch(self, n, batch):
@@ -586,11 +605,32 @@ class TestStarLosses:
         # ends inside an epoch's full batches, on its partial last batch
         # (where there is one) and just after an epoch boundary
         for horizon in (per_epoch + 2, 3 * per_epoch, 2 * per_epoch + 1):
-            self.assert_per_step(prob, horizon)
+            self.assert_per_step([prob], horizon)
+
+    @pytest.mark.parametrize("kind", ["quadratic-d1", "quadratic-d3",
+                                      "reddi", "logistic"])
+    def test_stacked_replicas_with_a_shared_seed(self, kind):
+        # replicas 0 and 2 share their data
+        seeds = (4, 9, 4)
+        if kind.startswith("quadratic"):
+            # d = 1 holds its centers, d = 3 streams them; the step loop's
+            # buffer splits the horizon in three
+            dim = int(kind[-1])
+            horizon = 2 * buffer_rows(10 ** 6, 3 * dim) + 5
+            problems = [make_quadratic(dim, horizon, seed=s) for s in seeds]
+        elif kind == "reddi":
+            horizon, problems = 100, [make_reddi(float(s)) for s in seeds]
+        else:
+            # epochs of three full batches of 32 and a partial one of 4
+            problems = [make_logistic(100, 3, seed=s, batch_size=32)
+                        for s in seeds]
+            horizon = 3 * problems[0].batches_per_epoch + 1
+        self.assert_per_step(problems, horizon)
 
     def test_no_comparator(self):
         prob = make_mlp_problem(seed=3, hidden=(4,), n_train=16, n_test=8,
                                 batch_size=8)
+        assert prob.block(0, 2) is None
         with pytest.raises(DomainError, match="no comparator"):
             prob.star_loss_at(2)
 
@@ -620,8 +660,10 @@ class TestStreamedQuadratic:
                                       bits(whole.theta_star))
         assert bits(streamed.grad_bound) == bits(whole.grad_bound)
         for t in (horizon, horizon - 1):
-            np.testing.assert_array_equal(bits(streamed.star_losses(t)),
-                                          bits(whole.star_losses(t)))
+            rows = buffer_rows(t, dim)
+            np.testing.assert_array_equal(
+                bits(block_losses(streamed, t, rows)),
+                bits(block_losses(whole, t, rows)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 10, 200])
     def test_stacked_oracle_either_side_of_a_block_boundary(self, dim):
@@ -749,18 +791,6 @@ class TestStackedOracles:
                             make_quadratic(4, 5, seed=1)])
 
 
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(10, 3))
-        y = rng.integers(0, 2, size=10)
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, x, y)
-        x2, y2 = load_dataset_csv(path)
-        np.testing.assert_allclose(x2, x, rtol=0, atol=0)
-        np.testing.assert_array_equal(y2, y)
-
-
 class TestLabelRange:
     """A class label outside [0, k) raises where the labels enter, naming
     the first bad row; a negative one used to pick a class from the
@@ -788,15 +818,3 @@ class TestLabelRange:
                 batch_size=4, seed=1)
         assert str(err.value) == \
             f"{split}: label {bad} at row 5 lies outside [0, 2)"
-
-    @pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "k"])
-    def test_dataset_file(self, tmp_path, bad):
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, np.zeros((4, 2)), [1, 0, 0, bad])
-        with pytest.raises(DomainError) as err:
-            load_dataset_csv(path, classes=2)
-        assert str(err.value) == \
-            f"labels: label {bad} at row 3 lies outside [0, 2)"
-        # without a class count, labels load as they are (the logistic
-        # files hold -1 and +1)
-        assert load_dataset_csv(path)[1].tolist() == [1, 0, 0, bad]

@@ -363,10 +363,10 @@ class TestStreamedMonitors:
                                    loops=loops)
         for cfg, record in zip(cfgs, records):
             problem = build_problem(cfg)
-            star = problem.star_losses(record.horizon)
             ledger = RegretLedger()
             for t in range(1, record.horizon + 1):
-                ledger.update(t, record.losses.item(t - 1), star.item(t - 1))
+                ledger.update(t, record.losses.item(t - 1),
+                              problem.star_loss_at(t))
             assert record.regret.tolist() == [r for _, r in ledger.series]
             assert record.final_regret == ledger.regret
             ratios = [r / math.sqrt(t) for t, r in ledger.series]
@@ -849,6 +849,41 @@ horizon: {horizon}
         assert cli_main(["compare", *dirs]) == 0
         out = capsys.readouterr().out
         assert out.startswith("optimizer,")
+
+    @pytest.mark.parametrize("command, name, text, error", [
+        ("check-conditions", "conditions.csv", "x,y,z\n",
+         ": line 10 has 3 cells, not 2"),
+        ("check-conditions", "meta.json", "{nope", ": Expecting property "
+         "name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("compare", "meta.json", "{nope", ": Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("compare", "meta.json", "{}", " has no key 'problem'"),
+    ], ids=["conditions-row", "check-meta-json", "compare-meta-json",
+            "compare-meta-key"])
+    def test_a_malformed_run_directory_is_one_error_line(
+            self, tmp_path, capsys, command, name, text, error):
+        out_root = tmp_path / "runs"
+        assert cli_main(["run", str(self.write_cfg(tmp_path)), "--out",
+                         str(out_root)]) == 0
+        run_dir = next(out_root.iterdir())
+        path = run_dir / name
+        # a row appended to the conditions, a meta.json replaced
+        path.write_text((path.read_text() if name == "conditions.csv"
+                         else "") + text)
+        capsys.readouterr()
+        dirs = [str(run_dir)] * (2 if command == "compare" else 1)
+        assert cli_main([command, *dirs]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}{error}\n")
+
+    def test_check_conditions_needs_no_meta_json(self, tmp_path, capsys):
+        out_root = tmp_path / "runs"
+        assert cli_main(["run", str(self.write_cfg(tmp_path)), "--out",
+                         str(out_root)]) == 0
+        run_dir = next(out_root.iterdir())
+        (run_dir / "meta.json").unlink()
+        capsys.readouterr()
+        assert cli_main(["check-conditions", str(run_dir)]) == 0
+        assert "eta_inverse_bounded" in capsys.readouterr().out
 
     def test_sweep_runs_every_config_in_parallel(self, tmp_path):
         sweep_dir = tmp_path / "configs"
