@@ -28,7 +28,11 @@ sqrt(t)), and each step reads its row.  Powers are taken on Python
 floats, products by a sequential ``np.multiply.accumulate`` from the
 carried product, and the rest is elementwise arithmetic, which rounds as
 the scalar does, so every step keeps the bits it had when each scalar
-was computed at its own step.
+was computed at its own step.  A row hands each number to the step's
+ufuncs as a read-only float64 array, 0-d where it is one value, never
+as a Python float: on numpy 2.4 a ufunc call on a (10,) array costs
+about 0.2 us more with a Python-float operand than with a 0-d one, and
+the lone DSTAdam step makes nine such calls.
 
 A direct call to ``step`` rejects a bad input (a wrong shape or a
 non-finite gradient, :func:`screen_gradients`) before any state
@@ -49,9 +53,10 @@ stepper is a batch of one row, its own, over a (d,) iterate, and
 :func:`stack_kinds` merges R steppers of any kinds (say SGDM, Adam and
 DstAdam on one problem) into one whose row r is stepper r, over (R, d)
 iterates.  One merge takes each row's coefficients from its stepper: a
-coefficient equal in every row stays one float, the rest are (R, 1)
-columns, so every update below runs once over all rows, broadcasts row
-by row and gives each replica the bits it would get alone.
+coefficient equal in every row stays one 0-d float64 array, the rest
+are (R, 1) columns, so every update below runs once over all rows,
+broadcasts row by row and gives each replica the bits it would get
+alone.
 """
 
 from __future__ import annotations
@@ -279,9 +284,10 @@ class OptimizerState:
 
 
 #: Steps whose coefficients a stepper fills at once.  A fill of a lone
-#: DSTAdam block of 256 steps (two Python-float powers a step) took
-#: about 200 us on a 2-core Xeon host, under 1 us a step; a schedule's
-#: horizon ends a block early, so a 200-step run fills 200 rows.
+#: DSTAdam block of 256 steps (two Python-float powers a step, and a 0-d
+#: view of each of its seven varying values) took about 300 us on a 2-core
+#: Xeon host, about 1.2 us a step; a schedule's horizon ends a block
+#: early, so a 200-step run fills 200 rows.
 BLOCK_STEPS = 256
 
 #: The per-step coefficients, in the order of a block's rows.  A kind
@@ -321,6 +327,14 @@ def _first(flags: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(flags)
 
 
+def _operand(value) -> np.ndarray:
+    """value as a read-only float64 array for a step's ufuncs: 0-d for
+    one number, else its (R, 1) column."""
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 def holds(flag) -> bool:
     """A bool, or whether any entry of a bool array holds.  Cheaper than
     ``np.any`` when ``flag`` comes from comparing scalars."""
@@ -346,7 +360,7 @@ class _AdaptiveStepper:
     sqrt(t).  They depend on t alone, so :meth:`_fill` computes them for
     a block of ``BLOCK_STEPS`` steps at once, as arrays over the block,
     and the step reads row k of the block; a coefficient that holds for
-    the whole run stays one float, or one (R, 1) column.
+    the whole run stays one 0-d float64 array, or one (R, 1) column.
 
     A kind states its coefficients in ``_coefficients(t, n)``.  By
     default they are the constant decays ``beta1`` and ``beta2`` and the
@@ -501,14 +515,25 @@ class _AdaptiveStepper:
         finite_from = _first(~np.isfinite(over(cap)))
 
         def entries(name):
+            # read-only float64 operands, 0-d where the step's value is
+            # one number (see the module docstring); flags keep their form
             if name in varying:
                 x = varying[name]
-                # floats where the step's value is one number
-                return x.ravel().tolist() if x[0].size == 1 else list(x)
-            return itertools.repeat(fixed.get(name), n)
+                if x[0].size > 1:
+                    x.flags.writeable = False
+                    return list(x)
+                # nditer yields read-only 0-d views, in half the time of
+                # indexing each step
+                return list(np.nditer(x.reshape(n), order="C"))
+            value = fixed.get(name)
+            if value is not None and name != "running_max":
+                value = _operand(value)
+            return itertools.repeat(value, n)
 
         self._block = list(zip(*map(entries, COEFFICIENTS)))
         self._block_start = t
+        self._alpha = _operand(cfg.alpha)
+        self._epsilon = _operand(cfg.epsilon)
         self._blend_rows = blend_rows
         self._debias = holds(debias)
         self._decays = holds(cfg.sqrt_decay)
@@ -526,7 +551,7 @@ class _AdaptiveStepper:
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self.screens_inputs:
             self._check_inputs(theta, grad)
-        s, cfg = self.state, self.cfg
+        s = self.state
         t = s.t + 1
         k = t - self._block_start
         if not 0 <= k < len(self._block):
@@ -559,14 +584,14 @@ class _AdaptiveStepper:
             if self._debias:
                 v = v / div2
             rate = np.sqrt(v)
-            rate += cfg.epsilon
+            rate += self._epsilon
             # sqrt(v) >= 0, so only epsilon == 0 can leave a zero
             # denominator
             if self._zero_rate and (rate == 0.0).any():
                 _raise_first(rate == 0.0, f"zero second moment at step {t}, "
                                           "coordinate {i} with epsilon=0; "
                                           "supply a positive epsilon")
-            rate = np.divide(cfg.alpha, rate, out=rate)
+            rate = np.divide(self._alpha, rate, out=rate)
             if self._blends:
                 rate *= scale
                 rate += shift

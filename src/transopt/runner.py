@@ -554,8 +554,37 @@ def compare_csv(rows: Sequence[Dict[str, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The JSON names of the types ``json.loads`` gives.
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "an array", dict: "an object",
+               type(None): "null"}
+
+#: The types ``compare`` and ``check-conditions`` can read at each key of
+#: a ``meta.json`` (see :func:`run_summary`); "[t, i]" is an array of two
+#: integers.
+META_TYPES = {
+    "problem": ("a string",), "optimizer": ("a string",),
+    "seed": ("an integer",), "horizon": ("an integer",),
+    "c2_first_violation": ("null", "[t, i]"),
+    **dict.fromkeys(("final_loss", "final_regret", "sup_sqrt_regret",
+                     "train_loss", "test_accuracy", "inverse_rate_max",
+                     "wall_clock_seconds"),
+                    ("null", "an integer", "a number")),
+}
+
+
+def _json_type(value) -> str:
+    """The JSON type of a decoded value, with "[t, i]" for an array of
+    two integers."""
+    if isinstance(value, list) and len(value) == 2 \
+            and all(type(x) is int for x in value):
+        return "[t, i]"
+    return _JSON_TYPES[type(value)]
+
+
 def load_run_summary(run_dir) -> Dict[str, object]:
-    """A run's ``meta.json``, which must hold a JSON object."""
+    """A run's ``meta.json``, which must hold a JSON object whose keys
+    have the types of ``META_TYPES``."""
     meta_path = Path(run_dir) / "meta.json"
     if not meta_path.exists():
         raise ComparisonError(f"{run_dir} has no meta.json")
@@ -565,6 +594,11 @@ def load_run_summary(run_dir) -> Dict[str, object]:
         raise ComparisonError(f"{meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ComparisonError(f"{meta_path} is not a JSON object")
+    for key, allowed in META_TYPES.items():
+        if key in meta and _json_type(meta[key]) not in allowed:
+            raise ComparisonError(
+                f"{meta_path}: {key!r} is {_json_type(meta[key])}, "
+                f"expected {' or '.join(allowed)}")
     return meta
 
 

@@ -615,31 +615,65 @@ class TestStackedSteppers:
                 np.testing.assert_array_equal(batch.effective_lr()[r],
                                               opt.effective_lr())
 
-    def test_shared_values_stay_floats(self):
+    @staticmethod
+    def grid_rows():
         # eight DstAdam rows of the criterion-02 grid: rho, r_l, r_u and
-        # sqrt_decay differ, the betas do not, so each step reads them as
-        # floats
+        # sqrt_decay differ, the betas do not
         pairs = [(0.005, 5.0), (0.1, 1.0), (0.5, 0.5), (0.01, 0.1)]
-        batch = stack_kinds([DstAdam(3, TransitionSchedule(
+        return stack_kinds([DstAdam(3, TransitionSchedule(
             horizon=200, rho=[None, 0.9, 0.99][k % 3], r_l=pairs[k % 4][0],
             r_u=pairs[k % 4][1]), StepConfig(sqrt_decay=k >= 4))
             for k in range(8)])
+
+    @staticmethod
+    def is_0d_float64(x):
+        return (isinstance(x, np.ndarray) and x.shape == ()
+                and x.dtype == np.float64)
+
+    def test_shared_values_are_0d_float64_arrays(self):
+        # a ufunc takes a 0-d float64 operand faster than a Python float,
+        # so each step reads a value shared by every row as one
+        batch = self.grid_rows()
         batch.step(np.zeros((8, 3)), np.ones((8, 3)))
         assert batch.state.m.shape == (8, 3)
         assert isinstance(batch.cfg.epsilon, float)
         assert batch.cfg.sqrt_decay.ravel().tolist() == \
             [False] * 4 + [True] * 4
         b1, gain1, b2, gain2, scale, shift = batch._block[0][:6]
-        assert [b1, gain1, b2, gain2] == [0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999]
-        assert all(type(x) is float for x in (b1, gain1, b2, gain2))
+        assert all(self.is_0d_float64(x) for x in (b1, gain1, b2, gain2))
+        assert [float(x) for x in (b1, gain1, b2, gain2)] == \
+            [0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999]
         assert scale.shape == shift.shape == (8, 1)
-        # a lone DstAdam is a batch of one row: every value of its steps is
-        # a float
+        # a lone DstAdam is a batch of one row: every number of its steps
+        # is a 0-d float64 array, and the running-max flag a bool
         lone = DstAdam(3, TransitionSchedule(horizon=200, rho=0.9),
                        StepConfig(bias_correction=True, sqrt_decay=True))
         lone.step(np.zeros(3), np.ones(3))
-        assert [type(x) for x in lone._block[0]] == \
-            [bool if name == "running_max" else float for name in COEFFICIENTS]
+        for name, x in zip(COEFFICIENTS, lone._block[0]):
+            if name == "running_max":
+                assert type(x) is bool
+            else:
+                assert self.is_0d_float64(x), name
+        assert self.is_0d_float64(lone._alpha)
+        assert self.is_0d_float64(lone._epsilon)
+
+    def test_block_operands_are_read_only(self):
+        # a value shared by every step of a block is one array, so a
+        # write into it would change every later step
+        lone = DstAdam(3, TransitionSchedule(horizon=200, rho=0.9),
+                       StepConfig(bias_correction=True, sqrt_decay=True))
+        lone.step(np.zeros(3), np.ones(3))
+        batch = self.grid_rows()
+        batch.step(np.zeros((8, 3)), np.ones((8, 3)))
+        operands = [x for row in (lone._block[0], batch._block[0])
+                    for name, x in zip(COEFFICIENTS, row)
+                    if isinstance(x, np.ndarray) and name != "running_max"]
+        operands += [lone._alpha, lone._epsilon, batch._alpha]
+        # the batch's rows share its betas and split its blend
+        assert {x.shape for x in operands} == {(), (8, 1)}
+        for x in operands:
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
 
     def test_column(self):
         assert column([0.5, 0.5]) == 0.5

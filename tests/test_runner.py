@@ -875,6 +875,29 @@ horizon: {horizon}
         assert cli_main([command, *dirs]) == 2
         assert capsys.readouterr() == ("", f"error: {path}{error}\n")
 
+    @pytest.mark.parametrize("command, key, value, error", [
+        ("check-conditions", "inverse_rate_max", "big",
+         "'inverse_rate_max' is a string, expected null or an integer or "
+         "a number"),
+        ("check-conditions", "c2_first_violation", 5,
+         "'c2_first_violation' is an integer, expected null or [t, i]"),
+        ("compare", "seed", [1], "'seed' is an array, expected an integer"),
+    ], ids=["check-rate-cap", "check-c2", "compare-seed"])
+    def test_a_meta_value_of_the_wrong_type_is_one_error_line(
+            self, tmp_path, capsys, command, key, value, error):
+        out_root = tmp_path / "runs"
+        assert cli_main(["run", str(self.write_cfg(tmp_path)), "--out",
+                         str(out_root)]) == 0
+        run_dir = next(out_root.iterdir())
+        path = run_dir / "meta.json"
+        meta = json.loads(path.read_text())
+        assert key in meta
+        path.write_text(json.dumps({**meta, key: value}))
+        capsys.readouterr()
+        dirs = [str(run_dir)] * (2 if command == "compare" else 1)
+        assert cli_main([command, *dirs]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {error}\n")
+
     def test_check_conditions_needs_no_meta_json(self, tmp_path, capsys):
         out_root = tmp_path / "runs"
         assert cli_main(["run", str(self.write_cfg(tmp_path)), "--out",

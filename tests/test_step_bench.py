@@ -7,7 +7,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_bench.py"
 
 
 def test_prints_every_kind_at_every_dimension_and_the_trio(capsys):
-    # and the eight-replica AMSGrad and adadb batches
+    # and the eight-replica AMSGrad, adadb and criterion-02 grid batches
     spec = importlib.util.spec_from_file_location("step_bench", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -18,5 +18,5 @@ def test_prints_every_kind_at_every_dimension_and_the_trio(capsys):
     assert [(name, int(d)) for name, d, _ in rows] == [
         (name, d) for d in tool.DIMS for name in tool.kinds(3)] + [
         ("cycle-trio", 1)] + [
-        (name, tool.BATCH_DIM) for name in tool.batches()]
+        (name, d) for name, (d, _) in tool.batches(3).items()]
     assert all(float(us) > 0.0 for _, _, us in rows)

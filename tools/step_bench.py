@@ -7,14 +7,17 @@ Usage, from the repository root::
     python3 tools/step_bench.py --steps 20 --repeats 1
 
 For each stepper kind at d = 1, 10 and 354 (the cycle, the long
-quadratic and the MLP), and for three kind batches, a fresh stepper
+quadratic and the MLP), and for four kind batches, a fresh stepper
 takes ``--steps`` steps on a fixed stream of gradients.  The batches
 are the criterion-05 cycle trio (Adam and AMSGrad with beta1 0 and
-beta2 0.1, and DstAdam, built from their configs) and, at d = 10, eight
+beta2 0.1, and DstAdam, built from their configs), at d = 10, eight
 AMSGrad replicas that differ in alpha and eight adadb replicas that
-differ in alpha and gamma.  The time of the loop over ``step`` alone,
-divided by the steps, is printed as the best of ``--repeats`` runs.  A
-fresh stepper per run keeps the coefficient fills inside the time.
+differ in alpha and gamma, and, at d = 3, the criterion-02 grid's eight
+DstAdam rows, which differ in rho, r_l, r_u and sqrt_decay, so their
+blend and sqrt(t) are (8, 1) columns broadcast over (8, 3) rows.  The
+time of the loop over ``step`` alone, divided by the steps, is printed
+as the best of ``--repeats`` runs.  A fresh stepper per run keeps the
+coefficient fills inside the time.
 Only the public constructors and ``stack_kinds``, called with one
 stepper a row, are used, so the script runs unchanged on any checkout
 whose ``stack_kinds`` takes that flat list, for comparison.
@@ -48,9 +51,14 @@ CYCLE_TRIO = ("{kind: adam, beta1: 0.0, beta2: 0.1}",
               "{kind: amsgrad, beta1: 0.0, beta2: 0.1}",
               "{kind: dstadam}")
 
-#: Replicas of the AMSGrad and adadb batches, and their dimension.
+#: Replicas of the AMSGrad, adadb and grid batches, and the dimension of
+#: the first two.
 REPLICAS = 8
 BATCH_DIM = 10
+
+#: The dimension of the grid batch, and its rows' (r_l, r_u) pairs.
+GRID_DIM = 3
+GRID_PAIRS = ((0.005, 5.0), (0.1, 1.0), (0.5, 0.5), (0.01, 0.1))
 
 
 def kinds(horizon: int) -> Dict[str, Callable[[int], object]]:
@@ -86,18 +94,27 @@ def cycle_trio(horizon: int):
     return stack_kinds(optimizers)
 
 
-def batches() -> Dict[str, Callable[[], object]]:
-    """Builders of the eight-replica AMSGrad and adadb batches."""
+def batches(horizon: int) -> Dict[str, tuple]:
+    """(d, builder) of the eight-replica AMSGrad, adadb and grid
+    batches."""
     def cfg(k):
         return StepConfig(alpha=0.001 * (k + 1))
 
+    def grid_row(k):
+        r_l, r_u = GRID_PAIRS[k % 4]
+        return DstAdam(GRID_DIM, TransitionSchedule(
+            horizon=horizon, rho=[None, 0.9, 0.99][k % 3], r_l=r_l,
+            r_u=r_u), StepConfig(sqrt_decay=k >= 4))
+
     return {
-        f"amsgrad-x{REPLICAS}": lambda: stack_kinds([
-            Amsgrad(BATCH_DIM, cfg(k)) for k in range(REPLICAS)]),
-        f"adadb-x{REPLICAS}": lambda: stack_kinds([
+        f"amsgrad-x{REPLICAS}": (BATCH_DIM, lambda: stack_kinds([
+            Amsgrad(BATCH_DIM, cfg(k)) for k in range(REPLICAS)])),
+        f"adadb-x{REPLICAS}": (BATCH_DIM, lambda: stack_kinds([
             ClippedTransition(BATCH_DIM, BoundFunctionSpec(
                 "adadb", alpha_star=0.01, gamma=1.0 + k), cfg(k))
-            for k in range(REPLICAS)]),
+            for k in range(REPLICAS)])),
+        f"dstadam-x{REPLICAS}": (GRID_DIM, lambda: stack_kinds([
+            grid_row(k) for k in range(REPLICAS)])),
     }
 
 
@@ -128,9 +145,10 @@ def rows(steps: int, repeats: int) -> List[tuple]:
     grads = rng.normal(scale=0.1, size=(steps, 3, 1))
     out.append(("cycle-trio", 1,
                 us_per_step(lambda: cycle_trio(steps), grads, repeats)))
-    grads = rng.normal(scale=0.1, size=(steps, REPLICAS, BATCH_DIM))
-    for name, build in batches().items():
-        out.append((name, BATCH_DIM, us_per_step(build, grads, repeats)))
+    grads = {d: rng.normal(scale=0.1, size=(steps, REPLICAS, d))
+             for d in (BATCH_DIM, GRID_DIM)}
+    for name, (d, build) in batches(steps).items():
+        out.append((name, d, us_per_step(build, grads[d], repeats)))
     return out
 
 
