@@ -21,18 +21,19 @@ with scale 0 and shift lr; a scale of 0.0 for the whole run tells the
 skeleton to skip v_t.
 
 Coefficient blocks: every coefficient depends on t alone, so a stepper
-fills the coefficients of its next ``BLOCK_STEPS`` steps in one call,
-as arrays over the block (the moment decays and gains, the beta
-products and bias-correction divisors, the blend, the bounds and
-sqrt(t)), and each step reads its row.  Powers are taken on Python
-floats, products by a sequential ``np.multiply.accumulate`` from the
-carried product, and the rest is elementwise arithmetic, which rounds as
-the scalar does, so every step keeps the bits it had when each scalar
-was computed at its own step.  A row hands each number to the step's
-ufuncs as a read-only float64 array, 0-d where it is one value, never
-as a Python float: on numpy 2.4 a ufunc call on a (10,) array costs
-about 0.2 us more with a Python-float operand than with a 0-d one, and
-the lone DSTAdam step makes nine such calls.
+fills those that vary (the moment decays and gains, the bias-correction
+divisors, the blend, the bounds and sqrt(t)) for its next
+``BLOCK_STEPS`` steps in one call, as one float64 array with a row a
+step, and each step copies its row into the stepper's register.  Powers
+are taken on Python floats, the beta products by a sequential
+``np.multiply.accumulate`` from the carried product, and the rest is
+elementwise arithmetic, which rounds as the scalar does, so every step
+keeps the bits it had when each scalar was computed at its own step.
+The step's ufuncs read each number as a read-only float64 array made
+once a run, 0-d where it is one value (a view of the register where it
+varies), never as a Python float: on numpy 2.4 a ufunc call on a (10,)
+array costs about 0.2 us more with a Python-float operand than with a
+0-d one, and the lone DSTAdam step makes nine such calls.
 
 A direct call to ``step`` rejects a bad input (a wrong shape or a
 non-finite gradient, :func:`screen_gradients`) before any state
@@ -53,16 +54,15 @@ stepper is a batch of one row, its own, over a (d,) iterate, and
 :func:`stack_kinds` merges R steppers of any kinds (say SGDM, Adam and
 DstAdam on one problem) into one whose row r is stepper r, over (R, d)
 iterates.  One merge takes each row's coefficients from its stepper: a
-coefficient equal in every row stays one 0-d float64 array, the rest
-are (R, 1) columns, so every update below runs once over all rows,
-broadcasts row by row and gives each replica the bits it would get
-alone.
+coefficient fixed and equal in every row stays one 0-d float64 array,
+the rest are (R, 1) columns, so every update below runs once over all
+rows, broadcasts row by row and gives each replica the bits it would
+get alone.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -278,28 +278,33 @@ class OptimizerState:
         self.last_effective_lr: Optional[np.ndarray] = None
         self.last_rate_raw: Optional[np.ndarray] = None
         # Running products of the beta schedules, for bias correction
-        # with time-varying decay (reduce to 1 - beta**t when constant).
-        self.beta1_prod = 1.0
-        self.beta2_prod = 1.0
+        # with time-varying decay (reduce to 1 - beta**t when constant):
+        # beta1's and beta2's after steps products_from, products_from +
+        # 1, ..., which the stepper's fill sets, so a step copies none
+        self.products, self.products_from = ((1.0,), (1.0,)), 0
+
+    beta1_prod = property(lambda s: s.products[0][s.t - s.products_from])
+    beta2_prod = property(lambda s: s.products[1][s.t - s.products_from])
 
 
-#: Steps whose coefficients a stepper fills at once.  A fill of a lone
-#: DSTAdam block of 256 steps (two Python-float powers a step, and a 0-d
-#: view of each of its seven varying values) took about 300 us on a 2-core
-#: Xeon host, about 1.2 us a step; a schedule's horizon ends a block
+#: Steps whose coefficients a stepper fills at once.  A fill of the
+#: quadratic-long DSTAdam's block of 1024 steps (two Python-float powers
+#: a step, and its five varying values written into one array) took
+#: about 260 us on a 2-core Xeon host, about 0.25 us a step, of which
+#: about 60 us a block is fixed cost; a schedule's horizon ends a block
 #: early, so a 200-step run fills 200 rows.
-BLOCK_STEPS = 256
+BLOCK_STEPS = 1024
 
-#: The per-step coefficients, in the order of a block's rows.  A kind
+#: The per-step coefficients, in the order of a step's operands.  A kind
 #: sets beta1, gain1 (the first moment's gain on the gradient), beta2 and
 #: gain2, the blend scale and shift, the clamp's lower and upper, whether
 #: v_t is replaced by its running max, and the base and gamma of the
-#: bound on |m_t|; the skeleton derives the beta products, the
-#: bias-correction divisors div1 = 1 - beta1_prod and
-#: div2 = 1 - beta2_prod, and root_t = sqrt(t).
+#: bound on |m_t|; the skeleton derives the bias-correction divisors
+#: div1 = 1 - beta1_prod and div2 = 1 - beta2_prod from the beta
+#: products, and root_t = sqrt(t).
 COEFFICIENTS = ("beta1", "gain1", "beta2", "gain2", "scale", "shift",
                 "lower", "upper", "running_max", "base", "gamma", "div1",
-                "div2", "root_t", "beta1_prod", "beta2_prod")
+                "div2", "root_t")
 
 #: What a kind that does not state a coefficient gets: a positive rate
 #: times 1.0 plus 0.0, clamped into (-inf, inf), or bounded by +inf plus
@@ -310,14 +315,14 @@ NEUTRAL = {"scale": 1.0, "shift": 0.0, "lower": -math.inf,
 
 
 def _products(carried, factors: np.ndarray) -> np.ndarray:
-    """carried * f_1, carried * f_1 * f_2, ... along the leading step
-    axis of factors, multiplied in step order as step after step would
-    (``np.multiply.accumulate`` is a sequential scan)."""
+    """carried, carried * f_1, carried * f_1 * f_2, ... along the leading
+    step axis of factors, multiplied in step order as step after step
+    would (``np.multiply.accumulate`` is a sequential scan)."""
     out = np.empty((len(factors) + 1,)
                    + np.broadcast_shapes(np.shape(carried), factors.shape[1:]))
     out[0] = carried
     out[1:] = factors
-    return np.multiply.accumulate(out, axis=0)[1:]
+    return np.multiply.accumulate(out, axis=0, out=out)
 
 
 def _first(flags: np.ndarray) -> int:
@@ -357,10 +362,12 @@ class _AdaptiveStepper:
     alpha / (sqrt(v_t) + epsilon) and applies the kind's coefficients of
     step t: the moment decays and gains, the blend scale * rate + shift,
     the clamp into [lower, upper], the bias-correction divisors and
-    sqrt(t).  They depend on t alone, so :meth:`_fill` computes them for
-    a block of ``BLOCK_STEPS`` steps at once, as arrays over the block,
-    and the step reads row k of the block; a coefficient that holds for
-    the whole run stays one 0-d float64 array, or one (R, 1) column.
+    sqrt(t).  They depend on t alone, so :meth:`_fill` computes those
+    that vary for a block of ``BLOCK_STEPS`` steps at once, one row a
+    step, and step k of the block copies row k into the register, whose
+    read-only views are the operands the step reads; a coefficient that
+    holds for the whole run stays one 0-d float64 array, or one (R, 1)
+    column.  The operands are made once a run (:meth:`_plan`).
 
     A kind states its coefficients in ``_coefficients(t, n)``.  By
     default they are the constant decays ``beta1`` and ``beta2`` and the
@@ -390,9 +397,11 @@ class _AdaptiveStepper:
         # the steppers whose coefficients the replicas take, one each:
         # this one alone, or a batch's (stack_kinds)
         self._rows = (self,)
-        # the rows of the block of steps that starts at _block_start
+        # the block of steps that starts at _block_start, one row a step
+        # (_fill), and the step's operands, set at the first fill (_plan)
         self._block = ()
         self._block_start = 1
+        self._operands = None
         # whether some replica's running max of ||m_t||_inf may still be 0
         self._zero_peak = True
         # whether step screens its inputs (_check_inputs)
@@ -444,106 +453,114 @@ class _AdaptiveStepper:
         return {"beta1": self.beta1, "gain1": 1.0 - self.beta1,
                 "beta2": self.beta2, "gain2": 1.0 - self.beta2}, {}
 
-    def _fill(self, t: int) -> None:
-        """Compute the rows of the block of steps that starts at t.
+    def _plan(self, rows) -> None:
+        """Set what holds for the whole run from the replicas' (fixed,
+        varying) coefficients: the step's switches and its operands.  A
+        coefficient fixed in every replica is a :func:`column` made an
+        operand (the running-max flag keeps its form); one that varies
+        in some replica, and div1, div2 and root_t where they are on, is
+        a read-only view of the register that :meth:`step` refills, 0-d
+        for a lone stepper and an (R, 1) column for a batch."""
+        cfg = self.cfg
+        self._debias = holds(cfg.bias_correction)
+        self._decays = holds(cfg.sqrt_decay)
+        self._kind_varies = [name for name in COEFFICIENTS
+                             if any(name in v for _, v in rows)]
+        self._varies = self._kind_varies + [
+            name for name, on in (("div1", self._debias),
+                                  ("div2", self._debias),
+                                  ("root_t", self._decays)) if on]
+        stated = {name for f, v in rows for name in (*f, *v)}
+        fixed = self._fixed = {**NEUTRAL, **{
+            name: column([f.get(name, NEUTRAL.get(name)) for f, _ in rows])
+            for name in stated.difference(self._varies)}}
+        self._cell = () if len(rows) == 1 else (len(rows), 1)
+        self._register = np.empty((len(self._varies), len(rows), 1))
+        operands = {name: value if name == "running_max" else
+                    _operand(value) for name, value in fixed.items()}
+        for name, x in zip(self._varies, self._register):
+            operands[name] = x = x.reshape(self._cell)
+            x.flags.writeable = False
+        self._operands = tuple(map(operands.get, COEFFICIENTS))
+        self._alpha = _operand(cfg.alpha)
+        self._epsilon = _operand(cfg.epsilon)
+        # replicas whose blended rate must be positive: all, or a column
+        self._blend_rows = column([("scale" in f or "scale" in v)
+                                   for f, v in rows])
+        self._blends, self._clamps = "scale" in stated, "lower" in stated
+        # v_t is unread under a scale of 0.0 in every row for the run
+        self._adaptive = ("scale" in self._varies
+                          or holds(fixed["scale"] != 0.0))
+        self._running_max = "running_max" in stated
+        self._bounds_m = "base" in stated
+        # only a zero beta2 turns an overflowed v into NaN (inf * 0); a
+        # varying beta2 keeps the screen on
+        self._nan_v = ("beta2" in self._varies
+                       or holds(np.equal(fixed["beta2"], 0.0)))
+        self._zero_rate = holds(cfg.epsilon == 0.0)
 
-        Replica r's coefficients come from ``self._rows[r]``: one fixed in
-        every replica becomes a :func:`column`, one that varies in some
-        replica an (n, R, 1) array, and a replica gets the ``NEUTRAL``
-        value of one its kind does not state.  Nothing changes if this
-        raises, so a rejected step leaves the stepper as it was.
+    def _fill(self, t: int) -> None:
+        """Compute the block of steps that starts at t: the varying
+        coefficients as one (n, V, R, 1) array, whose row k step k copies
+        into the register, the beta products and the screens' first steps.
+
+        Replica r's coefficients come from ``self._rows[r]``, and a
+        replica gets the ``NEUTRAL`` value of one its kind does not
+        state.  Nothing the state reads changes if this raises, so a
+        rejected step leaves the stepper as it was.
         """
         s, cfg = self.state, self.cfg
         rows = [o._coefficients(t, BLOCK_STEPS) for o in self._rows]
         n = min([BLOCK_STEPS, *(len(x) for _, v in rows for x in v.values())])
-        lead = (n, 1, 1)
-        fixed, varying = {}, {}
-        for name in {name for f, v in rows for name in (*f, *v)}:
-            values = [v[name][:n] if name in v
-                      else f.get(name, NEUTRAL.get(name)) for f, v in rows]
-            if any(name in v for _, v in rows):
-                varying[name] = np.stack(
-                    [np.broadcast_to(x, n) for x in values], axis=1)[..., None]
-            else:
-                fixed[name] = column(values)
-        # replicas whose blended rate must be positive: all, or a column
-        blend_rows = column([("scale" in f or "scale" in v) for f, v in rows])
-        stated = {*fixed, *varying}
-        fixed = {**NEUTRAL, **fixed}
-
-        def over(x):
-            # x over the block's steps and the replicas
-            return np.broadcast_to(x, np.broadcast_shapes(lead, np.shape(x)))
+        if self._operands is None:
+            self._plan(rows)
+        # the block's steps by the replicas
+        lead = (n, len(rows), 1)
+        block = np.empty((n, len(self._varies)) + lead[1:])
+        varying = dict(zip(self._varies, block.swapaxes(0, 1)))
+        for name in self._kind_varies:
+            for r, (f, v) in enumerate(rows):
+                varying[name][:, r, 0] = (v[name][:n] if name in v else
+                                          f.get(name, NEUTRAL.get(name)))
 
         def steps(name):
-            return varying[name] if name in varying else over(fixed[name])
+            return (varying[name] if name in varying
+                    else np.broadcast_to(self._fixed[name], lead))
 
         prods = [_products(s.beta1_prod, steps("beta1")),
                  _products(s.beta2_prod, steps("beta2"))]
-        varying["beta1_prod"], varying["beta2_prod"] = prods
-        debias = cfg.bias_correction
-        if holds(debias):
-            varying["div1"], varying["div2"] = (_where(debias, 1.0 - p)
-                                                for p in prods)
-        if holds(cfg.sqrt_decay):
-            varying["root_t"] = _where(cfg.sqrt_decay, np.sqrt(
-                np.arange(t, t + n, dtype=np.float64)).reshape(lead))
-        blends, clamps = "scale" in stated, "lower" in stated
-        # v_t is unread under a scale of 0.0 in every row for the run
-        adaptive = "scale" in varying or holds(fixed["scale"] != 0.0)
+        if self._debias:
+            for name, p in zip(("div1", "div2"), prods):
+                varying[name][...] = _where(cfg.bias_correction, 1.0 - p[1:])
+        if self._decays:
+            varying["root_t"][...] = _where(cfg.sqrt_decay, np.sqrt(
+                np.arange(t, t + n, dtype=np.float64)).reshape(n, 1, 1))
         # The first step of the block at which each screen can fire.  The
         # rate alpha / (sqrt(v) + epsilon) is >= 0 or NaN, and each later
         # operation is monotone in it, so a screen that the coefficients
         # show cannot fire is skipped; from that step on it runs.
         inverted_from = positive_from = n
-        if clamps:
+        if self._clamps:
             inverted_from = _first(steps("lower") > steps("upper"))
-        if blends:
+        if self._blends:
             # rate * scale + shift >= shift > 0 for a scale >= 0; rows
             # that do not blend get shift 0.0 and are not screened
-            positive_from = _first((steps("shift") <= 0.0) & blend_rows)
+            positive_from = _first((steps("shift") <= 0.0)
+                                   & self._blend_rows)
         # The largest rate each step can apply, in the step's order; the
         # bound on |m_t| only lowers it.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             cap = np.divide(cfg.alpha, cfg.epsilon)
-            if blends:
+            if self._blends:
                 cap = (cap * steps("scale") + steps("shift")
-                       if adaptive else steps("shift"))
-            if clamps:
+                       if self._adaptive else steps("shift"))
+            if self._clamps:
                 cap = np.minimum(np.maximum(cap, steps("lower")),
                                  steps("upper"))
-        finite_from = _first(~np.isfinite(over(cap)))
-
-        def entries(name):
-            # read-only float64 operands, 0-d where the step's value is
-            # one number (see the module docstring); flags keep their form
-            if name in varying:
-                x = varying[name]
-                if x[0].size > 1:
-                    x.flags.writeable = False
-                    return list(x)
-                # nditer yields read-only 0-d views, in half the time of
-                # indexing each step
-                return list(np.nditer(x.reshape(n), order="C"))
-            value = fixed.get(name)
-            if value is not None and name != "running_max":
-                value = _operand(value)
-            return itertools.repeat(value, n)
-
-        self._block = list(zip(*map(entries, COEFFICIENTS)))
-        self._block_start = t
-        self._alpha = _operand(cfg.alpha)
-        self._epsilon = _operand(cfg.epsilon)
-        self._blend_rows = blend_rows
-        self._debias = holds(debias)
-        self._decays = holds(cfg.sqrt_decay)
-        self._blends, self._clamps = blends, clamps
-        self._adaptive = adaptive
-        self._running_max = "running_max" in stated
-        self._bounds_m = "base" in stated
-        # only a zero beta2 turns an overflowed v into NaN (inf * 0)
-        self._nan_v = holds(np.equal(steps("beta2"), 0.0))
-        self._zero_rate = holds(cfg.epsilon == 0.0)
+        finite_from = _first(~np.isfinite(np.broadcast_to(cap, lead)))
+        self._block, self._block_start = block, t
+        s.products = [p.reshape((n + 1,) + self._cell) for p in prods]
+        s.products_from = t - 1
         self._inverted_from = inverted_from
         self._positive_from = positive_from
         self._finite_from = finite_from
@@ -557,8 +574,10 @@ class _AdaptiveStepper:
         if not 0 <= k < len(self._block):
             self._fill(t)
             k = 0
+        if self._varies:
+            self._register[...] = self._block[k]
         (b1, gain1, b2, gain2, scale, shift, lower, upper, running_max, base,
-         gamma, div1, div2, root_t, beta1_prod, beta2_prod) = self._block[k]
+         gamma, div1, div2, root_t) = self._operands
         # in place, in the operation order of b1 * m + gain1 * g
         m = s.m
         m *= b1
@@ -623,7 +642,7 @@ class _AdaptiveStepper:
                                           "coordinate {i}: the projection "
                                           "metric must be positive")
         theta = self.box.clamp_into(theta - eta * m)
-        s.t, s.beta1_prod, s.beta2_prod = t, beta1_prod, beta2_prod
+        s.t = t
         s.last_rate_raw, s.last_effective_lr = rate, eta
         return theta
 

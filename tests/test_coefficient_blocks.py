@@ -3,10 +3,14 @@ steps at a time steps with the bits of the per-step skeleton, lone and
 as a row of a kind batch, across block boundaries."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from transopt import runner
+from transopt.config import load_config
 from transopt.errors import DomainError, HorizonError
 from transopt.optim import (BLOCK_STEPS, Adam, Amsgrad, ClippedTransition,
                             DstAdam, FeasibleBox, MomentumSgd, StepConfig,
@@ -150,7 +154,9 @@ def _bits(a):
 def _assert_rows_match(stepper, lone, zero_at_step_1=()):
     """Step ``stepper`` over (R, d) rows, or (d,) for one, and each lone
     stepper and its per-step reference over its row, comparing bits.
-    The rows in ``zero_at_step_1`` take a zero gradient at step 1."""
+    The rows in ``zero_at_step_1`` take a zero gradient at step 1.  The
+    thetas, rates and etas of every step are kept and compared at the
+    end, which names the first step, row and value that differ."""
     refs = [PerStepReference(opt) for opt in lone]
     rng = np.random.default_rng(len(lone))
     theta = rng.uniform(-0.5, 0.5, size=(len(lone), DIM))
@@ -158,25 +164,32 @@ def _assert_rows_match(stepper, lone, zero_at_step_1=()):
     lone_thetas = list(theta)
     if len(lone) == 1:
         theta = theta[0]
+    # per step, (R, 3, d): each row's theta, rate and eta
+    got, references, lones = [], [], []
     for t in range(1, HORIZON + 1):
         grad = rng.normal(size=np.shape(theta))
         if t == 1:
             grad[list(zero_at_step_1)] = 0.0
         theta = stepper.step(theta, grad)
-        rows = np.reshape(theta, (len(lone), DIM))
-        rates = np.reshape(stepper.rate_raw(), (len(lone), DIM))
-        etas = np.reshape(stepper.effective_lr(), (len(lone), DIM))
+        got.append(np.stack([theta, stepper.rate_raw(),
+                             stepper.effective_lr()], axis=-2))
         grads = np.reshape(grad, (len(lone), DIM))
+        step_refs, step_lones = [], []
         for r, (opt, ref) in enumerate(zip(lone, refs)):
             thetas[r], rate, eta = ref.step(thetas[r], grads[r])
+            step_refs.append((thetas[r], rate, eta))
             lone_thetas[r] = opt.step(lone_thetas[r], grads[r])
-            for want in ((thetas[r], rate, eta),
-                         (lone_thetas[r], opt.rate_raw(),
-                          opt.effective_lr())):
-                for name, got, x in zip(("theta", "rate", "eta"),
-                                        (rows[r], rates[r], etas[r]), want):
-                    np.testing.assert_array_equal(
-                        _bits(got), _bits(x), err_msg=f"{name} t={t} r={r}")
+            step_lones.append((lone_thetas[r], opt.rate_raw(),
+                               opt.effective_lr()))
+        references.append(step_refs)
+        lones.append(step_lones)
+    got = _bits(np.reshape(got, (HORIZON, len(lone), 3, DIM)))
+    for source, want in (("reference", references), ("lone", lones)):
+        bad = np.argwhere(got != _bits(np.array(want)))
+        if len(bad):
+            t, r, name, i = bad[0]
+            pytest.fail(f"{('theta', 'rate', 'eta')[name]} differs from the "
+                        f"{source} at t={t + 1} r={r} i={i}")
     assert stepper.state.t == HORIZON
 
 
@@ -286,3 +299,23 @@ def test_inverted_bounds_raise_past_the_lu_horizon(horizon):
             rf"^step {horizon + 1} exceeds lu bound horizon {horizon}$")):
         opt.step(theta, rng.normal(size=DIM))
     _assert_unchanged(before, _frozen(opt))
+
+
+def test_a_fill_holds_few_bytes_a_step():
+    # the quadratic-long stepper's block: its varying coefficients and
+    # beta products, with no Python object a step
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "quadratic_dstadam.yaml")
+    box = runner.build_problem(cfg).box
+    opt = runner.build_optimizer(cfg, cfg.problem.dim, cfg.horizon, box)
+    rng = np.random.default_rng(6)
+    theta = np.zeros(cfg.problem.dim)
+    for _ in range(BLOCK_STEPS):
+        theta = opt.step(theta, rng.normal(size=cfg.problem.dim))
+    tracemalloc.start()
+    try:
+        opt._fill(opt.state.t + 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / BLOCK_STEPS <= 200

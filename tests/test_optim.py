@@ -5,9 +5,10 @@ import pytest
 
 from transopt.errors import (DimensionError, DomainError, HorizonError,
                              StateError)
-from transopt.optim import (COEFFICIENTS, Adam, Amsgrad, ClippedTransition,
-                            DstAdam, FeasibleBox, MomentumSgd, StepConfig,
-                            column, project_box, stack_kinds, stack_like)
+from transopt.optim import (BLOCK_STEPS, COEFFICIENTS, Adam, Amsgrad,
+                            ClippedTransition, DstAdam, FeasibleBox,
+                            MomentumSgd, StepConfig, column, project_box,
+                            stack_kinds, stack_like)
 from transopt.schedule import BoundFunctionSpec, TransitionSchedule
 
 
@@ -616,14 +617,14 @@ class TestStackedSteppers:
                                               opt.effective_lr())
 
     @staticmethod
-    def grid_rows():
+    def grid_rows(horizon=200):
         # eight DstAdam rows of the criterion-02 grid: rho, r_l, r_u and
         # sqrt_decay differ, the betas do not
         pairs = [(0.005, 5.0), (0.1, 1.0), (0.5, 0.5), (0.01, 0.1)]
         return stack_kinds([DstAdam(3, TransitionSchedule(
-            horizon=200, rho=[None, 0.9, 0.99][k % 3], r_l=pairs[k % 4][0],
-            r_u=pairs[k % 4][1]), StepConfig(sqrt_decay=k >= 4))
-            for k in range(8)])
+            horizon=horizon, rho=[None, 0.9, 0.99][k % 3],
+            r_l=pairs[k % 4][0], r_u=pairs[k % 4][1]),
+            StepConfig(sqrt_decay=k >= 4)) for k in range(8)])
 
     @staticmethod
     def is_0d_float64(x):
@@ -639,7 +640,9 @@ class TestStackedSteppers:
         assert isinstance(batch.cfg.epsilon, float)
         assert batch.cfg.sqrt_decay.ravel().tolist() == \
             [False] * 4 + [True] * 4
-        b1, gain1, b2, gain2, scale, shift = batch._block[0][:6]
+        operands = _operands(batch)
+        b1, gain1, b2, gain2, scale, shift = (
+            operands[name] for name in COEFFICIENTS[:6])
         assert all(self.is_0d_float64(x) for x in (b1, gain1, b2, gain2))
         assert [float(x) for x in (b1, gain1, b2, gain2)] == \
             [0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999]
@@ -649,7 +652,8 @@ class TestStackedSteppers:
         lone = DstAdam(3, TransitionSchedule(horizon=200, rho=0.9),
                        StepConfig(bias_correction=True, sqrt_decay=True))
         lone.step(np.zeros(3), np.ones(3))
-        for name, x in zip(COEFFICIENTS, lone._block[0]):
+        assert {"div1", "div2", "root_t"} <= set(_operands(lone))
+        for name, x in _operands(lone).items():
             if name == "running_max":
                 assert type(x) is bool
             else:
@@ -658,15 +662,15 @@ class TestStackedSteppers:
         assert self.is_0d_float64(lone._epsilon)
 
     def test_block_operands_are_read_only(self):
-        # a value shared by every step of a block is one array, so a
-        # write into it would change every later step
+        # a value shared by every step is one array, so a write into it
+        # would change every later step
         lone = DstAdam(3, TransitionSchedule(horizon=200, rho=0.9),
                        StepConfig(bias_correction=True, sqrt_decay=True))
         lone.step(np.zeros(3), np.ones(3))
         batch = self.grid_rows()
         batch.step(np.zeros((8, 3)), np.ones((8, 3)))
-        operands = [x for row in (lone._block[0], batch._block[0])
-                    for name, x in zip(COEFFICIENTS, row)
+        operands = [x for stepper in (lone, batch)
+                    for name, x in _operands(stepper).items()
                     if isinstance(x, np.ndarray) and name != "running_max"]
         operands += [lone._alpha, lone._epsilon, batch._alpha]
         # the batch's rows share its betas and split its blend
@@ -674,6 +678,43 @@ class TestStackedSteppers:
         for x in operands:
             with pytest.raises(ValueError, match="read-only"):
                 x[...] = 0.0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["lone", "batch"])
+    def test_operands_hold_each_steps_values_in_the_same_arrays(self,
+                                                                 batched):
+        # the step refills its operands in place: step t reads the
+        # coefficients of step t through the arrays of step 1, across a
+        # block boundary
+        horizon = BLOCK_STEPS + 3
+        if batched:
+            stepper = self.grid_rows(horizon)
+            rows = stepper._rows
+        else:
+            stepper = DstAdam(3, TransitionSchedule(
+                horizon=horizon, rho=0.9, beta1_kind="geometric",
+                beta1_decay=0.99), StepConfig(bias_correction=True,
+                                              sqrt_decay=True))
+            rows = [stepper]
+        shape = (len(rows), 3) if batched else (3,)
+        theta = stepper.step(np.zeros(shape), np.ones(shape))
+        first = list(stepper._operands)
+        for t in range(1, horizon + 1):
+            if t > 1:
+                theta = stepper.step(theta, np.ones(shape))
+            assert all(x is y for x, y in zip(stepper._operands, first))
+            operands = _operands(stepper)
+            for r, row in enumerate(rows):
+                s = row.schedule
+                want = {"beta1": s.beta1_at(t), "gain1": 1.0 - s.beta1_at(t),
+                        "beta2": s.beta2_at(t), "scale": s.rho_at(t),
+                        "shift": (1.0 - s.rho_at(t)) * s.r_at(t),
+                        "root_t": math.sqrt(t) if row.cfg.sqrt_decay else 1.0}
+                if row.cfg.bias_correction:
+                    want["div1"] = 1.0 - stepper.state.beta1_prod
+                    want["div2"] = 1.0 - stepper.state.beta2_prod
+                got = {name: float(np.reshape(x, -1)[r if x.size > 1 else 0])
+                       for name, x in operands.items() if name in want}
+                assert got == want, (t, r)
 
     def test_column(self):
         assert column([0.5, 0.5]) == 0.5
@@ -719,12 +760,25 @@ def _sgdm_rows():
                         box=FeasibleBox.cube(0.5, 3))]
 
 
+def _operands(stepper):
+    """The operands each step of the stepper reads, by name, without the
+    coefficients it does not apply."""
+    return {name: x for name, x in zip(COEFFICIENTS, stepper._operands)
+            if x is not None}
+
+
 def _merged(stepper, names, steps=4):
-    """The coefficients ``names`` of the stepper's first steps, each a
-    list over the steps, as the merged block of step 1 holds them."""
+    """The operands ``names`` of the stepper's first steps, each a list
+    over the steps of the values the step reads, as the block of step 1
+    refills them."""
     stepper._fill(1)
-    return [[row[COEFFICIENTS.index(name)] for row in stepper._block[:steps]]
-            for name in names]
+    merged = [[] for _ in names]
+    for k in range(steps):
+        stepper._register[...] = stepper._block[k]
+        operands = _operands(stepper)
+        for values, name in zip(merged, names):
+            values.append(operands[name].copy())
+    return merged
 
 
 class TestKindBatches:
@@ -741,7 +795,8 @@ class TestKindBatches:
         # run, and beta1 a per-step array, as the geometric DstAdam row's
         # beta1 varies
         beta1, beta2 = _merged(batch, ("beta1", "beta2"))
-        assert beta2[0] is beta2[3]
+        assert not np.shares_memory(_operands(batch)["beta2"],
+                                    batch._register)
         assert beta2[0][5:7].ravel().tolist() == [0.99, 0.9]
         assert [x[5:7].tolist() for x in beta1] == [[[0.5], [0.6]]] * 4
         rng = np.random.default_rng(9)

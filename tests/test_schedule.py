@@ -169,9 +169,9 @@ def _open_unit():
 
 @st.composite
 def schedules(draw):
-    """Any schedule TransitionSchedule accepts, over horizons that cross
-    BLOCK_STEPS; a custom rho sequence may hold 0 and 1."""
-    horizon = draw(st.integers(1, 600))
+    """Any schedule TransitionSchedule accepts, over horizons up to past
+    two block boundaries; a custom rho sequence may hold 0 and 1."""
+    horizon = draw(st.integers(1, 2 * BLOCK_STEPS + 100))
     r_l = draw(st.floats(1e-8, 1e3))
     r_u = draw(st.just(r_l) | st.floats(r_l, 1e4))
     rho_kind = draw(st.sampled_from(RHO_KINDS))

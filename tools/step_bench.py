@@ -17,7 +17,10 @@ DstAdam rows, which differ in rho, r_l, r_u and sqrt_decay, so their
 blend and sqrt(t) are (8, 1) columns broadcast over (8, 3) rows.  The
 time of the loop over ``step`` alone, divided by the steps, is printed
 as the best of ``--repeats`` runs.  A fresh stepper per run keeps the
-coefficient fills inside the time.
+coefficient fills inside the time.  Each timed stepper has its
+``screens_inputs`` cleared, as the step loop of ``runner.run_batch``
+clears it, so a row times the step that loop runs, without the shape
+check and gradient screen of a direct call.
 Only the public constructors and ``stack_kinds``, called with one
 stepper a row, are used, so the script runs unchanged on any checkout
 whose ``stack_kinds`` takes that flat list, for comparison.
@@ -120,10 +123,12 @@ def batches(horizon: int) -> Dict[str, tuple]:
 
 def us_per_step(build: Callable[[], object], grads: np.ndarray,
                 repeats: int) -> float:
-    """Best of ``repeats`` times of a fresh stepper's loop, per step."""
+    """Best of ``repeats`` times of a fresh stepper's loop, per step,
+    with its input screen cleared as in the runner's loop."""
     best = float("inf")
     for _ in range(repeats):
         opt = build()
+        opt.screens_inputs = False
         theta = np.zeros(grads.shape[1:])
         start = time.perf_counter()
         for g in grads:
