@@ -4,9 +4,14 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
+
+#: The digests of ``--seeds 0 3 --smoke --crossing``, which every change
+#: must keep unless it changes bytes on purpose and regenerates them.
+COMMITTED = Path(__file__).resolve().parent / "data" / "artifact_digests.json"
 
 
 def _load_tool():
@@ -64,3 +69,30 @@ def test_out_or_check_is_required(capsys):
         with pytest.raises(SystemExit):
             tool.main(argv)
     capsys.readouterr()
+
+
+def test_the_committed_digests_hold():
+    tool = _load_tool()
+    want = json.loads(COMMITTED.read_text())
+    assert tool.version_mismatch(want) is None, tool.version_mismatch(want)
+    assert (want["seeds"], want["smoke"], want["crossing"]) == ([0, 3], True,
+                                                                True)
+    got = tool.collect(want["seeds"], want["smoke"], want["crossing"])
+    assert tool.pool_mismatches(got) == []
+    # each line names the seed, the workload, the job count, the run
+    # directory and the file
+    lines = tool.compare(want["digests"], got)
+    assert not lines, "\n".join(lines)
+
+
+def test_digests_of_another_numpy_fail_naming_both_versions(tmp_path,
+                                                             capsys):
+    tool = _load_tool()
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps({"seeds": [1], "smoke": True,
+                                "crossing": False, "numpy": "1.0.0",
+                                "platform": "elsewhere", "digests": {}}))
+    assert tool.main(["--check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "numpy 1.0.0 (elsewhere)" in err
+    assert f"numpy {np.__version__}" in err

@@ -14,7 +14,10 @@ directory and swept with ``transopt sweep``, serially and with
 naming the seed, the workload, the job count, the run directory and the
 file, so a renamed directory shows as a missing and an extra key.  The
 sweep's summary lines (with the output root cut out) and each run's
-``check-conditions`` output are hashed too.
+``check-conditions`` output are hashed too.  ``--crossing`` adds the
+cycle trio and the quadratic of the few-step configs at horizon
+``CROSSING_HORIZON``, which crosses two coefficient blocks of the
+steppers and several step buffers, as the few-step horizons do not.
 
 ``--out FILE`` writes the digests to FILE.  ``--check FILE`` sweeps
 again at the seeds and size recorded in FILE, which may come from
@@ -29,26 +32,36 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from transopt.cli import main as transopt_main  # noqa: E402
+from transopt.optim import BLOCK_STEPS  # noqa: E402
 
 #: The files hashed in every run directory besides ``meta.json``.
 RUN_FILES = (*workloads.CSV_ARTIFACTS, "config.yaml")
 
 #: Job counts each workload is swept with.
 JOBS = ("1", "2")
+
+#: The horizon of the crossing set: two coefficient blocks and then some.
+CROSSING_HORIZON = 2 * BLOCK_STEPS + 37
+
+#: The workloads of the crossing set, at their few-step configs.
+CROSSING = ("cycle-stride1", "quadratic-long")
 
 
 def _sha(data: bytes) -> str:
@@ -76,16 +89,34 @@ def run_digests(run_dir: Path, out_root: Path) -> Dict[str, str]:
     return digests
 
 
-def sweep_digests(workload: str, seed: int, smoke: bool,
-                  scratch: Path) -> Dict[str, str]:
-    """Digests of one workload at one seed, swept once per job count."""
+def workload_specs(workload: str, seed: int, smoke: bool,
+                   horizon: Optional[int] = None) -> list:
+    """The workload's specs, at ``horizon`` instead of their own if given."""
     specs = workloads.WORKLOADS[workload](seed, smoke=smoke)
-    config_dir = scratch / f"{workload}-{seed}" / "configs"
+    if horizon is None:
+        return specs
+    out = []
+    for spec in specs:
+        old = f"horizon: {spec.horizon}\n"
+        assert spec.text.count(old) == 1, spec.text
+        out.append(dataclasses.replace(
+            spec, horizon=horizon,
+            text=spec.text.replace(old, f"horizon: {horizon}\n")))
+    return out
+
+
+def sweep_digests(workload: str, seed: int, smoke: bool, scratch: Path,
+                  horizon: Optional[int] = None) -> Dict[str, str]:
+    """Digests of one workload at one seed, swept once per job count; at
+    ``horizon`` its key is the workload's name with ``-T<horizon>``."""
+    specs = workload_specs(workload, seed, smoke, horizon)
+    label = workload if horizon is None else f"{workload}-T{horizon}"
+    config_dir = scratch / f"{label}-{seed}" / "configs"
     workloads.write_configs(specs, config_dir)
     digests = {}
     for jobs in JOBS:
         out_root = config_dir.parent / f"runs-jobs{jobs}"
-        prefix = f"seed{seed}/{workload}/jobs{jobs}"
+        prefix = f"seed{seed}/{label}/jobs{jobs}"
         digests[f"{prefix}/sweep.stdout"] = _sha(_call(
             ["sweep", str(config_dir), "--out", str(out_root),
              "--jobs", jobs], out_root))
@@ -95,13 +126,28 @@ def sweep_digests(workload: str, seed: int, smoke: bool,
     return digests
 
 
-def collect(seeds: Sequence[int], smoke: bool) -> Dict[str, str]:
+def collect(seeds: Sequence[int], smoke: bool,
+            crossing: bool = False) -> Dict[str, str]:
     digests: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         for seed in seeds:
             for name in workloads.WORKLOADS:
                 digests.update(sweep_digests(name, seed, smoke, Path(tmp)))
+            for name in CROSSING if crossing else ():
+                digests.update(sweep_digests(name, seed, True, Path(tmp),
+                                             CROSSING_HORIZON))
     return digests
+
+
+def version_mismatch(want: dict) -> Optional[str]:
+    """Why digests recorded under another numpy version cannot be
+    compared here, or None."""
+    recorded = want.get("numpy")
+    if recorded is None or recorded == np.__version__:
+        return None
+    return (f"the digests were recorded under numpy {recorded} "
+            f"({want.get('platform')}); this is numpy {np.__version__} "
+            f"({platform.platform()})")
 
 
 def pool_mismatches(digests: Dict[str, str]) -> List[str]:
@@ -131,6 +177,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--crossing", action="store_true",
+                        help="also sweep the cycle trio and the quadratic "
+                             f"at horizon {CROSSING_HORIZON}")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", metavar="FILE", help="write the digests here")
     mode.add_argument("--check", metavar="FILE",
@@ -140,8 +189,13 @@ def main(argv=None) -> int:
     want = None
     if args.check:
         want = json.loads(Path(args.check).read_text())
+        why = version_mismatch(want)
+        if why is not None:
+            print(why, file=sys.stderr)
+            return 1
         args.seeds, args.smoke = want["seeds"], want["smoke"]
-    digests = collect(args.seeds, args.smoke)
+        args.crossing = want.get("crossing", False)
+    digests = collect(args.seeds, args.smoke, args.crossing)
     status = 0
     for key in pool_mismatches(digests):
         print(f"serial and --jobs 2 differ: {key}", file=sys.stderr)
@@ -153,7 +207,9 @@ def main(argv=None) -> int:
         print(f"{len(digests)} digests, {len(lines)} mismatches")
         return 1 if lines else status
     Path(args.out).write_text(json.dumps(
-        {"seeds": args.seeds, "smoke": args.smoke, "digests": digests},
+        {"seeds": args.seeds, "smoke": args.smoke,
+         "crossing": args.crossing, "numpy": np.__version__,
+         "platform": platform.platform(), "digests": digests},
         indent=1, sort_keys=True) + "\n")
     return status
 
