@@ -479,14 +479,14 @@ class RunMonitor:
     ``box``, ``beta2`` and ``sqrt_decay`` hold one entry per run: its
     feasible box, the constant decay of its zeta (None for a run without
     a schedule, which gets no zeta) and whether its effective rate is
-    eta-hat divided by sqrt(t).  The step loop writes step t's losses
-    into row t - 1 of the (T, R) ``losses``, and with ``comparator`` the
-    comparators' losses of each block of steps into the same columns of
-    the (R, T) ``regret``; it copies its gradients, raw rates eta-hat and
-    iterates, (R, d) or (d,), into row k of the three (rows, R, d)
-    ``buffers`` (grads, rates, thetas; rows from :func:`buffer_rows`) and
-    calls ``flush(k + 1)`` when they are full and ``finish(k)`` after the
-    last step.
+    eta-hat divided by sqrt(t).  The step loop writes step t's gradients,
+    raw rates eta-hat and iterates, (R, d) or (d,), into row k of the
+    three (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
+    :func:`buffer_rows`), its losses into row t - 1 of the (T, R)
+    ``losses`` unless a problem's ``slot_losses`` computes them at the
+    screen (``theta`` entered step 1), and with ``comparator`` the
+    comparators' losses of each block into the (R, T) ``regret``; it
+    calls ``flush(k + 1)`` when they are full and ``finish(k)`` last.
 
     A flush first screens the block's losses and gradients
     (:meth:`screen`), so no non-finite one reaches a monitor, a
@@ -518,8 +518,10 @@ class RunMonitor:
     def __init__(self, dim: int, horizon: int, stride: int,
                  box: Sequence, beta2: Sequence[Optional[float]],
                  sqrt_decay: Sequence[bool], keep_trajectory: bool = False,
-                 shared: bool = False, comparator: bool = False):
+                 shared: bool = False, comparator: bool = False,
+                 slot_losses=None, theta: Optional[np.ndarray] = None):
         replicas = len(box)
+        self.slot_losses, self.entering = slot_losses, theta
         rows = buffer_rows(horizon, replicas * dim)
         self.dim = dim
         self.writer_reduces = shared and horizon > (WRITER_BLOCKS - 1) * rows
@@ -565,7 +567,8 @@ class RunMonitor:
 
     def screen(self, n: int) -> None:
         """Raise DomainError at the first non-finite loss or gradient of
-        the n steps after the last flush (the first n buffer rows).
+        the n steps after the last flush (the first n buffer rows), whose
+        losses ``slot_losses`` computes first if given.
 
         The error names the first bad step; at one step a bad loss comes
         before a bad gradient, and then the first bad run and
@@ -573,6 +576,9 @@ class RunMonitor:
         """
         t0 = self.t
         losses = self.losses[t0:t0 + n]
+        if self.slot_losses is not None:
+            grads, _, thetas = self.buffers
+            self.slot_losses(grads[:n], thetas, self.entering, losses)
         k = first_non_finite(losses)
         grads = self.buffers[0][:k]
         # a lone run's gradients are (d,), whose error names no run
@@ -588,6 +594,7 @@ class RunMonitor:
         self.screen(n)
         grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self.t = self.t, self.t + n
+        self.entering = thetas[-1].copy() if self.slot_losses else None
         if self.regret is not None:
             # the sequential sums of a per-step ledger, carried on from
             # R(t0); the first block's 0.0 turns a -0.0 difference into

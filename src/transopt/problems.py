@@ -2,12 +2,13 @@
 
 Every problem exposes oracles indexed by the step t (1-based) over a box
 feasible set, together with a fixed comparator theta_star where one
-exists.  The step loop calls ``loss_and_grad(t, theta)`` once per step,
-which returns the loss and the gradient from one pass over the data;
-``loss_at`` gives the loss alone and ``grad_at`` the gradient alone;
-the comparator's losses come from ``block`` (below).  Oracles are pure
-functions of (t, theta), so runs are bit-reproducible given the
-construction seed.
+exists.  ``loss_and_grad(t, theta)`` returns the loss and the gradient
+from one pass over the data, and the step loop calls it once per step,
+but for the kinds that take their losses from its step slots (the
+quadratic and the reddi cycle, ``losses_from_slots``); ``loss_at`` gives
+the loss alone and ``grad_at`` the gradient alone; the comparator's
+losses come from ``block`` (below).  Oracles are pure functions of
+(t, theta), so runs are bit-reproducible given the construction seed.
 
 A problem hands out its per-step data a block of steps at a time:
 ``block(t0, n)`` loads the data of steps t0 + 1 .. t0 + n, which the
@@ -55,6 +56,11 @@ class OnlineProblem:
 
     name = "online"
     n_train: Optional[int] = None
+    #: whether the loop calls ``grad_into(t, theta, out)`` (the gradient
+    #: into ``out``, unchecked) and ``slot_losses(grads, thetas, first,
+    #: out)``: into ``out`` the (n, R) losses of the (n, R, d) gradients of
+    #: steps k that entered at ``thetas[k - 1]`` (or ``first``), bit for bit
+    losses_from_slots = False
 
     def __init__(self, dim: int, box: FeasibleBox,
                  theta_star: Optional[np.ndarray], grad_bound: float):
@@ -132,7 +138,7 @@ def stack_problems(problems: Sequence[OnlineProblem]) -> OnlineProblem:
     data and scalars (seeds, centers, datasets, the box, the reddi
     slope).  Row r of a stacked oracle's loss and gradient equals
     problem r's, bit for bit.  A single problem is returned as it is.
-    Only the step oracle ``loss_and_grad`` and ``block`` are stacked: the
+    Only the step oracles, ``slot_losses`` and ``block`` are stacked: the
     comparator, the box checks and the final MLP metrics stay with each
     problem.  The problems are left as they are; their loaded blocks are
     not carried over.
@@ -175,6 +181,7 @@ class QuadraticTracking(OnlineProblem):
     """
 
     name = "quadratic"
+    losses_from_slots = True
 
     def __init__(self, centers: np.ndarray, box: FeasibleBox):
         centers = np.asarray(centers, dtype=np.float64)
@@ -287,6 +294,13 @@ class QuadraticTracking(OnlineProblem):
         # vecdot takes the dot product of each row as np.dot would
         return 0.5 * np.vecdot(diff, diff), diff
 
+    def grad_into(self, t: int, theta: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(theta, self._center(t), out=out)
+
+    def slot_losses(self, grads, thetas, first, out) -> None:
+        # 0.5 ||theta - c_t||^2 is 0.5 ||g_t||^2, a row at a time
+        np.multiply(0.5, np.vecdot(grads, grads), out=out)
+
     def _star_block(self, t0: int, n: int) -> np.ndarray:
         diff = self.theta_star[..., None, :] - self._centers
         return 0.5 * np.vecdot(diff, diff)
@@ -315,6 +329,7 @@ class ReddiCycle(OnlineProblem):
     """
 
     name = "reddi"
+    losses_from_slots = True
 
     def __init__(self, c: float):
         # written so that NaN fails it too
@@ -327,17 +342,22 @@ class ReddiCycle(OnlineProblem):
         self._up = np.array([self.c])
         self._down = np.array([-1.0])
 
-    def _slope(self, t: int) -> float:
-        if t < 1:
-            raise DomainError(f"step index starts at 1, got {t}")
-        return self.c if t % 3 == 1 else -1.0
-
     def loss_and_grad(self, t: int,
                       theta: np.ndarray) -> Tuple[float, np.ndarray]:
         theta = self._check_theta(theta)
-        slope = self._slope(t)
+        if t < 1:
+            raise DomainError(f"step index starts at 1, got {t}")
         grad = (self._up if t % 3 == 1 else self._down).copy()
-        return slope * theta[..., 0], grad
+        # slope * theta, the slope read back from the gradient
+        return grad[..., 0] * theta[..., 0], grad
+
+    def grad_into(self, t: int, theta: np.ndarray, out: np.ndarray) -> None:
+        out[...] = self._up if t % 3 == 1 else self._down
+
+    def slot_losses(self, grads, thetas, first, out) -> None:
+        # as loss_and_grad, at the iterate theta_{t-1} that entered step t
+        np.multiply(grads[0, :, 0], first[..., 0], out=out[0])
+        np.multiply(grads[1:, :, 0], thetas[:len(out) - 1, :, 0], out=out[1:])
 
     def _stacked(self) -> None:
         # one slope per replica, as theta[..., 0] has one entry per replica

@@ -17,21 +17,22 @@ row of one skeleton step (:func:`transopt.optim.stack_kinds`).  Replica
 r writes the bytes its config writes alone; ``run_experiment`` is the
 case R = 1, where every array is (d,).
 
-The step loop only copies each step's losses into a (T, R) array and
-its gradients, rates and iterates into three small preallocated
-(rows, R, d) buffers; a full buffer is flushed as one block to the
-loop's one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`),
-which screens the block's losses and gradients and then reduces it over
-the coordinate axis for all R replicas at once.  At the start of each
-buffer the loop loads the problem's data for the buffer's steps
+The step loop keeps each step's gradients, rates and iterates in three
+small preallocated (rows, R, d) buffers, and the logistic and MLP losses
+in a (T, R) array; a full buffer is flushed as one block to the loop's
+one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`), which
+adds the quadratic's and the cycle's losses from the block, screens its
+losses and gradients and reduces it over the coordinate axis for all R
+replicas at once.  At the start of each buffer the loop loads the
+problem's data for the buffer's steps
 (:meth:`~transopt.problems.OnlineProblem.block`: the quadratic's
 centers, a logistic problem's epoch orders), which the oracle reads, and
 writes the comparators' losses at those steps into the monitor's (R, T)
-``regret``, which the monitor's flush turns into R(t) in place.  So run
-memory is O(R d) besides the per-step losses and regrets and the
-per-sampled-step histogram rows.  A regret whose sum passes the largest
-double raises a DomainError after the loop, naming the run and the
-first step whose R(t) is not finite.
+``regret``, which its flush turns into R(t) in place.  So run memory is
+O(R d) besides the per-step losses and regrets and the per-sampled-step
+histogram rows.  A regret whose sum passes the largest double raises a
+DomainError after the loop, naming the run and the first step whose
+R(t) is not finite.
 
 The loop screens its inputs a buffer at a time, not a step at a time:
 its stepper skips the per-step input screens, and a non-finite loss or
@@ -353,16 +354,17 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         fork = spare_core(loops)
     # a forked writer reads the monitor's arrays, so they are shared
     # before the fork
+    slotted = problem.losses_from_slots
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
         [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
-        shared=fork, comparator=problem.theta_star is not None)
+        shared=fork, comparator=problem.theta_star is not None,
+        slot_losses=problem.slot_losses if slotted else None, theta=theta)
     # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
-    # buffers whose rows take a step's values as they are: (T,) for one
-    # replica, whose loss is a float; a broadcast (d,) -> (1, d) copy
-    # costs more
+    # buffers whose rows are a step's values as they are, (T,) and (d,)
+    # rows for one replica: a broadcast (d,) -> (1, d) copy costs more
     losses = monitor.losses.reshape(horizon, *problem.shape[:-1])
     views = [[b.reshape(len(b), *problem.shape) for b in slot]
              for slot in monitor.slots]
@@ -393,17 +395,18 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             with np.errstate(**STEP_ERRSTATE):
                 load(0)
                 for t in range(1, horizon + 1):
-                    loss, g = problem.loss_and_grad(t, theta)
-                    losses[t - 1] = loss
+                    g = grads[k]
+                    if slotted:  # the monitor's screen adds the losses
+                        problem.grad_into(t, theta, g)
+                    else:
+                        losses[t - 1], g[...] = problem.loss_and_grad(t, theta)
                     try:
                         theta = optimizer.step(theta, g)
                     except DomainError:
                         # a bad loss or gradient of this step or an
                         # earlier one of the buffer raises first
-                        grads[k] = g
                         monitor.screen(k + 1)
                         raise
-                    grads[k] = g
                     rates[k] = state.last_rate_raw
                     thetas[k] = theta
                     k += 1

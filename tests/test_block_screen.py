@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from transopt import runner, writer
 from transopt.config import parse_config
 from transopt.errors import DomainError
+from transopt.problems import QuadraticTracking
 
 DIM = 3
 
@@ -75,6 +76,8 @@ def _inject(monkeypatch, faults, zero=None, big=None):
         return problem
 
     monkeypatch.setattr(runner, "stack_problems", patched)
+    # the quadratic's loop takes the fused oracle, which the faults patch
+    monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
 
 
 def _expected(names, faults, zero):
