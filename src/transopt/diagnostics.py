@@ -483,10 +483,10 @@ class RunMonitor:
     raw rates eta-hat and iterates, (R, d) or (d,), into row k of the
     three (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
     :func:`buffer_rows`), its losses into row t - 1 of the (T, R)
-    ``losses`` unless a problem's ``slot_losses`` computes them at the
-    screen (``theta`` entered step 1), and with ``comparator`` the
-    comparators' losses of each block into the (R, T) ``regret``; it
-    calls ``flush(k + 1)`` when they are full and ``finish(k)`` last.
+    ``losses`` (unless the problem's ``slot_losses`` computes them at the
+    screen, from ``entering``: ``theta`` at step 1), and the comparators'
+    losses into the (R, T) ``regret`` (with ``comparator``); it calls
+    ``flush(k + 1)`` when the buffers are full and ``finish(k)`` last.
 
     A flush first screens the block's losses and gradients
     (:meth:`screen`), so no non-finite one reaches a monitor, a

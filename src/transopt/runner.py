@@ -21,9 +21,9 @@ The step loop keeps each step's gradients, rates and iterates in three
 small preallocated (rows, R, d) buffers, and the logistic and MLP losses
 in a (T, R) array; a full buffer is flushed as one block to the loop's
 one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`), which
-adds the quadratic's and the cycle's losses from the block, screens its
-losses and gradients and reduces it over the coordinate axis for all R
-replicas at once.  At the start of each buffer the loop loads the
+computes the quadratic's and the cycle's losses from the block, screens
+its losses and gradients and reduces it over the coordinate axis for all
+R replicas at once.  At the start of each buffer the loop loads the
 problem's data for the buffer's steps
 (:meth:`~transopt.problems.OnlineProblem.block`: the quadratic's
 centers, a logistic problem's epoch orders), which the oracle reads, and
@@ -396,7 +396,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                 load(0)
                 for t in range(1, horizon + 1):
                     g = grads[k]
-                    if slotted:  # the monitor's screen adds the losses
+                    if slotted:  # the monitor's screen computes the losses
                         problem.grad_into(t, theta, g)
                     else:
                         losses[t - 1], g[...] = problem.loss_and_grad(t, theta)

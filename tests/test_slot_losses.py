@@ -14,7 +14,8 @@ from transopt import runner
 from transopt.config import parse_config
 from transopt.diagnostics import RunMonitor, buffer_rows
 from transopt.errors import DomainError
-from transopt.problems import QuadraticTracking, ReddiCycle
+from transopt.problems import (LogisticMinibatch, MlpClassification,
+                               QuadraticTracking, ReddiCycle)
 
 #: Per variant: the problem lines of its configs (one config, or a batch
 #: of three that differ in their data), whether the quadratic's centers
@@ -133,7 +134,6 @@ def _assert_same_bits(got, want):
 def test_the_loop_takes_the_slot_path_only_for_the_analytic_kinds():
     assert QuadraticTracking.losses_from_slots
     assert ReddiCycle.losses_from_slots
-    from transopt.problems import LogisticMinibatch, MlpClassification
     assert not LogisticMinibatch.losses_from_slots
     assert not MlpClassification.losses_from_slots
 
