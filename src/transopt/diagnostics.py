@@ -484,7 +484,8 @@ class RunMonitor:
     three (rows, R, d) ``buffers`` (grads, rates, thetas; rows from
     :func:`buffer_rows`), its losses into row t - 1 of the (T, R)
     ``losses`` (unless the problem's ``slot_losses`` computes them at the
-    screen, from ``entering``: ``theta`` at step 1), and the comparators'
+    screen, from ``entering``: ``theta``, then what its last call
+    returned), and the comparators'
     losses into the (R, T) ``regret`` (with ``comparator``); it calls
     ``flush(k + 1)`` when the buffers are full and ``finish(k)`` last.
 
@@ -578,7 +579,8 @@ class RunMonitor:
         losses = self.losses[t0:t0 + n]
         if self.slot_losses is not None:
             grads, _, thetas = self.buffers
-            self.slot_losses(grads[:n], thetas, self.entering, losses)
+            self.entering = self.slot_losses(grads[:n], thetas,
+                                             self.entering, losses)
         k = first_non_finite(losses)
         grads = self.buffers[0][:k]
         # a lone run's gradients are (d,), whose error names no run
@@ -594,7 +596,6 @@ class RunMonitor:
         self.screen(n)
         grads, rates, thetas = (b[:n] for b in self.buffers)
         t0, self.t = self.t, self.t + n
-        self.entering = thetas[-1].copy() if self.slot_losses else None
         if self.regret is not None:
             # the sequential sums of a per-step ledger, carried on from
             # R(t0); the first block's 0.0 turns a -0.0 difference into

@@ -5,7 +5,7 @@ feasible set, together with a fixed comparator theta_star where one
 exists.  ``loss_and_grad(t, theta)`` returns the loss and the gradient
 from one pass over the data, and the step loop calls it once per step,
 but for the kinds that take their losses from its step slots (the
-quadratic and the reddi cycle, ``losses_from_slots``); ``loss_at`` gives
+quadratic and the reddi cycle, with a ``slot_losses``); ``loss_at`` gives
 the loss alone and ``grad_at`` the gradient alone; the comparator's
 losses come from ``block`` (below).  Oracles are pure functions of
 (t, theta), so runs are bit-reproducible given the construction seed.
@@ -56,11 +56,11 @@ class OnlineProblem:
 
     name = "online"
     n_train: Optional[int] = None
-    #: whether the loop calls ``grad_into(t, theta, out)`` (the gradient
-    #: into ``out``, unchecked) and ``slot_losses(grads, thetas, first,
-    #: out)``: into ``out`` the (n, R) losses of the (n, R, d) gradients of
-    #: steps k that entered at ``thetas[k - 1]`` (or ``first``), bit for bit
-    losses_from_slots = False
+    #: if set, the loop calls ``grad_into(t, theta, out)`` (g_t into ``out``,
+    #: unchecked) and ``slot_losses(grads, thetas, first, out)``, which puts
+    #: in ``out`` the (n, R) losses of steps k entered at ``thetas[k - 1]``
+    #: (or ``first``), bit for bit, and returns the next ``first`` or None
+    slot_losses = None
 
     def __init__(self, dim: int, box: FeasibleBox,
                  theta_star: Optional[np.ndarray], grad_bound: float):
@@ -181,7 +181,6 @@ class QuadraticTracking(OnlineProblem):
     """
 
     name = "quadratic"
-    losses_from_slots = True
 
     def __init__(self, centers: np.ndarray, box: FeasibleBox):
         centers = np.asarray(centers, dtype=np.float64)
@@ -329,7 +328,6 @@ class ReddiCycle(OnlineProblem):
     """
 
     name = "reddi"
-    losses_from_slots = True
 
     def __init__(self, c: float):
         # written so that NaN fails it too
@@ -354,10 +352,11 @@ class ReddiCycle(OnlineProblem):
     def grad_into(self, t: int, theta: np.ndarray, out: np.ndarray) -> None:
         out[...] = self._up if t % 3 == 1 else self._down
 
-    def slot_losses(self, grads, thetas, first, out) -> None:
+    def slot_losses(self, grads, thetas, first, out) -> np.ndarray:
         # as loss_and_grad, at the iterate theta_{t-1} that entered step t
         np.multiply(grads[0, :, 0], first[..., 0], out=out[0])
         np.multiply(grads[1:, :, 0], thetas[:len(out) - 1, :, 0], out=out[1:])
+        return thetas[len(out) - 1].copy()
 
     def _stacked(self) -> None:
         # one slope per replica, as theta[..., 0] has one entry per replica

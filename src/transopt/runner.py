@@ -354,14 +354,14 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         fork = spare_core(loops)
     # a forked writer reads the monitor's arrays, so they are shared
     # before the fork
-    slotted = problem.losses_from_slots
+    slotted = problem.slot_losses is not None
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
         [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
         shared=fork, comparator=problem.theta_star is not None,
-        slot_losses=problem.slot_losses if slotted else None, theta=theta)
+        slot_losses=problem.slot_losses, theta=theta)
     # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
     # buffers whose rows are a step's values as they are, (T,) and (d,)
     # rows for one replica: a broadcast (d,) -> (1, d) copy costs more

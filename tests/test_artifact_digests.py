@@ -9,7 +9,7 @@ import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
 
-#: The digests of ``--seeds 0 3 --smoke --crossing``, which every change
+#: The digests of ``--seeds 0 3 --smoke``, which every change
 #: must keep unless it changes bytes on purpose and regenerates them.
 COMMITTED = Path(__file__).resolve().parent / "data" / "artifact_digests.json"
 
@@ -31,8 +31,9 @@ def test_digests_cover_every_artifact_and_check_themselves(tmp_path,
     digests = recorded["digests"]
     runs = {key.rsplit("/", 1)[0] for key in digests
             if not key.endswith("sweep.stdout")}
-    # 32 runs of the four workloads, serially and with --jobs 2
-    assert len(runs) == 2 * 32
+    # 32 runs of the four workloads and 4 of the crossing set, serially
+    # and with --jobs 2
+    assert len(runs) == 2 * (32 + 4)
     for run in runs:
         assert {key.rsplit("/", 1)[1] for key in digests
                 if key.startswith(run + "/")} == {
@@ -75,9 +76,8 @@ def test_the_committed_digests_hold():
     tool = _load_tool()
     want = json.loads(COMMITTED.read_text())
     assert tool.version_mismatch(want) is None, tool.version_mismatch(want)
-    assert (want["seeds"], want["smoke"], want["crossing"]) == ([0, 3], True,
-                                                                True)
-    got = tool.collect(want["seeds"], want["smoke"], want["crossing"])
+    assert (want["seeds"], want["smoke"]) == ([0, 3], True)
+    got = tool.collect(want["seeds"], want["smoke"])
     assert tool.pool_mismatches(got) == []
     # each line names the seed, the workload, the job count, the run
     # directory and the file
@@ -90,7 +90,7 @@ def test_digests_of_another_numpy_fail_naming_both_versions(tmp_path,
     tool = _load_tool()
     path = tmp_path / "digests.json"
     path.write_text(json.dumps({"seeds": [1], "smoke": True,
-                                "crossing": False, "numpy": "1.0.0",
+                                "numpy": "1.0.0",
                                 "platform": "elsewhere", "digests": {}}))
     assert tool.main(["--check", str(path)]) == 1
     err = capsys.readouterr().err

@@ -77,7 +77,7 @@ def _inject(monkeypatch, faults, zero=None, big=None):
 
     monkeypatch.setattr(runner, "stack_problems", patched)
     # the quadratic's loop takes the fused oracle, which the faults patch
-    monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+    monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
 
 
 def _expected(names, faults, zero):

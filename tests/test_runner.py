@@ -140,7 +140,7 @@ batch_size: 32
 
     def test_nan_gradient_aborts_with_step_and_coordinate(self, monkeypatch):
         class NanAtStep(QuadraticTracking):
-            losses_from_slots = False  # the loop calls loss_and_grad
+            slot_losses = None  # the loop calls loss_and_grad
 
             def loss_and_grad(self, t, theta):
                 loss, g = super().loss_and_grad(t, theta)
@@ -1429,7 +1429,7 @@ class TestArtifactWriter:
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
                             nan_at_step_20)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         loops = 1
         if not fork:
             def no_fork(*args):
@@ -1530,7 +1530,7 @@ class TestArtifactWriter:
             return problem
 
         monkeypatch.setattr(runner, "stack_problems", patched)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         loops = self._writer(monkeypatch, fork)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1608,7 +1608,7 @@ class TestOverflowedSecondMoment:
         # the rate of every coordinate is 0, while stride 10 samples only
         # steps 1 and 8
         class OverflowAtStep(QuadraticTracking):
-            losses_from_slots = False  # the loop calls loss_and_grad
+            slot_losses = None  # the loop calls loss_and_grad
 
             def loss_and_grad(self, t, theta):
                 loss, g = super().loss_and_grad(t, theta)
@@ -1710,7 +1710,7 @@ class TestBatches:
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
                             nan_in_replica_1)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         cfgs = [_batch_cfg("first"), _batch_cfg("second", seed=9),
                 _batch_cfg("third", seed=11)]
         with pytest.raises(DomainError) as err:
@@ -1729,7 +1729,7 @@ class TestBatches:
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
                             overflow_in_replica_2)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         cfgs = [parse_config(f"""
 problem: {{kind: quadratic, dim: 3, seed: {seed}}}
 optimizer: {{kind: adam}}
@@ -1867,7 +1867,7 @@ class TestMixedBatches:
             return loss, g
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad", nan_in_row_1)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         # row r of the loop is config r
         cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
                 _mixed_cfg("c", "adam", seed=4)]
@@ -1888,7 +1888,7 @@ class TestMixedBatches:
 
         monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
                             overflow_in_row_4)
-        monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
         # with rho_t = 1 DstAdam's rate is Adam's, which the overflowed
         # second moment makes 0; row 4 of the loop is config e
         ones = ", ".join(["1.0"] * 20)
@@ -2071,7 +2071,7 @@ def _losses_patched_at(monkeypatch, step, values):
         return problem
 
     monkeypatch.setattr(runner, "stack_problems", patched)
-    monkeypatch.setattr(QuadraticTracking, "losses_from_slots", False)
+    monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,5 +1,5 @@
 """The quadratic's and the reddi cycle's step loop takes their losses from
-the step slots (``losses_from_slots``): ``RunMonitor.screen`` computes a
+the step slots (``slot_losses``): ``RunMonitor.screen`` computes a
 buffer's losses at once from its gradient and iterate rows.  They must
 be the per-step ``loss_and_grad`` losses bit for bit, at every step, in
 a partial last buffer and on the loop's ``DomainError`` path, and a real
@@ -71,7 +71,7 @@ def _explicit(patch, edit=None):
 def _fused(patch):
     """Make the loop call ``loss_and_grad`` at every step."""
     for kind in (QuadraticTracking, ReddiCycle):
-        patch.setattr(kind, "losses_from_slots", False)
+        patch.setattr(kind, "slot_losses", None)
 
 
 def _monitored(patch):
@@ -132,10 +132,10 @@ def _assert_same_bits(got, want):
 
 
 def test_the_loop_takes_the_slot_path_only_for_the_analytic_kinds():
-    assert QuadraticTracking.losses_from_slots
-    assert ReddiCycle.losses_from_slots
-    assert not LogisticMinibatch.losses_from_slots
-    assert not MlpClassification.losses_from_slots
+    assert QuadraticTracking.slot_losses is not None
+    assert ReddiCycle.slot_losses is not None
+    assert LogisticMinibatch.slot_losses is None
+    assert MlpClassification.slot_losses is None
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

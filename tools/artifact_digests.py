@@ -14,8 +14,8 @@ directory and swept with ``transopt sweep``, serially and with
 naming the seed, the workload, the job count, the run directory and the
 file, so a renamed directory shows as a missing and an extra key.  The
 sweep's summary lines (with the output root cut out) and each run's
-``check-conditions`` output are hashed too.  ``--crossing`` adds the
-cycle trio and the quadratic of the few-step configs at horizon
+``check-conditions`` output are hashed too, and so are the cycle trio
+and the quadratic of the few-step configs at horizon
 ``CROSSING_HORIZON``, which crosses two coefficient blocks of the
 steppers and several step buffers, as the few-step horizons do not.
 
@@ -126,14 +126,13 @@ def sweep_digests(workload: str, seed: int, smoke: bool, scratch: Path,
     return digests
 
 
-def collect(seeds: Sequence[int], smoke: bool,
-            crossing: bool = False) -> Dict[str, str]:
+def collect(seeds: Sequence[int], smoke: bool) -> Dict[str, str]:
     digests: Dict[str, str] = {}
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         for seed in seeds:
             for name in workloads.WORKLOADS:
                 digests.update(sweep_digests(name, seed, smoke, Path(tmp)))
-            for name in CROSSING if crossing else ():
+            for name in CROSSING:
                 digests.update(sweep_digests(name, seed, True, Path(tmp),
                                              CROSSING_HORIZON))
     return digests
@@ -177,9 +176,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--crossing", action="store_true",
-                        help="also sweep the cycle trio and the quadratic "
-                             f"at horizon {CROSSING_HORIZON}")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", metavar="FILE", help="write the digests here")
     mode.add_argument("--check", metavar="FILE",
@@ -194,8 +190,7 @@ def main(argv=None) -> int:
             print(why, file=sys.stderr)
             return 1
         args.seeds, args.smoke = want["seeds"], want["smoke"]
-        args.crossing = want.get("crossing", False)
-    digests = collect(args.seeds, args.smoke, args.crossing)
+    digests = collect(args.seeds, args.smoke)
     status = 0
     for key in pool_mismatches(digests):
         print(f"serial and --jobs 2 differ: {key}", file=sys.stderr)
@@ -207,8 +202,7 @@ def main(argv=None) -> int:
         print(f"{len(digests)} digests, {len(lines)} mismatches")
         return 1 if lines else status
     Path(args.out).write_text(json.dumps(
-        {"seeds": args.seeds, "smoke": args.smoke,
-         "crossing": args.crossing, "numpy": np.__version__,
+        {"seeds": args.seeds, "smoke": args.smoke, "numpy": np.__version__,
          "platform": platform.platform(), "digests": digests},
         indent=1, sort_keys=True) + "\n")
     return status
