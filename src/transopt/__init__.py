@@ -11,7 +11,7 @@ from .problems import (LogisticMinibatch, Mlp, MlpClassification,
                        OnlineProblem, QuadraticTracking, ReddiCycle,
                        RegretLedger, make_logistic, make_mlp_problem,
                        make_quadratic, make_reddi)
-from .runner import RunRecord, compare_records, run_batch, run_experiment
+from .runner import RunRecord, run_batch, run_experiment
 from .schedule import (BoundFunctionSpec, TransitionSchedule, eval_bounds,
                        rho_from_horizon)
 
@@ -25,9 +25,8 @@ __all__ = [
     "ProblemSpec", "QuadraticTracking", "ReddiCycle", "RegretLedger",
     "RunRecord", "ScheduleSpec", "StepConfig", "TheoryParams",
     "TransitionSchedule", "bound_corollary1", "bound_corollary2",
-    "check_c2", "compare_records", "estimate_zeta", "eta_bound_check",
-    "eval_bounds", "lemma_a1_holds", "load_config", "make_logistic",
-    "make_mlp_problem", "make_quadratic", "make_reddi", "parse_config",
-    "project_box", "rho_from_horizon", "run_batch", "run_experiment",
-    "serialize_config",
+    "check_c2", "estimate_zeta", "eta_bound_check", "eval_bounds",
+    "lemma_a1_holds", "load_config", "make_logistic", "make_mlp_problem",
+    "make_quadratic", "make_reddi", "parse_config", "project_box",
+    "rho_from_horizon", "run_batch", "run_experiment", "serialize_config",
 ]

@@ -207,12 +207,14 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 def _field_types(cls) -> dict:
     """Each field's type with ``Optional`` dropped: float, int, bool,
-    tuple, str or a section's dataclass."""
+    str, a section's dataclass, or (tuple, item type) for a tuple."""
     types = {}
     for name, hint in typing.get_type_hints(cls).items():
         if typing.get_origin(hint) is typing.Union:
             hint, = (a for a in typing.get_args(hint) if a is not type(None))
-        types[name] = typing.get_origin(hint) or hint
+        if typing.get_origin(hint) is tuple:
+            hint = (tuple, typing.get_args(hint)[0])
+        types[name] = hint
     return types
 
 
@@ -238,31 +240,37 @@ def reset_values(cfg, names: Sequence[str] = ()):
     return out
 
 
-def _coerce(kind: type, value, path: str):
-    """``value`` as a field of type ``kind``.  YAML 1.1 reads "1.0e18" as
-    a string, so numeric fields coerce explicitly instead of trusting the
-    loader."""
+def _coerce(kind, value, path: str):
+    """``value`` as a field of type ``kind`` (see :func:`_field_types`).
+    YAML 1.1 reads "1.0e18" as a string, so numeric fields coerce
+    explicitly instead of trusting the loader; a boolean is not a number
+    and a number is not a string."""
     if value is None:
         return None
-    if kind is tuple:
+    if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
-        return tuple(value)
+        return tuple(_coerce(kind[1], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
     try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            as_float = float(value)
-            if as_float != int(as_float):
-                raise ValueError("not an integer")
-            return int(as_float)
         if kind is bool:
             if isinstance(value, bool):
                 return value
             if value in ("true", "false"):
                 return value == "true"
             raise ValueError("not a boolean")
-    except (TypeError, ValueError) as exc:
+        if isinstance(value, bool) and kind in (float, int):
+            raise ValueError("a boolean is not a number")
+        if kind is float:
+            return float(value)
+        if kind is int:
+            as_float = float(value)
+            if not math.isfinite(as_float) or as_float != int(as_float):
+                raise ValueError("not an integer")
+            return int(as_float)
+        if kind is str and not isinstance(value, str):
+            raise ValueError("not a string")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad value {value!r} ({exc})") from exc
     return value
 

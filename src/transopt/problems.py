@@ -17,10 +17,11 @@ at those steps.  The quadratic's block is its centers, drawn from its
 seeded generator; the logistic kind's is the epoch orders the block
 spans, each built once for the steps and the comparator alike (the
 MLP, without a comparator, builds each epoch's order as its steps
-reach it); the reddi cycle's is its slopes, a closed form of t.  The step loop loads one block per buffer of steps
-(:func:`~transopt.diagnostics.buffer_rows`), so a run holds O(d) problem
-data besides the per-step losses.  An oracle asked for a step outside
-the loaded block loads the block that starts there.
+reach it); the reddi cycle's is its slopes, a closed form of t.  The
+step loop loads one block per buffer of steps
+(:func:`~transopt.diagnostics.buffer_rows`), so a run holds O(d)
+problem data besides the per-step losses.  An oracle asked for a step
+outside the loaded block loads the block that starts there.
 
 The oracles take one (d,) iterate, or the (R, d) iterates of a batch:
 :func:`stack_problems` merges R problems built alike into one whose
@@ -52,6 +53,12 @@ class OnlineProblem:
     minibatch problems, from which an epoch count derives the horizon;
     None for problems without a dataset.  ``shape`` is the shape of the
     iterate the oracles take: (d,), or (R, d) once stacked.
+
+    Each kind defines ``loss_and_grad(t, theta)``, f_t(theta) and its
+    gradient computed together; ``_stacked()``, which finishes a
+    :func:`stack_problems` copy whose fields are stacked; and, with a
+    comparator, ``_star_block(t0, n)``, the comparator's losses at the
+    loaded steps t0 + 1 .. t0 + n.
     """
 
     name = "online"
@@ -77,11 +84,6 @@ class OnlineProblem:
     def loss_at(self, t: int, theta: np.ndarray) -> float:
         return self.loss_and_grad(t, theta)[0]
 
-    def loss_and_grad(self, t: int,
-                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        """f_t(theta) and its gradient, computed together."""
-        raise NotImplementedError
-
     def grad_at(self, t: int, theta: np.ndarray) -> np.ndarray:
         return self.loss_and_grad(t, theta)[1]
 
@@ -106,10 +108,6 @@ class OnlineProblem:
         if t0 < 0:
             raise DomainError(f"step index starts at 1, got {t0 + 1}")
 
-    def _star_block(self, t0: int, n: int) -> np.ndarray:
-        """The comparator's losses at the loaded steps t0 + 1 .. t0 + n."""
-        raise NotImplementedError
-
     def _unload(self) -> None:
         """Drop the loaded block."""
 
@@ -126,9 +124,6 @@ class OnlineProblem:
                 f"theta has shape {theta.shape}, expected {self.shape}"
             )
         return theta
-
-    def _stacked(self) -> None:
-        """Finish a :func:`stack_problems` copy whose fields are stacked."""
 
 
 def stack_problems(problems: Sequence[OnlineProblem]) -> OnlineProblem:

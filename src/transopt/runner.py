@@ -536,11 +536,6 @@ def _compare_rows(summaries: Sequence[Dict[str, object]],
     return [{col: s[col] for col in COMPARE_COLUMNS} for s in summaries]
 
 
-def compare_records(records: Sequence[RunRecord]) -> List[Dict[str, object]]:
-    return _compare_rows([run_summary(r) for r in records],
-                         [run_stem(r.config) for r in records])
-
-
 def compare_csv(rows: Sequence[Dict[str, object]]) -> str:
     lines = [",".join(COMPARE_COLUMNS)]
     for row in rows:

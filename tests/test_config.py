@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -238,6 +240,46 @@ horizon: 100
                                            "name, not a path, got "
                                            "'../escaped/x'\n")
         assert not (tmp_path / "nm").exists()
+
+    @pytest.mark.parametrize("key, line", [
+        # a YAML boolean is not a number
+        ("horizon", "horizon: true"),
+        ("problem.seed", "problem: {kind: quadratic, seed: true}"),
+        ("optimizer.alpha", "optimizer: {kind: dstadam, alpha: true}"),
+        # an integer field's value past the largest double
+        ("horizon", "horizon: 1e400"),
+        ("problem.seed", "problem: {kind: quadratic, seed: .inf}"),
+        # a string field's value that is not a string
+        ("out_dir", "out_dir: [a]"),
+        ("name", "name: 5"),
+        # each item of a tuple field has the item's type
+        ("problem.hidden", "problem: {kind: mlp, hidden: [2.5]}"),
+        ("problem.hidden", "problem: {kind: mlp, hidden: [a, 2]}"),
+    ])
+    def test_a_wrongly_typed_value_names_its_key(self, key, line, tmp_path,
+                                                 capsys):
+        # line takes the place of MINIMAL's entry of its key
+        entries = {"problem": "problem: {kind: quadratic}",
+                   "optimizer": "optimizer: {kind: dstadam}",
+                   "horizon": "horizon: 1000"}
+        entries[line.split(":")[0]] = line
+        text = "\n".join(entries.values()) + "\n"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
+            parse_config(text)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
+        assert not (tmp_path / "runs").exists()
+
+    def test_numeric_text_still_parses(self):
+        cfg = parse_config(MINIMAL.replace("kind: quadratic",
+                                           "kind: quadratic\n  seed: 1e3")
+                           + "stride: 1.0\n")
+        assert (cfg.problem.seed, cfg.stride) == (1000, 1)
+        assert type(cfg.problem.seed) is int and type(cfg.stride) is int
 
     def test_run_rejects_a_negative_seed_flag(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"

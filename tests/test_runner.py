@@ -26,9 +26,9 @@ from transopt.diagnostics import (LrHistogram, check_c2, estimate_zeta,
 from transopt.errors import ComparisonError, ConfigError, DomainError
 from transopt.optim import DstAdam
 from transopt.problems import QuadraticTracking, RegretLedger
-from transopt.runner import (CSV_ARTIFACTS, build_problem, compare_csv,
-                             compare_records, compare_run_dirs, read_conditions,
-                             resolve_horizon, run_experiment)
+from transopt.runner import (COMPARE_COLUMNS, CSV_ARTIFACTS, build_problem,
+                             compare_csv, compare_run_dirs, read_conditions,
+                             resolve_horizon, run_experiment, run_summary)
 from transopt import runner
 from transopt import writer as writer_module
 from transopt.writer import ArtifactWriter
@@ -745,7 +745,7 @@ class TestCompare:
     def test_four_optimizer_rows_share_problem(self, tmp_path):
         records = self.run_pair(
             tmp_path, kinds=("sgdm", "adam", "adabound", "dstadam"))
-        rows = compare_records(records)
+        rows = compare_run_dirs([r.run_dir for r in records])
         assert [r["optimizer"] for r in rows] == \
             ["sgdm", "adam", "adabound", "dstadam"]
         assert all(r["final_regret"] is not None for r in rows)
@@ -754,7 +754,7 @@ class TestCompare:
         cfg = quadratic_cfg(horizon=100)
         a = run_experiment(cfg, out_root=str(tmp_path / "x"))
         b = run_experiment(cfg, out_root=str(tmp_path / "y"))
-        rows = compare_records([a, b])
+        rows = compare_run_dirs([a.run_dir, b.run_dir])
         assert rows[0] == rows[1]
 
     def test_scaling_one_matches_adam_rows(self, tmp_path):
@@ -789,21 +789,21 @@ horizon: 30
 """)
         b = run_experiment(reddi, out_root=str(tmp_path))
         with pytest.raises(ComparisonError):
-            compare_records([a, b])
-        with pytest.raises(ComparisonError):
             compare_run_dirs([a.run_dir, b.run_dir])
 
     def test_compare_from_disk_matches_memory(self, tmp_path):
         records = self.run_pair(tmp_path)
         from_disk = compare_run_dirs([r.run_dir for r in records])
-        in_memory = compare_records(records)
+        in_memory = [{col: run_summary(r)[col] for col in COMPARE_COLUMNS}
+                     for r in records]
         for d, m in zip(from_disk, in_memory):
             assert d["optimizer"] == m["optimizer"]
             assert d["final_loss"] == pytest.approx(m["final_loss"],
                                                     rel=1e-15)
 
     def test_csv_rendering(self, tmp_path):
-        rows = compare_records(self.run_pair(tmp_path, horizon=60))
+        rows = compare_run_dirs(
+            [r.run_dir for r in self.run_pair(tmp_path, horizon=60)])
         text = compare_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0] == "optimizer,final_loss,final_regret," \

@@ -50,9 +50,10 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from transopt.cli import main as transopt_main  # noqa: E402
 from transopt.optim import BLOCK_STEPS  # noqa: E402
+from transopt.runner import CSV_ARTIFACTS  # noqa: E402
 
 #: The files hashed in every run directory besides ``meta.json``.
-RUN_FILES = (*workloads.CSV_ARTIFACTS, "config.yaml")
+RUN_FILES = (*CSV_ARTIFACTS, "config.yaml")
 
 #: Job counts each workload is swept with.
 JOBS = ("1", "2")
