@@ -14,6 +14,7 @@ import hashlib
 import math
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import yaml
@@ -22,6 +23,8 @@ from .errors import ConfigError, DomainError
 from .schedule import BETA1_KINDS, BOUND_KINDS, RHO_KINDS, TransitionSchedule
 
 PROBLEM_KINDS = ("quadratic", "reddi", "logistic", "mlp")
+#: The longest horizon, given or derived from epochs.
+MAX_HORIZON = 2 ** 31 - 1
 OPTIMIZER_KINDS = ("sgdm", "adam", "amsgrad", "adabound", "generic", "dstadam")
 
 
@@ -179,8 +182,9 @@ class ExperimentConfig:
             raise ConfigError("horizon: either horizon or epochs is required")
         if self.horizon is not None and self.epochs is not None:
             raise ConfigError("horizon: give horizon or epochs, not both")
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
+        if self.horizon is not None and not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon: must lie in [1, {MAX_HORIZON}], "
+                              f"got {self.horizon}")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
         if self.epochs is not None and self.problem.kind in ("quadratic", "reddi"):
@@ -244,7 +248,8 @@ def _coerce(kind, value, path: str):
     """``value`` as a field of type ``kind`` (see :func:`_field_types`).
     YAML 1.1 reads "1.0e18" as a string, so numeric fields coerce
     explicitly instead of trusting the loader; a boolean is not a number
-    and a number is not a string."""
+    and a number is not a string.  A YAML integer stays as it is; a float
+    or a string is an int only when exactly an integer of at most 2**53."""
     if value is None:
         return None
     if isinstance(kind, tuple):
@@ -264,10 +269,13 @@ def _coerce(kind, value, path: str):
         if kind is float:
             return float(value)
         if kind is int:
-            as_float = float(value)
-            if not math.isfinite(as_float) or as_float != int(as_float):
-                raise ValueError("not an integer")
-            return int(as_float)
+            if isinstance(value, int):
+                return value
+            float(value)  # numeric text, as for a float field: not "4/2"
+            exact = Fraction(value)  # exact for a float or numeric text
+            if exact.denominator != 1 or abs(exact) > 2 ** 53:
+                raise ValueError("not an integer of at most 2**53")
+            return int(exact)
         if kind is str and not isinstance(value, str):
             raise ValueError("not a string")
     except (TypeError, ValueError, OverflowError) as exc:

@@ -10,10 +10,10 @@ first violation).  :class:`RunMonitor` feeds them all from the step
 buffers of one step loop: the screens, the inverse-rate max, the rate
 summaries and the histograms in the loop's process, and the reductions
 that never raise (:class:`ConditionMonitors`: zeta, C2, the box test and
-the |g| max) there too, or, for a long loop with a writer process, in
-that process (:mod:`transopt.writer`).  ``check_c2``, ``estimate_zeta``
-and ``eta_bound_check`` feed a whole (T, d) array as one block of one
-run.
+the |g| max) there too, or, for a loop with a forked writer process,
+in that process (:mod:`transopt.writer`).  ``check_c2``,
+``estimate_zeta`` and ``eta_bound_check`` feed a whole (T, d) array as
+one block of one run.
 :func:`buffer_rows` is the one block rule of a pass over the steps (the
 step buffers and the problems' blocks of per-step data), and :data:`TOL`
 the one tolerance of every check.
@@ -440,29 +440,20 @@ class ConditionMonitors:
                    out=self.grad_abs_max)
 
 
-#: Fewest buffers of steps whose reductions a loop's writer process runs.
-#: The loop waits for the reductions of its last block, and with few
-#: blocks that wait (a wake-up and the writer's backlog) costs more than
-#: the overlap saves: the criterion-02 grid, three loops of 8 runs of 200
-#: steps in 3 buffers each, waited about 6 ms a loop for them and took
-#: 7% longer in all.
-WRITER_BLOCKS = 8
-
-#: The step slots of a monitor whose writer process reduces them: two,
-#: so that the loop fills one while the writer reduces the other, and
-#: more while they hold at most SLOT_BYTES together, up to MAX_SLOTS.  A
-#: writer woken under SCHED_BATCH can wait about a scheduler tick for a
-#: CPU, longer than the 100k-step quadratic takes to fill a slot (204
-#: steps, about 3 ms): with two slots its loop waited for a free slot
-#: for 1-5% of a sweep, with four almost never.  An MLP batch's slots
-#: are megabytes each, so it gets two.
+#: The step slots of a shared monitor: two, so that the loop fills one
+#: while the writer reduces the other, and more while they hold at most
+#: SLOT_BYTES together, up to MAX_SLOTS.  A writer woken by a hand-off
+#: can wait for a CPU longer than the 100k-step quadratic takes to fill
+#: a slot (204 steps, about 3 ms): on two cores that sweep took 3.7%
+#: longer in the median with two slots.  An MLP batch's slots are
+#: megabytes each, so it gets two.
 SLOT_BYTES = 2 ** 18
 MAX_SLOTS = 4
 
 
 def shared_slots(size: int) -> int:
-    """Step slots of a monitor whose writer reduces them, with buffers
-    of ``size`` elements each (rows * R * d)."""
+    """Step slots of a shared monitor, with buffers of ``size`` elements
+    each (rows * R * d)."""
     return min(MAX_SLOTS, max(2, SLOT_BYTES // (3 * 8 * size)))
 
 
@@ -500,15 +491,14 @@ class RunMonitor:
     raw rates go to ``rate_summary`` (R, sampled steps, 3), and their
     effective rates to each run's own ``histograms[r]``.  The reductions
     that never raise (``conditions``: C2, zeta, the box test and |g|)
-    run at the flush too, unless ``writer_reduces``.
+    run at the flush too, unless the monitor is ``shared``.
 
-    A ``shared`` monitor keeps its losses, regrets and rate summaries
-    in anonymous shared mappings, for the loop's writer process forked
-    after it to read.  When the run spans at least
-    :data:`WRITER_BLOCKS` buffers of steps, the writer also runs the
-    reductions (``writer_reduces``): the buffers are ``slots[slot]``,
-    one of :func:`shared_slots` slots of one more shared mapping, and
-    the writer reduces each flushed slot while the loop fills the next.
+    A ``shared`` monitor's loop forks its writer process after it
+    (:class:`~transopt.writer.ArtifactWriter`), which reads its losses,
+    regrets and rate summaries from anonymous shared mappings and runs
+    its reductions: the buffers are ``slots[slot]``, one of
+    :func:`shared_slots` slots of one more shared mapping, and the
+    writer reduces each flushed slot while the loop fills the next.
 
     The runs keep O(R d) state besides the per-step losses and regrets
     and the per-sampled-step histogram and summary rows; ``grads`` and
@@ -524,17 +514,13 @@ class RunMonitor:
         replicas = len(box)
         self.slot_losses, self.entering = slot_losses, theta
         rows = buffer_rows(horizon, replicas * dim)
-        self.dim = dim
-        self.writer_reduces = shared and horizon > (WRITER_BLOCKS - 1) * rows
+        self.dim, self.shared = dim, shared
         zeros = _shared_zeros if shared else np.zeros
         self.losses = zeros((horizon, replicas))
         self.regret = zeros((replicas, horizon)) if comparator else None
         # (slots, grads/rates/thetas, rows, R, d)
-        if self.writer_reduces:
-            self.slots = _shared_zeros((shared_slots(rows * replicas * dim),
-                                        3, rows, replicas, dim))
-        else:
-            self.slots = np.zeros((1, 3, rows, replicas, dim))
+        slots = shared_slots(rows * replicas * dim) if shared else 1
+        self.slots = zeros((slots, 3, rows, replicas, dim))
         self.slot = 0
         # the grads, rates and thetas buffers the loop fills
         self.buffers = tuple(self.slots[0])
@@ -640,7 +626,7 @@ class RunMonitor:
             summary[..., 0] = ordered[..., 0].T
             summary[..., 1] = median.T
             summary[..., 2] = ordered[..., -1].T
-        if not self.writer_reduces:
+        if not self.shared:
             self.conditions.update(grads, rates, thetas)
 
 

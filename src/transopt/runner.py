@@ -46,14 +46,14 @@ monitor, histogram or artifact sees it.
 The artifacts are written by a writer process forked per loop
 (:class:`transopt.writer.ArtifactWriter`; it needs POSIX ``fork``),
 which appends each flushed block's CSV rows while the loop steps on and
-publishes a run directory only when it is complete.  In a loop of at
-least :data:`~transopt.diagnostics.WRITER_BLOCKS` buffers the writer
-also runs the condition report's reductions that never raise (zeta, C2,
-the box test and the |g| max), reading the step buffers from slots of a
+publishes a run directory only when it is complete.  The writer also
+runs the condition report's reductions that never raise (zeta, C2, the
+box test and the |g| max), reading the step buffers from slots of a
 shared mapping.  When the loops running at once leave no core to spare,
-the loop's process runs the same writing code itself, and the monitor
-runs every reduction at its flushes.  The screens, the rate summaries
-and histograms, and every DomainError stay in the loop's process.
+the loop's monitor is not ``shared``: the loop's process runs the same
+writing code itself, and the monitor runs every reduction at its
+flushes.  The screens, the rate summaries and histograms, and every
+DomainError stay in the loop's process.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .config import (ExperimentConfig, OptimizerSpec, ProblemSpec,
-                     config_hash, reset_values, serialize_config)
+from .config import (MAX_HORIZON, ExperimentConfig, OptimizerSpec,
+                     ProblemSpec, config_hash, reset_values,
+                     serialize_config)
 from .diagnostics import (STEP_ERRSTATE, TOL, ConditionReport, LrHistogram,
                           RunMonitor, inverse_rate_bounded)
 # perfbench/tracer.py times the whole-array checks under these names
@@ -104,8 +105,11 @@ def resolve_horizon(cfg: ExperimentConfig, n_train: Optional[int]) -> int:
         return cfg.horizon
     if n_train is None:
         raise ConfigError("epochs: problem has no dataset; give horizon")
-    per_epoch = math.ceil(n_train / cfg.batch_size)
-    return per_epoch * cfg.epochs
+    horizon = math.ceil(n_train / cfg.batch_size) * cfg.epochs
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"epochs: {cfg.epochs} give a horizon of "
+                          f"{horizon}, above {MAX_HORIZON}")
+    return horizon
 
 
 #: The fields each problem kind's builder reads: its ProblemSpec fields
@@ -345,22 +349,19 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
 
     theta = np.stack([p.initial_point(cfg.problem.seed)
                       for cfg, p in zip(cfgs, problems)]).reshape(problem.shape)
-    fork = False
     if write_artifacts:
         # the writer's module (and multiprocessing) load with the first
         # loop that writes
         from .writer import ArtifactWriter, spare_core
-
-        fork = spare_core(loops)
-    # a forked writer reads the monitor's arrays, so they are shared
-    # before the fork
+    # a shared monitor's writer is forked after it and reads its arrays
+    shared = write_artifacts and spare_core(loops)
     slotted = problem.slot_losses is not None
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
         [p.box.widened(TOL) for p in problems],
         [None if s is None else s.beta2 for s in schedules],
         [cfg.optimizer.sqrt_decay for cfg in cfgs], keep_trajectory,
-        shared=fork, comparator=problem.theta_star is not None,
+        shared=shared, comparator=problem.theta_star is not None,
         slot_losses=problem.slot_losses, theta=theta)
     # views of the monitor's (T, R) losses and of each slot's (rows, R, d)
     # buffers whose rows are a step's values as they are, (T,) and (d,)
@@ -377,8 +378,7 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         texts = [serialize_config(cfg) for cfg in cfgs]
         writer = ArtifactWriter(
             texts, [run_directory(cfg, out_root, text)
-                    for cfg, text in zip(cfgs, texts)],
-            fork=fork, monitor=monitor)
+                    for cfg, text in zip(cfgs, texts)], monitor)
 
     def load(t0: int) -> None:
         """Load the problem's block of the buffer of steps from t0 + 1."""

@@ -1,28 +1,28 @@
 """The writer process of a step loop: the artifacts' CSV rows are
-formatted and written beside the loop, on another core, and a long
-loop's condition reductions run there too.
+formatted and written beside the loop, on another core, and the loop's
+condition reductions run there too.
 
-:class:`ArtifactWriter` is the loop's end.  It is built after the loop's
-build and before its first step, and forks the writer, which inherits
-the configs and the loop's monitor, so it needs POSIX ``fork``.  When
-the machine has no core to spare beside the loops running at once
-(:func:`spare_core`) it forks nothing and the loop's process handles
-each message itself, with the same code.
+:class:`ArtifactWriter` is the loop's end, built after the loop's build
+and before its first step.  It forks the writer exactly when the loop's
+monitor is ``shared``, which the runner makes it when the machine has a
+core to spare beside the loops running at once (:func:`spare_core`);
+the writer inherits the configs and the monitor, so it needs POSIX
+``fork``.  Otherwise the loop's process handles each message itself,
+with the same code.
 
 At each flush the loop sends one small message: its slot of step rows,
 its range of steps and sampled steps, and the bytes of its histogram
 counter rows.  The writer reads the steps' losses, their R(t) (which
 the monitor's flush sums before the hand-off and never writes again)
-and the rate summaries from the monitor's shared mappings.  When the
-monitor's ``writer_reduces`` (a run of at least
-:data:`~transopt.diagnostics.WRITER_BLOCKS` buffers), the writer runs
-the reductions that never raise (zeta, C2, the box test and the |g|
-max) on the slot under the loop's ``np.errstate`` and releases the slot
-before it formats the block's rows; the loop fills the next slot and
-waits only for one the writer has not released.  After the last block
-it sends the reductions' final state back in one reply.  The loss and
-gradient screens, the rate screens, the rate summaries and histograms,
-and every DomainError stay in the loop's process.
+and the rate summaries from the monitor's shared mappings.  A forked
+writer runs the reductions that never raise (zeta, C2, the box test
+and the |g| max) on the slot under the loop's ``np.errstate`` and
+releases the slot before it formats the block's rows; the loop fills
+the next slot and waits only for one the writer has not released.
+After the last block it sends the reductions' final state back in one
+reply.  The loss and gradient screens, the rate screens, the rate
+summaries and histograms, and every DomainError stay in the loop's
+process.
 
 The writer appends each block's rows to ``loss.csv``, ``regret.csv``,
 ``record.csv`` and ``lr_hist.csv`` of each run's temporary directory.
@@ -41,8 +41,7 @@ import shutil
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Deque, Dict, Iterator, List, Optional,
-                    Sequence)
+from typing import Callable, Deque, Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -93,13 +92,12 @@ class _RunFiles:
 
 class _LoopFiles:
     """Everything the writer process of one step loop does: it reduces
-    each handed-over slot of step rows (when the loop's monitor
-    ``writer_reduces``), appends each block's rows to every run's step
-    CSVs and, at the end, writes each run's scalars and publishes its
-    directory."""
+    each handed-over slot of step rows (when the loop's monitor is
+    ``shared``), appends each block's rows to every run's step CSVs and,
+    at the end, writes each run's scalars and publishes its directory."""
 
     def __init__(self, runs: List[_RunFiles], made: List[Path],
-                 monitor: Optional[RunMonitor]):
+                 monitor: RunMonitor):
         self.runs = runs
         self.made = made            # root directories this loop created
         self.histogram = LrHistogram()
@@ -126,7 +124,7 @@ class _LoopFiles:
         and return True."""
         if message[0] == "block":
             _, slot, t0, t1, lo, hi, counts = message
-            if self.monitor.writer_reduces:
+            if self.monitor.shared:
                 with np.errstate(**STEP_ERRSTATE):
                     self.monitor.conditions.update(
                         *self.monitor.slots[slot, :, :t1 - t0])
@@ -160,7 +158,6 @@ class _LoopFiles:
         rows before them.  A pipe that closes first, or an error, leaves
         no entry behind; an error is sent back as its message."""
         parent_end.close()
-        _batch_policy()
         published = False
         try:
             self.start()
@@ -244,34 +241,26 @@ def spare_core(loops: int) -> bool:
     return len(os.sched_getaffinity(0)) > loops
 
 
-def _batch_policy() -> None:
-    """Put this process under ``SCHED_BATCH`` where the system lets it,
-    so that a writer woken by a hand-off does not preempt the loop on
-    the loop's own CPU."""
-    with contextlib.suppress(AttributeError, OSError):
-        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
-
-
 class ArtifactWriter:
     """The step loop's end of its artifact writer.
 
     Built after the loop's build and before its first step, it creates
     each run's temporary directory beside its run directory, so an
-    output root that cannot be written fails before any step.  With
-    ``fork`` it forks the writer process, which inherits the configs and
-    the loop's ``monitor`` (:class:`~transopt.diagnostics.RunMonitor`,
-    which must be ``shared`` then); without, the loop's process writes
-    each message itself, with the same code.  ``block`` hands the writer
-    the steps of the monitor's last flush, ``run`` a run's scalars and
-    ``close`` the end message, after which it waits until every run
-    directory is published.  ``stop`` closes the pipe and joins the
-    writer; unless every run directory was published, the temporary
-    directories are deleted.  A write error, or a writer that stops,
-    raises OSError.
+    output root that cannot be written fails before any step.  When the
+    loop's ``monitor`` (:class:`~transopt.diagnostics.RunMonitor`) is
+    ``shared`` it forks the writer process, which inherits the configs
+    and the monitor and runs the monitor's reductions; otherwise the
+    loop's process writes each message itself, with the same code.
+    ``block`` hands the writer the steps of the monitor's last flush,
+    ``run`` a run's scalars and ``close`` the end message, after which
+    it waits until every run directory is published.  ``stop`` closes
+    the pipe and joins the writer; unless every run directory was
+    published, the temporary directories are deleted.  A write error,
+    or a writer that stops, raises OSError.
     """
 
     def __init__(self, texts: Sequence[str], run_dirs: Sequence[Path],
-                 fork: bool = True, monitor: Optional[RunMonitor] = None):
+                 monitor: RunMonitor):
         """Run r's config text is ``texts[r]`` and its run directory
         ``run_dirs[r]``."""
         runs = []
@@ -294,14 +283,13 @@ class ArtifactWriter:
                 # a temporary directory of this name is a killed run's
                 shutil.rmtree(run.temp, ignore_errors=True)
                 run.temp.mkdir()
-            if not fork:
+            if not monitor.shared:
                 self._files.start()
                 return
             context = multiprocessing.get_context("fork")
-            if monitor is not None and monitor.writer_reduces:
-                # the loop fills slot 0 first
-                self._files.free = [context.Semaphore(int(slot > 0))
-                                    for slot in range(len(monitor.slots))]
+            # the loop fills slot 0 first
+            self._files.free = [context.Semaphore(int(slot > 0))
+                                for slot in range(len(monitor.slots))]
             self._conn, child_end = context.Pipe()
             # start() flushes stdout and stderr before it forks, so the
             # writer never prints a copy of the loop's buffered lines
@@ -321,10 +309,10 @@ class ArtifactWriter:
     def block(self, monitor: RunMonitor, last: bool = False) -> None:
         """Hand over the steps of the monitor's last flush, unless handed
         over already: their slot of step rows, their range of steps and
-        sampled steps, and the histogram rows of those.  When the writer
-        reduces the slots, the monitor then fills its next slot, once the
-        writer has released it.  After the loop's end (``last``) a writer
-        that reduces answers once it has handled every block, with its
+        sampled steps, and the histogram rows of those.  A forked writer
+        reduces the slot, and the monitor then fills its next slot, once
+        the writer has released it.  After the loop's end (``last``) a
+        forked writer answers once it has handled every block, with its
         reductions' final state, which the monitor takes."""
         t0, t1 = self._t, monitor.t
         if t1 > t0:
@@ -335,9 +323,9 @@ class ArtifactWriter:
             counts = b"".join(h.counts[-1].tobytes()
                               for h in monitor.histograms) if hi > lo else b""
             self._send(("block", monitor.slot, t0, t1, lo, hi, counts))
-            if monitor.writer_reduces and not last:
+            if monitor.shared and not last:
                 self._take(monitor.next_slot())
-        if last and monitor.writer_reduces:
+        if last and monitor.shared:
             monitor.conditions = self._request(("conditions",))
 
     def run(self, replica: int, report: ConditionReport, meta: str) -> Path:

@@ -7,7 +7,7 @@ from transopt.cli import main as cli_main
 from transopt.config import (config_hash, parse_config, serialize_config,
                              with_overrides)
 from transopt.errors import ConfigError
-from transopt.runner import build_schedule
+from transopt.runner import build_schedule, resolve_horizon
 from transopt.schedule import rho_from_horizon
 
 MINIMAL = """
@@ -249,6 +249,18 @@ horizon: 100
         # an integer field's value past the largest double
         ("horizon", "horizon: 1e400"),
         ("problem.seed", "problem: {kind: quadratic, seed: .inf}"),
+        # a float or a string that is not exactly an integer of at most
+        # 2**53, which a float holds exactly
+        ("problem.seed", "problem: {kind: quadratic, seed: 1.0e+16}"),
+        ("problem.seed",
+         "problem: {kind: quadratic, seed: '9007199254740993'}"),
+        ("problem.seed", "problem: {kind: quadratic, seed: 2.5}"),
+        ("problem.seed", "problem: {kind: quadratic, seed: '12.5'}"),
+        # text a float field rejects too
+        ("problem.seed", "problem: {kind: quadratic, seed: 4/2}"),
+        # a horizon past the longest a run steps
+        ("horizon", "horizon: 2147483648"),
+        ("horizon", "horizon: 100000000000000000000000000000"),
         # a string field's value that is not a string
         ("out_dir", "out_dir: [a]"),
         ("name", "name: 5"),
@@ -280,6 +292,36 @@ horizon: 100
                            + "stride: 1.0\n")
         assert (cfg.problem.seed, cfg.stride) == (1000, 1)
         assert type(cfg.problem.seed) is int and type(cfg.stride) is int
+
+    @pytest.mark.parametrize("entry, value", [
+        # a YAML integer as it is, past 2**53 too
+        ("seed: 9007199254740993", 9007199254740993),
+        ("seed: 18446744073709551617", 2 ** 64 + 1),
+        # a float or a string whose exact value is an integer <= 2**53
+        ("seed: 9007199254740992.0", 2 ** 53),
+        ("seed: '9007199254740992'", 2 ** 53),
+        ("seed: ' 12 '", 12),
+    ])
+    def test_an_integer_keeps_its_exact_value(self, entry, value):
+        cfg = parse_config(MINIMAL.replace("kind: quadratic",
+                                           f"kind: quadratic\n  {entry}"))
+        assert cfg.problem.seed == value and type(cfg.problem.seed) is int
+
+    def test_the_longest_horizon_parses(self):
+        cfg = parse_config(MINIMAL.replace("1000", "2147483647"))
+        assert cfg.horizon == 2 ** 31 - 1
+
+    @pytest.mark.parametrize("epochs, ok", [
+        (536870911, True), (536870912, False), (10 ** 30, False)])
+    def test_a_horizon_from_epochs_has_the_same_limit(self, epochs, ok):
+        # 512 samples in batches of 128 are 4 steps an epoch
+        cfg = parse_config(f"problem: {{kind: mlp}}\nepochs: {epochs}\n")
+        if ok:
+            assert resolve_horizon(cfg, 512) == 2 ** 31 - 4
+            return
+        with pytest.raises(ConfigError, match=f"^epochs: {epochs} give a "
+                           "horizon of "):
+            resolve_horizon(cfg, 512)
 
     def test_run_rejects_a_negative_seed_flag(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"

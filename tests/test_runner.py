@@ -1317,8 +1317,13 @@ class TestArtifactWriter:
         # writer deletes its temporary directory and exits
         cfg = parse_config(self.HEALTHY)
         text = serialize_config(cfg)
+        problem = build_problem(cfg)
+        # a shared monitor forks its writer
+        monitor = diagnostics.RunMonitor(problem.dim, 1, 1, [problem.box],
+                                         [None], [False], shared=True)
         writer = ArtifactWriter(
-            [text], [runner.run_directory(cfg, str(tmp_path / "runs"), text)])
+            [text], [runner.run_directory(cfg, str(tmp_path / "runs"), text)],
+            monitor)
         try:
             temp, = (tmp_path / "runs").iterdir()
         finally:
@@ -1489,11 +1494,13 @@ class TestArtifactWriter:
         return len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("horizon", [200, 5000])
     def test_a_long_runs_reductions_run_in_its_writer(self, tmp_path,
-                                                       monkeypatch, fork):
-        # 5000 steps of d = 3 fill ten 528-row buffers, and stride 2000
-        # leaves blocks without a sampled step
-        cfg = quadratic_cfg(horizon=5000, extra="stride: 2000\n")
+                                                       monkeypatch, horizon,
+                                                       fork):
+        # 200 steps of d = 3 fill one buffer; 5000 fill ten 528-row
+        # buffers, and stride 2000 leaves blocks without a sampled step
+        cfg = quadratic_cfg(horizon=horizon, extra="stride: 2000\n")
         want = run_experiment(cfg, write_artifacts=False)
         loop = []
         update = diagnostics.ConditionMonitors.update
@@ -1505,7 +1512,7 @@ class TestArtifactWriter:
         assert bool(loop) is not fork
         assert repr(record.report) == repr(want.report)
         _assert_records_equal(record, want)
-        ts = sampled_steps(5000, 2000)
+        ts = sampled_steps(horizon, 2000)
         lines = (record.run_dir / "record.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == \
             [str(t) for t in ts]
@@ -1513,9 +1520,9 @@ class TestArtifactWriter:
     @pytest.mark.parametrize("fork", [True, False])
     def test_an_overflowing_regret_names_its_step(self, tmp_path,
                                                   monkeypatch, fork):
-        # each loss is finite, but R(6) passes the largest double; 4000
-        # steps fill eight buffers, so the loop waits for a forked
-        # writer's reductions, and hears if the writer failed
+        # each loss is finite, but R(6) passes the largest double; the
+        # loop waits for a forked writer's reductions, and hears if the
+        # writer failed
         stack = runner.stack_problems
 
         def patched(problems):
@@ -1542,8 +1549,8 @@ class TestArtifactWriter:
         assert _entries(tmp_path) == []
 
     def test_a_killed_writer_fails_the_loop(self, tmp_path, monkeypatch):
-        # 5000 steps fill ten buffers, so the writer reduces them; it is
-        # killed at the first, and the loop waits for that slot
+        # a forked writer reduces the buffers; it is killed at the first,
+        # and the loop waits for that slot
         loop = os.getpid()
 
         def killed(*args):
@@ -1557,11 +1564,13 @@ class TestArtifactWriter:
             run_experiment(cfg, str(tmp_path / "runs"))
         assert _entries(tmp_path) == []
 
-    @pytest.mark.parametrize("horizon, asked", [(2000, 0), (5000, 1)])
-    def test_only_a_reducing_writer_is_asked_for_its_conditions(
-            self, tmp_path, monkeypatch, horizon, asked):
-        # 2000 steps of d = 3 fill four 528-row buffers, fewer than
-        # WRITER_BLOCKS, so the loop reduces them; 5000 steps fill ten
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("horizon", [200, 2000, 5000])
+    def test_only_a_forked_writer_is_asked_for_its_conditions(
+            self, tmp_path, monkeypatch, horizon, fork):
+        # 200 steps of d = 3 fill one buffer, 2000 four 528-row buffers
+        # and 5000 ten: a forked writer reduces them all and is asked
+        # once, and an inline writer is never asked
         kinds = []
         send = ArtifactWriter._send
 
@@ -1570,9 +1579,10 @@ class TestArtifactWriter:
             return send(self, message)
 
         monkeypatch.setattr(ArtifactWriter, "_send", recorded)
-        self._writer(monkeypatch, fork=True)
-        run_experiment(quadratic_cfg(horizon=horizon), str(tmp_path))
-        assert kinds.count("conditions") == asked
+        loops = self._writer(monkeypatch, fork)
+        run_experiment(quadratic_cfg(horizon=horizon), str(tmp_path),
+                       loops=loops)
+        assert kinds.count("conditions") == int(fork)
         assert set(kinds) - {"conditions"} == {"block", "run", "end"}
 
     def test_no_hand_off_carries_a_step_buffer(self, tmp_path, monkeypatch):
