@@ -161,7 +161,10 @@ def cmd_sweep(args) -> int:
         return 1
     cfgs = []
     for path in paths:
-        cfg = load_config(path)
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
         cfgs.extend(_expand_repeats(cfg))
     return _execute(args.jobs, cfgs, args.out)

@@ -319,8 +319,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+    """Parse the config file at ``path``; one not UTF-8 is an OSError."""
+    try:
+        with open(path) as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _plain(value):

@@ -440,23 +440,6 @@ class ConditionMonitors:
                    out=self.grad_abs_max)
 
 
-#: The step slots of a shared monitor: two, so that the loop fills one
-#: while the writer reduces the other, and more while they hold at most
-#: SLOT_BYTES together, up to MAX_SLOTS.  A writer woken by a hand-off
-#: can wait for a CPU longer than the 100k-step quadratic takes to fill
-#: a slot (204 steps, about 3 ms): on two cores that sweep took 3.7%
-#: longer in the median with two slots.  An MLP batch's slots are
-#: megabytes each, so it gets two.
-SLOT_BYTES = 2 ** 18
-MAX_SLOTS = 4
-
-
-def shared_slots(size: int) -> int:
-    """Step slots of a shared monitor, with buffers of ``size`` elements
-    each (rows * R * d)."""
-    return min(MAX_SLOTS, max(2, SLOT_BYTES // (3 * 8 * size)))
-
-
 def _shared_zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """A float64 array of zeros in its own anonymous shared mapping: a
     process forked after it is made sees every later write to it."""
@@ -496,9 +479,9 @@ class RunMonitor:
     A ``shared`` monitor's loop forks its writer process after it
     (:class:`~transopt.writer.ArtifactWriter`), which reads its losses,
     regrets and rate summaries from anonymous shared mappings and runs
-    its reductions: the buffers are ``slots[slot]``, one of
-    :func:`shared_slots` slots of one more shared mapping, and the
-    writer reduces each flushed slot while the loop fills the next.
+    its reductions: the buffers are ``slots[slot]``, one of two slots
+    of one more shared mapping, and the writer reduces each flushed slot
+    while the loop fills the other.
 
     The runs keep O(R d) state besides the per-step losses and regrets
     and the per-sampled-step histogram and summary rows; ``grads`` and
@@ -518,9 +501,8 @@ class RunMonitor:
         zeros = _shared_zeros if shared else np.zeros
         self.losses = zeros((horizon, replicas))
         self.regret = zeros((replicas, horizon)) if comparator else None
-        # (slots, grads/rates/thetas, rows, R, d)
-        slots = shared_slots(rows * replicas * dim) if shared else 1
-        self.slots = zeros((slots, 3, rows, replicas, dim))
+        # (slots, grads/rates/thetas, rows, R, d): two slots when shared
+        self.slots = zeros((2 if shared else 1, 3, rows, replicas, dim))
         self.slot = 0
         # the grads, rates and thetas buffers the loop fills
         self.buffers = tuple(self.slots[0])

@@ -608,8 +608,11 @@ def compare_run_dirs(run_dirs: Sequence) -> List[Dict[str, object]]:
 def read_conditions(run_dir) -> Dict[str, str]:
     """A run's ``conditions.csv``: a key,value header, then its rows."""
     path = Path(run_dir) / "conditions.csv"
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except UnicodeDecodeError as exc:
+        raise ComparisonError(f"{path}: {exc}") from exc
     if rows[:1] != [["key", "value"]] or len(rows) < 2:
         raise ComparisonError(f"{path} has no key,value header and rows")
     for line, row in enumerate(rows[1:], 2):

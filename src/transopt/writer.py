@@ -16,13 +16,13 @@ counter rows.  The writer reads the steps' losses, their R(t) (which
 the monitor's flush sums before the hand-off and never writes again)
 and the rate summaries from the monitor's shared mappings.  A forked
 writer runs the reductions that never raise (zeta, C2, the box test
-and the |g| max) on the slot under the loop's ``np.errstate`` and
-releases the slot before it formats the block's rows; the loop fills
-the next slot and waits only for one the writer has not released.
-After the last block it sends the reductions' final state back in one
-reply.  The loss and gradient screens, the rate screens, the rate
-summaries and histograms, and every DomainError stay in the loop's
-process.
+and the |g| max) on the slot under the loop's ``np.errstate``,
+releases the slot and writes the block's rows before it reads the next
+message; the loop fills the other of its two slots meanwhile and waits
+only when the writer has not released it yet.  After the last block
+the writer sends the reductions' final state back in one reply.  The
+loss and gradient screens, the rate screens, the rate summaries and
+histograms, and every DomainError stay in the loop's process.
 
 The writer appends each block's rows to ``loss.csv``, ``regret.csv``,
 ``record.csv`` and ``lr_hist.csv`` of each run's temporary directory.
@@ -38,10 +38,9 @@ import contextlib
 import multiprocessing
 import os
 import shutil
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -106,8 +105,6 @@ class _LoopFiles:
         # reduces, the semaphore released once the slot is reduced
         self.monitor = monitor
         self.free: List[multiprocessing.synchronize.Semaphore] = []
-        # the blocks reduced whose rows are not all written yet
-        self.queued: Deque[Iterator[bool]] = deque()
 
     def start(self) -> None:
         """Write each run's config.yaml and its step CSVs' headers."""
@@ -118,10 +115,9 @@ class _LoopFiles:
 
     def handle(self, message, reply: Callable[[object], None]) -> bool:
         """Act on one message of the loop: reduce a block's slot, release
-        it and queue the block's rows (for :meth:`write`); reply with the
-        reductions' state; write a run's scalars; or at the end message
-        write the queued rows, publish every run directory, reply None
-        and return True."""
+        it and write the block's rows; reply with the reductions' state;
+        write a run's scalars; or at the end message publish every run
+        directory, reply None and return True."""
         if message[0] == "block":
             _, slot, t0, t1, lo, hi, counts = message
             if self.monitor.shared:
@@ -129,7 +125,7 @@ class _LoopFiles:
                     self.monitor.conditions.update(
                         *self.monitor.slots[slot, :, :t1 - t0])
                 self.free[slot].release()
-            self.queued.append(self._rows(lo, hi, counts))
+            self._rows(lo, hi, counts)
         elif message[0] == "conditions":
             reply(self.monitor.conditions)
         elif message[0] == "run":
@@ -137,32 +133,22 @@ class _LoopFiles:
             report.to_csv(self.runs[r].temp / "conditions.csv")
             (self.runs[r].temp / "meta.json").write_text(meta)
         else:
-            self.write()
             for run in self.runs:
                 _publish(run.temp, run.run_dir)
             reply(None)
             return True
         return False
 
-    def write(self, waiting: Callable[[], bool] = lambda: False) -> None:
-        """Append the queued blocks' rows, oldest first and a run at a
-        time, until none is left or ``waiting()`` says a message waits."""
-        while self.queued and not waiting():
-            if not next(self.queued[0], False):
-                self.queued.popleft()
-
     def serve(self, conn, parent_end) -> None:
-        """The writer process: handle what ``conn`` hands over until the
-        end message, writing queued rows while no message waits, so a
-        block is reduced and a request answered without waiting for the
-        rows before them.  A pipe that closes first, or an error, leaves
-        no entry behind; an error is sent back as its message."""
+        """The writer process: handle what ``conn`` hands over, in order,
+        until the end message.  A pipe that closes first, or an error,
+        leaves no entry behind; an error is sent back as its message."""
         parent_end.close()
         published = False
         try:
             self.start()
             while not self.handle(conn.recv(), conn.send):
-                self.write(conn.poll)
+                pass
             published = True
         except EOFError:
             pass  # the loop stopped before its end message
@@ -174,11 +160,10 @@ class _LoopFiles:
             if not published:
                 self.remove()
 
-    def _rows(self, lo: int, hi: int, counts: bytes) -> Iterator[bool]:
+    def _rows(self, lo: int, hi: int, counts: bytes) -> None:
         """Append the rows of sampled steps lo .. hi - 1: their losses,
         R(t), rate summaries and histogram rows, whose (R, m, width)
-        counters are the bytes ``counts``; yield True after each run's
-        rows."""
+        counters are the bytes ``counts``."""
         monitor = self.monitor
         ts = monitor.steps[lo:hi]
         if not len(ts):
@@ -207,7 +192,6 @@ class _LoopFiles:
             texts["lr_hist.csv"] = self.histogram.csv_lines(
                 ts, counts[r], run.hist_texts)
             run.append(texts)
-            yield True
 
     def remove(self) -> None:
         """Delete every temporary directory, then each root directory
@@ -356,7 +340,6 @@ class ArtifactWriter:
             replies = []
             try:
                 self._files.handle(message, replies.append)
-                self._files.write()
             except Exception as exc:
                 raise OSError(f"writing artifacts: {exc}") from exc
             return replies[0] if replies else None

@@ -97,9 +97,21 @@ horizon: 100
             "optimizer: {kind: dstadam, schedule: {rho: 1.5}}\nhorizon: 50\n")
         out_root = tmp_path / "runs"
         assert cli_main(["sweep", str(sweep_dir), "--out", str(out_root)]) == 2
-        assert capsys.readouterr().err == \
-            "error: optimizer.schedule: rho must lie in (0, 1), got 1.5\n"
+        assert capsys.readouterr().err == (
+            f"error: {sweep_dir / '2-bad-rho.yaml'}: optimizer.schedule: "
+            "rho must lie in (0, 1), got 1.5\n")
         assert not out_root.exists()
+
+    def test_a_config_that_is_not_utf8_is_one_error_line(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert cli_main(["run", str(path), "--out",
+                         str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
+            "position 0: invalid start byte\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="optimizer.turbo"):
@@ -236,8 +248,10 @@ horizon: 100
         out_root = tmp_path / "nm" / "runs"
         target = path if command == "run" else config_dir
         assert cli_main([command, str(target), "--out", str(out_root)]) == 2
-        assert capsys.readouterr().err == ("error: name: must be a file "
-                                           "name, not a path, got "
+        # a sweep names the config
+        named = "" if command == "run" else f"{path}: "
+        assert capsys.readouterr().err == (f"error: {named}name: must be a "
+                                           "file name, not a path, got "
                                            "'../escaped/x'\n")
         assert not (tmp_path / "nm").exists()
 

@@ -482,13 +482,6 @@ stride: 7
 name: {kind}-{seed}
 """) for kind, seed in self.CONFIGS]
 
-    def assert_same_record(self, got, want):
-        for name in ("losses", "regret", "rate_summary", "final_theta"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
-        assert_same_rows(got.histogram.rows, want.histogram.rows)
-        assert got.report == want.report
-
     def explicit(self, monkeypatch):
         def build_whole(cfg):
             p = build_problem(cfg)
@@ -505,7 +498,7 @@ name: {kind}-{seed}
         self.explicit(monkeypatch)
         whole = runner.run_batch(cfgs, write_artifacts=False)
         for got, want in zip(streamed, whole):
-            self.assert_same_record(got, want)
+            _assert_records_equal(got, want)
 
     def test_streamed_and_explicit_artifacts_are_the_same_bytes(
             self, tmp_path, monkeypatch):
@@ -516,7 +509,7 @@ name: {kind}-{seed}
         self.explicit(monkeypatch)
         whole = runner.run_batch(cfgs, str(tmp_path / "whole"))
         for got, want in zip(streamed, whole):
-            self.assert_same_record(got, want)
+            _assert_records_equal(got, want)
             for name in CSV_ARTIFACTS:
                 assert (got.run_dir / name).read_bytes() == \
                     (want.run_dir / name).read_bytes(), name
@@ -876,6 +869,20 @@ horizon: {horizon}
         dirs = [str(run_dir)] * (2 if command == "compare" else 1)
         assert cli_main([command, *dirs]) == 2
         assert capsys.readouterr() == ("", f"error: {path}{error}\n")
+
+    def test_conditions_that_are_not_utf8_are_one_error_line(
+            self, tmp_path, capsys):
+        out_root = tmp_path / "runs"
+        assert cli_main(["run", str(self.write_cfg(tmp_path)), "--out",
+                         str(out_root)]) == 0
+        run_dir = next(out_root.iterdir())
+        path = run_dir / "conditions.csv"
+        path.write_bytes(b"key,value\r\nc2_holds,\xff\r\n")
+        capsys.readouterr()
+        assert cli_main(["check-conditions", str(run_dir)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: 'utf-8' codec "
+                                       "can't decode byte 0xff in position "
+                                       "20: invalid start byte\n")
 
     @pytest.mark.parametrize("command, key, value, error", [
         ("check-conditions", "inverse_rate_max", "big",
@@ -1516,6 +1523,37 @@ class TestArtifactWriter:
         lines = (record.run_dir / "record.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == \
             [str(t) for t in ts]
+
+    def test_a_writer_slower_than_its_loop_writes_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        # ten 512-row buffers of a d = 4 quadratic go round the two step
+        # slots five times; each block's rows take the writer 20 ms longer,
+        # more than the loop takes to fill a slot, so the loop waits for it
+        assert diagnostics.buffer_rows(5000, 4) == 512
+        cfg = parse_config("problem: {kind: quadratic, dim: 4, seed: 3}\n"
+                           "optimizer: {kind: dstadam}\nhorizon: 5000\n")
+        inline = run_experiment(cfg, str(tmp_path / "inline"),
+                                loops=self._writer(monkeypatch, fork=False))
+        monkeypatch.undo()
+        rows = writer_module._LoopFiles._rows
+
+        def slow(*args):
+            time.sleep(0.02)
+            return rows(*args)
+
+        monkeypatch.setattr(writer_module._LoopFiles, "_rows", slow)
+        forked = run_experiment(cfg, str(tmp_path / "forked"),
+                                loops=self._writer(monkeypatch, fork=True))
+        assert multiprocessing.active_children() == []
+        _assert_records_equal(forked, inline)
+        for name in (*CSV_ARTIFACTS, "config.yaml"):
+            assert (forked.run_dir / name).read_bytes() == \
+                (inline.run_dir / name).read_bytes(), name
+        meta = [json.loads((record.run_dir / "meta.json").read_text())
+                for record in (forked, inline)]
+        for m in meta:
+            m.pop("wall_clock_seconds")
+        assert meta[0] == meta[1]
 
     @pytest.mark.parametrize("fork", [True, False])
     def test_an_overflowing_regret_names_its_step(self, tmp_path,
