@@ -161,10 +161,7 @@ def cmd_sweep(args) -> int:
         return 1
     cfgs = []
     for path in paths:
-        try:
-            cfg = load_config(path)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        cfg = load_config(path, named=True)
         cfg = with_overrides(cfg, seed=args.seed, stride=args.stride)
         cfgs.extend(_expand_repeats(cfg))
     return _execute(args.jobs, cfgs, args.out)

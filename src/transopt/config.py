@@ -310,7 +310,10 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        # PyYAML's lines as one, without its "<unicode string>"
+        what = str(exc).replace('\n  in "<unicode string>", ', " at ")
+        raise ConfigError("config is not valid YAML: "
+                          + what.replace("\n", ": ")) from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -318,14 +321,20 @@ def parse_config(text: str) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "")
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse the config file at ``path``; one not UTF-8 is an OSError."""
+def load_config(path, named: bool = False) -> ExperimentConfig:
+    """Parse the config file at ``path``; one not UTF-8 is an OSError, and
+    a ConfigError names it when the text is not YAML, or when ``named``."""
     try:
         with open(path) as f:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from exc
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        if named or isinstance(exc.__cause__, yaml.YAMLError):
+            raise ConfigError(f"{path}: {exc}") from exc
+        raise
 
 
 def _plain(value):

@@ -364,10 +364,10 @@ def sampled_steps(horizon: int, stride: int) -> np.ndarray:
 #: A run's step buffers: a (rows, R, d) temporary of a flush holds about
 #: STREAM_ELEMENTS elements, the histogram's int64 (rows, HIST_BINS + 2)
 #: temporary at most HIST_ELEMENTS, and at least MIN_STREAM_ROWS rows
-#: share a flush's fixed cost (about 0.1 ms).  On the 24-run grid of 200
-#: steps at d <= 42, 200-row buffers raised peak RSS by 0.3 MB and 64-row
-#: ones left it flat.
-STREAM_ELEMENTS = 2048
+#: share a flush's fixed cost (about 0.1 ms).  8192 elements give the
+#: 100k-step d = 10 quadratic 190 hand-offs of 528 rows, not 491 of 204
+#: at 2048, at the same peak RSS (``BENCH_pr36.json``).
+STREAM_ELEMENTS = 8192
 HIST_ELEMENTS = 32768
 MIN_STREAM_ROWS = 64
 

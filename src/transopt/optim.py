@@ -1,8 +1,10 @@
 """Optimizer steppers.
 
 Each stepper owns an :class:`OptimizerState` and advances it with
-``step(theta, grad) -> theta_next``.  A single state must not be shared
-between concurrent runs; distinct stepper instances are independent.
+``step(theta, grad) -> theta_next``, which the step loop has write
+theta_next and the raw rate into its rows (``out=``, ``rate_out=``).  A
+single state must not be shared between concurrent runs; distinct
+stepper instances are independent.
 
 Every stepper runs one skeleton, :meth:`_AdaptiveStepper.step`: update
 the moving averages m_t, v_t of the gradient and its square in place,
@@ -565,7 +567,10 @@ class _AdaptiveStepper:
         self._positive_from = positive_from
         self._finite_from = finite_from
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta, grad, *, out=None, rate_out=None) -> np.ndarray:
+        """The next theta, into ``out`` if given (which may be theta), and
+        the raw rate into ``rate_out`` if given; a ufunc takes its output
+        by position where numpy allows it, which it parses faster."""
         if self.screens_inputs:
             self._check_inputs(theta, grad)
         s = self.state
@@ -602,7 +607,7 @@ class _AdaptiveStepper:
                            np.maximum(s.v_max, v, out=s.v_max), v)
             if self._debias:
                 v = v / div2
-            rate = np.sqrt(v)
+            rate = np.sqrt(v, rate_out)
             rate += self._epsilon
             # sqrt(v) >= 0, so only epsilon == 0 can leave a zero
             # denominator
@@ -610,7 +615,7 @@ class _AdaptiveStepper:
                 _raise_first(rate == 0.0, f"zero second moment at step {t}, "
                                           "coordinate {i} with epsilon=0; "
                                           "supply a positive epsilon")
-            rate = np.divide(self._alpha, rate, out=rate)
+            rate = np.divide(self._alpha, rate, rate)
             if self._blends:
                 rate *= scale
                 rate += shift
@@ -620,7 +625,7 @@ class _AdaptiveStepper:
                     self._reject_nonpositive(t, rate)
         else:
             # the blend with scale 0
-            rate = np.empty_like(m)
+            rate = np.empty_like(m) if rate_out is None else rate_out
             rate[...] = shift
         if self._debias:
             m = m / div1
@@ -641,7 +646,8 @@ class _AdaptiveStepper:
             _raise_first(eta == math.inf, f"infinite rate at step {t}, "
                                           "coordinate {i}: the projection "
                                           "metric must be positive")
-        theta = self.box.clamp_into(theta - eta * m)
+        # eta * m is a temporary, not out, which may be theta itself
+        theta = self.box.clamp_into(np.subtract(theta, eta * m, out))
         s.t = t
         s.last_rate_raw, s.last_effective_lr = rate, eta
         return theta
@@ -664,7 +670,7 @@ class _AdaptiveStepper:
             peak = np.where(zero, 1.0, peak)
         m_abs /= peak * (gamma * t)
         m_abs += base
-        np.fmin(rate, m_abs, out=rate)
+        np.fmin(rate, m_abs, rate)
 
     def _reject_nonpositive(self, t: int, rate: np.ndarray) -> None:
         """Raise at the first rate <= 0 of a row that blends.  Only

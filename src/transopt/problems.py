@@ -2,13 +2,14 @@
 
 Every problem exposes oracles indexed by the step t (1-based) over a box
 feasible set, together with a fixed comparator theta_star where one
-exists.  ``loss_and_grad(t, theta)`` returns the loss and the gradient
-from one pass over the data, and the step loop calls it once per step,
-but for the kinds that take their losses from its step slots (the
-quadratic and the reddi cycle, with a ``slot_losses``); ``loss_at`` gives
-the loss alone and ``grad_at`` the gradient alone; the comparator's
-losses come from ``block`` (below).  Oracles are pure functions of
-(t, theta), so runs are bit-reproducible given the construction seed.
+exists.  The step loop calls each kind's ``oracle_into(t, theta, grad,
+losses)`` once per step: g_t into its gradient row ``grad`` and, from
+the same pass over the data, f_t into ``losses[t - 1]``, but for the
+kinds whose losses the loop's screen computes (``slot_losses``).
+``loss_and_grad`` returns both, ``loss_at`` the loss and ``grad_at`` the
+gradient; the comparator's losses come from ``block`` (below).  Oracles
+are pure functions of (t, theta), so runs are bit-reproducible given the
+construction seed.
 
 A problem hands out its per-step data a block of steps at a time:
 ``block(t0, n)`` loads the data of steps t0 + 1 .. t0 + n, which the
@@ -54,8 +55,8 @@ class OnlineProblem:
     None for problems without a dataset.  ``shape`` is the shape of the
     iterate the oracles take: (d,), or (R, d) once stacked.
 
-    Each kind defines ``loss_and_grad(t, theta)``, f_t(theta) and its
-    gradient computed together; ``_stacked()``, which finishes a
+    Each kind defines ``oracle_into(t, theta, grad, losses)``, the step
+    oracle (see the module docstring); ``_stacked()``, which finishes a
     :func:`stack_problems` copy whose fields are stacked; and, with a
     comparator, ``_star_block(t0, n)``, the comparator's losses at the
     loaded steps t0 + 1 .. t0 + n.
@@ -63,10 +64,10 @@ class OnlineProblem:
 
     name = "online"
     n_train: Optional[int] = None
-    #: if set, the loop calls ``grad_into(t, theta, out)`` (g_t into ``out``,
-    #: unchecked) and ``slot_losses(grads, thetas, first, out)``, which puts
-    #: in ``out`` the (n, R) losses of steps k entered at ``thetas[k - 1]``
-    #: (or ``first``), bit for bit, and returns the next ``first`` or None
+    #: if set, ``oracle_into`` writes no loss, and the loop's screen calls
+    #: ``slot_losses(grads, thetas, first, out)``, which puts in ``out``
+    #: the (n, R) losses of steps k entered at ``thetas[k - 1]`` (or
+    #: ``first``), bit for bit, and returns the next ``first`` or None
     slot_losses = None
 
     def __init__(self, dim: int, box: FeasibleBox,
@@ -80,6 +81,22 @@ class OnlineProblem:
         if self.theta_star is not None and \
                 not box.widened(TOL).contains(self.theta_star):
             raise DomainError("comparator lies outside the feasible box")
+
+    def loss_and_grad(self, t: int, theta: np.ndarray):
+        """f_t(theta) and its gradient from ``oracle_into`` (and the
+        ``slot_losses`` of one step): (R,) and (R, d) once stacked."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != self.shape:
+            raise DimensionError(
+                f"theta has shape {theta.shape}, expected {self.shape}")
+        grad, losses = np.empty(self.shape), {}
+        self.oracle_into(t, theta, grad, losses)
+        if self.slot_losses is None:
+            return losses[t - 1], grad
+        rows = theta.reshape(1, -1, self.dim)
+        loss = np.empty(rows.shape[:2])
+        self.slot_losses(grad.reshape(rows.shape), rows, rows[0], loss)
+        return loss.reshape(self.shape[:-1])[()], grad
 
     def loss_at(self, t: int, theta: np.ndarray) -> float:
         return self.loss_and_grad(t, theta)[0]
@@ -114,16 +131,7 @@ class OnlineProblem:
     def initial_point(self, seed: int = 0) -> np.ndarray:
         """Deterministic feasible starting point."""
         rng = np.random.default_rng([int(seed), 0xA11CE])
-        theta = rng.uniform(-0.5, 0.5, size=self.dim)
-        return self.box.project(theta)
-
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != self.shape:
-            raise DimensionError(
-                f"theta has shape {theta.shape}, expected {self.shape}"
-            )
-        return theta
+        return self.box.project(rng.uniform(-0.5, 0.5, size=self.dim))
 
 
 def stack_problems(problems: Sequence[OnlineProblem]) -> OnlineProblem:
@@ -281,15 +289,8 @@ class QuadraticTracking(OnlineProblem):
         # the loaded rows are (n, d), or (R, n, d) when stacked
         return self._centers[..., k, :]
 
-    def loss_and_grad(self, t: int,
-                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        theta = self._check_theta(theta)
-        diff = theta - self._center(t)
-        # vecdot takes the dot product of each row as np.dot would
-        return 0.5 * np.vecdot(diff, diff), diff
-
-    def grad_into(self, t: int, theta: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(theta, self._center(t), out=out)
+    def oracle_into(self, t, theta, grad, losses) -> None:
+        np.subtract(theta, self._center(t), out=grad)
 
     def slot_losses(self, grads, thetas, first, out) -> None:
         # 0.5 ||theta - c_t||^2 is 0.5 ||g_t||^2, a row at a time
@@ -335,20 +336,13 @@ class ReddiCycle(OnlineProblem):
         self._up = np.array([self.c])
         self._down = np.array([-1.0])
 
-    def loss_and_grad(self, t: int,
-                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        theta = self._check_theta(theta)
+    def oracle_into(self, t, theta, grad, losses) -> None:
         if t < 1:
             raise DomainError(f"step index starts at 1, got {t}")
-        grad = (self._up if t % 3 == 1 else self._down).copy()
-        # slope * theta, the slope read back from the gradient
-        return grad[..., 0] * theta[..., 0], grad
-
-    def grad_into(self, t: int, theta: np.ndarray, out: np.ndarray) -> None:
-        out[...] = self._up if t % 3 == 1 else self._down
+        grad[...] = self._up if t % 3 == 1 else self._down
 
     def slot_losses(self, grads, thetas, first, out) -> np.ndarray:
-        # as loss_and_grad, at the iterate theta_{t-1} that entered step t
+        # the slope read back from g_t times the theta_{t-1} of step t
         np.multiply(grads[0, :, 0], first[..., 0], out=out[0])
         np.multiply(grads[1:, :, 0], thetas[:len(out) - 1, :, 0], out=out[1:])
         return thetas[len(out) - 1].copy()
@@ -501,17 +495,15 @@ class LogisticMinibatch(_MinibatchMixin, OnlineProblem):
         idx = self.batch_indices(t)
         return self.features[idx], self.labels[idx]
 
-    def loss_and_grad(self, t: int,
-                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        theta = self._check_theta(theta)
+    def oracle_into(self, t, theta, grad, losses) -> None:
         x, y = self._batch(t)
         # x is (b, d) or (R, b, d); matmul runs the same BLAS product
         # (gemv) on each replica's rows as on a lone batch
         margins = y * np.matmul(x, theta[..., None])[..., 0]
-        loss = _mean_of_rows(np.logaddexp(0.0, -margins))
+        losses[t - 1] = _mean_of_rows(np.logaddexp(0.0, -margins))
         weights = -y * _sigmoid(-margins)
-        grad = np.matmul(x.mT, weights[..., None])[..., 0]
-        return loss, grad / y.shape[-1]
+        np.divide(np.matmul(x.mT, weights[..., None])[..., 0], y.shape[-1],
+                  out=grad)
 
     def _star_block(self, t0: int, n: int) -> np.ndarray:
         """The loaded epoch orders' comparator losses, per replica.
@@ -746,10 +738,10 @@ class Mlp:
         loss = -_mean_of_rows(log_probs[labels].reshape(y.shape))
         return loss, logits, (layers, activations, log_probs, labels)
 
-    def loss_and_grad(self, theta: np.ndarray, x: np.ndarray,
-                      y: np.ndarray) -> Tuple[float, np.ndarray]:
+    def loss_and_grad(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      out=None) -> Tuple[float, np.ndarray]:
         """Mean batch loss and its gradient with respect to flat theta,
-        both from one forward pass.
+        both from one forward pass, the gradient into ``out`` if given.
 
         Every label of ``y`` must lie in [0, classes).  That is not
         checked here, as this runs every step: a negative label would
@@ -775,7 +767,7 @@ class Mlp:
         for gw, gb in reversed(grads):
             flat.append(gw.reshape(flat_shape))
             flat.append(gb)
-        return loss, np.concatenate(flat, axis=-1)
+        return loss, np.concatenate(flat, axis=-1, out=out)
 
     def backward(self, theta: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
@@ -856,11 +848,9 @@ class MlpClassification(_MinibatchMixin, OnlineProblem):
         return (np.take(self.x_train, idx, axis=0),
                 np.take(self.y_train, idx, axis=0))
 
-    def loss_and_grad(self, t: int,
-                      theta: np.ndarray) -> Tuple[float, np.ndarray]:
+    def oracle_into(self, t, theta, grad, losses) -> None:
         x, y = self._batch(t)
-        return self.net.loss_and_grad(np.asarray(theta, dtype=np.float64),
-                                      x, y)
+        losses[t - 1], _ = self.net.loss_and_grad(theta, x, y, out=grad)
 
     def initial_point(self, seed: int = 0) -> np.ndarray:
         return self.net.init_params(seed)

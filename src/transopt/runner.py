@@ -17,9 +17,10 @@ row of one skeleton step (:func:`transopt.optim.stack_kinds`).  Replica
 r writes the bytes its config writes alone; ``run_experiment`` is the
 case R = 1, where every array is (d,).
 
-The step loop keeps each step's gradients, rates and iterates in three
-small preallocated (rows, R, d) buffers, and the logistic and MLP losses
-in a (T, R) array; a full buffer is flushed as one block to the loop's
+A step's one oracle call (``oracle_into``) and ``step`` call write its
+gradients, rates and iterates straight into rows of three small
+preallocated (rows, R, d) buffers, and the logistic and MLP losses into
+a (T, R) array; a full buffer is flushed as one block to the loop's
 one streamed monitor (:class:`~transopt.diagnostics.RunMonitor`), which
 computes the quadratic's and the cycle's losses from the block, screens
 its losses and gradients and reduces it over the coordinate axis for all
@@ -355,7 +356,6 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
         from .writer import ArtifactWriter, spare_core
     # a shared monitor's writer is forked after it and reads its arrays
     shared = write_artifacts and spare_core(loops)
-    slotted = problem.slot_losses is not None
     monitor = RunMonitor(
         problem.dim, horizon, cfgs[0].stride,
         [p.box.widened(TOL) for p in problems],
@@ -371,9 +371,8 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
              for slot in monitor.slots]
     grads, rates, thetas = views[monitor.slot]
     rows = len(grads)
-    state = optimizer.state
-    k = 0
-    writer = None
+    oracle, step = problem.oracle_into, optimizer.step
+    k, writer = 0, None
     if write_artifacts:
         texts = [serialize_config(cfg) for cfg in cfgs]
         writer = ArtifactWriter(
@@ -396,19 +395,17 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
                 load(0)
                 for t in range(1, horizon + 1):
                     g = grads[k]
-                    if slotted:  # the monitor's screen computes the losses
-                        problem.grad_into(t, theta, g)
-                    else:
-                        losses[t - 1], g[...] = problem.loss_and_grad(t, theta)
+                    oracle(t, theta, g, losses)
                     try:
-                        theta = optimizer.step(theta, g)
+                        # theta_t and eta-hat go into the slot rows; the
+                        # next step reads theta_t there
+                        theta = step(theta, g, out=thetas[k],
+                                     rate_out=rates[k])
                     except DomainError:
                         # a bad loss or gradient of this step or an
                         # earlier one of the buffer raises first
                         monitor.screen(k + 1)
                         raise
-                    rates[k] = state.last_rate_raw
-                    thetas[k] = theta
                     k += 1
                     if k == rows:
                         monitor.flush(k)
@@ -424,12 +421,13 @@ def run_batch(cfgs: Sequence[ExperimentConfig],
             who = (", ".join(names) if exc.replica is None
                    else names[exc.replica])
             raise DomainError(f"{who}: {exc}", replica=exc.replica) from exc
+        # theta and the last rates are slot rows: copied out first
+        theta, final_lr = theta.copy(), optimizer.effective_lr()
         del grads, rates, thetas, views  # the monitor lets go of them too
         if writer is not None:
             writer.block(monitor, last=True)
 
         records = []
-        final_lr = optimizer.effective_lr()
         for r, (cfg, p, schedule) in enumerate(
                 zip(cfgs, problems, schedules)):
             # replica r's column of the batch; a lone run's arrays as they

@@ -2,6 +2,7 @@
 time (``RunMonitor.screen``), and raises the error a screen at every
 step would raise: the same message, step, replica and coordinate."""
 
+import copy
 import math
 import os
 import warnings
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from transopt import runner, writer
 from transopt.config import parse_config
 from transopt.errors import DomainError
-from transopt.problems import QuadraticTracking
 
 DIM = 3
 
@@ -53,11 +53,12 @@ def _inject(monkeypatch, faults, zero=None, big=None):
 
     def patched(problems):
         problem = stack(problems)
-        oracle = problem.loss_and_grad
+        # an unpatched copy gives each step's loss and gradient
+        lone = copy.copy(problem)
         replicas = len(problems)
 
-        def loss_and_grad(t, theta):
-            loss, grad = oracle(t, theta)
+        def oracle_into(t, theta, out, out_losses):
+            loss, grad = lone.loss_and_grad(t, theta)
             losses = np.array(loss, dtype=np.float64).reshape(replicas)
             grads = np.array(grad, dtype=np.float64).reshape(replicas, DIM)
             if t == big:
@@ -70,14 +71,15 @@ def _inject(monkeypatch, faults, zero=None, big=None):
                         losses[r] = value
                     else:
                         grads[r, i] = value
-            return losses.reshape(np.shape(loss)), grads.reshape(grad.shape)
+            out_losses[t - 1] = losses.reshape(np.shape(loss))
+            out[...] = grads.reshape(grad.shape)
 
-        problem.loss_and_grad = loss_and_grad
+        # the loop takes each step's loss from the oracle, which the faults
+        # patch, not from the screen
+        problem.oracle_into, problem.slot_losses = oracle_into, None
         return problem
 
     monkeypatch.setattr(runner, "stack_problems", patched)
-    # the quadratic's loop takes the fused oracle, which the faults patch
-    monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
 
 
 def _expected(names, faults, zero):

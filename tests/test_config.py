@@ -255,6 +255,27 @@ horizon: 100
                                            "'../escaped/x'\n")
         assert not (tmp_path / "nm").exists()
 
+    @pytest.mark.parametrize("text, error", [
+        ("problem: [1\n", "while parsing a flow sequence at line 1, column "
+                          "10: did not find expected ',' or ']' at line 2, "
+                          "column 1"),
+        ('horizon: "\x01"\n', "unacceptable character #x0001: control "
+                               "characters are not allowed at position 10"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_config_that_is_not_yaml_is_one_line_naming_it(
+            self, command, text, error, tmp_path, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        path = config_dir / "exp.yaml"
+        path.write_text(text)
+        target = path if command == "run" else config_dir
+        assert cli_main([command, str(target), "--out",
+                         str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: config is not valid YAML: {error}\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("key, line", [
         # a YAML boolean is not a number
         ("horizon", "horizon: true"),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from transopt import runner
+from transopt.config import parse_config
 from transopt.errors import (DimensionError, DomainError, HorizonError,
                              StateError)
 from transopt.optim import (BLOCK_STEPS, COEFFICIENTS, Adam, Amsgrad,
@@ -737,6 +739,97 @@ class TestStackedSteppers:
         assert err.value.replica == 1
         with pytest.raises(DimensionError):
             batch.step(np.zeros(3), np.zeros(3))
+
+
+def _cycle_trio():
+    """The criterion-05 cycle trio, batched as the runner batches it."""
+    optimizers = []
+    for opt in ("{kind: adam, beta1: 0.0, beta2: 0.1}",
+                "{kind: amsgrad, beta1: 0.0, beta2: 0.1}", "{kind: dstadam}"):
+        cfg = parse_config("problem: {kind: reddi, c: 3.0}\n"
+                           f"optimizer: {opt}\nhorizon: 50\n")
+        optimizers.append(runner.build_optimizer(
+            cfg, 1, 50, runner.build_problem(cfg).box))
+    return stack_kinds(optimizers)
+
+
+#: Per name, a builder of a stepper and the shape of its iterate: each
+#: kind, the clipped ones and DstAdam with sqrt_decay (so their applied
+#: rate is not their raw one), and the cycle trio's batch.
+OUTPUT_STEPPERS = {
+    **{kind: (lambda kind=kind: _replica_steppers(kind, 1), (3,))
+       for kind in ("sgdm", "adam", "amsgrad", "adabound", "adadb", "lu",
+                    "dstadam", "dstadam-geometric")},
+    "swats": (lambda: ClippedTransition(
+        3, BoundFunctionSpec("swats", alpha_star=0.05),
+        StepConfig(sqrt_decay=True), box=FeasibleBox.cube(0.5, 3)), (3,)),
+    "cycle-trio": (_cycle_trio, (3, 1)),
+}
+
+
+class TestStepOutputs:
+    """``step(theta, grad, out=, rate_out=)`` writes the new theta into
+    ``out``, which may be theta itself, and the raw rate into
+    ``rate_out``, as the step loop has it write into its slot rows; every
+    bit is the library call's."""
+
+    @pytest.mark.parametrize("into", ["rows", "theta"])
+    @pytest.mark.parametrize("name", sorted(OUTPUT_STEPPERS))
+    def test_outputs_keep_every_bit(self, name, into):
+        build, shape = OUTPUT_STEPPERS[name]
+        plain, slotted = build(), build()
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(-0.5, 0.5, size=shape)
+        other = theta.copy()
+        # two rows of each, used in turn, as the loop uses a slot's rows
+        thetas, rates = np.empty((2,) + shape), np.empty((2,) + shape)
+        # the horizon of _replica_steppers' schedules
+        for t in range(1, 13):
+            grad = rng.normal(scale=2.0, size=shape)
+            theta = plain.step(theta, grad)
+            out = other if into == "theta" else thetas[t % 2]
+            rate = rates[t % 2]
+            got = slotted.step(other, grad, out=out, rate_out=rate)
+            assert got is out and slotted.state.last_rate_raw is rate
+            other = got
+            for a, b in ((theta, other),
+                         (plain.rate_raw(), slotted.rate_raw()),
+                         (plain.effective_lr(), slotted.effective_lr()),
+                         (plain.state.m, slotted.state.m),
+                         (plain.state.v, slotted.state.v)):
+                assert a.tobytes() == b.tobytes(), t
+
+    @pytest.mark.parametrize("into", ["rows", "theta"])
+    @pytest.mark.parametrize("kind", ["adam", "adabound", "dstadam", "sgdm"])
+    def test_a_rejected_step_leaves_theta_and_the_last_rate(self, kind,
+                                                            into):
+        # with beta2 = 0 and epsilon = 0 the zero gradient coordinate of
+        # step 2 is a zero second moment, which raises once rate_out holds
+        # the step's rates; SGDM's infinite rate raises at step 1
+        cfg = StepConfig(epsilon=0.0)
+        opt = {
+            "adam": lambda: Adam(2, cfg, beta1=0.0, beta2=0.0),
+            "adabound": lambda: ClippedTransition(
+                2, BoundFunctionSpec("adabound", alpha_star=0.1), cfg,
+                beta1=0.0, beta2=0.0),
+            "dstadam": lambda: DstAdam(2, TransitionSchedule(
+                horizon=10, beta1=0.0, beta2=0.0), cfg),
+            "sgdm": lambda: MomentumSgd(2, lr=math.inf),
+        }[kind]()
+        rates = np.full((2, 2), 7.0)
+        theta = np.array([0.3, -0.2])
+        if kind != "sgdm":
+            theta = opt.step(theta, np.array([0.5, -1.0]), out=np.empty(2),
+                             rate_out=rates[0])
+        last = opt.state.last_rate_raw
+        before = [theta.copy(), rates[0].copy()]
+        out = theta if into == "theta" else np.empty(2)
+        with pytest.raises(DomainError, match="(zero second moment at step "
+                                              "2|infinite rate at step 1)"):
+            opt.step(theta, np.array([0.5, 0.0]), out=out, rate_out=rates[1])
+        assert opt.state.last_rate_raw is last
+        assert theta.tobytes() == before[0].tobytes()
+        assert rates[0].tobytes() == before[1].tobytes()
 
 
 def _kind_rows():

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import json
@@ -39,6 +40,27 @@ def single_draw_centers(cfg):
     problem streams them."""
     return np.random.default_rng(cfg.problem.seed).uniform(
         -1.0, 1.0, size=(cfg.horizon, cfg.problem.dim))
+
+
+def edit_oracle(monkeypatch, edit):
+    """Make the loop's problem write each step's loss and gradient at the
+    step, as ``loss_and_grad`` gives them once ``edit(t, loss, grad)``
+    has changed them (``edit`` returns the pair); no screen computes a
+    loss."""
+    stack = runner.stack_problems
+
+    def patched(problems):
+        problem = stack(problems)
+        # an unpatched copy gives each step's loss and gradient
+        lone = copy.copy(problem)
+
+        def oracle_into(t, theta, grad, losses):
+            losses[t - 1], grad[...] = edit(t, *lone.loss_and_grad(t, theta))
+
+        problem.oracle_into, problem.slot_losses = oracle_into, None
+        return problem
+
+    monkeypatch.setattr(runner, "stack_problems", patched)
 
 
 def quadratic_cfg(optimizer="dstadam", horizon=300, seed=7, extra=""):
@@ -139,20 +161,12 @@ batch_size: 32
             run_experiment(cfg, write_artifacts=False)
 
     def test_nan_gradient_aborts_with_step_and_coordinate(self, monkeypatch):
-        class NanAtStep(QuadraticTracking):
-            slot_losses = None  # the loop calls loss_and_grad
+        def nan_at_step_7(t, loss, g):
+            if t == 7:
+                g[1] = math.nan
+            return loss, g
 
-            def loss_and_grad(self, t, theta):
-                loss, g = super().loss_and_grad(t, theta)
-                if t == 7:
-                    g[1] = math.nan
-                return loss, g
-
-        def build_nan_problem(cfg):
-            p = build_problem(cfg)
-            return NanAtStep(single_draw_centers(cfg), p.box)
-
-        monkeypatch.setattr(runner, "build_problem", build_nan_problem)
+        edit_oracle(monkeypatch, nan_at_step_7)
         with pytest.raises(DomainError, match="step 7, coordinate 1"):
             run_experiment(quadratic_cfg(horizon=20), write_artifacts=False)
 
@@ -165,8 +179,8 @@ batch_size: 32
                                               feasible):
         step = DstAdam.step
 
-        def leaky_step(self, theta, grad):
-            theta = step(self, theta, grad)
+        def leaky_step(self, *args, **kwargs):
+            theta = step(self, *args, **kwargs)
             if self.state.t == at:
                 theta[1] = value
             return theta
@@ -325,8 +339,8 @@ class TestStreamedMonitors:
                                                 at):
         step = DstAdam.step
 
-        def leaky_step(self, theta, grad):
-            theta = step(self, theta, grad)
+        def leaky_step(self, *args, **kwargs):
+            theta = step(self, *args, **kwargs)
             if self.state.t == at:
                 theta[0] = 3.0
             return theta
@@ -1431,17 +1445,12 @@ class TestArtifactWriter:
         # stride 10 samples step 20, whose NaN rates would fail the
         # histogram ("only positive finite rates can be binned") if the
         # block screen let them through
-        oracle = QuadraticTracking.loss_and_grad
-
-        def nan_at_step_20(self, t, theta):
-            loss, g = oracle(self, t, theta)
+        def nan_at_step_20(t, loss, g):
             if t == 20:
                 g[..., 1] = math.nan
             return loss, g
 
-        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
-                            nan_at_step_20)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, nan_at_step_20)
         loops = 1
         if not fork:
             def no_fork(*args):
@@ -1526,10 +1535,10 @@ class TestArtifactWriter:
 
     def test_a_writer_slower_than_its_loop_writes_the_same_bytes(
             self, tmp_path, monkeypatch):
-        # ten 512-row buffers of a d = 4 quadratic go round the two step
-        # slots five times; each block's rows take the writer 20 ms longer,
-        # more than the loop takes to fill a slot, so the loop waits for it
-        assert diagnostics.buffer_rows(5000, 4) == 512
+        # ten buffers of a d = 4 quadratic go round the two step slots five
+        # times; each block's rows take the writer 20 ms longer, more than
+        # the loop takes to fill a slot, so the loop waits for it
+        assert math.ceil(5000 / diagnostics.buffer_rows(5000, 4)) == 10
         cfg = parse_config("problem: {kind: quadratic, dim: 4, seed: 3}\n"
                            "optimizer: {kind: dstadam}\nhorizon: 5000\n")
         inline = run_experiment(cfg, str(tmp_path / "inline"),
@@ -1561,21 +1570,8 @@ class TestArtifactWriter:
         # each loss is finite, but R(6) passes the largest double; the
         # loop waits for a forked writer's reductions, and hears if the
         # writer failed
-        stack = runner.stack_problems
-
-        def patched(problems):
-            problem = stack(problems)
-            oracle = problem.loss_and_grad
-
-            def loss_and_grad(t, theta):
-                loss, grad = oracle(t, theta)
-                return (1e308 if 5 <= t <= 7 else loss), grad
-
-            problem.loss_and_grad = loss_and_grad
-            return problem
-
-        monkeypatch.setattr(runner, "stack_problems", patched)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, lambda t, loss, grad: (
+            1e308 if 5 <= t <= 7 else loss, grad))
         loops = self._writer(monkeypatch, fork)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1655,18 +1651,8 @@ class TestOverflowedSecondMoment:
         # g = 1e308 at step 5 overflows v to inf for good: from then on
         # the rate of every coordinate is 0, while stride 10 samples only
         # steps 1 and 8
-        class OverflowAtStep(QuadraticTracking):
-            slot_losses = None  # the loop calls loss_and_grad
-
-            def loss_and_grad(self, t, theta):
-                loss, g = super().loss_and_grad(t, theta)
-                return loss, (np.full_like(g, 1e308) if t == 5 else g)
-
-        def build_overflow_problem(cfg):
-            p = build_problem(cfg)
-            return OverflowAtStep(single_draw_centers(cfg), p.box)
-
-        monkeypatch.setattr(runner, "build_problem", build_overflow_problem)
+        edit_oracle(monkeypatch, lambda t, loss, g: (
+            loss, np.full_like(g, 1e308) if t == 5 else g))
         cfg = quadratic_cfg("adam", horizon=8, extra="  beta2: 0.999\n")
         cfg = config_module.with_overrides(cfg, stride=10)
         with pytest.raises(DomainError,
@@ -1748,17 +1734,12 @@ class TestBatches:
                 _batch_cfg("d", kind="adam"), stride=2)])
 
     def test_a_replica_error_names_its_config(self, monkeypatch):
-        step = QuadraticTracking.loss_and_grad
-
-        def nan_in_replica_1(self, t, theta):
-            loss, g = step(self, t, theta)
+        def nan_in_replica_1(t, loss, g):
             if t == 6 and g.ndim == 2:
                 g[1, 2] = math.nan
             return loss, g
 
-        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
-                            nan_in_replica_1)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, nan_in_replica_1)
         cfgs = [_batch_cfg("first"), _batch_cfg("second", seed=9),
                 _batch_cfg("third", seed=11)]
         with pytest.raises(DomainError) as err:
@@ -1767,17 +1748,12 @@ class TestBatches:
             "second: non-finite gradient at step 6, coordinate 2"
 
     def test_a_replica_zero_rate_names_its_config(self, monkeypatch):
-        step = QuadraticTracking.loss_and_grad
-
-        def overflow_in_replica_2(self, t, theta):
-            loss, g = step(self, t, theta)
+        def overflow_in_replica_2(t, loss, g):
             if t == 3 and g.ndim == 2:
                 g[2, 1] = 1e308
             return loss, g
 
-        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
-                            overflow_in_replica_2)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, overflow_in_replica_2)
         cfgs = [parse_config(f"""
 problem: {{kind: quadratic, dim: 3, seed: {seed}}}
 optimizer: {{kind: adam}}
@@ -1906,16 +1882,12 @@ class TestMixedBatches:
                 cfgs[0], stride=2)])
 
     def test_a_nan_gradient_names_its_config(self, monkeypatch):
-        step = QuadraticTracking.loss_and_grad
-
-        def nan_in_row_1(self, t, theta):
-            loss, g = step(self, t, theta)
+        def nan_in_row_1(t, loss, g):
             if t == 6 and g.ndim == 2:
                 g[1, 2] = math.nan
             return loss, g
 
-        monkeypatch.setattr(QuadraticTracking, "loss_and_grad", nan_in_row_1)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, nan_in_row_1)
         # row r of the loop is config r
         cfgs = [_mixed_cfg("a", "adam"), _mixed_cfg("b", "dstadam"),
                 _mixed_cfg("c", "adam", seed=4)]
@@ -1926,17 +1898,12 @@ class TestMixedBatches:
         assert err.value.replica == 1
 
     def test_an_error_in_one_groups_rule_names_its_config(self, monkeypatch):
-        step = QuadraticTracking.loss_and_grad
-
-        def overflow_in_row_4(self, t, theta):
-            loss, g = step(self, t, theta)
+        def overflow_in_row_4(t, loss, g):
             if t == 4 and g.ndim == 2:
                 g[4, 1] = 1e308
             return loss, g
 
-        monkeypatch.setattr(QuadraticTracking, "loss_and_grad",
-                            overflow_in_row_4)
-        monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+        edit_oracle(monkeypatch, overflow_in_row_4)
         # with rho_t = 1 DstAdam's rate is Adam's, which the overflowed
         # second moment makes 0; row 4 of the loop is config e
         ones = ", ".join(["1.0"] * 20)
@@ -2105,21 +2072,8 @@ def test_lu_run_reaches_its_last_step():
 def _losses_patched_at(monkeypatch, step, values):
     """Make the batch's stacked problem return ``values`` as the losses
     of ``step``, its gradients as they are."""
-    stack = runner.stack_problems
-
-    def patched(problems):
-        problem = stack(problems)
-        oracle = problem.loss_and_grad
-
-        def loss_and_grad(t, theta):
-            loss, grad = oracle(t, theta)
-            return (np.array(values) if t == step else loss), grad
-
-        problem.loss_and_grad = loss_and_grad
-        return problem
-
-    monkeypatch.setattr(runner, "stack_problems", patched)
-    monkeypatch.setattr(QuadraticTracking, "slot_losses", None)
+    edit_oracle(monkeypatch, lambda t, loss, grad: (
+        np.array(values) if t == step else loss, grad))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -5,6 +5,7 @@ be the per-step ``loss_and_grad`` losses bit for bit, at every step, in
 a partial last buffer and on the loop's ``DomainError`` path, and a real
 fault must raise what the per-step oracle's loop raises."""
 
+import copy
 import math
 
 import numpy as np
@@ -69,9 +70,22 @@ def _explicit(patch, edit=None):
 
 
 def _fused(patch):
-    """Make the loop call ``loss_and_grad`` at every step."""
-    for kind in (QuadraticTracking, ReddiCycle):
-        patch.setattr(kind, "slot_losses", None)
+    """Make the loop take each step's loss from ``loss_and_grad`` at the
+    step, not from the screen."""
+    stack = runner.stack_problems
+
+    def fused(problems):
+        problem = stack(problems)
+        # an unpatched copy gives each step's loss and gradient
+        lone = copy.copy(problem)
+
+        def oracle_into(t, theta, grad, losses):
+            losses[t - 1], grad[...] = lone.loss_and_grad(t, theta)
+
+        problem.oracle_into, problem.slot_losses = oracle_into, None
+        return problem
+
+    patch.setattr(runner, "stack_problems", fused)
 
 
 def _monitored(patch):
@@ -96,10 +110,10 @@ def _failing_at(patch, step):
         stepper = stack(steppers)
         original = stepper.step
 
-        def step_or_fail(theta, grad):
+        def step_or_fail(*args, **kwargs):
             if stepper.state.t + 1 == step:
                 raise DomainError("the stepper stops here")
-            return original(theta, grad)
+            return original(*args, **kwargs)
 
         stepper.step = step_or_fail
         return stepper

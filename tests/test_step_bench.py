@@ -41,3 +41,24 @@ def test_times_the_step_without_the_input_screen():
 
     assert _tool().us_per_step(build, np.ones((3, 2)), 2) > 0.0
     assert [opt.screens_inputs for opt in built] == [False, False]
+
+
+def test_times_the_step_writing_into_rows_or_the_two_argument_call():
+    # the runner's loop passes its slot rows as out and rate_out; a step
+    # without them, a parent checkout's, is timed as it is
+    calls = []
+
+    class Slotted(Adam):
+        def step(self, theta, grad, *, out=None, rate_out=None):
+            calls.append((out is not None, rate_out is not None))
+            return super().step(theta, grad, out=out, rate_out=rate_out)
+
+    class TwoArguments(Adam):
+        def step(self, theta, grad):
+            calls.append(("two",))
+            return super().step(theta, grad)
+
+    tool = _tool()
+    assert tool.us_per_step(lambda: Slotted(2), np.ones((3, 2)), 1) > 0.0
+    assert tool.us_per_step(lambda: TwoArguments(2), np.ones((2, 2)), 1) > 0
+    assert calls == [(True, True)] * 3 + [("two",)] * 2

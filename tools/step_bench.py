@@ -19,16 +19,22 @@ time of the loop over ``step`` alone, divided by the steps, is printed
 as the best of ``--repeats`` runs.  A fresh stepper per run keeps the
 coefficient fills inside the time.  Each timed stepper has its
 ``screens_inputs`` cleared, as the step loop of ``runner.run_batch``
-clears it, so a row times the step that loop runs, without the shape
-check and gradient screen of a direct call.
-Only the public constructors and ``stack_kinds``, called with one
-stepper a row, are used, so the script runs unchanged on any checkout
-whose ``stack_kinds`` takes that flat list, for comparison.
+clears it, and writes each step's theta and raw rate into the rows of
+a step slot in turn (``step``'s ``out`` and ``rate_out``, as many rows
+as ``diagnostics.buffer_rows`` gives the loop), as that loop has it, so
+a row times the step that loop runs, without the shape check and
+gradient screen of a direct call.
+Only the public constructors, ``buffer_rows`` and ``stack_kinds``,
+called with one stepper a row, are used, and a ``step`` without ``out``
+is timed as the two-argument call, so the script runs unchanged on any
+checkout whose ``stack_kinds`` takes that flat list, for comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -42,6 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 # transopt is imported from this checkout's src
 from transopt import runner  # noqa: E402
 from transopt.config import parse_config  # noqa: E402
+from transopt.diagnostics import buffer_rows  # noqa: E402
 from transopt.optim import (  # noqa: E402
     Adam, Amsgrad, ClippedTransition, DstAdam, MomentumSgd, StepConfig,
     stack_kinds)
@@ -124,15 +131,24 @@ def batches(horizon: int) -> Dict[str, tuple]:
 def us_per_step(build: Callable[[], object], grads: np.ndarray,
                 repeats: int) -> float:
     """Best of ``repeats`` times of a fresh stepper's loop, per step,
-    with its input screen cleared as in the runner's loop."""
+    with its input screen cleared and its outputs written into rows, as
+    in the runner's loop."""
     best = float("inf")
     for _ in range(repeats):
         opt = build()
         opt.screens_inputs = False
         theta = np.zeros(grads.shape[1:])
+        # the rows of one step slot of the loop, in turn
+        shape = (buffer_rows(len(grads), grads[0].size),) + theta.shape
+        slots = itertools.cycle(list(zip(np.empty(shape), np.empty(shape))))
+        slotted = "out" in inspect.signature(opt.step).parameters
         start = time.perf_counter()
-        for g in grads:
-            theta = opt.step(theta, g)
+        if slotted:
+            for g, (out, rate) in zip(grads, slots):
+                theta = opt.step(theta, g, out=out, rate_out=rate)
+        else:
+            for g in grads:
+                theta = opt.step(theta, g)
         best = min(best, time.perf_counter() - start)
     return best / len(grads) * 1e6
 
